@@ -1,43 +1,34 @@
 """Command-line entry points tying the pipeline together.
 
-Set BENLOC_THREADS to cap feature-extraction parallelism (default 1).
+Bad input (a ValueError, KeyError or OSError from any command) prints one
+``error in <command>: <message>`` line on stderr and exits with status 1.
 """
 
 from __future__ import annotations
 
+import csv
 import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
 from .dataset import build_oracle_dataset, load_dataset, write_dataset
 from .instance import parse_mps, permute_instance, write_mps
-from .learners import build_examples, predict_config, train as train_model
-from .logs import FeatureStage, dynamic_features, parse_log
-from .metrics import DEFAULT_SHIFT, ConfigId, PerfTable, shifted_geomean
-from .report import (evaluate_split, experiment_report_csv,
-                     experiment_report_text, format_pct, run_experiment,
+from .learners import MODEL_KINDS, TrainedSelector, predict_config
+from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
+from .metrics import DEFAULT_SHIFT, PerfTable
+from .report import (experiment_report_csv, experiment_report_text,
+                     fit_split, format_pct, run_experiment, score_split,
                      suitability_report_csv, suitability_report_text,
                      suitability_rows, summarize)
-from .splits import (DatasetManifest, SplitAssignment, split_by_instance,
-                     split_by_permutation, stratified_split)
+from .splits import STRATEGIES, DatasetManifest, SplitAssignment, make_split
 from .static_features import extract_static, static_features_csv
 from .synth import OracleSpec, gen_indset, gen_setcover
-from .logs import assemble_features, extra_cost
 
 STAGES = {
     "static": FeatureStage.STATIC_ONLY,
     "first_root_lp": FeatureStage.UP_TO_FIRST_ROOT_LP,
     "root_end": FeatureStage.UP_TO_ROOT_END,
 }
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("BENLOC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_seeds(text):
@@ -47,12 +38,19 @@ def _parse_seeds(text):
     return [int(s) for s in text.split(",") if s.strip()]
 
 
-def _fail(stage_name, exc):
-    click.echo(f"error in {stage_name}: {exc}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """Reports bad input from any command as one line and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, KeyError, OSError) as exc:
+            msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            click.echo(f"error in {ctx.invoked_subcommand}: {msg}", err=True)
+            ctx.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Benchmark toolkit for learning per-instance MIP optimizer configurations."""
 
@@ -128,22 +126,19 @@ def features(mps_paths, manifest_path, stage, out_path):
         fmap = data.feature_map(stage)
         keys = sorted(fmap)
         names = fmap[keys[0]][0] if keys else []
-        import csv as _csv
         with open(out_path, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["family", "seed"] + list(names))
             for f, s in keys:
                 w.writerow([f, s] + [repr(float(v)) for v in fmap[(f, s)][1]])
     else:
         if stage != FeatureStage.STATIC_ONLY:
-            _fail("features", "dynamic stages need --manifest with logs")
-
-        def one(path):
+            raise ValueError("dynamic stages need --manifest with logs")
+        rows = []
+        for path in mps_paths:
             with open(path) as fh:
-                return os.path.basename(path), extract_static(parse_mps(fh.read()))
-
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(pool.map(one, mps_paths))
+                rows.append((os.path.basename(path),
+                             extract_static(parse_mps(fh.read()))))
         with open(out_path, "w") as fh:
             fh.write(static_features_csv(rows))
     click.echo(out_path)
@@ -152,8 +147,7 @@ def features(mps_paths, manifest_path, stage, out_path):
 @main.command()
 @click.option("--manifest", "manifest_path", type=click.Path(exists=True),
               required=True)
-@click.option("--strategy",
-              type=click.Choice(["by_instance", "by_permutation", "stratified"]),
+@click.option("--strategy", type=click.Choice(STRATEGIES),
               default="by_instance", show_default=True)
 @click.option("--test-frac", type=float, default=0.2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -164,21 +158,12 @@ def split(manifest_path, strategy, test_frac, seed, perf_path, out_path):
     """Produce a train/test SplitAssignment as JSON."""
     with open(manifest_path) as fh:
         manifest = DatasetManifest.from_json(fh.read())
-    try:
-        if strategy == "by_instance":
-            assignment = split_by_instance(manifest, test_frac, seed)
-        elif strategy == "by_permutation":
-            assignment = split_by_permutation(manifest, test_frac, seed)
-        else:
-            if not perf_path and manifest.perf_path:
-                perf_path = manifest.perf_path
-            if not perf_path:
-                _fail("split", "stratified strategy needs --perf")
-            with open(perf_path) as fh:
-                perf = PerfTable.from_csv(fh.read())
-            assignment = stratified_split(manifest, perf, test_frac, seed)
-    except ValueError as exc:
-        _fail("split", exc)
+    perf = None
+    perf_path = perf_path or manifest.perf_path
+    if perf_path:
+        with open(perf_path) as fh:
+            perf = PerfTable.from_csv(fh.read())
+    assignment = make_split(strategy, manifest, test_frac, seed, perf=perf)
     with open(out_path, "w") as fh:
         fh.write(assignment.to_json())
     click.echo(f"train={len(assignment.train)} test={len(assignment.test)} "
@@ -193,29 +178,18 @@ def split(manifest_path, strategy, test_frac, seed, perf_path, out_path):
               required=True)
 @click.option("--stage", type=click.Choice(sorted(STAGES)), default="static",
               show_default=True)
-@click.option("--kind",
-              type=click.Choice(["reg_forest", "clf_forest", "knn", "pair_ranker"]),
+@click.option("--kind", type=click.Choice(MODEL_KINDS),
               default="reg_forest", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--shift", type=float, default=DEFAULT_SHIFT, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def train(manifest_path, split_path, stage, kind, seed, shift, out_path):
     """Train a configuration selector on the training side of a split."""
-    stage = STAGES[stage]
     data = load_dataset(manifest_path)
     with open(split_path) as fh:
         assignment = SplitAssignment.from_json(fh.read())
-    try:
-        examples = {(ex.family, ex.seed): ex
-                    for ex in build_examples(data.perf, data.feature_map(stage),
-                                             shift)}
-        train_ex = [examples[p] for p in assignment.train]
-        registry = None
-        if assignment.family_overlap() == 0:
-            registry = set(assignment.test_families())
-        model = train_model(kind, train_ex, seed=seed, test_registry=registry)
-    except (ValueError, KeyError) as exc:
-        _fail("train", exc)
+    model = fit_split(data, assignment, data.feature_map(STAGES[stage]), kind,
+                      shift=shift, seed=seed)
     with open(out_path, "w") as fh:
         fh.write(model.to_json())
     click.echo(out_path)
@@ -230,8 +204,6 @@ def train(manifest_path, split_path, stage, kind, seed, shift, out_path):
               show_default=True)
 def predict(model_path, mps_path, log_path, stage):
     """Predict the configuration for a single instance."""
-    from .learners import TrainedSelector
-    stage = STAGES[stage]
     with open(model_path) as fh:
         model = TrainedSelector.from_json(fh.read())
     with open(mps_path) as fh:
@@ -240,12 +212,8 @@ def predict(model_path, mps_path, log_path, stage):
     if log_path:
         with open(log_path) as fh:
             dyn = dynamic_features(parse_log(fh.read()))
-    try:
-        names, values = assemble_features(static, dyn, stage)
-        cfg = predict_config(model, values, feature_names=names)
-    except ValueError as exc:
-        _fail("predict", exc)
-    click.echo(str(cfg))
+    names, values = assemble_features(static, dyn, STAGES[stage])
+    click.echo(str(predict_config(model, values, feature_names=names)))
 
 
 @main.command()
@@ -260,39 +228,19 @@ def predict(model_path, mps_path, log_path, stage):
 @click.option("--shift", type=float, default=DEFAULT_SHIFT, show_default=True)
 def evaluate(manifest_path, model_path, split_path, stage, shift):
     """Evaluate a trained model on the test side of a split."""
-    from .learners import TrainedSelector
-    from .metrics import improvement, pd_best, pi_best
     stage = STAGES[stage]
     data = load_dataset(manifest_path)
     with open(model_path) as fh:
         model = TrainedSelector.from_json(fh.read())
     with open(split_path) as fh:
         assignment = SplitAssignment.from_json(fh.read())
-    try:
-        fmap = data.feature_map(stage)
-        default = ConfigId.default()
-        test_pairs = assignment.test
-        pred_times = []
-        for f, s in test_pairs:
-            names, values = fmap[(f, s)]
-            cfg = predict_config(model, values, feature_names=names)
-            t = data.perf.time(f, s, cfg)
-            t = extra_cost(t, data.root_time(f, s, cfg), stage,
-                           cfg.affects_root)
-            pred_times.append(t)
-        pred_g = shifted_geomean(pred_times, shift)
-        default_g = shifted_geomean(
-            data.perf.times_for_config(default, test_pairs), shift)
-        pd_cfg = pd_best(data.perf, shift, instances=assignment.train)
-        pd_g = shifted_geomean(
-            data.perf.times_for_config(pd_cfg, test_pairs), shift)
-        _, pi_g = pi_best(data.perf, shift, instances=test_pairs)
-    except (ValueError, KeyError) as exc:
-        _fail("evaluate", exc)
-    click.echo(f"pred={pred_g:.4f} default={default_g:.4f} "
-               f"pd_best={pd_g:.4f} ({pd_cfg}) pi_best={pi_g:.4f}")
-    click.echo(f"imp_default={format_pct(improvement(default_g, pred_g))} "
-               f"imp_pd_best={format_pct(improvement(pd_g, pred_g))}")
+    r = score_split(data, assignment, model, data.feature_map(stage), stage,
+                    shift)
+    click.echo(f"pred={r.pred_geomean:.4f} default={r.default_geomean:.4f} "
+               f"pd_best={r.pd_geomean:.4f} ({r.pd_config}) "
+               f"pi_best={r.pi_geomean:.4f}")
+    click.echo(f"imp_default={format_pct(r.imp_default)} "
+               f"imp_pd_best={format_pct(r.imp_pd)}")
 
 
 @main.command()
@@ -316,11 +264,9 @@ def suitability(perf_path, name, shift, out_csv):
               required=True)
 @click.option("--stage", type=click.Choice(sorted(STAGES)), default="static",
               show_default=True)
-@click.option("--kind",
-              type=click.Choice(["reg_forest", "clf_forest", "knn", "pair_ranker"]),
+@click.option("--kind", type=click.Choice(MODEL_KINDS),
               default="reg_forest", show_default=True)
-@click.option("--strategy",
-              type=click.Choice(["by_instance", "by_permutation", "stratified"]),
+@click.option("--strategy", type=click.Choice(STRATEGIES),
               default="by_instance", show_default=True)
 @click.option("--seeds", default="0..4", show_default=True)
 @click.option("--test-frac", type=float, default=0.2, show_default=True)
@@ -330,16 +276,12 @@ def suitability(perf_path, name, shift, out_csv):
 def pipeline(manifest_path, stage, kind, strategy, seeds, test_frac, shift,
              n_trees, out_dir):
     """Full pass: features, split, train, predict, evaluate, report."""
-    stage = STAGES[stage]
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        data = load_dataset(manifest_path)
-        results = run_experiment(data, stage, kind=kind, strategy=strategy,
-                                 split_seeds=_parse_seeds(seeds),
-                                 test_fraction=test_frac,
-                                 hyperparams={"n_trees": n_trees}, shift=shift)
-    except Exception as exc:  # report which stage broke, nonzero exit
-        _fail("pipeline", exc)
+    data = load_dataset(manifest_path)
+    results = run_experiment(data, STAGES[stage], kind=kind, strategy=strategy,
+                             split_seeds=_parse_seeds(seeds),
+                             test_fraction=test_frac,
+                             hyperparams={"n_trees": n_trees}, shift=shift)
     csv_path = os.path.join(out_dir, "report_per_seed.csv")
     with open(csv_path, "w") as fh:
         fh.write(experiment_report_csv(results))

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import parse_mps, permute_instance, write_mps
-from .learners import build_examples
-from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
-from .metrics import DEFAULT_SHIFT, ConfigId, PerfTable
+from .logs import (FeatureStage, MissingStageError, assemble_features,
+                   dynamic_features, parse_log, render_log)
+from .metrics import ConfigId, PerfTable
 from .splits import DatasetManifest
 from .static_features import extract_static
-from .synth import OracleSpec, gen_indset, gen_setcover, oracle_times, planted_optimum
+from .synth import (OracleSpec, gen_indset, gen_setcover, oracle_solve_logs,
+                    planted_optimum)
 
 
 @dataclass
@@ -49,7 +50,6 @@ class BenchmarkData:
                                log_dir=os.path.join(base_dir, "logs"))
 
     def default_log(self, family, seed):
-        from .logs import MissingStageError
         per_cfg = self.logs.get((family, seed), {})
         log = per_cfg.get(str(ConfigId.default()))
         if log is None:
@@ -69,9 +69,6 @@ class BenchmarkData:
                 dyn = dynamic_features(self.default_log(*key))
             out[key] = assemble_features(static, dyn, stage)
         return out
-
-    def examples(self, stage, shift=DEFAULT_SHIFT):
-        return build_examples(self.perf, self.feature_map(stage), shift)
 
 
 def _family_rng(seed, idx):
@@ -116,13 +113,12 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
             static[key] = feats
             if keep_instances:
                 instances[key] = inst
-            times, raw_logs = oracle_times(family, s, feats, spec,
-                                           instance_stats=stats)
+            times, solve_logs = oracle_solve_logs(family, s, feats, spec,
+                                                  instance_stats=stats)
             logs[key] = {}
             for cfg, t in times.items():
-                status = "time_limit" if t >= spec.time_limit else "optimal"
-                perf.add(family, s, cfg, t, status)
-                logs[key][str(cfg)] = parse_log(raw_logs[cfg])
+                perf.add(family, s, cfg, t, solve_logs[cfg].status)
+                logs[key][str(cfg)] = solve_logs[cfg]
             planted[key] = planted_optimum(spec, family, feats)
 
     return BenchmarkData(name=name, perf=perf, static=static, logs=logs,
@@ -130,7 +126,17 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
 
 
 def write_dataset(data, out_dir):
-    """Write instances (when kept), logs, perf.csv and manifest.json."""
+    """Write instances, logs, perf.csv and manifest.json.
+
+    The manifest names an MPS file per instance, so data built without
+    keep_instances is refused before anything is written.
+    """
+    missing = set(data.static) - set(data.instances)
+    if missing:
+        raise ValueError(
+            f"cannot write dataset {data.name!r}: {len(missing)} of "
+            f"{len(data.static)} instances have no MipInstance (build the "
+            f"data with keep_instances=True)")
     os.makedirs(os.path.join(out_dir, "instances"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
     for (f, s), inst in data.instances.items():
@@ -141,35 +147,13 @@ def write_dataset(data, out_dir):
         for cfg_str, log in per_cfg.items():
             path = os.path.join(out_dir, "logs", f"{f}.perm{s}.{cfg_str}.log")
             with open(path, "w") as fh:
-                fh.write(_render_log(log))
+                fh.write(render_log(log))
     with open(os.path.join(out_dir, "perf.csv"), "w") as fh:
         fh.write(data.perf.to_csv())
     manifest = data.manifest(out_dir)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(manifest.to_json())
     return os.path.join(out_dir, "manifest.json")
-
-
-_STAGE_LINE = {
-    "presolve": "PRESOLVE",
-    "global_cut": "GLOBALCUT",
-    "first_root_lp": "ROOTLP",
-    "root_end": "ROOT_END",
-}
-
-def _render_log(log):
-    """Re-emit a SolveLog in the canonical schema."""
-    lines = []
-    if log.instance_id or log.config_id:
-        lines.append(f"META instance={log.instance_id} config={log.config_id}")
-    for stage in ("presolve", "global_cut", "first_root_lp", "root_end"):
-        kv = log.stage_values(stage)
-        if kv:
-            body = " ".join(f"{k}={v!r}" for k, v in kv.items())
-            lines.append(f"{_STAGE_LINE[stage]} {body}")
-    lines.append(f"STATUS status={log.status} total_time={log.total_time!r} "
-                 f"root_time={log.root_time!r}")
-    return "\n".join(lines) + "\n"
 
 
 def load_dataset(manifest_path):

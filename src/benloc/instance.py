@@ -441,9 +441,8 @@ def parse_mps(text):
 
 def _read_vector_line(toks, row_index, target, free_rows, obj_name, line_no, what):
     """RHS/RANGES line: optional set name then (row, value) pairs."""
-    start = 0 if toks[0] in row_index or toks[0] == obj_name else 1
-    rest = toks[start:]
-    if not rest or len(rest) % 2:
+    rest = toks[len(toks) % 2:]  # an odd token count means a set name leads
+    if not rest:
         raise MpsParseError(f"malformed {what} line", line_no)
     for k in range(0, len(rest), 2):
         rname, sval = rest[k], rest[k + 1]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,22 +95,27 @@ class LabeledExample:
         return feature_fingerprint(self.feature_names)
 
 
+def _times_and_labels(perf, shift):
+    """configs, instances, the (instance x config) times and their labels."""
+    configs = tuple(perf.configs())
+    if ConfigId.default() not in configs:
+        raise ValueError("performance table lacks Default")
+    instances = perf.instances()
+    times = perf.time_matrix(instances, configs)  # Default is column 0
+    # math.log per cell: np.log on the array may differ in the last bit,
+    # which is enough to move a forest split
+    ratios = ((times + shift) / (times[:, :1] + shift)).tolist()
+    labels = np.array([[math.log(r) for r in row] for row in ratios])
+    return configs, instances, times, labels.reshape(times.shape)
+
+
 def make_labels(perf, shift=DEFAULT_SHIFT):
     """Per-config label vectors ln((t + shift) / (t_default + shift)).
 
     Returns (configs, {(family, seed): labels}); raises on missing entries.
     """
-    configs = tuple(perf.configs())
-    default = ConfigId.default()
-    if default not in configs:
-        raise ValueError("performance table lacks Default")
-    out = {}
-    for f, s in perf.instances():
-        t_def = perf.time(f, s, default)
-        out[(f, s)] = np.array([
-            math.log((perf.time(f, s, c) + shift) / (t_def + shift))
-            for c in configs])
-    return configs, out
+    configs, instances, _, labels = _times_and_labels(perf, shift)
+    return configs, dict(zip(instances, labels))
 
 
 def build_examples(perf, feature_map, shift=DEFAULT_SHIFT):
@@ -118,16 +123,15 @@ def build_examples(perf, feature_map, shift=DEFAULT_SHIFT):
 
     feature_map: {(family, seed): (names, values)}.
     """
-    configs, labels = make_labels(perf, shift)
+    configs, instances, times, labels = _times_and_labels(perf, shift)
     examples = []
-    for f, s in perf.instances():
+    for i, (f, s) in enumerate(instances):
         if (f, s) not in feature_map:
             raise KeyError(f"no features for ({f}, {s})")
         names, values = feature_map[(f, s)]
-        times = np.array([perf.time(f, s, c) for c in configs])
         examples.append(LabeledExample(
             family=f, seed=s, feature_names=tuple(names), features=values,
-            configs=configs, labels=labels[(f, s)], times=times))
+            configs=configs, labels=labels[i], times=times[i]))
     return examples
 
 

@@ -169,6 +169,23 @@ def parse_log(text):
     return log
 
 
+def render_log(log):
+    """Emit a SolveLog in the canonical schema; parse_log reads it back."""
+    lines = []
+    if log.instance_id or log.config_id:
+        lines.append(f"META instance={log.instance_id} config={log.config_id}")
+    values = {}  # stage -> {key: value}, as stage_values gives them
+    for stage, k, v in log.events:
+        values.setdefault(stage, {})[k] = v
+    for head, stage in _LINE_STAGE.items():  # in STAGE_ORDER
+        if stage in values:
+            body = " ".join([f"{k}={v!r}" for k, v in values[stage].items()])
+            lines.append(f"{head} {body}")
+    lines.append(f"STATUS status={log.status} total_time={log.total_time!r} "
+                 f"root_time={log.root_time!r}")
+    return "\n".join(lines) + "\n"
+
+
 def gap_features(c_d, c_p, c_l):
     """Gap quadruple from dual bound c_d, primal bound c_p, initial LP bound c_l.
 

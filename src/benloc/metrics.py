@@ -132,10 +132,22 @@ class PerfTable:
     def status(self, family, seed, config):
         return self._status[(family, int(seed), config)]
 
-    def times_for_config(self, config, instances=None):
+    def time_matrix(self, instances=None, configs=None):
+        """(instance x config) times; columns default to configs() order."""
         if instances is None:
             instances = self.instances()
-        return np.array([self.time(f, s, config) for f, s in instances])
+        if configs is None:
+            configs = self.configs()
+        try:
+            rows = [[self._times[(f, int(s), c)] for c in configs]
+                    for f, s in instances]
+        except KeyError as exc:
+            f, s, c = exc.args[0]
+            raise MissingEntryError(f"no entry for ({f}, {s}, {c})") from None
+        return np.array(rows, dtype=float).reshape(len(instances), len(configs))
+
+    def times_for_config(self, config, instances=None):
+        return self.time_matrix(instances, [config])[:, 0]
 
     def subset(self, instances):
         """Restriction to the given (family, seed) pairs."""
@@ -191,19 +203,18 @@ def shifted_geomean(times, shift=DEFAULT_SHIFT):
 
 def pd_best(table, shift=DEFAULT_SHIFT, instances=None):
     """Configuration minimizing the dataset-level shifted geometric mean."""
-    best_cfg, best_val = None, None
-    for cfg in table.configs():  # Default first, then lexicographic
-        val = shifted_geomean(table.times_for_config(cfg, instances), shift)
-        if best_val is None or val < best_val:
-            best_cfg, best_val = cfg, val
-    if best_cfg is None:
-        raise ValueError("empty performance table")
-    return best_cfg
+    return pd_best_geomean(table, shift, instances)[0]
 
 
 def pd_best_geomean(table, shift=DEFAULT_SHIFT, instances=None):
-    cfg = pd_best(table, shift, instances)
-    return cfg, shifted_geomean(table.times_for_config(cfg, instances), shift)
+    """PD-best configuration and its shifted geomean."""
+    configs = table.configs()
+    if not configs:
+        raise ValueError("empty performance table")
+    times = table.time_matrix(instances, configs)
+    geomeans = [shifted_geomean(col, shift) for col in times.T]
+    k = int(np.argmin(geomeans))  # first minimum: Default, then lexicographic
+    return configs[k], geomeans[k]
 
 
 def pi_best(table, shift=DEFAULT_SHIFT, instances=None):
@@ -213,17 +224,10 @@ def pi_best(table, shift=DEFAULT_SHIFT, instances=None):
     configs = table.configs()
     if not instances or not configs:
         raise ValueError("empty performance table")
-    chosen = {}
-    times = []
-    for f, s in instances:
-        best_cfg, best_t = None, None
-        for cfg in configs:
-            t = table.time(f, s, cfg)
-            if best_t is None or t < best_t:
-                best_cfg, best_t = cfg, t
-        chosen[(f, s)] = best_cfg
-        times.append(best_t)
-    return chosen, shifted_geomean(times, shift)
+    times = table.time_matrix(instances, configs)
+    best = np.argmin(times, axis=1)  # first minimum: the tie-break order
+    chosen = {(f, s): configs[k] for (f, s), k in zip(instances, best)}
+    return chosen, shifted_geomean(times[np.arange(len(best)), best], shift)
 
 
 def improvement(baseline_time, predict_time):

@@ -1,9 +1,11 @@
 """End-to-end evaluation and report tables.
 
-evaluate_split runs one train/predict/evaluate pass: the Per-Dataset best
-baseline is chosen on the training side only, predicted configurations pay
-the root re-solve cost when root-end features were consumed, and all summary
-numbers are shifted geometric means over the test instances.
+evaluate_split runs one train/predict/evaluate pass as fit_split (train
+side) then score_split (test side); the CLI train and evaluate commands run
+the same two steps.  The Per-Dataset best baseline is chosen on the training
+side only, predicted configurations pay the root re-solve cost when root-end
+features were consumed, and all summary numbers are shifted geometric means
+over the test instances.
 
 Because it is ambiguous whether multi-seed improvements should be the mean of
 per-split improvements or the improvement of averaged times (the two differ),
@@ -16,17 +18,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 
 from .learners import build_examples, predict_config, train
 from .logs import FeatureStage, extra_cost
-from .metrics import (DEFAULT_SHIFT, ConfigId, improvement,
-                      improvement_upper_bound, pd_best, pi_best,
+from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError,
+                      improvement, pd_best, pd_best_geomean, pi_best,
                       shifted_geomean)
-from .splits import split_by_instance, split_by_permutation, stratified_split
+from .splits import make_split
 
 
 def format_pct(fraction, decimals=2):
@@ -56,57 +58,59 @@ class EvalResult:
         return improvement(self.pd_geomean, self.pred_geomean)
 
 
-def evaluate_split(data, assignment, stage, kind="reg_forest",
-                   hyperparams=None, shift=DEFAULT_SHIFT, train_seed=0):
-    """Train on the assignment's train side, evaluate on its test side."""
-    feature_map = data.feature_map(stage)
+def fit_split(data, assignment, feature_map, kind="reg_forest",
+              hyperparams=None, shift=DEFAULT_SHIFT, seed=0):
+    """Train a selector on the assignment's train side."""
     examples = {(ex.family, ex.seed): ex
                 for ex in build_examples(data.perf, feature_map, shift)}
-    train_ex = [examples[p] for p in assignment.train]
-    test_ex = [examples[p] for p in assignment.test]
-
     # family-disjoint strategies declare their test registry; the leaky
     # by_permutation strategy cannot (training would rightly refuse)
     registry = None
     if assignment.family_overlap() == 0:
         registry = set(assignment.test_families())
-    model = train(kind, train_ex, hyperparams=hyperparams, seed=train_seed,
-                  test_registry=registry)
+    return train(kind, [examples[p] for p in assignment.train],
+                 hyperparams=hyperparams, seed=seed, test_registry=registry)
 
-    default = ConfigId.default()
+
+def score_split(data, assignment, model, feature_map, stage,
+                shift=DEFAULT_SHIFT):
+    """Evaluate a trained selector on the assignment's test side."""
     test_pairs = assignment.test
-    default_g = shifted_geomean(
-        data.perf.times_for_config(default, test_pairs), shift)
+    configs = data.perf.configs()
+    times = data.perf.time_matrix(test_pairs, configs)
+    column = {c: j for j, c in enumerate(configs)}
+
+    default_g = shifted_geomean(times[:, column[ConfigId.default()]], shift)
     pd_cfg = pd_best(data.perf, shift, instances=assignment.train)
-    pd_g = shifted_geomean(
-        data.perf.times_for_config(pd_cfg, test_pairs), shift)
+    pd_g = shifted_geomean(times[:, column[pd_cfg]], shift)
     _, pi_g = pi_best(data.perf, shift, instances=test_pairs)
 
     predictions = {}
     pred_times = []
-    for ex in test_ex:
-        cfg = predict_config(model, ex.features)
-        predictions[(ex.family, ex.seed)] = cfg
-        t = data.perf.time(ex.family, ex.seed, cfg)
-        t = extra_cost(t, data.root_time(ex.family, ex.seed, cfg), stage,
-                       cfg.affects_root)
-        pred_times.append(t)
+    for i, (f, s) in enumerate(test_pairs):
+        names, values = feature_map[(f, s)]
+        cfg = predict_config(model, values, feature_names=names)
+        if cfg not in column:
+            raise MissingEntryError(f"no times for predicted config {cfg}")
+        predictions[(f, s)] = cfg
+        pred_times.append(extra_cost(times[i, column[cfg]],
+                                     data.root_time(f, s, cfg), stage,
+                                     cfg.affects_root))
     pred_g = shifted_geomean(pred_times, shift)
 
-    return EvalResult(stage=stage, kind=kind, split_seed=assignment.seed,
+    return EvalResult(stage=stage, kind=model.kind, split_seed=assignment.seed,
                       pd_config=pd_cfg, default_geomean=default_g,
                       pd_geomean=pd_g, pi_geomean=pi_g, pred_geomean=pred_g,
                       predictions=predictions)
 
 
-_SPLITTERS = {
-    "by_instance": lambda data, frac, seed: split_by_instance(
-        data.manifest(), frac, seed),
-    "by_permutation": lambda data, frac, seed: split_by_permutation(
-        data.manifest(), frac, seed),
-    "stratified": lambda data, frac, seed: stratified_split(
-        data.manifest(), data.perf, frac, seed),
-}
+def evaluate_split(data, assignment, stage, kind="reg_forest",
+                   hyperparams=None, shift=DEFAULT_SHIFT, train_seed=0):
+    """Train on the assignment's train side, evaluate on its test side."""
+    feature_map = data.feature_map(stage)
+    model = fit_split(data, assignment, feature_map, kind, hyperparams, shift,
+                      seed=train_seed)
+    return score_split(data, assignment, model, feature_map, stage, shift)
 
 
 def run_experiment(data, stage, kind="reg_forest", strategy="by_instance",
@@ -115,7 +119,8 @@ def run_experiment(data, stage, kind="reg_forest", strategy="by_instance",
     """One evaluation per split seed; the learner seed follows the split seed."""
     results = []
     for s in split_seeds:
-        assignment = _SPLITTERS[strategy](data, test_fraction, s)
+        assignment = make_split(strategy, data.manifest(), test_fraction, s,
+                                perf=data.perf)
         results.append(evaluate_split(data, assignment, stage, kind,
                                       hyperparams, shift, train_seed=s))
     return results
@@ -187,19 +192,17 @@ def experiment_report_text(results, label=""):
 
 def suitability_rows(perf, shift=DEFAULT_SHIFT, name="dataset"):
     """One suitability row: instance count, PD/PI improvements, headroom."""
-    default = ConfigId.default()
-    instances = perf.instances()
-    d = shifted_geomean(perf.times_for_config(default), shift)
-    pd_cfg = pd_best(perf, shift)
-    pd_g = shifted_geomean(perf.times_for_config(pd_cfg), shift)
+    d = shifted_geomean(perf.times_for_config(ConfigId.default()), shift)
+    pd_cfg, pd_g = pd_best_geomean(perf, shift)
     _, pi_g = pi_best(perf, shift)
+    imp_pd, imp_pi = improvement(d, pd_g), improvement(d, pi_g)
     return {
         "dataset": name,
-        "instance_count": len(instances),
+        "instance_count": len(perf.instances()),
         "pd_best_config": str(pd_cfg),
-        "imp_pd_best": improvement(d, pd_g),
-        "imp_pi_best": improvement(d, pi_g),
-        "imp_upper_bound": improvement_upper_bound(perf, shift),
+        "imp_pd_best": imp_pd,
+        "imp_pi_best": imp_pi,
+        "imp_upper_bound": imp_pi - imp_pd,
     }
 
 

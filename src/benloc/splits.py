@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,3 +218,16 @@ def stratified_split(manifest, perf, test_fraction=0.2, seed=0,
     for f, s in manifest.pairs():
         (test if f in test_fams else train).append((f, s))
     return SplitAssignment(train, test, "stratified", seed, test_fraction)
+
+
+def make_split(strategy, manifest, test_fraction=0.2, seed=0, perf=None):
+    """Split with the named strategy; perf is needed only by stratified."""
+    # names resolve at call time, so a wrapped module attribute is seen
+    if strategy == "by_instance":
+        return split_by_instance(manifest, test_fraction, seed)
+    if strategy == "by_permutation":
+        return split_by_permutation(manifest, test_fraction, seed)
+    if strategy == "stratified":
+        return stratified_split(manifest, perf, test_fraction, seed)
+    raise SplitError(f"unknown split strategy {strategy!r}; "
+                     f"choose from {', '.join(STRATEGIES)}")

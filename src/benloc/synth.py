@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import MipInstance
+from .logs import SolveLog, render_log
 from .metrics import DEFAULT_TIME_LIMIT, ConfigId
 
 DEFAULT_CONFIGS = (
@@ -166,6 +167,14 @@ def oracle_times(family, perm_seed, static_feats, spec, instance_stats=None):
     instance_stats may carry (rows, cols, integers) for the presolve lines;
     defaults are derived from the static features.
     """
+    times, logs = oracle_solve_logs(family, perm_seed, static_feats, spec,
+                                    instance_stats)
+    return times, {cfg: render_log(log) for cfg, log in logs.items()}
+
+
+def oracle_solve_logs(family, perm_seed, static_feats, spec,
+                      instance_stats=None):
+    """oracle_times with each log as the SolveLog its text parses back to."""
     r = _rule_value(spec, family, static_feats)
     favored = spec.rule_config if r > spec.rule_threshold else spec.else_config
 
@@ -199,15 +208,19 @@ def oracle_times(family, perm_seed, static_feats, spec, instance_stats=None):
         times[cfg] = t
         status = "time_limit" if t >= spec.time_limit else "optimal"
         root_time = spec.root_fraction * t
-        logs[cfg] = "\n".join([
-            f"META instance={family}.perm{perm_seed} config={cfg}",
-            f"PRESOLVE rows={rows} cols={cols} integers={ints}",
-            f"GLOBALCUT c_d={c_d!r} c_p={c_p!r} c_l={c_l!r}",
-            (f"ROOTLP active={rows} intinf={ints} glbred=0.0 gap={lp_gap!r} "
-             f"time={0.2 * root_time!r} obj_density=1.0 symmetries=0"),
-            (f"ROOT_END nodes={nodes} lpit_per_node={5.0 + 20.0 * r!r} glbfix=0 "
-             f"cuts={round(10 * r)} mcp=0 sepa={round(5 * r)} conf=0 "
-             f"time={root_time!r}"),
-            f"STATUS status={status} total_time={t!r} root_time={root_time!r}",
-        ]) + "\n"
+        values = {
+            "presolve": {"rows": rows, "cols": cols, "integers": ints},
+            "global_cut": {"c_d": c_d, "c_p": c_p, "c_l": c_l},
+            "first_root_lp": {"active": rows, "intinf": ints, "glbred": 0,
+                              "gap": lp_gap, "time": 0.2 * root_time,
+                              "obj_density": 1, "symmetries": 0},
+            "root_end": {"nodes": nodes, "lpit_per_node": 5.0 + 20.0 * r,
+                         "glbfix": 0, "cuts": round(10 * r), "mcp": 0,
+                         "sepa": round(5 * r), "conf": 0, "time": root_time},
+        }
+        logs[cfg] = SolveLog(
+            instance_id=f"{family}.perm{perm_seed}", config_id=str(cfg),
+            events=[(stage, k, float(v)) for stage, kv in values.items()
+                    for k, v in kv.items()],
+            total_time=t, root_time=root_time, status=status)
     return times, logs

@@ -269,7 +269,7 @@ def test_a6_parser_round_trips(mps_corpus, small_oracle):
             detail += f"; round-trip mismatch: {path}"
 
     # oracle-emitted logs parse cleanly and re-render losslessly
-    from benloc.dataset import _render_log
+    from benloc.logs import render_log as _render_log
 
     n_logs = 0
     for per_cfg in small_oracle.logs.values():

@@ -5,6 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from benloc.cli import main
+from benloc.dataset import load_dataset
+from benloc.logs import FeatureStage
+from benloc.report import evaluate_split, format_pct
+from benloc.splits import SplitAssignment
 
 SUBCOMMANDS = ["synth", "permute", "features", "split", "train", "predict",
                "evaluate", "suitability", "pipeline"]
@@ -28,6 +32,20 @@ def workdir(tmp_path_factory):
                              "3", "--seed", "0", "--out-dir", str(d / "ds")])
     assert r.exit_code == 0, r.output
     return d
+
+
+@pytest.fixture(scope="module")
+def model_path(workdir):
+    """A kNN model trained through the CLI on a by-instance split."""
+    runner = CliRunner()
+    manifest = str(workdir / "ds" / "manifest.json")
+    split, model = str(workdir / "knn_split.json"), str(workdir / "knn.json")
+    for args in (["split", "--manifest", manifest, "--out", split],
+                 ["train", "--manifest", manifest, "--split", split,
+                  "--kind", "knn", "--out", model]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+    return model
 
 
 class TestHelp:
@@ -57,8 +75,7 @@ class TestCommands:
             rec = json.loads((out / f"{stem}.perm{s}.json").read_text())
             assert rec["seed"] == s
 
-    def test_features_static_from_mps(self, runner, workdir, monkeypatch):
-        monkeypatch.setenv("BENLOC_THREADS", "2")
+    def test_features_static_from_mps(self, runner, workdir):
         paths = [str(workdir / "mps" / f)
                  for f in sorted(os.listdir(workdir / "mps"))]
         out = workdir / "static.csv"
@@ -145,3 +162,49 @@ class TestCommands:
         # with the failing stage named
         if r.exit_code != 0:
             assert "pipeline" in r.output
+
+    def test_train_then_evaluate_matches_evaluate_split(self, runner,
+                                                        workdir, tmp_path):
+        manifest = str(workdir / "ds" / "manifest.json")
+        split, model = str(tmp_path / "split.json"), str(tmp_path / "m.json")
+        for args in (["split", "--manifest", manifest, "--test-frac", "0.25",
+                      "--seed", "1", "--out", split],
+                     ["train", "--manifest", manifest, "--split", split,
+                      "--stage", "root_end", "--kind", "clf_forest",
+                      "--seed", "3", "--out", model]):
+            r = runner.invoke(main, args)
+            assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["evaluate", "--manifest", manifest, "--model",
+                                 model, "--split", split, "--stage",
+                                 "root_end"])
+        assert r.exit_code == 0, r.output
+
+        with open(split) as fh:
+            assignment = SplitAssignment.from_json(fh.read())
+        res = evaluate_split(load_dataset(manifest), assignment,
+                             FeatureStage.UP_TO_ROOT_END, "clf_forest",
+                             train_seed=3)
+        assert r.output.splitlines() == [
+            f"pred={res.pred_geomean:.4f} default={res.default_geomean:.4f} "
+            f"pd_best={res.pd_geomean:.4f} ({res.pd_config}) "
+            f"pi_best={res.pi_geomean:.4f}",
+            f"imp_default={format_pct(res.imp_default)} "
+            f"imp_pd_best={format_pct(res.imp_pd)}"]
+
+    @pytest.mark.parametrize("sub", ["permute", "features", "predict"])
+    def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
+                                         tmp_path, sub):
+        bad = tmp_path / "bad.mps"
+        bad.write_text("NAME bad\nROWS\n N  OBJ\nBOGUS\nENDATA\n")
+        mps = str(workdir / "ds" / "instances" / "fam000.perm0.mps")
+        args = {
+            "permute": ["--in", mps, "--seeds", "0..x",
+                        "--out-dir", str(tmp_path)],
+            "features": ["--mps", str(bad), "--out", str(tmp_path / "f.csv")],
+            "predict": ["--model", model_path, "--mps", str(bad)],
+        }[sub]
+        r = runner.invoke(main, [sub] + args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)  # handled, not raised
+        assert f"error in {sub}: " in r.output
+        assert "Traceback" not in r.output

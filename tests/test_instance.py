@@ -63,6 +63,14 @@ class TestParseMps:
             parse_mps("NAME x\nROWS\n N OBJ\nBOGUS\nENDATA\n")
         assert "BOGUS" in str(e.value)
 
+    def test_rhs_set_name_equal_to_a_row_name(self):
+        text = ("NAME t\nROWS\n N  OBJ\n L  RHS\n L  c1\nCOLUMNS\n"
+                "    x  OBJ  1.0  RHS  1.0\n    x  c1  1.0\n"
+                "RHS\n    RHS  c1  4  RHS  2\nENDATA\n")
+        inst = parse_mps(text)
+        assert inst.row_names == ["RHS", "c1"]
+        assert inst.rhs.tolist() == [2.0, 4.0]
+
     def test_undeclared_row_is_semantic_error(self):
         text = MINIMAL.replace("c1  1.0\n    y", "cX  1.0\n    y")
         with pytest.raises(MpsSemanticError) as e:

@@ -168,6 +168,22 @@ class TestPerfTable:
         with pytest.raises(MissingEntryError):
             t.time("f", 0, ConfigId.parse("RootCutLevel=3"))
 
+    def test_time_matrix_columns_in_config_order(self):
+        t = simple_table([("g", 0, "RootCutLevel=3", 2.0),
+                          ("g", 0, "Default", 7.0),
+                          ("f", 0, "Default", 5.0),
+                          ("f", 0, "RootCutLevel=3", 3.0)])
+        assert t.time_matrix().tolist() == [[5.0, 3.0], [7.0, 2.0]]
+        assert t.time_matrix([("g", 0)]).tolist() == [[7.0, 2.0]]
+        assert t.time_matrix([]).shape == (0, 2)
+
+    def test_time_matrix_missing_cell(self):
+        t = simple_table([("f", 0, "Default", 5.0),
+                          ("f", 0, "RootCutLevel=3", 2.0),
+                          ("g", 0, "Default", 7.0)])
+        with pytest.raises(MissingEntryError, match="RootCutLevel=3"):
+            t.time_matrix()
+
     def test_validate_flags_holes(self):
         t = simple_table([("f", 0, "Default", 5.0),
                           ("f", 0, "RootCutLevel=3", 2.0),

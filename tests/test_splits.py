@@ -3,9 +3,9 @@ import json
 import pytest
 
 from benloc.metrics import ConfigId, PerfTable
-from benloc.splits import (DatasetManifest, SplitAssignment, SplitError,
-                           split_by_instance, split_by_permutation,
-                           stratified_split)
+from benloc.splits import (STRATEGIES, DatasetManifest, SplitAssignment,
+                           SplitError, make_split, split_by_instance,
+                           split_by_permutation, stratified_split)
 
 
 def make_manifest(n_families=10, n_seeds=10):
@@ -136,3 +136,16 @@ class TestAssignment:
         assert back.test == split.test
         assert back.strategy == split.strategy
         assert json.loads(split.to_json())["seed"] == 4
+
+
+class TestMakeSplit:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_dispatches_by_name(self, small_oracle, strategy):
+        m = small_oracle.manifest()
+        split = make_split(strategy, m, 0.25, seed=3, perf=small_oracle.perf)
+        assert split.strategy == strategy
+        assert split.covers(m)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(SplitError, match="by_instance"):
+            make_split("by_coin", make_manifest(4, 2))

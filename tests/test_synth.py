@@ -7,7 +7,8 @@ from benloc.logs import parse_log
 from benloc.metrics import ConfigId, pd_best_geomean, pi_best
 from benloc.static_features import extract_static
 from benloc.synth import (DEFAULT_BASE_MULTIPLIERS, OracleSpec, gen_indset,
-                          gen_setcover, oracle_times, planted_optimum)
+                          gen_setcover, oracle_solve_logs, oracle_times,
+                          planted_optimum)
 
 
 class TestGenerators:
@@ -102,6 +103,15 @@ class TestOracle:
             assert log.stages_present == {"presolve", "global_cut",
                                           "first_root_lp", "root_end"}
 
+    def test_solve_logs_are_what_the_log_text_parses_to(self):
+        spec = OracleSpec(seed=4, rule_source="latent")
+        feats = extract_static(gen_setcover(8, 16, 0.4, seed=4))
+        _, texts = oracle_times("famW", 1, feats, spec)
+        _, logs = oracle_solve_logs("famW", 1, feats, spec)
+        assert texts.keys() == logs.keys()
+        for cfg, text in texts.items():
+            assert parse_log(text) == logs[cfg]
+
     def test_latent_rule_shows_in_root_end_nodes(self):
         spec = OracleSpec(seed=1, rule_source="latent", family_sigma=0.0,
                           noise_sigma=0.0)
@@ -144,3 +154,14 @@ class TestDatasetRoundTrip:
                 assert other.root_time == log.root_time
                 assert other.stage_values("root_end") == \
                     log.stage_values("root_end")
+
+    def test_write_refuses_data_without_instances(self, small_oracle,
+                                                  tmp_path):
+        from dataclasses import replace
+
+        from benloc.dataset import write_dataset
+
+        bare = replace(small_oracle, instances={})
+        with pytest.raises(ValueError, match="keep_instances"):
+            write_dataset(bare, str(tmp_path / "ds"))
+        assert not (tmp_path / "ds").exists()
