@@ -1,8 +1,9 @@
 """benloc: a benchmark toolkit for learning per-instance MIP optimizer
 configurations."""
 
-from .instance import (MipInstance, PermutationRecord, apply_permutation,
-                       parse_mps, permute_instance, write_mps)
+from .instance import (MipInstance, MpsError, PermutationRecord,
+                       apply_permutation, parse_mps, permute_instance,
+                       read_mps, write_mps)
 from .static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
                               StaticFeatureVector, classify_constraint,
                               extract_static)
@@ -18,7 +19,7 @@ from .splits import (DatasetManifest, SplitAssignment, split_by_instance,
                      split_by_permutation, stratified_split)
 from .learners import (LabeledExample, TrainedSelector, build_examples,
                        feature_importance, make_labels, predict_config,
-                       random_search, train)
+                       predict_configs, random_search, train)
 from .synth import OracleSpec, gen_indset, gen_setcover, oracle_times
 from .dataset import BenchmarkData, build_oracle_dataset, load_dataset, write_dataset
 from .report import evaluate_split, run_experiment, summarize

@@ -12,7 +12,7 @@ import os
 import click
 
 from .dataset import build_oracle_dataset, load_dataset, write_dataset
-from .instance import parse_mps, permute_instance, write_mps
+from .instance import permute_instance, read_mps, write_mps
 from .learners import MODEL_KINDS, TrainedSelector, predict_config
 from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
 from .metrics import DEFAULT_SHIFT, PerfTable
@@ -99,8 +99,7 @@ def synth(kind, rows, cols, density, nodes, count, seed, out_dir, oracle, perms)
 def permute(in_path, seeds, out_dir):
     """Write seed-indexed permutations of an MPS file plus JSON records."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(in_path) as fh:
-        inst = parse_mps(fh.read())
+    inst = read_mps(in_path)
     stem = os.path.splitext(os.path.basename(in_path))[0]
     for s in _parse_seeds(seeds):
         permuted, record = permute_instance(inst, s)
@@ -134,11 +133,8 @@ def features(mps_paths, manifest_path, stage, out_path):
     else:
         if stage != FeatureStage.STATIC_ONLY:
             raise ValueError("dynamic stages need --manifest with logs")
-        rows = []
-        for path in mps_paths:
-            with open(path) as fh:
-                rows.append((os.path.basename(path),
-                             extract_static(parse_mps(fh.read()))))
+        rows = [(os.path.basename(path), extract_static(read_mps(path)))
+                for path in mps_paths]
         with open(out_path, "w") as fh:
             fh.write(static_features_csv(rows))
     click.echo(out_path)
@@ -156,8 +152,7 @@ def features(mps_paths, manifest_path, stage, out_path):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def split(manifest_path, strategy, test_frac, seed, perf_path, out_path):
     """Produce a train/test SplitAssignment as JSON."""
-    with open(manifest_path) as fh:
-        manifest = DatasetManifest.from_json(fh.read())
+    manifest = DatasetManifest.read(manifest_path)
     perf = None
     perf_path = perf_path or manifest.perf_path
     if perf_path:
@@ -206,8 +201,7 @@ def predict(model_path, mps_path, log_path, stage):
     """Predict the configuration for a single instance."""
     with open(model_path) as fh:
         model = TrainedSelector.from_json(fh.read())
-    with open(mps_path) as fh:
-        static = extract_static(parse_mps(fh.read()))
+    static = extract_static(read_mps(mps_path))
     dyn = None
     if log_path:
         with open(log_path) as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import parse_mps, permute_instance, write_mps
+from .instance import permute_instance, read_mps, write_mps
 from .logs import (FeatureStage, MissingStageError, assemble_features,
                    dynamic_features, parse_log, render_log)
 from .metrics import ConfigId, PerfTable
@@ -40,14 +40,14 @@ class BenchmarkData:
     def families(self):
         return sorted({f for f, _ in self.static})
 
-    def manifest(self, base_dir=""):
+    def manifest(self):
+        """The manifest of the written layout, paths relative to its file."""
         families = {}
         for f, s in self.pairs():
             families.setdefault(f, {})[s] = os.path.join(
-                base_dir, "instances", f"{f}.perm{s}.mps")
+                "instances", f"{f}.perm{s}.mps")
         return DatasetManifest(name=self.name, families=families,
-                               perf_path=os.path.join(base_dir, "perf.csv"),
-                               log_dir=os.path.join(base_dir, "logs"))
+                               perf_path="perf.csv", log_dir="logs")
 
     def default_log(self, family, seed):
         per_cfg = self.logs.get((family, seed), {})
@@ -150,7 +150,7 @@ def write_dataset(data, out_dir):
                 fh.write(render_log(log))
     with open(os.path.join(out_dir, "perf.csv"), "w") as fh:
         fh.write(data.perf.to_csv())
-    manifest = data.manifest(out_dir)
+    manifest = data.manifest()
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(manifest.to_json())
     return os.path.join(out_dir, "manifest.json")
@@ -158,8 +158,7 @@ def write_dataset(data, out_dir):
 
 def load_dataset(manifest_path):
     """Load a written dataset back: parses MPS files, logs and perf.csv."""
-    with open(manifest_path) as fh:
-        manifest = DatasetManifest.from_json(fh.read())
+    manifest = DatasetManifest.read(manifest_path)
     manifest.validate(check_files=True)
     with open(manifest.perf_path) as fh:
         perf = PerfTable.from_csv(fh.read())
@@ -169,8 +168,7 @@ def load_dataset(manifest_path):
     configs = perf.configs()
     for fam, seeds in manifest.families.items():
         for s, path in seeds.items():
-            with open(path) as fh:
-                inst = parse_mps(fh.read())
+            inst = read_mps(path)
             instances[(fam, s)] = inst
             static[(fam, s)] = extract_static(inst)
             logs[(fam, s)] = {}

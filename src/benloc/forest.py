@@ -10,6 +10,11 @@ Regression leaves predict the mean of the training targets routed to them;
 classification leaves predict the majority class (ties toward the lower class
 index).  Importances are mean decrease in impurity, normalized to sum to 1
 when any split exists.
+
+A node scores all of its candidate features in one array pass, and a forest
+predicts by descending every tree for every row at once over one set of
+concatenated node arrays.  A row's prediction is the same whatever batch it
+comes in.
 """
 
 from __future__ import annotations
@@ -53,131 +58,116 @@ class DecisionTree:
         self.importances = np.zeros(X.shape[1])
         if self.mode == "classification":
             self.n_classes = int(y.max()) + 1 if len(y) else 1
-        self._build(X, y, np.arange(len(y)), 0, rng)
+        else:
+            y = y.astype(float)
+        # feature-major copy: one node's candidate block is a row gather
+        Xt = np.ascontiguousarray(X.T)
+        self._build(Xt, y, np.arange(len(y)), 0, rng)
         return self
-
-    # -- impurity helpers ---------------------------------------------------
-
-    def _node_impurity_sum(self, y_idx):
-        # total impurity * n: SSE for regression, n * gini for classification
-        if self.mode == "regression":
-            return float(np.sum((y_idx - y_idx.mean()) ** 2)) if len(y_idx) else 0.0
-        counts = np.bincount(y_idx, minlength=self.n_classes).astype(float)
-        n = counts.sum()
-        return float(n - counts @ counts / n) if n else 0.0
-
-    def _leaf_value(self, y_idx):
-        if self.mode == "regression":
-            return float(y_idx.mean())
-        counts = np.bincount(y_idx, minlength=self.n_classes)
-        return int(np.argmax(counts))  # argmax takes the lowest tied index
 
     # -- growing ------------------------------------------------------------
 
-    def _build(self, X, y, idx, depth, rng):
+    def _leaf_and_impurity(self, y_node):
+        """The node's leaf value and its impurity * n (SSE or n * gini)."""
+        n = len(y_node)
+        if self.mode == "regression":
+            mean = y_node.sum() / n  # bit-equal to y_node.mean()
+            return float(mean), float(((y_node - mean) ** 2).sum())
+        counts = np.bincount(y_node, minlength=self.n_classes)
+        # argmax takes the lowest tied class
+        return (int(np.argmax(counts)),
+                float(n - counts @ counts / n) if n else 0.0)
+
+    def _build(self, Xt, y, idx, depth, rng):
+        # nodes are numbered, and draw from rng, in DFS preorder
         node = len(self.feature)
+        y_node = y[idx]
+        leaf, parent_imp = self._leaf_and_impurity(y_node)
         self.feature.append(_LEAF)
         self.threshold.append(0.0)
         self.left.append(_LEAF)
         self.right.append(_LEAF)
-        self.value.append(None)
-
-        y_node = y[idx]
-        parent_imp = self._node_impurity_sum(y_node)
+        self.value.append(leaf)  # internal nodes keep it for truncated descent
         if (depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf
                 or parent_imp <= 0.0):
-            self.value[node] = self._leaf_value(y_node)
             return node
 
-        d = X.shape[1]
+        d = Xt.shape[0]
         k = self._n_candidate_features(d)
         feats = np.sort(rng.choice(d, size=k, replace=False))
-        best = self._best_split(X, y, idx, feats)
+        best = self._best_split(Xt, y, idx, feats)
         if best is None and k < d:
             # the sampled features were constant on this node; keep searching
-            # the remaining ones instead of degenerating into a leaf
-            rest = np.setdiff1d(np.arange(d), feats)
-            best = self._best_split(X, y, idx, rest)
+            # the remaining ones, k at a time, instead of degenerating into a
+            # leaf.  Blocks run in feature order and only a strictly lower
+            # impurity replaces the best, so ties keep the lowest feature.
+            rest = np.ones(d, dtype=bool)
+            rest[feats] = False
+            rest = np.flatnonzero(rest)
+            for start in range(0, len(rest), k):
+                cand = self._best_split(Xt, y, idx, rest[start:start + k])
+                if cand is not None and (best is None or cand[2] < best[2]):
+                    best = cand
         if best is None:
-            self.value[node] = self._leaf_value(y_node)
             return node
 
         f, thr, child_imp = best
         self.importances[f] += parent_imp - child_imp
-        go_left = X[idx, f] <= thr
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        self.feature[node] = int(f)
-        self.threshold[node] = float(thr)
-        self.value[node] = self._leaf_value(y_node)  # kept for truncated descent
-        self.left[node] = self._build(X, y, left_idx, depth + 1, rng)
-        self.right[node] = self._build(X, y, right_idx, depth + 1, rng)
+        go_left = Xt[f, idx] <= thr
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = self._build(Xt, y, idx[go_left], depth + 1, rng)
+        self.right[node] = self._build(Xt, y, idx[~go_left], depth + 1, rng)
         return node
 
-    def _best_split(self, X, y, idx, feats):
-        min_leaf = self.min_samples_leaf
+    def _best_split(self, Xt, y, idx, feats):
+        """(feature, threshold, child impurity sum) of the best split, or None.
+
+        Scores every feature in feats at once on a (k, n) block.  The stable
+        sort orders tied values by row, and the first argmin over the
+        row-major (k, n - 1) block takes the lowest impurity, then the lowest
+        feature (feats is increasing), then the lowest threshold.
+        """
         n = len(idx)
-        best = None  # (child impurity sum, feature, threshold)
-        y_node = y[idx]
-        if self.mode == "classification":
-            onehot = np.zeros((n, self.n_classes))
-            onehot[np.arange(n), y_node] = 1.0
-        for f in feats:
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="mergesort")
-            xs_o = xs[order]
-            valid = xs_o[1:] != xs_o[:-1]
-            pos = np.arange(1, n)
-            valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
-            if not valid.any():
-                continue
-            nl = pos.astype(float)
-            nr = n - nl
-            if self.mode == "regression":
-                ys = y_node[order].astype(float)
-                cs = np.cumsum(ys)[:-1]
-                total = float(np.sum(ys))
-                sq = float(np.sum(ys ** 2))
-                child = sq - (cs ** 2 / nl + (total - cs) ** 2 / nr)
-            else:
-                oh = onehot[order]
-                cl = np.cumsum(oh, axis=0)[:-1]
-                totals = np.sum(oh, axis=0)
-                cr = totals[None, :] - cl
-                child = (nl - np.sum(cl ** 2, axis=1) / nl) + \
-                        (nr - np.sum(cr ** 2, axis=1) / nr)
-            child = np.where(valid, child, np.inf)
-            i = int(np.argmin(child))
-            if math.isinf(child[i]):
-                continue
-            thr = 0.5 * (xs_o[i] + xs_o[i + 1])
-            cand = (float(child[i]), int(f), float(thr))
-            if best is None or cand < best:
-                best = cand
-        if best is None:
+        min_leaf = self.min_samples_leaf
+        rows = feats[:, None]
+        order = Xt[rows, idx].argsort(axis=1, kind="stable")
+        sorted_idx = idx[order]  # (k, n) training rows in each feature's order
+        xs = Xt[rows, sorted_idx]
+        # a split after sorted position j leaves j + 1 rows on the left
+        valid = xs[:, 1:] != xs[:, :-1]
+        valid[:, :min_leaf - 1] = False
+        valid[:, n - min_leaf:] = False
+        if not valid.any():
             return None
-        child_imp, f, thr = best
-        return f, thr, child_imp
+        nl = np.arange(1, n, dtype=float)
+        nr = n - nl
+        yo = y[sorted_idx]
+        if self.mode == "regression":
+            cs = yo.cumsum(axis=1)[:, :-1]
+            total = yo.sum(axis=1, keepdims=True)
+            sq = (yo ** 2).sum(axis=1, keepdims=True)
+            child = sq - (cs ** 2 / nl + (total - cs) ** 2 / nr)
+        else:
+            # integer class counts left of each split: exact, so the sums of
+            # squares are the same floats whatever the summation order
+            cl = (yo[:, :, None] == np.arange(self.n_classes)).cumsum(axis=1)
+            cr = cl[:, -1:] - cl[:, :-1]
+            cl = cl[:, :-1]
+            child = (nl - (cl * cl).sum(axis=2) / nl) + \
+                    (nr - (cr * cr).sum(axis=2) / nr)
+        child[~valid] = np.inf
+        row, j = divmod(int(child.argmin()), n - 1)
+        child_imp = float(child[row, j])
+        if math.isinf(child_imp):
+            return None
+        thr = 0.5 * (xs[row, j] + xs[row, j + 1])
+        return int(feats[row]), float(thr), child_imp
 
     # -- prediction ---------------------------------------------------------
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            f = feature[node]
-            internal = f >= 0
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            go_left = X[rows, f[internal]] <= threshold[node[internal]]
-            node[rows] = np.where(go_left, left[node[internal]],
-                                  right[node[internal]])
-        vals = [self.value[i] for i in node]
-        return np.asarray(vals)
+        return _FlatForest([self]).values(X)[:, 0]
 
     def to_dict(self):
         return {
@@ -209,6 +199,48 @@ class DecisionTree:
         return tree
 
 
+class _FlatForest:
+    """The nodes of several trees in one set of arrays, for batched descent.
+
+    Node ids are global: tree t's nodes follow those of trees 0..t-1.  Leaves
+    point at themselves, so every row takes the same number of steps.
+    """
+
+    def __init__(self, trees):
+        sizes = [len(t.feature) for t in trees]
+        self.roots = np.cumsum([0] + sizes[:-1])
+        offsets = np.repeat(self.roots, sizes)
+        feature = np.concatenate([np.asarray(t.feature, dtype=np.int64)
+                                  for t in trees])
+        leaf = feature < 0
+        ids = np.arange(len(feature))
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.concatenate([np.asarray(t.threshold, dtype=float)
+                                         for t in trees])
+        self.left = np.where(leaf, ids, np.concatenate(
+            [np.asarray(t.left, dtype=np.int64) for t in trees]) + offsets)
+        self.right = np.where(leaf, ids, np.concatenate(
+            [np.asarray(t.right, dtype=np.int64) for t in trees]) + offsets)
+        self.value = np.concatenate([np.asarray(t.value) for t in trees])
+        self.depth = 0
+        frontier = self.roots[~leaf[self.roots]]
+        while len(frontier):
+            self.depth += 1
+            frontier = np.concatenate([self.left[frontier],
+                                       self.right[frontier]])
+            frontier = frontier[~leaf[frontier]]
+
+    def values(self, X):
+        """(rows, trees) leaf values reached by each row in each tree."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        node = np.tile(self.roots, (len(X), 1))
+        rows = np.arange(len(X))[:, None]
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
+
+
 @dataclass
 class RandomForest:
     mode: str
@@ -220,13 +252,22 @@ class RandomForest:
     seed: int = 0
     trees: list = field(default_factory=list)
     n_classes: int = 0
+    _flat: _FlatForest | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
-    def fit(self, X, y):
+    def fit(self, X, y, n_classes=None):
+        """Fit the trees; classification votes over n_classes classes
+        (default: the largest label + 1)."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if self.mode == "classification":
-            self.n_classes = int(y.max()) + 1 if len(y) else 1
+            seen = int(y.max()) + 1 if len(y) else 1
+            if n_classes is not None and n_classes < seen:
+                raise ValueError(f"n_classes={n_classes} but labels reach "
+                                 f"{seen - 1}")
+            self.n_classes = seen if n_classes is None else int(n_classes)
         self.trees = []
+        self._flat = None
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         for ss in seeds:
             rng = np.random.default_rng(ss)
@@ -243,16 +284,15 @@ class RandomForest:
         return self
 
     def predict(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        preds = np.stack([t.predict(X) for t in self.trees])
+        """One prediction per row; a row's result never depends on the batch."""
+        if self._flat is None:
+            self._flat = _FlatForest(self.trees)
+        votes = self._flat.values(X)  # (rows, trees)
         if self.mode == "regression":
-            return preds.mean(axis=0)
+            return votes.mean(axis=1)
         # majority vote across trees, ties toward the lower class index
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            out[i] = np.argmax(np.bincount(preds[:, i].astype(int),
-                                           minlength=self.n_classes))
-        return out
+        counts = np.sum(votes[:, :, None] == np.arange(self.n_classes), axis=1)
+        return np.argmax(counts, axis=1)
 
     @property
     def feature_importances_(self):

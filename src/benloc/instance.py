@@ -29,13 +29,17 @@ _SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
 
 
 class MpsError(ValueError):
-    """Base class for MPS reading problems."""
+    """Base class for MPS reading problems; names the file when known."""
 
-    def __init__(self, message, line_no=None):
+    def __init__(self, message, line_no=None, path=None):
+        self.reason = message
+        self.line_no = line_no
+        self.path = path
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line_no = line_no
 
 
 class MpsParseError(MpsError):
@@ -196,6 +200,16 @@ class PermutationRecord:
 
 def _tokens(line):
     return line.split()
+
+
+def read_mps(path):
+    """parse_mps of the file at path; an MpsError names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse_mps(text)
+    except MpsError as exc:
+        raise type(exc)(exc.reason, exc.line_no, path) from None
 
 
 def parse_mps(text):

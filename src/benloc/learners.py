@@ -234,10 +234,8 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
     elif kind == "clf_forest":
         params = _forest_params(hp)
         forest = RandomForest(mode="classification", seed=seed, **params)
-        # class labels must span all configs for a stable vote layout
-        forest.n_classes = len(configs)
-        forest.fit(X, classes)
-        forest.n_classes = len(configs)
+        # the vote spans every config, seen as a best label or not
+        forest.fit(X, classes, n_classes=len(configs))
         payload["forest"] = forest
     elif kind == "knn":
         k = int(hp.get("k", KNN_DEFAULTS["k"]))
@@ -260,8 +258,7 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
             targets.append((labels[:, j] < labels[:, i]).astype(int))
         params = _forest_params(hp)
         forest = RandomForest(mode="classification", seed=seed, **params)
-        forest.fit(np.vstack(blocks), np.concatenate(targets))
-        forest.n_classes = 2
+        forest.fit(np.vstack(blocks), np.concatenate(targets), n_classes=2)
         payload["forest"] = forest
         payload["pairs"] = [[i, j] for i, j in pairs]
 
@@ -271,45 +268,63 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
                            payload=payload)
 
 
-def predict_config(model, features, feature_names=None):
-    """Select a configuration for one feature vector."""
+def predict_configs(model, X, feature_names=None):
+    """Select a configuration for each row of X: the one selection path.
+
+    A row's choice does not depend on the other rows in the batch.
+    """
     if feature_names is not None:
         if feature_fingerprint(feature_names) != model.fingerprint:
             raise FingerprintMismatchError("feature layout differs from training")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(model.feature_names):
+        raise FingerprintMismatchError(
+            f"expected rows of {len(model.feature_names)} features, "
+            f"got shape {X.shape}")
+    configs = model.configs
+
+    if model.kind == "reg_forest":
+        preds = np.column_stack([model.payload[f"forest_{k}"].predict(X)
+                                 for k in range(len(configs))])
+        chosen = np.argmin(preds, axis=1)  # first minimum: Default tie-break
+    elif model.kind == "clf_forest":
+        chosen = model.payload["forest"].predict(X)
+    elif model.kind == "knn":
+        z = (X - model.payload["mean"]) / model.payload["std"]
+        classes = np.asarray(model.payload["classes"])
+        chosen = []
+        for row in z:
+            dists = np.linalg.norm(model.payload["X"] - row, axis=1)
+            order = np.argsort(dists, kind="mergesort")[: model.payload["k"]]
+            votes = np.bincount(classes[order], minlength=len(configs))
+            chosen.append(int(np.argmax(votes)))
+    elif model.kind == "pair_ranker":
+        pairs = np.asarray(model.payload["pairs"]).reshape(-1, 2)
+        n_pairs = len(pairs)
+        # one input per (row, pair), row-major.  Passing every pair index
+        # sets all indicator columns on every input, as selection always has;
+        # training sets only the pair's own column.
+        X_pair = _pair_features(np.repeat(X, n_pairs, axis=0), n_pairs,
+                                np.arange(n_pairs))
+        j_wins = model.payload["forest"].predict(X_pair).reshape(
+            len(X), n_pairs) == 1
+        # Copeland: each pair's winner gets one point
+        first = np.eye(len(configs))[pairs[:, 0]]  # (pairs, configs)
+        second = np.eye(len(configs))[pairs[:, 1]]
+        wins = (~j_wins) @ first + j_wins @ second
+        chosen = np.argmax(wins, axis=1)  # Copeland winner, Default tie-break
+    else:
+        raise UnsupportedModelError(model.kind)
+    return [configs[int(c)] for c in chosen]
+
+
+def predict_config(model, features, feature_names=None):
+    """Select a configuration for one feature vector."""
     features = np.asarray(features, dtype=float)
     if features.shape != (len(model.feature_names),):
         raise FingerprintMismatchError(
             f"expected {len(model.feature_names)} features, got {features.shape}")
-    configs = model.configs
-
-    if model.kind == "reg_forest":
-        preds = np.array([
-            model.payload[f"forest_{k}"].predict(features[None, :])[0]
-            for k in range(len(configs))])
-        return configs[int(np.argmin(preds))]  # first minimum: Default tie-break
-    if model.kind == "clf_forest":
-        cls = int(model.payload["forest"].predict(features[None, :])[0])
-        return configs[cls]
-    if model.kind == "knn":
-        z = (features - model.payload["mean"]) / model.payload["std"]
-        dists = np.linalg.norm(model.payload["X"] - z, axis=1)
-        order = np.argsort(dists, kind="mergesort")[: model.payload["k"]]
-        votes = np.bincount(np.asarray(model.payload["classes"])[order],
-                            minlength=len(configs))
-        return configs[int(np.argmax(votes))]
-    if model.kind == "pair_ranker":
-        pairs = model.payload["pairs"]
-        X_pair = _pair_features(np.tile(features, (len(pairs), 1)),
-                                len(pairs), np.arange(len(pairs)))
-        outcomes = model.payload["forest"].predict(X_pair)
-        wins = np.zeros(len(configs))
-        for (i, j), out in zip(pairs, outcomes):
-            if out == 1:
-                wins[j] += 1
-            else:
-                wins[i] += 1
-        return configs[int(np.argmax(wins))]  # Copeland winner, Default tie-break
-    raise UnsupportedModelError(model.kind)
+    return predict_configs(model, features[None, :], feature_names)[0]
 
 
 def feature_importance(model):
@@ -370,11 +385,9 @@ def random_search(kind, examples, search_space=None, budget=20, seed=0,
         model = train(kind, train_ex, hyperparams=params,
                       seed=seed * 100003 + trial,
                       test_registry=val_fams)
-        chosen_times = []
-        for ex in val_ex:
-            cfg = predict_config(model, ex.features)
-            chosen_times.append(ex.times[ex.configs.index(cfg)])
-        score = shifted_geomean(chosen_times, shift)
+        chosen = predict_configs(model, [ex.features for ex in val_ex])
+        score = shifted_geomean([ex.times[ex.configs.index(cfg)]
+                                 for ex, cfg in zip(val_ex, chosen)], shift)
         if best_score is None or score < best_score:
             best_params, best_score = params, score
     return best_params, best_score

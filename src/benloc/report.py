@@ -23,7 +23,8 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 
-from .learners import build_examples, predict_config, train
+from .learners import (FingerprintMismatchError, build_examples,
+                       predict_configs, train)
 from .logs import FeatureStage, extra_cost
 from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError,
                       improvement, pd_best, pd_best_geomean, pi_best,
@@ -85,14 +86,16 @@ def score_split(data, assignment, model, feature_map, stage,
     pd_g = shifted_geomean(times[:, column[pd_cfg]], shift)
     _, pi_g = pi_best(data.perf, shift, instances=test_pairs)
 
-    predictions = {}
+    layouts = {tuple(feature_map[p][0]) for p in test_pairs}
+    if len(layouts) != 1:
+        raise FingerprintMismatchError("test instances disagree on features")
+    chosen = predict_configs(model, [feature_map[p][1] for p in test_pairs],
+                             feature_names=layouts.pop())
+    predictions = dict(zip(test_pairs, chosen))
     pred_times = []
-    for i, (f, s) in enumerate(test_pairs):
-        names, values = feature_map[(f, s)]
-        cfg = predict_config(model, values, feature_names=names)
+    for i, ((f, s), cfg) in enumerate(predictions.items()):
         if cfg not in column:
             raise MissingEntryError(f"no times for predicted config {cfg}")
-        predictions[(f, s)] = cfg
         pred_times.append(extra_cost(times[i, column[cfg]],
                                      data.root_time(f, s, cfg), stage,
                                      cfg.affects_root))

@@ -78,6 +78,24 @@ class DatasetManifest:
             feature_path=d.get("feature_path"),
         )
 
+    @classmethod
+    def read(cls, path):
+        """The manifest at path, its relative paths resolved against the
+        manifest's directory (absolute paths are kept)."""
+        with open(path) as fh:
+            m = cls.from_json(fh.read())
+        base = os.path.dirname(path)
+
+        def resolve(p):
+            return p and os.path.join(base, p)
+
+        m.families = {f: {s: resolve(p) for s, p in seeds.items()}
+                      for f, seeds in m.families.items()}
+        m.perf_path = resolve(m.perf_path)
+        m.log_dir = resolve(m.log_dir)
+        m.feature_path = resolve(m.feature_path)
+        return m
+
 
 @dataclass
 class SplitAssignment:

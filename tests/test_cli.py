@@ -208,3 +208,35 @@ class TestCommands:
         assert isinstance(r.exception, SystemExit)  # handled, not raised
         assert f"error in {sub}: " in r.output
         assert "Traceback" not in r.output
+
+    def test_bad_mps_error_names_the_file(self, runner, workdir, tmp_path):
+        good = str(workdir / "ds" / "instances" / "fam000.perm0.mps")
+        bad = tmp_path / "bad.mps"
+        bad.write_text("NAME bad\nROWS\n N  OBJ\nBOGUS\nENDATA\n")
+        r = runner.invoke(main, ["features", "--mps", good, "--mps", str(bad),
+                                 "--out", str(tmp_path / "f.csv")])
+        assert r.exit_code == 1
+        assert r.output.strip() == (f"error in features: {bad}: line 4: "
+                                    f"unknown section header 'BOGUS'")
+
+
+class TestManifestPaths:
+    def test_relative_out_dir_loads_from_another_directory(
+            self, runner, tmp_path, monkeypatch):
+        (tmp_path / "relds").mkdir()
+        monkeypatch.chdir(tmp_path / "relds")
+        r = runner.invoke(main, ["synth", "--oracle", "--count", "4",
+                                 "--perms", "2", "--seed", "0",
+                                 "--out-dir", "ds"])
+        assert r.exit_code == 0, r.output
+        monkeypatch.chdir(tmp_path)
+        manifest = os.path.join("relds", "ds", "manifest.json")
+        r = runner.invoke(main, ["split", "--manifest", manifest,
+                                 "--strategy", "stratified", "--test-frac",
+                                 "0.5", "--out", "split.json"])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["features", "--manifest", manifest, "--stage",
+                                 "root_end", "--out", "dyn.csv"])
+        assert r.exit_code == 0, r.output
+        with open("dyn.csv") as fh:
+            assert len(fh.read().splitlines()) == 1 + 4 * 2

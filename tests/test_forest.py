@@ -123,3 +123,31 @@ class TestRandomForest:
         assert np.array_equal(back.predict(X), forest.predict(X))
         assert np.allclose(back.feature_importances_,
                            forest.feature_importances_)
+
+
+@pytest.mark.parametrize("mode", ["regression", "classification"])
+@pytest.mark.parametrize("n_trees", [5, 10, 50])
+def test_batch_predict_equals_row_by_row_bitwise(mode, n_trees):
+    rng = np.random.default_rng(9)
+    X = rng.random((120, 4))
+    y = X[:, 0] + rng.standard_normal(120) if mode == "regression" else \
+        rng.integers(0, 3, size=120)
+    forest = RandomForest(mode=mode, n_trees=n_trees, seed=3).fit(X, y)
+    X_new = rng.random((300, 4))
+    batch = forest.predict(X_new)
+    rows = np.concatenate([forest.predict(X_new[i:i + 1])
+                           for i in range(len(X_new))])
+    assert batch.dtype == rows.dtype
+    assert batch.tobytes() == rows.tobytes()
+
+
+def test_classification_vote_spans_n_classes():
+    X = np.arange(12.0)[:, None]
+    y = (X[:, 0] > 5).astype(int)  # labels 0 and 1 only
+    forest = RandomForest(mode="classification", n_trees=4, seed=0)
+    forest.fit(X, y, n_classes=5)
+    assert forest.n_classes == 5
+    assert RandomForest.from_dict(forest.to_dict()).n_classes == 5
+    assert set(forest.predict(X).tolist()) == {0, 1}
+    with pytest.raises(ValueError, match="n_classes"):
+        forest.fit(X, y, n_classes=1)

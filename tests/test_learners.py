@@ -7,8 +7,9 @@ from benloc.learners import (FingerprintMismatchError, LabeledExample,
                              TrainTestContaminationError, TrainedSelector,
                              UnsupportedModelError, build_examples,
                              feature_fingerprint, feature_importance,
-                             make_labels, predict_config, random_search,
-                             train)
+                             make_labels, predict_config, predict_configs,
+                             random_search, train)
+from benloc.logs import FeatureStage
 from benloc.metrics import ConfigId, MissingEntryError, PerfTable
 
 CONFIGS = (ConfigId.default(), ConfigId.parse("RootCutLevel=3"))
@@ -179,6 +180,21 @@ class TestImportance:
         ranked = feature_importance(model)
         assert ranked[0][0] == "f0"
         assert abs(sum(v for _, v in ranked) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["reg_forest", "clf_forest", "knn",
+                                      "pair_ranker"])
+    def test_batch_selection_equals_one_row_at_a_time(self, small_oracle,
+                                                      kind):
+        fmap = small_oracle.feature_map(FeatureStage.UP_TO_ROOT_END)
+        examples = build_examples(small_oracle.perf, fmap)
+        model = train(kind, examples[:24], hyperparams={"n_trees": 10},
+                      seed=2)
+        names = examples[0].feature_names
+        X = np.stack([ex.features for ex in examples])
+        assert predict_configs(model, X, feature_names=names) == [
+            predict_config(model, x, feature_names=names) for x in X]
+        with pytest.raises(FingerprintMismatchError):
+            predict_configs(model, X[:, :-1])
 
     def test_knn_unsupported(self):
         model = train("knn", planted_examples(10), seed=0)

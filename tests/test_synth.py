@@ -155,6 +155,19 @@ class TestDatasetRoundTrip:
                 assert other.stage_values("root_end") == \
                     log.stage_values("root_end")
 
+    def test_load_names_a_corrupted_instance_file(self, small_oracle,
+                                                  tmp_path):
+        from benloc.dataset import load_dataset, write_dataset
+        from benloc.instance import MpsError
+
+        manifest_path = write_dataset(small_oracle, str(tmp_path / "ds"))
+        bad = tmp_path / "ds" / "instances" / "fam003.perm1.mps"
+        bad.write_text(bad.read_text().replace("COLUMNS", "COLUMNZ", 1))
+        with pytest.raises(MpsError) as info:
+            load_dataset(manifest_path)
+        assert info.value.path == str(bad)
+        assert str(info.value).startswith(f"{bad}: line ")
+
     def test_write_refuses_data_without_instances(self, small_oracle,
                                                   tmp_path):
         from dataclasses import replace
