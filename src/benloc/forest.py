@@ -277,8 +277,7 @@ class RandomForest:
                 idx = np.arange(len(y))
             tree = DecisionTree(mode=self.mode, max_depth=self.max_depth,
                                 min_samples_leaf=self.min_samples_leaf,
-                                max_features=self.max_features,
-                                n_classes=self.n_classes)
+                                max_features=self.max_features)
             tree.fit(X[idx], y[idx], rng)
             self.trees.append(tree)
         return self

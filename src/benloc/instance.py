@@ -198,10 +198,6 @@ class PermutationRecord:
 # MPS reading
 
 
-def _tokens(line):
-    return line.split()
-
-
 def read_mps(path):
     """parse_mps of the file at path; an MpsError names the file."""
     with open(path) as fh:
@@ -241,7 +237,7 @@ def parse_mps(text):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
         is_header = not raw[0].isspace()
-        toks = _tokens(raw)
+        toks = raw.split()
         if is_header:
             head = toks[0].upper()
             pending_objsense = False

@@ -32,6 +32,7 @@ import numpy as np
 
 from .forest import RandomForest
 from .metrics import DEFAULT_SHIFT, ConfigId, shifted_geomean
+from .splits import pick_test_units, require_families
 
 MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
 
@@ -193,8 +194,10 @@ def _forest_params(hyperparams):
 
 
 def _pair_features(X, n_pairs, pair_idx):
+    """X with a one-hot pair indicator appended: row r marks pair_idx[r],
+    or every row marks pair_idx when it is one index."""
     ind = np.zeros((X.shape[0], n_pairs))
-    ind[:, pair_idx] = 1.0
+    ind[np.arange(X.shape[0]), pair_idx] = 1.0
     return np.hstack([X, ind])
 
 
@@ -301,11 +304,9 @@ def predict_configs(model, X, feature_names=None):
     elif model.kind == "pair_ranker":
         pairs = np.asarray(model.payload["pairs"]).reshape(-1, 2)
         n_pairs = len(pairs)
-        # one input per (row, pair), row-major.  Passing every pair index
-        # sets all indicator columns on every input, as selection always has;
-        # training sets only the pair's own column.
+        # one input per (row, pair), row-major, marking that pair only
         X_pair = _pair_features(np.repeat(X, n_pairs, axis=0), n_pairs,
-                                np.arange(n_pairs))
+                                np.tile(np.arange(n_pairs), len(X)))
         j_wins = model.payload["forest"].predict(X_pair).reshape(
             len(X), n_pairs) == 1
         # Copeland: each pair's winner gets one point
@@ -369,12 +370,8 @@ def random_search(kind, examples, search_space=None, budget=20, seed=0,
     space = search_space or DEFAULT_SEARCH_SPACE
     rng = np.random.default_rng(seed)
 
-    families = sorted({ex.family for ex in examples})
-    if len(families) < 2:
-        raise ValueError("need at least 2 families for the validation split")
-    order = [families[i] for i in rng.permutation(len(families))]
-    n_val = min(max(round(val_fraction * len(families)), 1), len(families) - 1)
-    val_fams = set(order[:n_val])
+    families = require_families(sorted({ex.family for ex in examples}))
+    val_fams = set(pick_test_units({0: families}, val_fraction, rng))
     train_ex = [ex for ex in examples if ex.family not in val_fams]
     val_ex = [ex for ex in examples if ex.family in val_fams]
 

@@ -129,9 +129,6 @@ class PerfTable:
         except KeyError:
             raise MissingEntryError(f"no entry for ({family}, {seed}, {config})")
 
-    def status(self, family, seed, config):
-        return self._status[(family, int(seed), config)]
-
     def time_matrix(self, instances=None, configs=None):
         """(instance x config) times; columns default to configs() order."""
         if instances is None:
@@ -171,18 +168,24 @@ class PerfTable:
     def to_csv(self):
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["family", "seed", "config", "time", "status"])
+        w.writerow(["family", "seed", "config", "time", "status", "time_limit"])
         for (f, s, c) in sorted(self._times, key=lambda k: (k[0], k[1],
                                                             k[2].sort_key())):
             w.writerow([f, s, str(c), repr(self._times[(f, s, c)]),
-                        self._status[(f, s, c)]])
+                        self._status[(f, s, c)], repr(self.time_limit)])
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text, time_limit=DEFAULT_TIME_LIMIT):
-        table = cls(time_limit)
-        reader = csv.DictReader(io.StringIO(text))
-        for row in reader:
+    def from_csv(cls, text):
+        """The table of to_csv text; a file without a time_limit column
+        gets the default limit."""
+        rows = list(csv.DictReader(io.StringIO(text)))
+        limits = {float(row.get("time_limit") or DEFAULT_TIME_LIMIT)
+                  for row in rows}
+        if len(limits) > 1:
+            raise ValueError(f"perf table mixes time limits {sorted(limits)}")
+        table = cls(limits.pop() if limits else DEFAULT_TIME_LIMIT)
+        for row in rows:
             table.add(row["family"], int(row["seed"]),
                       ConfigId.parse(row["config"]), float(row["time"]),
                       row.get("status", "optimal"))

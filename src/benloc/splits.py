@@ -5,7 +5,8 @@ the recommended, leakage-free strategy.  split_by_permutation assigns each
 permuted instance independently; it is implemented deliberately so the
 leakage inflation can be measured and reported.  stratified_split is a
 family-level split that balances per-family best-configuration labels and
-default solve-time quartiles across the two sides.
+default solve-time quartiles across the two sides.  All three take their
+test side from pick_test_units, so each gives the exact test share.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class DatasetManifest:
     families: dict  # family id -> {seed: path}
     perf_path: str | None = None
     log_dir: str | None = None
-    feature_path: str | None = None
 
     def pairs(self):
         return sorted((f, int(s)) for f, seeds in self.families.items()
@@ -52,7 +52,7 @@ class DatasetManifest:
                     if not os.path.exists(path):
                         raise FileNotFoundError(f"{fam} seed {s}: {path}")
         if check_files:
-            for p in (self.perf_path, self.log_dir, self.feature_path):
+            for p in (self.perf_path, self.log_dir):
                 if p and not os.path.exists(p):
                     raise FileNotFoundError(p)
 
@@ -63,7 +63,6 @@ class DatasetManifest:
                          for f, seeds in self.families.items()},
             "perf_path": self.perf_path,
             "log_dir": self.log_dir,
-            "feature_path": self.feature_path,
         }, indent=2, sort_keys=True)
 
     @classmethod
@@ -75,7 +74,6 @@ class DatasetManifest:
                       for f, seeds in d["families"].items()},
             perf_path=d.get("perf_path"),
             log_dir=d.get("log_dir"),
-            feature_path=d.get("feature_path"),
         )
 
     @classmethod
@@ -93,7 +91,6 @@ class DatasetManifest:
                       for f, seeds in m.families.items()}
         m.perf_path = resolve(m.perf_path)
         m.log_dir = resolve(m.log_dir)
-        m.feature_path = resolve(m.feature_path)
         return m
 
 
@@ -149,93 +146,89 @@ class SplitAssignment:
                    test_fraction=d["test_fraction"])
 
 
-def _check_fraction(test_fraction):
+def require_families(families):
+    """families, refused when fewer than two: a split needs one per side."""
+    if len(families) < 2:
+        raise SplitError("need at least 2 families")
+    return families
+
+
+def pick_test_units(strata, test_fraction, rng):
+    """The test side of a split: the one allocator of every strategy.
+
+    strata maps a key to its list of units.  In total clamp(round(f * n), 1,
+    n - 1) of the n units go to test; each stratum gets floor(f * size), and
+    the units left over go to the largest fractional remainders (ties: the
+    earlier key).  Strata are visited in sorted key order, each drawing one
+    rng.permutation of its members and taking that many from its front.
+    """
     if not 0 < test_fraction < 1:
         raise SplitError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    keys = sorted(strata)
+    shares = [test_fraction * len(strata[k]) for k in keys]
+    n = sum(len(strata[k]) for k in keys)
+    counts = [math.floor(x) for x in shares]
+    left = min(max(round(test_fraction * n), 1), n - 1) - sum(counts)
+    by_remainder = sorted(range(len(keys)), key=lambda i: counts[i] - shares[i])
+    for i in by_remainder[:left]:  # the sort is stable: earlier keys win ties
+        counts[i] += 1
+    test = []
+    for key, count in zip(keys, counts):
+        members = strata[key]
+        test += [members[i] for i in rng.permutation(len(members))[:count]]
+    return test
 
 
-def _clamp_count(n_total, n_test):
-    return min(max(n_test, 1), n_total - 1)
+def _family_split(manifest, test_fams, strategy, seed, test_fraction):
+    test_fams = set(test_fams)
+    train, test = [], []
+    for f, s in manifest.pairs():
+        (test if f in test_fams else train).append((f, s))
+    return SplitAssignment(train, test, strategy, seed, test_fraction)
 
 
 def split_by_instance(manifest, test_fraction=0.2, seed=0):
     """Whole families go to one side; no permutation of a test problem is
     ever seen in training."""
-    _check_fraction(test_fraction)
-    fams = manifest.family_ids()
-    if len(fams) < 2:
-        raise SplitError("need at least 2 families")
-    rng = np.random.default_rng(seed)
-    order = [fams[i] for i in rng.permutation(len(fams))]
-    n_test = _clamp_count(len(fams), round(test_fraction * len(fams)))
-    test_fams = set(order[:n_test])
-    train, test = [], []
-    for f, s in manifest.pairs():
-        (test if f in test_fams else train).append((f, s))
-    return SplitAssignment(train, test, "by_instance", seed, test_fraction)
+    fams = require_families(manifest.family_ids())
+    test_fams = pick_test_units({0: fams}, test_fraction,
+                                np.random.default_rng(seed))
+    return _family_split(manifest, test_fams, "by_instance", seed,
+                         test_fraction)
 
 
 def split_by_permutation(manifest, test_fraction=0.2, seed=0):
     """Each permuted instance assigned independently. Leaks family structure
     across the split; kept so the inflation is measurable."""
-    _check_fraction(test_fraction)
+    require_families(manifest.family_ids())
     pairs = manifest.pairs()
-    if len({f for f, _ in pairs}) < 2:
-        raise SplitError("need at least 2 families")
-    rng = np.random.default_rng(seed)
-    order = [pairs[i] for i in rng.permutation(len(pairs))]
-    n_test = _clamp_count(len(pairs), round(test_fraction * len(pairs)))
-    test = order[:n_test]
-    train = order[n_test:]
+    test = pick_test_units({0: pairs}, test_fraction,
+                           np.random.default_rng(seed))
+    train = set(pairs) - set(test)
     return SplitAssignment(train, test, "by_permutation", seed, test_fraction)
 
 
-def stratified_split(manifest, perf, test_fraction=0.2, seed=0,
-                     shift=DEFAULT_SHIFT, n_buckets=4):
+def stratified_split(manifest, perf, test_fraction=0.2, seed=0):
     """Family-level split stratified by (family best-config label, default
     solve-time quartile), so both sides see similar label proportions."""
-    _check_fraction(test_fraction)
     if perf is None:
         raise SplitError("stratified_split needs a performance table")
-    fams = manifest.family_ids()
-    if len(fams) < 2:
-        raise SplitError("need at least 2 families")
-
-    default = ConfigId.default()
-    labels = {}
-    log_times = {}
+    fams = require_families(manifest.family_ids())
+    labels, log_times = [], []
     for fam in fams:
         pairs = [(fam, s) for s in manifest.families[fam]]
-        labels[fam] = pd_best(perf, shift, instances=pairs)
-        log_times[fam] = math.log(
-            shifted_geomean(perf.times_for_config(default, pairs), shift) + shift)
-
-    values = np.array([log_times[f] for f in fams])
-    qs = np.quantile(values, np.linspace(0, 1, n_buckets + 1)[1:-1])
-
+        labels.append(str(pd_best(perf, instances=pairs)))
+        t = shifted_geomean(perf.times_for_config(ConfigId.default(), pairs))
+        log_times.append(math.log(t + DEFAULT_SHIFT))
+    quartiles = np.quantile(log_times, [0.25, 0.5, 0.75])
+    buckets = np.searchsorted(quartiles, log_times, side="right")
     strata = {}
-    for fam in fams:
-        bucket = int(np.searchsorted(qs, log_times[fam], side="right"))
-        strata.setdefault((str(labels[fam]), bucket), []).append(fam)
-
-    rng = np.random.default_rng(seed)
-    test_fams = set()
-    for key in sorted(strata):
-        members = strata[key]
-        order = [members[i] for i in rng.permutation(len(members))]
-        n_test = round(test_fraction * len(members))
-        test_fams.update(order[:n_test])
-    # keep both sides nonempty at the family level
-    all_order = [fams[i] for i in rng.permutation(len(fams))]
-    if not test_fams:
-        test_fams.add(all_order[0])
-    if len(test_fams) == len(fams):
-        test_fams.discard(all_order[-1])
-
-    train, test = [], []
-    for f, s in manifest.pairs():
-        (test if f in test_fams else train).append((f, s))
-    return SplitAssignment(train, test, "stratified", seed, test_fraction)
+    for fam, label, bucket in zip(fams, labels, buckets):
+        strata.setdefault((label, int(bucket)), []).append(fam)
+    test_fams = pick_test_units(strata, test_fraction,
+                                np.random.default_rng(seed))
+    return _family_split(manifest, test_fams, "stratified", seed,
+                         test_fraction)
 
 
 def make_split(strategy, manifest, test_fraction=0.2, seed=0, perf=None):

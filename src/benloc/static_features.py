@@ -61,9 +61,6 @@ class StaticFeatureVector:
     def __getitem__(self, name):
         return float(self.values[self.names.index(name)])
 
-    def as_dict(self):
-        return {k: float(v) for k, v in zip(self.names, self.values)}
-
     def __eq__(self, other):
         if not isinstance(other, StaticFeatureVector):
             return NotImplemented

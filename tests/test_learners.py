@@ -196,6 +196,22 @@ class TestImportance:
         with pytest.raises(FingerprintMismatchError):
             predict_configs(model, X[:, :-1])
 
+    def test_pair_ranker_picks_per_instance(self, small_oracle):
+        """Each (row, pair) input marks only its own pair, as in training, so
+        the in-sample Copeland winner tracks PI-best."""
+        from benloc.metrics import pi_best
+
+        examples = build_examples(
+            small_oracle.perf, small_oracle.feature_map(FeatureStage.UP_TO_ROOT_END))
+        model = train("pair_ranker", examples, hyperparams={"n_trees": 10},
+                      seed=0)
+        chosen = predict_configs(model, [ex.features for ex in examples])
+        best, _ = pi_best(small_oracle.perf)
+        assert ConfigId.parse("RootCutLevel=3") in chosen
+        hits = sum(c == best[(ex.family, ex.seed)]
+                   for ex, c in zip(examples, chosen))
+        assert hits > len(examples) / 2
+
     def test_knn_unsupported(self):
         model = train("knn", planted_examples(10), seed=0)
         with pytest.raises(UnsupportedModelError):

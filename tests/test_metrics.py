@@ -205,6 +205,28 @@ class TestPerfTable:
                 except MissingEntryError:
                     pass
 
+    def test_csv_keeps_time_limit(self):
+        t = PerfTable(20000.0)
+        t.add("f", 0, ConfigId.default(), 11478.7)
+        t.add("f", 0, ConfigId.parse("RootCutLevel=3"), 30000.0)
+        back = PerfTable.from_csv(t.to_csv())
+        assert back.time_limit == 20000.0
+        assert back.time_matrix().tolist() == [[11478.7, 20000.0]]
+        assert back.to_csv() == t.to_csv()
+
+    def test_csv_without_time_limit_gets_default(self):
+        back = PerfTable.from_csv("family,seed,config,time,status\n"
+                                  "f,0,Default,9000.0,optimal\n")
+        assert back.time_limit == 7200.0
+        assert back.time("f", 0, ConfigId.default()) == 7200.0
+
+    def test_csv_mixed_time_limits_rejected(self):
+        text = ("family,seed,config,time,status,time_limit\n"
+                "f,0,Default,5.0,optimal,100.0\n"
+                "g,0,Default,5.0,optimal,200.0\n")
+        with pytest.raises(ValueError, match="time limits"):
+            PerfTable.from_csv(text)
+
     def test_subset(self):
         t = simple_table([("f", 0, "Default", 5.0), ("g", 0, "Default", 7.0)])
         sub = t.subset([("f", 0)])

@@ -1,11 +1,17 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from benloc.metrics import ConfigId, PerfTable
+from benloc.metrics import (DEFAULT_SHIFT, ConfigId, PerfTable, pd_best,
+                            shifted_geomean)
 from benloc.splits import (STRATEGIES, DatasetManifest, SplitAssignment,
-                           SplitError, make_split, split_by_instance,
-                           split_by_permutation, stratified_split)
+                           SplitError, make_split, pick_test_units,
+                           split_by_instance, split_by_permutation,
+                           stratified_split)
 
 
 def make_manifest(n_families=10, n_seeds=10):
@@ -31,6 +37,11 @@ class TestManifest:
         back = DatasetManifest.from_json(m.to_json())
         assert back.families == m.families
         assert back.name == m.name
+
+    def test_manifest_with_feature_path_key_loads(self):
+        d = json.loads(make_manifest(2, 1).to_json())
+        d["feature_path"] = "features.csv"
+        assert DatasetManifest.from_json(json.dumps(d)) == make_manifest(2, 1)
 
 
 class TestByInstance:
@@ -115,12 +126,125 @@ class TestStratified:
         assert split.covers(manifest)
         assert split.family_overlap() == 0
 
+    def test_exact_test_share(self):
+        """40 families at 0.25 put 10 on the test side, as by_instance does,
+        not 8 from rounding each stratum on its own."""
+        from benloc.dataset import build_oracle_dataset
+        from benloc.synth import OracleSpec
+
+        data = build_oracle_dataset(40, 2, spec=OracleSpec(seed=0), seed=0)
+        for seed in range(10):
+            split = stratified_split(data.manifest(), data.perf, 0.25, seed)
+            assert len(split.test_families()) == 10
+
     def test_partition_nonempty_sides(self):
         m = make_manifest(0, 0)
         m.families = {f: {0: f + ".mps"} for f in ["a", "b", "c"]}
         perf = self.perf_with_labels(["a", "b", "c"], [])
         split = stratified_split(m, perf, 0.2, seed=0)
         assert split.train and split.test
+
+
+def _expected_test_count(test_fraction, n):
+    return min(max(round(test_fraction * n), 1), n - 1)
+
+
+def _assert_floor_or_ceil(count, test_fraction, size):
+    share = test_fraction * size
+    assert math.floor(share) <= count <= math.ceil(share)
+
+
+class TestAllocator:
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+           test_fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+    def test_exact_total_and_floor_or_ceil_per_stratum(self, sizes,
+                                                       test_fraction, seed):
+        strata = {f"s{k}": [(k, i) for i in range(size)]
+                  for k, size in enumerate(sizes)}
+        n = sum(sizes)
+        assume(n >= 2)
+        test = pick_test_units(strata, test_fraction,
+                               np.random.default_rng(seed))
+        assert len(set(test)) == len(test) == _expected_test_count(
+            test_fraction, n)
+        for key, members in strata.items():
+            _assert_floor_or_ceil(len(set(test) & set(members)),
+                                  test_fraction, len(members))
+
+    def test_remainder_ties_go_to_earlier_keys(self):
+        strata = {"c": ["c0"], "a": ["a0"], "b": ["b0"]}
+        test = pick_test_units(strata, 0.5, np.random.default_rng(0))
+        assert sorted(test) == ["a0", "b0"]  # round(1.5) = 2
+
+    def test_single_stratum_is_permutation_prefix(self):
+        units = list("abcdefghij")
+        test = pick_test_units({0: units}, 0.3, np.random.default_rng(4))
+        order = np.random.default_rng(4).permutation(10)
+        assert test == [units[i] for i in order[:3]]
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    def test_bad_fraction(self, fraction):
+        with pytest.raises(SplitError, match="test_fraction"):
+            pick_test_units({0: [1, 2, 3]}, fraction, np.random.default_rng(0))
+
+
+LABELS = ("Default", "RootCutLevel=3", "TreeCutLevel=1")
+
+
+@st.composite
+def split_cases(draw):
+    """A manifest and a perf table whose families differ in best config and
+    default solve time."""
+    n_families = draw(st.integers(2, 30))
+    n_perms = draw(st.integers(1, 3))
+    perf = PerfTable()
+    for i in range(n_families):
+        best = draw(st.sampled_from(LABELS))
+        base = draw(st.sampled_from([1.0, 5.0, 30.0, 200.0, 3000.0]))
+        for s in range(n_perms):
+            for label in LABELS:
+                scale = 0.5 if label == best else 1.0 + LABELS.index(label)
+                perf.add(f"fam{i:02d}", s, ConfigId.parse(label), base * scale)
+    return (make_manifest(n_families, n_perms), perf,
+            draw(st.floats(0.01, 0.99)), draw(st.integers(0, 2**32 - 1)))
+
+
+def _reference_strata(manifest, perf):
+    """(PD-best label, default-time quartile) -> families, per the docs."""
+    fams = manifest.family_ids()
+    labels, log_times = [], []
+    for fam in fams:
+        pairs = [(fam, s) for s in manifest.families[fam]]
+        labels.append(str(pd_best(perf, instances=pairs)))
+        t = perf.times_for_config(ConfigId.default(), pairs)
+        log_times.append(math.log(shifted_geomean(t) + DEFAULT_SHIFT))
+    quartiles = np.quantile(log_times, [0.25, 0.5, 0.75])
+    strata = {}
+    for fam, label, x in zip(fams, labels, log_times):
+        key = (label, int(np.searchsorted(quartiles, x, side="right")))
+        strata.setdefault(key, []).append(fam)
+    return strata
+
+
+class TestSplitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=split_cases(), strategy=st.sampled_from(STRATEGIES))
+    def test_every_strategy(self, case, strategy):
+        manifest, perf, test_fraction, seed = case
+        split = make_split(strategy, manifest, test_fraction, seed, perf=perf)
+        assert split.covers(manifest)
+        assert not set(split.train) & set(split.test)
+        if strategy == "by_permutation":
+            units, test = manifest.pairs(), split.test
+        else:
+            assert split.family_overlap() == 0
+            units, test = manifest.family_ids(), split.test_families()
+        assert len(test) == _expected_test_count(test_fraction, len(units))
+        if strategy == "stratified":
+            for members in _reference_strata(manifest, perf).values():
+                _assert_floor_or_ceil(len(set(test) & set(members)),
+                                      test_fraction, len(members))
 
 
 class TestAssignment:

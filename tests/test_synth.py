@@ -155,6 +155,19 @@ class TestDatasetRoundTrip:
                 assert other.stage_values("root_end") == \
                     log.stage_values("root_end")
 
+    def test_time_limit_survives_write_and_load(self, tmp_path):
+        from benloc.dataset import (build_oracle_dataset, load_dataset,
+                                    write_dataset)
+
+        data = build_oracle_dataset(
+            4, 2, spec=OracleSpec(seed=0, base_time=9000, time_limit=20000),
+            seed=0, keep_instances=True)
+        assert data.perf.time_matrix().max() > 7200.0
+        loaded = load_dataset(write_dataset(data, str(tmp_path / "ds")))
+        assert loaded.perf.time_limit == 20000.0
+        assert np.array_equal(loaded.perf.time_matrix(),
+                              data.perf.time_matrix())
+
     def test_load_names_a_corrupted_instance_file(self, small_oracle,
                                                   tmp_path):
         from benloc.dataset import load_dataset, write_dataset
