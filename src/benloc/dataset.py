@@ -37,9 +37,6 @@ class BenchmarkData:
     def pairs(self):
         return sorted(self.static)
 
-    def families(self):
-        return sorted({f for f, _ in self.static})
-
     def manifest(self):
         """The manifest of the written layout, paths relative to its file."""
         families = {}

@@ -66,32 +66,18 @@ class BipartiteGraph:
 
 def build_graph(inst):
     """Build the bipartite graph of a MipInstance."""
-    m, n = inst.num_rows, inst.num_cols
-    con_lb = np.empty(m)
-    con_ub = np.empty(m)
-    con_hlb = np.zeros(m, dtype=np.int64)
-    con_hub = np.zeros(m, dtype=np.int64)
-    for i, (sense, b) in enumerate(zip(inst.row_senses, inst.rhs)):
-        if sense == "<=":
-            con_lb[i], con_ub[i] = -INF, b
-            con_hub[i] = 1
-        elif sense == ">=":
-            con_lb[i], con_ub[i] = b, INF
-            con_hlb[i] = 1
-        else:
-            con_lb[i] = con_ub[i] = b
-            con_hlb[i] = con_hub[i] = 1
-
+    senses = np.array(inst.row_senses, dtype="U2")
+    has_lb, has_ub = senses != "<=", senses != ">="
     var_hlb = (inst.var_lb > -INF).astype(np.int64)
     var_hub = (inst.var_ub < INF).astype(np.int64)
     var_types = ["continuous" if t == "continuous" else "integer"
                  for t in inst.var_types]
 
     return BipartiteGraph(
-        con_lb=con_lb,
-        con_ub=con_ub,
-        con_hlb=con_hlb,
-        con_hub=con_hub,
+        con_lb=np.where(has_lb, inst.rhs, -INF),
+        con_ub=np.where(has_ub, inst.rhs, INF),
+        con_hlb=has_lb.astype(np.int64),
+        con_hub=has_ub.astype(np.int64),
         var_hlb=var_hlb,
         var_hub=var_hub,
         var_obj=inst.obj_coeffs.copy(),

@@ -26,6 +26,7 @@ VAR_TYPES = ("continuous", "binary", "integer")
 
 _MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
 _SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
+_BOUND_TYPES = ("UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI")
 
 
 class MpsError(ValueError):
@@ -72,6 +73,7 @@ class MipInstance:
     row_names: list
     col_names: list
     obj_name: str = "OBJ"
+    row_ptr: np.ndarray = field(init=False, repr=False)  # (m + 1,) row starts
 
     def __post_init__(self):
         self.obj_coeffs = np.asarray(self.obj_coeffs, dtype=float)
@@ -90,11 +92,17 @@ class MipInstance:
 
     def _canonicalize(self):
         # keep coordinate entries sorted by (row, col) so equality is structural
+        # and row i's entries are row_ptr[i]:row_ptr[i + 1]
         if self.nnz:
             order = np.lexsort((self.mat_cols, self.mat_rows))
             self.mat_rows = self.mat_rows[order]
             self.mat_cols = self.mat_cols[order]
             self.mat_vals = self.mat_vals[order]
+        self.row_ptr = np.searchsorted(self.mat_rows, np.arange(self.num_rows + 1))
+        # an integer variable with bounds inside [0, 1] is binary
+        for j, (t, lo, hi) in enumerate(zip(self.var_types, self.var_lb, self.var_ub)):
+            if t == "integer" and 0 <= lo and hi <= 1:
+                self.var_types[j] = "binary"
 
     def validate(self):
         m, n = self.num_rows, self.num_cols
@@ -140,8 +148,8 @@ class MipInstance:
 
     def row_entries(self, i):
         """Column indices and coefficients of row i."""
-        mask = self.mat_rows == i
-        return self.mat_cols[mask], self.mat_vals[mask]
+        lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
+        return self.mat_cols[lo:hi], self.mat_vals[lo:hi]
 
     def __eq__(self, other):
         if not isinstance(other, MipInstance):
@@ -224,7 +232,7 @@ def parse_mps(text):
     col_names = []
     col_integer = []
     obj_coeffs = []
-    entries = {}  # (row, col) -> (value, line_no)
+    entries = {}  # (row, col) -> value
     rhs_map = {}
     ranges_map = {}
     bounds = {}  # col -> list of (btype, value)
@@ -334,6 +342,8 @@ def parse_mps(text):
             if len(toks) < 2:
                 raise MpsParseError("short BOUNDS line", line_no)
             btype = toks[0].upper()
+            if btype not in _BOUND_TYPES:
+                raise MpsParseError(f"unknown bound type {btype!r}", line_no)
             no_value = btype in ("FR", "MI", "PL", "BV")
             want = 3 if no_value else 4
             if len(toks) == want:
@@ -363,7 +373,7 @@ def parse_mps(text):
         raise MpsParseError("missing objective (N) row")
 
     m = len(row_names)
-    rhs = np.zeros(m)
+    rhs = [0.0] * m
     for i, v in rhs_map.items():
         rhs[i] = v
 
@@ -371,7 +381,6 @@ def parse_mps(text):
     n = len(col_names)
     lb = np.zeros(n)
     ub = np.full(n, INF)
-    is_int = list(col_integer)
     for j, blist in bounds.items():
         for btype, val in blist:
             if btype == "UP":
@@ -389,30 +398,19 @@ def parse_mps(text):
             elif btype == "PL":
                 ub[j] = INF
             elif btype == "BV":
-                is_int[j] = True
+                col_integer[j] = True
                 lb[j], ub[j] = 0.0, 1.0
             elif btype == "UI":
-                is_int[j] = True
+                col_integer[j] = True
                 ub[j] = val
-            elif btype == "LI":
-                is_int[j] = True
+            else:  # LI
+                col_integer[j] = True
                 lb[j] = val
-            else:
-                raise MpsParseError(f"unknown bound type {btype!r}")
 
-    var_types = []
-    for j in range(n):
-        if is_int[j]:
-            var_types.append("binary" if 0 <= lb[j] and ub[j] <= 1 else "integer")
-        else:
-            var_types.append("continuous")
-
-    # expand RANGES into an extra inequality row each
-    mat = {k: v for k, v in entries.items()}
-    for i, r in sorted(ranges_map.items()):
-        if r == 0:
-            continue
-        s, b = row_senses[i], rhs[i]
+    # expand RANGES into an extra inequality row each, copying the row's entries
+    ranged = [i for i in sorted(ranges_map) if ranges_map[i] != 0]
+    for i in ranged:
+        r, s, b = ranges_map[i], row_senses[i], rhs[i]
         if s == "<=":
             new_sense, new_rhs = ">=", b - abs(r)
         elif s == ">=":
@@ -422,27 +420,28 @@ def parse_mps(text):
             row_senses[i] = ">="
             rhs[i] = lo
             new_sense, new_rhs = "<=", hi
-        new_i = len(row_names)
         row_names.append(row_names[i] + "__rng")
         row_senses.append(new_sense)
-        rhs = np.append(rhs, new_rhs)
-        for (ri, ci), v in list(entries.items()):
-            if ri == i:
-                mat[(new_i, ci)] = v
+        rhs.append(new_rhs)
 
-    keys = sorted(mat)
+    rows, cols = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
+    vals = np.array(list(entries.values()), dtype=float)
+    copy_to = np.full(m, -1)
+    copy_to[ranged] = np.arange(m, len(row_names))
+    copied = np.flatnonzero(copy_to[rows] >= 0)
+
     return MipInstance(
         name=name,
         sense=sense,
-        obj_coeffs=np.array(obj_coeffs, dtype=float),
-        mat_rows=np.array([k[0] for k in keys], dtype=np.int64),
-        mat_cols=np.array([k[1] for k in keys], dtype=np.int64),
-        mat_vals=np.array([mat[k] for k in keys], dtype=float),
+        obj_coeffs=obj_coeffs,
+        mat_rows=np.concatenate([rows, copy_to[rows[copied]]]),
+        mat_cols=np.concatenate([cols, cols[copied]]),
+        mat_vals=np.concatenate([vals, vals[copied]]),
         row_senses=row_senses,
         rhs=rhs,
         var_lb=lb,
         var_ub=ub,
-        var_types=var_types,
+        var_types=["integer" if t else "continuous" for t in col_integer],
         row_names=row_names,
         col_names=col_names,
         obj_name=obj_name,
@@ -506,7 +505,8 @@ def write_mps(inst):
             out.append(f"    MARKER{marker}  'MARKER'  '{tag}'")
             marker += 1
             in_int = want_int
-        if inst.obj_coeffs[j] != 0.0:
+        # a column with no matrix entry is declared by its objective entry
+        if inst.obj_coeffs[j] != 0.0 or not by_col[j]:
             out.append(f"    {cname}  {inst.obj_name}  {_fmt(inst.obj_coeffs[j])}")
         for i, v in by_col[j]:
             out.append(f"    {cname}  {inst.row_names[i]}  {_fmt(v)}")
@@ -548,42 +548,23 @@ def apply_permutation(inst, row_perm, col_perm, seed=0):
     """Move row i to row_perm[i] and column j to col_perm[j]."""
     record = PermutationRecord(row_perm, col_perm, seed)
     rp, cp = record.row_perm, record.col_perm
-    m, n = inst.num_rows, inst.num_cols
 
-    new_rhs = np.empty(m)
-    new_rhs[rp] = inst.rhs
-    new_senses = [None] * m
-    new_rnames = [None] * m
-    for i in range(m):
-        new_senses[rp[i]] = inst.row_senses[i]
-        new_rnames[rp[i]] = inst.row_names[i]
-
-    new_obj = np.empty(n)
-    new_obj[cp] = inst.obj_coeffs
-    new_lb = np.empty(n)
-    new_lb[cp] = inst.var_lb
-    new_ub = np.empty(n)
-    new_ub[cp] = inst.var_ub
-    new_types = [None] * n
-    new_cnames = [None] * n
-    for j in range(n):
-        new_types[cp[j]] = inst.var_types[j]
-        new_cnames[cp[j]] = inst.col_names[j]
-
+    # new row k is old row inv_r[k]; new column k is old column inv_c[k]
+    inv_r, inv_c = np.argsort(rp).tolist(), np.argsort(cp).tolist()
     permuted = MipInstance(
         name=inst.name,
         sense=inst.sense,
-        obj_coeffs=new_obj,
-        mat_rows=rp[inst.mat_rows] if inst.nnz else inst.mat_rows.copy(),
-        mat_cols=cp[inst.mat_cols] if inst.nnz else inst.mat_cols.copy(),
+        obj_coeffs=inst.obj_coeffs[inv_c],
+        mat_rows=rp[inst.mat_rows],
+        mat_cols=cp[inst.mat_cols],
         mat_vals=inst.mat_vals.copy(),
-        row_senses=new_senses,
-        rhs=new_rhs,
-        var_lb=new_lb,
-        var_ub=new_ub,
-        var_types=new_types,
-        row_names=new_rnames,
-        col_names=new_cnames,
+        row_senses=[inst.row_senses[i] for i in inv_r],
+        rhs=inst.rhs[inv_r],
+        var_lb=inst.var_lb[inv_c],
+        var_ub=inst.var_ub[inv_c],
+        var_types=[inst.var_types[j] for j in inv_c],
+        row_names=[inst.row_names[i] for i in inv_r],
+        col_names=[inst.col_names[j] for j in inv_c],
         obj_name=inst.obj_name,
     )
     return permuted, record

@@ -117,9 +117,6 @@ class PerfTable:
     def instances(self):
         return sorted({(f, s) for f, s, _ in self._times})
 
-    def families(self):
-        return sorted({f for f, _, _ in self._times})
-
     def configs(self):
         return sorted({c for _, _, c in self._times}, key=ConfigId.sort_key)
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benloc.instance import (InvalidInstanceError, MipInstance,
-                             MpsParseError, MpsSemanticError,
+from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
+                             MipInstance, MpsParseError, MpsSemanticError,
                              PermutationRecord, apply_permutation, parse_mps,
-                             permute_instance, write_mps)
+                             permute_instance, read_mps, write_mps)
 from benloc.synth import gen_setcover
 
 MINIMAL = """\
@@ -158,6 +160,17 @@ ENDATA
         assert inst.rhs[i_le] == 10.0
         assert inst.rhs[i_ge] == 6.0
 
+    def test_unknown_bound_type_names_the_line(self, tmp_path):
+        text = MINIMAL.replace(" BV BND  y\n", " XX BND  y  3\n")
+        with pytest.raises(MpsParseError) as e:
+            parse_mps(text)
+        assert str(e.value) == "line 14: unknown bound type 'XX'"
+        path = tmp_path / "bad_bound.mps"
+        path.write_text(text)
+        with pytest.raises(MpsParseError) as e:
+            read_mps(str(path))
+        assert str(e.value) == f"{path}: line 14: unknown bound type 'XX'"
+
     def test_ranges_equality_negative(self, fixtures_dir):
         import os
         with open(os.path.join(fixtures_dir, "mps", "ranges_e_neg.mps")) as fh:
@@ -184,6 +197,25 @@ class TestWriteMps:
     def test_deterministic(self):
         inst = small_instance()
         assert write_mps(inst) == write_mps(inst)
+
+    def test_empty_column_is_declared(self):
+        for lb, ub, t in ((0.0, 1.0, "binary"), (0.0, INF, "continuous")):
+            inst = MipInstance(
+                name="e", sense="minimize", obj_coeffs=np.zeros(1),
+                mat_rows=[], mat_cols=[], mat_vals=[], row_senses=[], rhs=[],
+                var_lb=[lb], var_ub=[ub], var_types=[t], row_names=[],
+                col_names=["c0"])
+            assert parse_mps(write_mps(inst)) == inst
+
+    def test_integer_inside_unit_interval_is_binary(self):
+        inst = MipInstance(
+            name="b", sense="minimize", obj_coeffs=np.ones(2),
+            mat_rows=[0, 0], mat_cols=[0, 1], mat_vals=[1.0, 1.0],
+            row_senses=["<="], rhs=[1.0], var_lb=[0.0, 0.0],
+            var_ub=[0.5, 2.0], var_types=["integer", "integer"],
+            row_names=["r"], col_names=["x", "y"])
+        assert inst.var_types == ["binary", "integer"]
+        assert parse_mps(write_mps(inst)) == inst
 
     def test_round_trip_small(self):
         inst = small_instance()
@@ -305,3 +337,129 @@ class TestInvariants:
                 mat_vals=np.array([1.0]), row_senses=["<="],
                 rhs=np.array([1.0]), var_lb=np.zeros(1), var_ub=np.array([2.0]),
                 var_types=["binary"], row_names=["r"], col_names=["x"])
+
+
+# ---------------------------------------------------------------------------
+# Properties over random instances and MPS texts
+
+
+@st.composite
+def instances(draw):
+    """Valid instances: 0-5 rows, 1-5 columns, every variable type, infinite,
+    negative and fixed bounds, empty columns and zero objectives."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    var_types, lb, ub = [], [], []
+    for _ in range(n):
+        t = draw(st.sampled_from(VAR_TYPES))
+        if t == "binary":
+            lo = draw(st.sampled_from([0.0, 0.5, 1.0]))
+            hi = draw(st.sampled_from([v for v in (0.0, 0.5, 1.0) if v >= lo]))
+        else:
+            lo = draw(st.sampled_from([-INF, -3.0, -0.5, 0.0, 0.5, 1.0, 7.25]))
+            hi = draw(st.sampled_from(
+                [v for v in (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 7.25, INF) if v >= lo]))
+        var_types.append(t)
+        lb.append(lo)
+        ub.append(hi)
+    coefs = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.5, 2.0]),
+                          min_size=m * n, max_size=m * n))
+    entries = [(k // n, k % n, v) for k, v in enumerate(coefs) if v != 0.0]
+    return MipInstance(
+        name="h", sense=draw(st.sampled_from(["minimize", "maximize"])),
+        obj_coeffs=draw(st.lists(st.sampled_from([0.0, 1.0, -2.5]),
+                                 min_size=n, max_size=n)),
+        mat_rows=[e[0] for e in entries], mat_cols=[e[1] for e in entries],
+        mat_vals=[e[2] for e in entries],
+        row_senses=draw(st.lists(st.sampled_from(SENSES), min_size=m, max_size=m)),
+        rhs=draw(st.lists(st.sampled_from([0.0, 1.0, -4.5]), min_size=m,
+                          max_size=m)),
+        var_lb=lb, var_ub=ub, var_types=var_types,
+        row_names=[f"r{i}" for i in range(m)],
+        col_names=[f"c{j}" for j in range(n)])
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(instances())
+    def test_write_parse_round_trip(self, inst):
+        assert parse_mps(write_mps(inst)) == inst
+
+    @settings(deadline=None)
+    @given(instances())
+    def test_row_entries_match_row_mask(self, inst):
+        for i in range(inst.num_rows):
+            cols, vals = inst.row_entries(i)
+            mask = inst.mat_rows == i
+            assert np.array_equal(cols, inst.mat_cols[mask])
+            assert np.array_equal(vals, inst.mat_vals[mask])
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_inverse_permutation_restores(self, data):
+        inst = data.draw(instances())
+        rp = np.array(data.draw(st.permutations(range(inst.num_rows))), dtype=int)
+        cp = np.array(data.draw(st.permutations(range(inst.num_cols))), dtype=int)
+        permuted, _ = apply_permutation(inst, rp, cp)
+        back, _ = apply_permutation(permuted, np.argsort(rp), np.argsort(cp))
+        assert back == inst
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_ranges_match_reference_expansion(self, data):
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        senses = data.draw(st.lists(st.sampled_from("LGE"), min_size=m, max_size=m))
+        rhs = data.draw(st.lists(st.sampled_from([0.0, 2.0, -5.0]),
+                                 min_size=m, max_size=m))
+        ranges = data.draw(st.lists(st.sampled_from([None, 0.0, 3.0, -1.5]),
+                                    min_size=m, max_size=m))
+        coefs = data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.0]),
+                                   min_size=m * n, max_size=m * n))
+        entries = [(k // n, k % n, v) for k, v in enumerate(coefs) if v != 0.0]
+        lines = ["NAME rng", "ROWS", " N  OBJ"]
+        lines += [f" {s}  r{i}" for i, s in enumerate(senses)]
+        lines.append("COLUMNS")
+        for j in range(n):
+            lines.append(f"    c{j}  OBJ  1.0")
+            lines += [f"    c{j}  r{i}  {v}" for i, jj, v in entries if jj == j]
+        lines.append("RHS")
+        lines += [f"    RHS  r{i}  {b}" for i, b in enumerate(rhs)]
+        lines.append("RANGES")
+        lines += [f"    RNG  r{i}  {r}" for i, r in enumerate(ranges) if r is not None]
+        lines.append("ENDATA")
+
+        # MPS range semantics: L gives [b - |R|, b], G gives [b, b + |R|], E
+        # gives [b, b + R] for R > 0 and [b + R, b] for R < 0.  The original
+        # row keeps one side, an appended row "<name>__rng" takes the other.
+        row_senses = [{"L": "<=", "G": ">=", "E": "="}[s] for s in senses]
+        row_rhs = list(rhs)
+        names = [f"r{i}" for i in range(m)]
+        rows = [e[0] for e in entries]
+        cols = [e[1] for e in entries]
+        vals = [e[2] for e in entries]
+        for i, r in enumerate(ranges):
+            if not r:
+                continue
+            b = rhs[i]
+            if senses[i] == "L":
+                extra = (">=", b - abs(r))
+            elif senses[i] == "G":
+                extra = ("<=", b + abs(r))
+            else:
+                row_senses[i], row_rhs[i] = ">=", min(b, b + r)
+                extra = ("<=", max(b, b + r))
+            new_i = len(names)
+            names.append(f"r{i}__rng")
+            row_senses.append(extra[0])
+            row_rhs.append(extra[1])
+            for ri, cj, v in entries:
+                if ri == i:
+                    rows.append(new_i)
+                    cols.append(cj)
+                    vals.append(v)
+        expected = MipInstance(
+            name="rng", sense="minimize", obj_coeffs=np.ones(n),
+            mat_rows=rows, mat_cols=cols, mat_vals=vals, row_senses=row_senses,
+            rhs=row_rhs, var_lb=np.zeros(n), var_ub=np.full(n, INF),
+            var_types=["continuous"] * n, row_names=names,
+            col_names=[f"c{j}" for j in range(n)])
+        assert parse_mps("\n".join(lines) + "\n") == expected
