@@ -11,7 +11,8 @@ import os
 
 import click
 
-from .dataset import build_oracle_dataset, load_dataset, write_dataset
+from .dataset import (build_oracle_dataset, load_dataset, read_instance,
+                      write_dataset)
 from .instance import permute_instance, read_mps, write_mps
 from .learners import MODEL_KINDS, TrainedSelector, predict_config
 from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
@@ -21,7 +22,7 @@ from .report import (experiment_report_csv, experiment_report_text,
                      suitability_report_csv, suitability_report_text,
                      suitability_rows, summarize)
 from .splits import STRATEGIES, DatasetManifest, SplitAssignment, make_split
-from .static_features import extract_static, static_features_csv
+from .static_features import static_features_csv
 from .synth import OracleSpec, gen_indset, gen_setcover
 
 STAGES = {
@@ -133,7 +134,7 @@ def features(mps_paths, manifest_path, stage, out_path):
     else:
         if stage != FeatureStage.STATIC_ONLY:
             raise ValueError("dynamic stages need --manifest with logs")
-        rows = [(os.path.basename(path), extract_static(read_mps(path)))
+        rows = [(os.path.basename(path), read_instance(path)[1])
                 for path in mps_paths]
         with open(out_path, "w") as fh:
             fh.write(static_features_csv(rows))
@@ -201,7 +202,7 @@ def predict(model_path, mps_path, log_path, stage):
     """Predict the configuration for a single instance."""
     with open(model_path) as fh:
         model = TrainedSelector.from_json(fh.read())
-    static = extract_static(read_mps(mps_path))
+    static = read_instance(mps_path)[1]
     dyn = None
     if log_path:
         with open(log_path) as fh:

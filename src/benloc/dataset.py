@@ -19,7 +19,7 @@ from .logs import (FeatureStage, MissingStageError, assemble_features,
                    dynamic_features, parse_log, render_log)
 from .metrics import ConfigId, PerfTable
 from .splits import DatasetManifest
-from .static_features import extract_static
+from .static_features import DegenerateInstanceError, extract_static
 from .synth import (OracleSpec, gen_indset, gen_setcover, oracle_solve_logs,
                     planted_optimum)
 
@@ -153,6 +153,16 @@ def write_dataset(data, out_dir):
     return os.path.join(out_dir, "manifest.json")
 
 
+def read_instance(path):
+    """The MPS file at path and its static features; an error names the
+    file."""
+    inst = read_mps(path)
+    try:
+        return inst, extract_static(inst)
+    except DegenerateInstanceError as exc:
+        raise DegenerateInstanceError(f"{path}: {exc}") from None
+
+
 def load_dataset(manifest_path):
     """Load a written dataset back: parses MPS files, logs and perf.csv."""
     manifest = DatasetManifest.read(manifest_path)
@@ -165,9 +175,7 @@ def load_dataset(manifest_path):
     configs = perf.configs()
     for fam, seeds in manifest.families.items():
         for s, path in seeds.items():
-            inst = read_mps(path)
-            instances[(fam, s)] = inst
-            static[(fam, s)] = extract_static(inst)
+            instances[(fam, s)], static[(fam, s)] = read_instance(path)
             logs[(fam, s)] = {}
             for cfg in configs:
                 log_path = os.path.join(manifest.log_dir,

@@ -1,4 +1,4 @@
-"""Deterministic CART trees and random forests (regression and classification).
+"""Deterministic CART random forests (regression and classification).
 
 Kept deliberately small: greedy binary splits on axis-aligned thresholds,
 variance reduction for regression and Gini for classification, bootstrap
@@ -11,35 +11,118 @@ classification leaves predict the majority class (ties toward the lower class
 index).  Importances are mean decrease in impurity, normalized to sum to 1
 when any split exists.
 
-A node scores all of its candidate features in one array pass, and a forest
-predicts by descending every tree for every row at once over one set of
-concatenated node arrays.  A row's prediction is the same whatever batch it
-comes in.
+A fitted forest is one set of node arrays.  Trees are grown depth-first and
+numbered in preorder, tree after tree, so an internal node's left child is
+always the next node and only the right child is stored.  A node scores all
+of its candidate features in one array pass, and the forest predicts by
+descending every tree for every row at once.  A row's prediction is the same
+whatever batch it comes in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 _LEAF = -1
 
+_PARAMS = ("mode", "n_trees", "max_depth", "min_samples_leaf", "max_features",
+           "bootstrap", "seed", "n_classes")
 
-@dataclass
-class DecisionTree:
+
+class Tree(NamedTuple):
+    """One tree's slice of its forest's node arrays (views; node ids are the
+    forest's)."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+
+def _fitted():
+    return field(default=None, init=False, repr=False)
+
+
+@dataclass(eq=False)
+class RandomForest:
     mode: str  # "regression" | "classification"
+    n_trees: int = 200
     max_depth: int = 12
     min_samples_leaf: int = 1
-    max_features: object = "sqrt"  # "sqrt", "all", int, or float fraction
+    max_features: object = "sqrt"  # "sqrt", "all"/None, int, or float fraction
+    bootstrap: bool = True
+    seed: int = 0
     n_classes: int = 0
-    feature: list = field(default_factory=list)
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    value: list = field(default_factory=list)
-    importances: np.ndarray | None = None
+    # the fitted nodes of all trees, tree t's after those of trees 0..t-1.
+    # A leaf has feature -1, threshold 0 and right pointing at itself; only
+    # leaves carry a value.  importances sums the trees' MDI vectors.
+    feature: np.ndarray = _fitted()
+    threshold: np.ndarray = _fitted()
+    right: np.ndarray = _fitted()
+    value: np.ndarray = _fitted()
+    roots: np.ndarray = _fitted()  # each tree's first node
+    importances: np.ndarray = _fitted()
+    # descent steps: node + 1 at internal nodes, the leaf itself at leaves,
+    # so every row takes _depth steps (the deepest leaf's depth)
+    _left: np.ndarray = _fitted()
+    _depth: int = _fitted()
+
+    def fit(self, X, y, n_classes=None):
+        """Fit the trees; classification votes over n_classes classes
+        (default: the largest label + 1)."""
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y)
+        if self.mode == "classification":
+            seen = int(y.max()) + 1 if len(y) else 1
+            if n_classes is not None and n_classes < seen:
+                raise ValueError(f"n_classes={n_classes} but labels reach "
+                                 f"{seen - 1}")
+            self.n_classes = seen if n_classes is None else int(n_classes)
+        else:
+            y = y.astype(float)
+        # feature-major copy: one node's candidate block is a row gather
+        Xt = np.ascontiguousarray(X.T)
+        nodes = ([], [], [], [])  # feature, threshold, right, value
+        roots, per_tree = [], []
+        for ss in np.random.SeedSequence(self.seed).spawn(self.n_trees):
+            rng = np.random.default_rng(ss)
+            if self.bootstrap:
+                idx = rng.integers(0, len(y), size=len(y))
+            else:
+                idx = np.arange(len(y))
+            roots.append(len(nodes[0]))
+            per_tree.append(np.zeros(X.shape[1]))
+            self._build(Xt[:, idx], y[idx], np.arange(len(idx)), 0, rng,
+                        nodes, per_tree[-1])
+        feature, threshold, right, value = nodes
+        self._set_nodes(
+            np.array(feature, dtype=np.int64), np.array(threshold),
+            np.array(right, dtype=np.int64),
+            np.array(value, dtype=float if self.mode == "regression"
+                     else np.int64),
+            np.array(roots, dtype=np.int64), np.sum(per_tree, axis=0))
+        return self
+
+    def _set_nodes(self, feature, threshold, right, value, roots,
+                   importances):
+        self.feature, self.threshold, self.right = feature, threshold, right
+        self.value, self.roots, self.importances = value, roots, importances
+        leaf = feature < 0
+        ids = np.arange(len(feature))
+        self._left = np.where(leaf, ids, ids + 1)
+        self._depth = 0
+        frontier = roots[~leaf[roots]]
+        while len(frontier):
+            self._depth += 1
+            frontier = np.concatenate([frontier + 1, right[frontier]])
+            frontier = frontier[~leaf[frontier]]
+
+    # -- growing ------------------------------------------------------------
 
     def _n_candidate_features(self, d):
         if self.max_features == "all" or self.max_features is None:
@@ -49,23 +132,6 @@ class DecisionTree:
         if isinstance(self.max_features, float):
             return max(1, int(self.max_features * d))
         return max(1, min(int(self.max_features), d))
-
-    def fit(self, X, y, rng):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.value = [], [], []
-        self.importances = np.zeros(X.shape[1])
-        if self.mode == "classification":
-            self.n_classes = int(y.max()) + 1 if len(y) else 1
-        else:
-            y = y.astype(float)
-        # feature-major copy: one node's candidate block is a row gather
-        Xt = np.ascontiguousarray(X.T)
-        self._build(Xt, y, np.arange(len(y)), 0, rng)
-        return self
-
-    # -- growing ------------------------------------------------------------
 
     def _leaf_and_impurity(self, y_node):
         """The node's leaf value and its impurity * n (SSE or n * gini)."""
@@ -78,19 +144,19 @@ class DecisionTree:
         return (int(np.argmax(counts)),
                 float(n - counts @ counts / n) if n else 0.0)
 
-    def _build(self, Xt, y, idx, depth, rng):
-        # nodes are numbered, and draw from rng, in DFS preorder
-        node = len(self.feature)
-        y_node = y[idx]
-        leaf, parent_imp = self._leaf_and_impurity(y_node)
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(leaf)  # internal nodes keep it for truncated descent
+    def _build(self, Xt, y, idx, depth, rng, nodes, importances):
+        """Append the subtree of rows idx to nodes; nodes are numbered, and
+        draw from rng, in DFS preorder."""
+        feature, threshold, right, value = nodes
+        node = len(feature)
+        leaf, parent_imp = self._leaf_and_impurity(y[idx])
+        feature.append(_LEAF)
+        threshold.append(0.0)
+        right.append(node)
+        value.append(leaf)
         if (depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf
                 or parent_imp <= 0.0):
-            return node
+            return
 
         d = Xt.shape[0]
         k = self._n_candidate_features(d)
@@ -109,16 +175,15 @@ class DecisionTree:
                 if cand is not None and (best is None or cand[2] < best[2]):
                     best = cand
         if best is None:
-            return node
+            return
 
         f, thr, child_imp = best
-        self.importances[f] += parent_imp - child_imp
+        importances[f] += parent_imp - child_imp
         go_left = Xt[f, idx] <= thr
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self._build(Xt, y, idx[go_left], depth + 1, rng)
-        self.right[node] = self._build(Xt, y, idx[~go_left], depth + 1, rng)
-        return node
+        feature[node], threshold[node], value[node] = f, thr, 0
+        self._build(Xt, y, idx[go_left], depth + 1, rng, nodes, importances)
+        right[node] = len(feature)
+        self._build(Xt, y, idx[~go_left], depth + 1, rng, nodes, importances)
 
     def _best_split(self, Xt, y, idx, feats):
         """(feature, threshold, child impurity sum) of the best split, or None.
@@ -167,126 +232,16 @@ class DecisionTree:
     # -- prediction ---------------------------------------------------------
 
     def predict(self, X):
-        return _FlatForest([self]).values(X)[:, 0]
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "n_classes": self.n_classes,
-            "feature": list(map(int, self.feature)),
-            "threshold": list(map(float, self.threshold)),
-            "left": list(map(int, self.left)),
-            "right": list(map(int, self.right)),
-            "value": [v if isinstance(v, int) else float(v) for v in self.value],
-            "importances": [float(v) for v in self.importances],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        tree = cls(mode=d["mode"], max_depth=d["max_depth"],
-                   min_samples_leaf=d["min_samples_leaf"],
-                   max_features=d["max_features"], n_classes=d["n_classes"])
-        tree.feature = d["feature"]
-        tree.threshold = d["threshold"]
-        tree.left = d["left"]
-        tree.right = d["right"]
-        tree.value = [int(v) if d["mode"] == "classification" else float(v)
-                      for v in d["value"]]
-        tree.importances = np.array(d["importances"])
-        return tree
-
-
-class _FlatForest:
-    """The nodes of several trees in one set of arrays, for batched descent.
-
-    Node ids are global: tree t's nodes follow those of trees 0..t-1.  Leaves
-    point at themselves, so every row takes the same number of steps.
-    """
-
-    def __init__(self, trees):
-        sizes = [len(t.feature) for t in trees]
-        self.roots = np.cumsum([0] + sizes[:-1])
-        offsets = np.repeat(self.roots, sizes)
-        feature = np.concatenate([np.asarray(t.feature, dtype=np.int64)
-                                  for t in trees])
-        leaf = feature < 0
-        ids = np.arange(len(feature))
-        self.feature = np.where(leaf, 0, feature)
-        self.threshold = np.concatenate([np.asarray(t.threshold, dtype=float)
-                                         for t in trees])
-        self.left = np.where(leaf, ids, np.concatenate(
-            [np.asarray(t.left, dtype=np.int64) for t in trees]) + offsets)
-        self.right = np.where(leaf, ids, np.concatenate(
-            [np.asarray(t.right, dtype=np.int64) for t in trees]) + offsets)
-        self.value = np.concatenate([np.asarray(t.value) for t in trees])
-        self.depth = 0
-        frontier = self.roots[~leaf[self.roots]]
-        while len(frontier):
-            self.depth += 1
-            frontier = np.concatenate([self.left[frontier],
-                                       self.right[frontier]])
-            frontier = frontier[~leaf[frontier]]
-
-    def values(self, X):
-        """(rows, trees) leaf values reached by each row in each tree."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.tile(self.roots, (len(X), 1))
-        rows = np.arange(len(X))[:, None]
-        for _ in range(self.depth):
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return self.value[node]
-
-
-@dataclass
-class RandomForest:
-    mode: str
-    n_trees: int = 200
-    max_depth: int = 12
-    min_samples_leaf: int = 1
-    max_features: object = "sqrt"
-    bootstrap: bool = True
-    seed: int = 0
-    trees: list = field(default_factory=list)
-    n_classes: int = 0
-    _flat: _FlatForest | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-
-    def fit(self, X, y, n_classes=None):
-        """Fit the trees; classification votes over n_classes classes
-        (default: the largest label + 1)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if self.mode == "classification":
-            seen = int(y.max()) + 1 if len(y) else 1
-            if n_classes is not None and n_classes < seen:
-                raise ValueError(f"n_classes={n_classes} but labels reach "
-                                 f"{seen - 1}")
-            self.n_classes = seen if n_classes is None else int(n_classes)
-        self.trees = []
-        self._flat = None
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        for ss in seeds:
-            rng = np.random.default_rng(ss)
-            if self.bootstrap:
-                idx = rng.integers(0, len(y), size=len(y))
-            else:
-                idx = np.arange(len(y))
-            tree = DecisionTree(mode=self.mode, max_depth=self.max_depth,
-                                min_samples_leaf=self.min_samples_leaf,
-                                max_features=self.max_features)
-            tree.fit(X[idx], y[idx], rng)
-            self.trees.append(tree)
-        return self
-
-    def predict(self, X):
         """One prediction per row; a row's result never depends on the batch."""
-        if self._flat is None:
-            self._flat = _FlatForest(self.trees)
-        votes = self._flat.values(X)  # (rows, trees)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        node = np.tile(self.roots, (len(X), 1))  # (rows, trees)
+        rows = np.arange(len(X))[:, None]
+        for _ in range(self._depth):
+            # a leaf's feature -1 reads the last column; either way the row
+            # stays at the leaf
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self._left[node], self.right[node])
+        votes = self.value[node]
         if self.mode == "regression":
             return votes.mean(axis=1)
         # majority vote across trees, ties toward the lower class index
@@ -294,30 +249,45 @@ class RandomForest:
         return np.argmax(counts, axis=1)
 
     @property
+    def trees(self):
+        """One Tree of views per tree, in fitting order."""
+        bounds = self.roots[1:]
+        return [Tree(*parts) for parts in zip(
+            *(np.split(a, bounds) for a in (self.feature, self.threshold,
+                                            self.right, self.value)))]
+
+    @property
     def feature_importances_(self):
-        total = np.sum([t.importances for t in self.trees], axis=0)
+        total = self.importances
         s = total.sum()
         return total / s if s > 0 else total
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "bootstrap": self.bootstrap,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        """Hyperparameters and node arrays: per-tree node counts, every
+        node's feature, thresholds and right children of internal nodes only,
+        values of leaves only, and the summed importances."""
+        internal = self.feature >= 0
+        d = {key: getattr(self, key) for key in _PARAMS}
+        d.update(sizes=np.diff(self.roots, append=len(self.feature)),
+                 feature=self.feature, threshold=self.threshold[internal],
+                 right=self.right[internal], value=self.value[~internal],
+                 importances=self.importances)
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        forest = cls(mode=d["mode"], n_trees=d["n_trees"],
-                     max_depth=d["max_depth"],
-                     min_samples_leaf=d["min_samples_leaf"],
-                     max_features=d["max_features"], bootstrap=d["bootstrap"],
-                     seed=d["seed"], n_classes=d["n_classes"])
-        forest.trees = [DecisionTree.from_dict(t) for t in d["trees"]]
+        forest = cls(**{key: d[key] for key in _PARAMS})
+        feature = np.asarray(d["feature"], dtype=np.int64)
+        internal = feature >= 0
+        threshold = np.zeros(len(feature))
+        threshold[internal] = d["threshold"]
+        right = np.arange(len(feature))
+        right[internal] = d["right"]
+        leaves = np.asarray(d["value"])
+        value = np.zeros(len(feature), dtype=leaves.dtype)
+        value[~internal] = leaves
+        sizes = np.asarray(d["sizes"], dtype=np.int64)
+        forest._set_nodes(feature, threshold, right, value,
+                          np.cumsum(sizes) - sizes,
+                          np.asarray(d["importances"], dtype=float))
         return forest

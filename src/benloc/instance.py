@@ -407,10 +407,15 @@ def parse_mps(text):
                 col_integer[j] = True
                 lb[j] = val
 
-    # expand RANGES into an extra inequality row each, copying the row's entries
-    ranged = [i for i in sorted(ranges_map) if ranges_map[i] != 0]
-    for i in ranged:
+    # expand RANGES into an extra inequality row each, copying the row's
+    # entries; R = 0 pins any row to its rhs, an equality
+    ranged = []
+    for i in sorted(ranges_map):
         r, s, b = ranges_map[i], row_senses[i], rhs[i]
+        if r == 0:
+            row_senses[i] = "="
+            continue
+        ranged.append(i)
         if s == "<=":
             new_sense, new_rhs = ">=", b - abs(r)
         elif s == ">=":

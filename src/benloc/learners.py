@@ -23,6 +23,7 @@ leaking permutations of test problems into training a hard error.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -36,7 +37,7 @@ from .splits import pick_test_units, require_families
 
 MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
 
-MODEL_FORMAT_TAG = "benloc-model-v1"
+MODEL_FORMAT_TAG = "benloc-model-v2"
 
 FOREST_DEFAULTS = {
     "n_trees": 200,
@@ -136,6 +137,35 @@ def build_examples(perf, feature_map, shift=DEFAULT_SHIFT):
     return examples
 
 
+def _encode(obj):
+    """json.dumps hook for payload values: a forest as its dict, an array as
+    the base64 of its little-endian bytes.  Integer arrays are written in the
+    smallest integer type that holds their values."""
+    if isinstance(obj, RandomForest):
+        return {"__forest__": obj.to_dict()}
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if obj.dtype.kind in "iu" and obj.size:
+        obj = obj.astype(np.result_type(np.min_scalar_type(obj.min()),
+                                        np.min_scalar_type(obj.max())))
+    obj = obj.astype(obj.dtype.newbyteorder("<"))
+    return {"__array__": {"dtype": obj.dtype.str, "shape": list(obj.shape),
+                          "base64": base64.b64encode(obj.tobytes()).decode()}}
+
+
+def _decode(val):
+    """Inverse of _encode; integer arrays come back as int64."""
+    if isinstance(val, dict) and "__forest__" in val:
+        return RandomForest.from_dict({key: _decode(v) for key, v
+                                       in val["__forest__"].items()})
+    if isinstance(val, dict) and "__array__" in val:
+        a = val["__array__"]
+        arr = np.frombuffer(base64.b64decode(a["base64"]),
+                            dtype=a["dtype"]).reshape(a["shape"])
+        return arr.astype(np.int64) if arr.dtype.kind in "iu" else arr
+    return val
+
+
 @dataclass
 class TrainedSelector:
     kind: str
@@ -147,14 +177,6 @@ class TrainedSelector:
     payload: dict  # kind-specific learned state
 
     def to_json(self):
-        payload = {}
-        for key, val in self.payload.items():
-            if isinstance(val, RandomForest):
-                payload[key] = {"__forest__": val.to_dict()}
-            elif isinstance(val, np.ndarray):
-                payload[key] = {"__array__": val.tolist()}
-            else:
-                payload[key] = val
         return json.dumps({
             "format": MODEL_FORMAT_TAG,
             "kind": self.kind,
@@ -163,22 +185,17 @@ class TrainedSelector:
             "fingerprint": self.fingerprint,
             "seed": self.seed,
             "hyperparams": self.hyperparams,
-            "payload": payload,
-        })
+            "payload": self.payload,
+        }, default=_encode)
 
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
-        if d.get("format") != MODEL_FORMAT_TAG:
-            raise ValueError(f"unknown model format {d.get('format')!r}")
-        payload = {}
-        for key, val in d["payload"].items():
-            if isinstance(val, dict) and "__forest__" in val:
-                payload[key] = RandomForest.from_dict(val["__forest__"])
-            elif isinstance(val, dict) and "__array__" in val:
-                payload[key] = np.array(val["__array__"])
-            else:
-                payload[key] = val
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != MODEL_FORMAT_TAG:
+            raise ValueError(f"model format {fmt!r} is not "
+                             f"{MODEL_FORMAT_TAG!r}; retrain the model")
+        payload = {key: _decode(val) for key, val in d["payload"].items()}
         return cls(kind=d["kind"],
                    configs=tuple(ConfigId.parse(c) for c in d["configs"]),
                    feature_names=tuple(d["feature_names"]),

@@ -143,15 +143,6 @@ class PerfTable:
     def times_for_config(self, config, instances=None):
         return self.time_matrix(instances, [config])[:, 0]
 
-    def subset(self, instances):
-        """Restriction to the given (family, seed) pairs."""
-        wanted = set(instances)
-        out = PerfTable(self.time_limit)
-        for (f, s, c), t in self._times.items():
-            if (f, s) in wanted:
-                out.add(f, s, c, t, self._status[(f, s, c)])
-        return out
-
     def validate(self):
         """Every instance must have every config; Default must be present."""
         configs = self.configs()

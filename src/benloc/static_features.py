@@ -46,7 +46,8 @@ _INT_TOL = 1e-9
 
 
 class DegenerateInstanceError(ValueError):
-    """Instance with no rows or no columns; static features are undefined."""
+    """Instance with no rows, no columns or an empty row; static features are
+    undefined."""
 
 
 @dataclass(eq=False)
@@ -133,6 +134,11 @@ def extract_static(inst):
     m, n = inst.num_rows, inst.num_cols
     if m == 0 or n == 0:
         raise DegenerateInstanceError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    empty = np.flatnonzero(np.diff(inst.row_ptr) == 0)
+    if len(empty):
+        i = int(empty[0])
+        raise DegenerateInstanceError(
+            f"row {inst.row_names[i]!r} (index {i}) has no nonzeros")
 
     feats = {}
     feats["Rows"] = math.log(m)

@@ -153,15 +153,15 @@ class TestCommands:
 
     def test_pipeline_reports_stage_on_error(self, runner, workdir, tmp_path):
         manifest = str(workdir / "ds" / "manifest.json")
-        r = runner.invoke(main, ["pipeline", "--manifest", manifest,
-                                 "--strategy", "by_instance", "--test-frac",
-                                 "0.25", "--seeds", "0", "--stage", "static",
-                                 "--kind", "reg_forest", "--n-trees", "0",
-                                 "--out-dir", str(tmp_path / "rep")])
-        # zero trees is rejected somewhere inside; the CLI exits nonzero
-        # with the failing stage named
-        if r.exit_code != 0:
-            assert "pipeline" in r.output
+        for n_trees in ("0", "-1"):
+            r = runner.invoke(main, ["pipeline", "--manifest", manifest,
+                                     "--strategy", "by_instance", "--test-frac",
+                                     "0.25", "--seeds", "0", "--stage", "static",
+                                     "--kind", "reg_forest", "--n-trees", n_trees,
+                                     "--out-dir", str(tmp_path / "rep")])
+            assert r.exit_code == 1
+            assert r.output.splitlines() == [
+                f"error in pipeline: n_trees must be >= 1, got {n_trees}"]
 
     def test_train_then_evaluate_matches_evaluate_split(self, runner,
                                                         workdir, tmp_path):
@@ -191,33 +191,50 @@ class TestCommands:
             f"imp_default={format_pct(res.imp_default)} "
             f"imp_pd_best={format_pct(res.imp_pd)}"]
 
-    @pytest.mark.parametrize("sub", ["permute", "features", "predict"])
+    @pytest.mark.parametrize("sub", ["permute", "features", "predict",
+                                     "evaluate"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          tmp_path, sub):
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME bad\nROWS\n N  OBJ\nBOGUS\nENDATA\n")
+        # a model file in the retired v1 format
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps({"format": "benloc-model-v1", "kind": "knn",
+                                  "payload": {"X": {"__array__": [[0.0]]}}}))
         mps = str(workdir / "ds" / "instances" / "fam000.perm0.mps")
         args = {
             "permute": ["--in", mps, "--seeds", "0..x",
                         "--out-dir", str(tmp_path)],
             "features": ["--mps", str(bad), "--out", str(tmp_path / "f.csv")],
             "predict": ["--model", model_path, "--mps", str(bad)],
+            "evaluate": ["--manifest", str(workdir / "ds" / "manifest.json"),
+                         "--model", str(v1),
+                         "--split", str(workdir / "knn_split.json")],
         }[sub]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # handled, not raised
-        assert f"error in {sub}: " in r.output
+        assert len(r.output.splitlines()) == 1
+        assert r.output.startswith(f"error in {sub}: ")
         assert "Traceback" not in r.output
 
     def test_bad_mps_error_names_the_file(self, runner, workdir, tmp_path):
         good = str(workdir / "ds" / "instances" / "fam000.perm0.mps")
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME bad\nROWS\n N  OBJ\nBOGUS\nENDATA\n")
-        r = runner.invoke(main, ["features", "--mps", good, "--mps", str(bad),
-                                 "--out", str(tmp_path / "f.csv")])
-        assert r.exit_code == 1
-        assert r.output.strip() == (f"error in features: {bad}: line 4: "
-                                    f"unknown section header 'BOGUS'")
+        # valid MPS whose row r1 has no entries: no static features
+        empty_row = tmp_path / "empty_row.mps"
+        empty_row.write_text("NAME e\nROWS\n N  OBJ\n L  r0\n L  r1\n"
+                             "COLUMNS\n    x  OBJ  1  r0  1\nRHS\n"
+                             "    RHS  r0  1  r1  1\nENDATA\n")
+        for path, message in (
+                (bad, "line 4: unknown section header 'BOGUS'"),
+                (empty_row, "row 'r1' (index 1) has no nonzeros")):
+            r = runner.invoke(main, ["features", "--mps", good, "--mps",
+                                     str(path), "--out",
+                                     str(tmp_path / "f.csv")])
+            assert r.exit_code == 1
+            assert r.output.strip() == f"error in features: {path}: {message}"
 
 
 class TestManifestPaths:

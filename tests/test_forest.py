@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from benloc.forest import DecisionTree, RandomForest
+from benloc.forest import RandomForest
 
 
 def brute_force_best_sse_split(x, y):
@@ -20,14 +20,18 @@ def brute_force_best_sse_split(x, y):
     return best
 
 
+def one_tree(mode, **params):
+    """A single tree: a one-tree forest fitted on every row."""
+    return RandomForest(mode=mode, n_trees=1, bootstrap=False, **params)
+
+
 class TestDecisionTree:
     def test_depth_one_split_matches_brute_force(self):
         rng = np.random.default_rng(0)
         X = rng.random((40, 1))
         y = np.where(X[:, 0] > 0.6, 5.0, 1.0) + 0.1 * rng.random(40)
-        tree = DecisionTree(mode="regression", max_depth=1,
-                            max_features="all")
-        tree.fit(X, y, np.random.default_rng(1))
+        tree = one_tree("regression", max_depth=1, max_features="all")
+        tree.fit(X, y)
         sse, thr = brute_force_best_sse_split(X[:, 0], y)
         assert abs(tree.threshold[0] - thr) < 1e-12
         # leaves predict the mean of the routed targets
@@ -39,24 +43,21 @@ class TestDecisionTree:
     def test_constant_targets(self):
         X = np.arange(10.0)[:, None]
         y = np.full(10, 3.25)
-        tree = DecisionTree(mode="regression").fit(X, y,
-                                                   np.random.default_rng(0))
+        tree = one_tree("regression").fit(X, y)
         assert np.allclose(tree.predict(X), 3.25)
         assert np.all(tree.importances == 0.0)
 
     def test_classification_tie_prefers_lower_class(self):
         X = np.ones((4, 1))  # no split possible
         y = np.array([0, 1, 0, 1])
-        tree = DecisionTree(mode="classification").fit(
-            X, y, np.random.default_rng(0))
+        tree = one_tree("classification").fit(X, y)
         assert tree.predict(X).tolist() == [0, 0, 0, 0]
 
     def test_min_samples_leaf(self):
         X = np.arange(10.0)[:, None]
         y = np.array([0.0] * 9 + [100.0])
-        tree = DecisionTree(mode="regression", min_samples_leaf=3,
-                            max_features="all")
-        tree.fit(X, y, np.random.default_rng(0))
+        tree = one_tree("regression", min_samples_leaf=3, max_features="all")
+        tree.fit(X, y)
         # the isolated extreme point cannot sit alone in a leaf
         thr = tree.threshold[0]
         assert np.sum(X[:, 0] > thr) >= 3
@@ -65,10 +66,9 @@ class TestDecisionTree:
         rng = np.random.default_rng(2)
         X = rng.random((30, 4))
         y = X @ np.array([1.0, -2.0, 0.0, 0.5])
-        tree = DecisionTree(mode="regression", max_depth=4,
-                            max_features="all")
-        tree.fit(X, y, np.random.default_rng(3))
-        back = DecisionTree.from_dict(tree.to_dict())
+        tree = one_tree("regression", max_depth=4, max_features="all", seed=3)
+        tree.fit(X, y)
+        back = RandomForest.from_dict(tree.to_dict())
         assert np.array_equal(back.predict(X), tree.predict(X))
 
 

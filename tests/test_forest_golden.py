@@ -3,8 +3,8 @@
 Every forest speedup must leave the trees bit-identical: the same RNG draws in
 the same order, the same split choice and tie-break, the same floats.  Each
 case below fits one forest (or trains one selector) on fixed synthetic data
-and compares the sha256 of its serialized form against
-``fixtures/forest_golden.json``.
+and compares the sha256 of its node arrays (of its model file, for a
+selector) against ``fixtures/forest_golden.json``.
 
 Regenerate the fixture only when a change is meant to alter the trees:
 
@@ -84,7 +84,8 @@ def forest_hash(name):
     X, y = _data(mode, **data_kwargs)
     params = {"n_trees": 6, "seed": 11, **params}
     forest = RandomForest(mode=mode, **params).fit(X, y)
-    return _sha(json.dumps(forest.to_dict()))
+    return _sha(json.dumps({key: val.tolist() if isinstance(val, np.ndarray)
+                            else val for key, val in forest.to_dict().items()}))
 
 
 def _examples():

@@ -430,6 +430,7 @@ class TestProperties:
         # MPS range semantics: L gives [b - |R|, b], G gives [b, b + |R|], E
         # gives [b, b + R] for R > 0 and [b + R, b] for R < 0.  The original
         # row keeps one side, an appended row "<name>__rng" takes the other.
+        # R = 0 leaves [b, b]: the row is an equality, with no extra row.
         row_senses = [{"L": "<=", "G": ">=", "E": "="}[s] for s in senses]
         row_rhs = list(rhs)
         names = [f"r{i}" for i in range(m)]
@@ -437,6 +438,8 @@ class TestProperties:
         cols = [e[1] for e in entries]
         vals = [e[2] for e in entries]
         for i, r in enumerate(ranges):
+            if r == 0.0:
+                row_senses[i] = "="
             if not r:
                 continue
             b = rhs[i]

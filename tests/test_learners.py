@@ -1,8 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from benloc.forest import RandomForest
 from benloc.learners import (FingerprintMismatchError, LabeledExample,
                              TrainTestContaminationError, TrainedSelector,
                              UnsupportedModelError, build_examples,
@@ -169,8 +173,62 @@ class TestPredict:
             assert predict_config(back, x) == predict_config(model, x)
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            TrainedSelector.from_json('{"format": "bogus"}')
+        for text in ('{"format": "bogus"}', '[]'):
+            with pytest.raises(ValueError, match="retrain the model"):
+                TrainedSelector.from_json(text)
+        # a v1 file is refused by its format, before its payload is read
+        v1 = json.dumps({
+            "format": "benloc-model-v1", "kind": "knn",
+            "payload": {"X": {"__array__": [[0.0, 1.0]]}}})
+        with pytest.raises(ValueError) as info:
+            TrainedSelector.from_json(v1)
+        assert str(info.value) == ("model format 'benloc-model-v1' is not "
+                                   "'benloc-model-v2'; retrain the model")
+
+
+@st.composite
+def fitted_forests(draw):
+    """Small forests of both modes, with tied values, d = 1, single-leaf
+    trees (constant y) and class counts above the largest label."""
+    mode = draw(st.sampled_from(["regression", "classification"]))
+    n, d = draw(st.integers(2, 25)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d)).round(draw(st.sampled_from([1, 3])))
+    constant = draw(st.booleans())
+    n_classes = None
+    if mode == "regression":
+        y = np.full(n, 0.5) if constant else rng.standard_normal(n)
+    else:
+        y = np.zeros(n, dtype=int) if constant else rng.integers(0, 3, n)
+        n_classes = int(y.max()) + 1 + draw(st.integers(0, 2))
+    forest = RandomForest(
+        mode=mode, n_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 6)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        max_features=draw(st.sampled_from(["sqrt", "all", 1, 0.5])),
+        bootstrap=draw(st.booleans()), seed=seed)
+    return forest.fit(X, y, n_classes=n_classes), X
+
+
+@settings(deadline=None, max_examples=60)
+@given(fitted_forests())
+def test_model_file_round_trip_is_bit_identical(case):
+    forest, X = case
+    model = TrainedSelector(kind="clf_forest", configs=(), feature_names=(),
+                            fingerprint="", seed=0, hyperparams={},
+                            payload={"forest": forest})
+    text = model.to_json()
+    back = TrainedSelector.from_json(text)
+    assert back.to_json() == text
+    loaded = back.payload["forest"]
+    for name in ("feature", "threshold", "right", "value", "roots",
+                 "importances"):
+        a, b = getattr(forest, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    X_new = np.vstack([X, X + 0.05, X - 0.05])
+    a, b = forest.predict(X_new), loaded.predict(X_new)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestImportance:

@@ -226,8 +226,3 @@ class TestPerfTable:
                 "g,0,Default,5.0,optimal,200.0\n")
         with pytest.raises(ValueError, match="time limits"):
             PerfTable.from_csv(text)
-
-    def test_subset(self):
-        t = simple_table([("f", 0, "Default", 5.0), ("g", 0, "Default", 7.0)])
-        sub = t.subset([("f", 0)])
-        assert sub.instances() == [("f", 0)]

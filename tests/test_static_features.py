@@ -168,6 +168,15 @@ class TestExtract:
             row_names=[], col_names=["x"])
         with pytest.raises(DegenerateInstanceError):
             extract_static(inst)
+        empty_row = MipInstance(
+            name="deg", sense="minimize", obj_coeffs=np.array([1.0]),
+            mat_rows=np.array([0]), mat_cols=np.array([0]),
+            mat_vals=np.array([1.0]), row_senses=["<=", "<="],
+            rhs=np.array([1.0, 1.0]), var_lb=np.zeros(1), var_ub=np.ones(1),
+            var_types=["continuous"], row_names=["r0", "r1"], col_names=["x"])
+        with pytest.raises(DegenerateInstanceError,
+                           match=r"row 'r1' \(index 1\) has no nonzeros"):
+            extract_static(empty_row)
 
     def test_permutation_invariance_exact(self):
         for inst_seed in range(10):
