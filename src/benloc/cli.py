@@ -13,7 +13,7 @@ import click
 
 from .dataset import (build_oracle_dataset, load_dataset, read_instance,
                       write_dataset)
-from .instance import permute_instance, read_mps, write_mps
+from .instance import permute_instance, read_file, read_mps, write_mps
 from .learners import MODEL_KINDS, TrainedSelector, predict_config
 from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
 from .metrics import DEFAULT_SHIFT, PerfTable
@@ -35,8 +35,12 @@ STAGES = {
 def _parse_seeds(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip()]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
 
 
 class _Main(click.Group):
@@ -157,8 +161,7 @@ def split(manifest_path, strategy, test_frac, seed, perf_path, out_path):
     perf = None
     perf_path = perf_path or manifest.perf_path
     if perf_path:
-        with open(perf_path) as fh:
-            perf = PerfTable.from_csv(fh.read())
+        perf = read_file(perf_path, PerfTable.from_csv)
     assignment = make_split(strategy, manifest, test_frac, seed, perf=perf)
     with open(out_path, "w") as fh:
         fh.write(assignment.to_json())
@@ -182,8 +185,7 @@ def split(manifest_path, strategy, test_frac, seed, perf_path, out_path):
 def train(manifest_path, split_path, stage, kind, seed, shift, out_path):
     """Train a configuration selector on the training side of a split."""
     data = load_dataset(manifest_path)
-    with open(split_path) as fh:
-        assignment = SplitAssignment.from_json(fh.read())
+    assignment = read_file(split_path, SplitAssignment.from_json)
     model = fit_split(data, assignment, data.feature_map(STAGES[stage]), kind,
                       shift=shift, seed=seed)
     with open(out_path, "w") as fh:
@@ -200,13 +202,11 @@ def train(manifest_path, split_path, stage, kind, seed, shift, out_path):
               show_default=True)
 def predict(model_path, mps_path, log_path, stage):
     """Predict the configuration for a single instance."""
-    with open(model_path) as fh:
-        model = TrainedSelector.from_json(fh.read())
+    model = read_file(model_path, TrainedSelector.from_json)
     static = read_instance(mps_path)[1]
     dyn = None
     if log_path:
-        with open(log_path) as fh:
-            dyn = dynamic_features(parse_log(fh.read()))
+        dyn = dynamic_features(read_file(log_path, parse_log))
     names, values = assemble_features(static, dyn, STAGES[stage])
     click.echo(str(predict_config(model, values, feature_names=names)))
 
@@ -225,10 +225,8 @@ def evaluate(manifest_path, model_path, split_path, stage, shift):
     """Evaluate a trained model on the test side of a split."""
     stage = STAGES[stage]
     data = load_dataset(manifest_path)
-    with open(model_path) as fh:
-        model = TrainedSelector.from_json(fh.read())
-    with open(split_path) as fh:
-        assignment = SplitAssignment.from_json(fh.read())
+    model = read_file(model_path, TrainedSelector.from_json)
+    assignment = read_file(split_path, SplitAssignment.from_json)
     r = score_split(data, assignment, model, data.feature_map(stage), stage,
                     shift)
     click.echo(f"pred={r.pred_geomean:.4f} default={r.default_geomean:.4f} "
@@ -245,8 +243,7 @@ def evaluate(manifest_path, model_path, split_path, stage, shift):
 @click.option("--out-csv", type=click.Path())
 def suitability(perf_path, name, shift, out_csv):
     """Dataset suitability: PD-best / PI-best improvements and the headroom."""
-    with open(perf_path) as fh:
-        perf = PerfTable.from_csv(fh.read())
+    perf = read_file(perf_path, PerfTable.from_csv)
     rows = [suitability_rows(perf, shift, name)]
     click.echo(suitability_report_text(rows), nl=False)
     if out_csv:

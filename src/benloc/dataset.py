@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import permute_instance, read_mps, write_mps
+from .instance import parse_mps, permute_instance, read_file, write_mps
 from .logs import (FeatureStage, MissingStageError, assemble_features,
                    dynamic_features, parse_log, render_log)
 from .metrics import ConfigId, PerfTable
 from .splits import DatasetManifest
-from .static_features import DegenerateInstanceError, extract_static
+from .static_features import extract_static
 from .synth import (OracleSpec, gen_indset, gen_setcover, oracle_solve_logs,
                     planted_optimum)
 
@@ -46,16 +46,17 @@ class BenchmarkData:
         return DatasetManifest(name=self.name, families=families,
                                perf_path="perf.csv", log_dir="logs")
 
-    def default_log(self, family, seed):
-        per_cfg = self.logs.get((family, seed), {})
-        log = per_cfg.get(str(ConfigId.default()))
+    def log(self, family, seed, config):
+        log = self.logs.get((family, seed), {}).get(str(config))
         if log is None:
-            raise MissingStageError(
-                f"no Default-configuration log for ({family}, {seed})")
+            raise MissingStageError(f"no {config} log for ({family}, {seed})")
         return log
 
+    def default_log(self, family, seed):
+        return self.log(family, seed, ConfigId.default())
+
     def root_time(self, family, seed, config):
-        return self.logs[(family, seed)][str(config)].root_time
+        return self.log(family, seed, config).root_time
 
     def feature_map(self, stage):
         """(names, values) per instance at the given feature stage."""
@@ -156,19 +157,17 @@ def write_dataset(data, out_dir):
 def read_instance(path):
     """The MPS file at path and its static features; an error names the
     file."""
-    inst = read_mps(path)
-    try:
+    def parse(text):
+        inst = parse_mps(text)
         return inst, extract_static(inst)
-    except DegenerateInstanceError as exc:
-        raise DegenerateInstanceError(f"{path}: {exc}") from None
+    return read_file(path, parse)
 
 
 def load_dataset(manifest_path):
     """Load a written dataset back: parses MPS files, logs and perf.csv."""
     manifest = DatasetManifest.read(manifest_path)
     manifest.validate(check_files=True)
-    with open(manifest.perf_path) as fh:
-        perf = PerfTable.from_csv(fh.read())
+    perf = read_file(manifest.perf_path, PerfTable.from_csv)
     static = {}
     instances = {}
     logs = {}
@@ -181,7 +180,6 @@ def load_dataset(manifest_path):
                 log_path = os.path.join(manifest.log_dir,
                                         f"{fam}.perm{s}.{cfg}.log")
                 if os.path.exists(log_path):
-                    with open(log_path) as fh:
-                        logs[(fam, s)][str(cfg)] = parse_log(fh.read())
+                    logs[(fam, s)][str(cfg)] = read_file(log_path, parse_log)
     return BenchmarkData(name=manifest.name, perf=perf, static=static,
                          logs=logs, instances=instances)

@@ -276,18 +276,40 @@ class RandomForest:
 
     @classmethod
     def from_dict(cls, d):
+        """The forest of to_dict; arrays that disagree with the node counts
+        are refused with a ValueError naming the field."""
         forest = cls(**{key: d[key] for key in _PARAMS})
         feature = np.asarray(d["feature"], dtype=np.int64)
         internal = feature >= 0
-        threshold = np.zeros(len(feature))
-        threshold[internal] = d["threshold"]
-        right = np.arange(len(feature))
-        right[internal] = d["right"]
-        leaves = np.asarray(d["value"])
-        value = np.zeros(len(feature), dtype=leaves.dtype)
-        value[~internal] = leaves
+        n, n_internal = len(feature), int(internal.sum())
         sizes = np.asarray(d["sizes"], dtype=np.int64)
-        forest._set_nodes(feature, threshold, right, value,
-                          np.cumsum(sizes) - sizes,
+        if (len(sizes) != forest.n_trees or sizes.sum() != n
+                or np.any(sizes < 1)):
+            raise ValueError(f"forest field 'sizes' does not split {n} nodes "
+                             f"into {forest.n_trees} trees")
+        for key, count, per in (("threshold", n_internal, "internal node"),
+                                ("right", n_internal, "internal node"),
+                                ("value", n - n_internal, "leaf")):
+            if len(d[key]) != count:
+                raise ValueError(f"forest field {key!r} has {len(d[key])} "
+                                 f"entries, expected {count} (one per {per})")
+        if feature.max(initial=-1) >= len(d["importances"]):
+            raise ValueError(f"forest field 'importances' has "
+                             f"{len(d['importances'])} entries, but a node "
+                             f"splits on feature {feature.max()}")
+        roots = np.cumsum(sizes) - sizes
+        ids = np.arange(n)
+        right = ids.copy()
+        right[internal] = d["right"]
+        # a right child lies after its node and inside its node's tree
+        ends = np.repeat(roots + sizes, sizes)
+        if np.any(internal & ((right <= ids) | (right >= ends))):
+            raise ValueError("forest field 'right' points outside its tree")
+        threshold = np.zeros(n)
+        threshold[internal] = d["threshold"]
+        leaves = np.asarray(d["value"])
+        value = np.zeros(n, dtype=leaves.dtype)
+        value[~internal] = leaves
+        forest._set_nodes(feature, threshold, right, value, roots,
                           np.asarray(d["importances"], dtype=float))
         return forest

@@ -30,16 +30,13 @@ _BOUND_TYPES = ("UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI")
 
 
 class MpsError(ValueError):
-    """Base class for MPS reading problems; names the file when known."""
+    """Base class for MPS reading problems; names the line when known."""
 
-    def __init__(self, message, line_no=None, path=None):
+    def __init__(self, message, line_no=None):
         self.reason = message
         self.line_no = line_no
-        self.path = path
         if line_no is not None:
             message = f"line {line_no}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
         super().__init__(message)
 
 
@@ -203,17 +200,26 @@ class PermutationRecord:
 
 
 # ---------------------------------------------------------------------------
-# MPS reading
+# Reading files
+
+
+def read_file(path, parse):
+    """parse(text) of the file at path, the reader of every input file; a
+    ValueError or KeyError from parse gets "<path>: " and .path added."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except (ValueError, KeyError) as exc:
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        exc.args = (f"{path}: {reason}",)
+        exc.path = path
+        raise
 
 
 def read_mps(path):
     """parse_mps of the file at path; an MpsError names the file."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_mps(text)
-    except MpsError as exc:
-        raise type(exc)(exc.reason, exc.line_no, path) from None
+    return read_file(path, parse_mps)
 
 
 def parse_mps(text):

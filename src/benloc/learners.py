@@ -259,6 +259,8 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
         payload["forest"] = forest
     elif kind == "knn":
         k = int(hp.get("k", KNN_DEFAULTS["k"]))
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std[std == 0] = 1.0

@@ -18,6 +18,7 @@ adapters that rewrite other solvers' logs into this schema.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,17 @@ def _parse_kv(toks, line_no):
     return out
 
 
+def _number(value, key, line_no):
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if math.isnan(number):
+        raise LogSchemaError(f"line {line_no}: non-numeric value {value!r} "
+                             f"for {key!r}")
+    return number
+
+
 def parse_log(text):
     """Parse a canonical solver log into a SolveLog."""
     if isinstance(text, bytes):
@@ -144,19 +156,17 @@ def parse_log(text):
                     f"line {line_no}: stage {head} after a later stage")
             last_stage = idx
             for k, v in _parse_kv(toks[1:], line_no).items():
-                try:
-                    log.events.append((stage, k, float(v)))
-                except ValueError:
-                    raise LogSchemaError(
-                        f"line {line_no}: non-numeric value {v!r} for {k!r}")
+                log.events.append((stage, k, _number(v, k, line_no)))
         elif head == "STATUS":
             kv = _parse_kv(toks[1:], line_no)
             status = kv.get("status")
             if status not in STATUSES:
                 raise LogSchemaError(f"line {line_no}: bad status {status!r}")
             log.status = status
-            log.total_time = float(kv.get("total_time", 0.0))
-            log.root_time = float(kv.get("root_time", 0.0))
+            log.total_time = _number(kv.get("total_time", 0.0), "total_time",
+                                     line_no)
+            log.root_time = _number(kv.get("root_time", 0.0), "root_time",
+                                    line_no)
             if log.total_time < 0 or log.root_time < 0:
                 raise LogSchemaError(f"line {line_no}: negative time")
             if log.root_time > log.total_time:
@@ -289,6 +299,11 @@ def extra_cost(total_time, root_time, stage, config_affects_root):
     """
     if total_time < 0 or root_time < 0:
         raise ValueError("times must be nonnegative")
-    if stage == FeatureStage.UP_TO_ROOT_END and config_affects_root:
+    if pays_root(stage, config_affects_root):
         return total_time + root_time
     return total_time
+
+
+def pays_root(stage, config_affects_root):
+    """Whether a configuration chosen at stage pays the root time again."""
+    return stage == FeatureStage.UP_TO_ROOT_END and config_affects_root

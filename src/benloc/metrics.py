@@ -105,7 +105,7 @@ class PerfTable:
         self._status = {}
 
     def add(self, family, seed, config, time, status="optimal"):
-        if time <= 0:
+        if not time > 0:
             raise ValueError(f"nonpositive time {time} for {family}.{seed}")
         key = (family, int(seed), config)
         self._times[key] = min(float(time), self.time_limit)
@@ -166,18 +166,36 @@ class PerfTable:
     @classmethod
     def from_csv(cls, text):
         """The table of to_csv text; a file without a time_limit column
-        gets the default limit."""
-        rows = list(csv.DictReader(io.StringIO(text)))
-        limits = {float(row.get("time_limit") or DEFAULT_TIME_LIMIT)
-                  for row in rows}
-        if len(limits) > 1:
-            raise ValueError(f"perf table mixes time limits {sorted(limits)}")
-        table = cls(limits.pop() if limits else DEFAULT_TIME_LIMIT)
-        for row in rows:
-            table.add(row["family"], int(row["seed"]),
-                      ConfigId.parse(row["config"]), float(row["time"]),
-                      row.get("status", "optimal"))
-        return table
+        gets the default limit.  A bad row is refused naming its line."""
+        reader = csv.DictReader(io.StringIO(text))
+        table = None
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("short row")
+                limit = float(row.get("time_limit") or DEFAULT_TIME_LIMIT)
+                if table is None:
+                    table = cls(limit)
+                if limit != table.time_limit:
+                    raise ValueError(f"perf table mixes time limits "
+                                     f"{table.time_limit!r} and {limit!r}")
+                key = (row["family"], _field(row, "seed", int),
+                       _field(row, "config", ConfigId.parse))
+                if key in table._times:
+                    raise ValueError("repeated row for ({}, {}, {})".format(*key))
+                table.add(*key, _field(row, "time", float),
+                          row.get("status", "optimal"))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        return cls() if table is None else table
+
+
+def _field(row, key, parse):
+    """parse of a CSV row's field, refused with the field named."""
+    try:
+        return parse(row[key])
+    except ValueError:
+        raise ValueError(f"bad {key} {row[key]!r}") from None
 
 
 def shifted_geomean(times, shift=DEFAULT_SHIFT):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .learners import (FingerprintMismatchError, build_examples,
                        predict_configs, train)
-from .logs import FeatureStage, extra_cost
+from .logs import FeatureStage, extra_cost, pays_root
 from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError,
                       improvement, pd_best, pd_best_geomean, pi_best,
                       shifted_geomean)
@@ -96,8 +96,10 @@ def score_split(data, assignment, model, feature_map, stage,
     for i, ((f, s), cfg) in enumerate(predictions.items()):
         if cfg not in column:
             raise MissingEntryError(f"no times for predicted config {cfg}")
-        pred_times.append(extra_cost(times[i, column[cfg]],
-                                     data.root_time(f, s, cfg), stage,
+        # read only where paid: a dataset need not log every configuration
+        root = (data.root_time(f, s, cfg) if pays_root(stage, cfg.affects_root)
+                else 0.0)
+        pred_times.append(extra_cost(times[i, column[cfg]], root, stage,
                                      cfg.affects_root))
     pred_g = shifted_geomean(pred_times, shift)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instance import read_file
 from .metrics import DEFAULT_SHIFT, ConfigId, pd_best, shifted_geomean
 
 STRATEGIES = ("by_instance", "by_permutation", "stratified")
@@ -25,6 +26,18 @@ STRATEGIES = ("by_instance", "by_permutation", "stratified")
 
 class SplitError(ValueError):
     pass
+
+
+def _json_object(text, what, keys):
+    """The JSON object of text; anything else, or one missing a key, is
+    refused."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} lacks key {key!r}")
+    return d
 
 
 @dataclass
@@ -67,7 +80,7 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        d = _json_object(text, "manifest", ("name", "families"))
         return cls(
             name=d["name"],
             families={f: {int(s): p for s, p in seeds.items()}
@@ -80,8 +93,7 @@ class DatasetManifest:
     def read(cls, path):
         """The manifest at path, its relative paths resolved against the
         manifest's directory (absolute paths are kept)."""
-        with open(path) as fh:
-            m = cls.from_json(fh.read())
+        m = read_file(path, cls.from_json)
         base = os.path.dirname(path)
 
         def resolve(p):
@@ -139,7 +151,8 @@ class SplitAssignment:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        d = _json_object(text, "split", ("train", "test", "strategy", "seed",
+                                         "test_fraction"))
         return cls(train=[tuple(p) for p in d["train"]],
                    test=[tuple(p) for p in d["test"]],
                    strategy=d["strategy"], seed=d["seed"],

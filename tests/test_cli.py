@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -45,6 +46,18 @@ def model_path(workdir):
                   "--kind", "knn", "--out", model]):
         r = runner.invoke(main, args)
         assert r.exit_code == 0, r.output
+    return model
+
+
+@pytest.fixture(scope="module")
+def forest_model_path(workdir, model_path):
+    """A small clf_forest model on the kNN model's split."""
+    model = str(workdir / "forest.json")
+    r = CliRunner().invoke(main, [
+        "train", "--manifest", str(workdir / "ds" / "manifest.json"),
+        "--split", str(workdir / "knn_split.json"), "--stage", "root_end",
+        "--kind", "clf_forest", "--out", model])
+    assert r.exit_code == 0, r.output
     return model
 
 
@@ -163,6 +176,18 @@ class TestCommands:
             assert r.output.splitlines() == [
                 f"error in pipeline: n_trees must be >= 1, got {n_trees}"]
 
+    @pytest.mark.parametrize("sub", ["permute", "pipeline"])
+    def test_empty_seed_range_refused(self, runner, workdir, tmp_path, sub):
+        args = {"permute": ["--in", str(workdir / "ds" / "instances" /
+                                        "fam000.perm0.mps")],
+                "pipeline": ["--manifest",
+                             str(workdir / "ds" / "manifest.json")]}[sub]
+        r = runner.invoke(main, [sub] + args + ["--seeds", "5..3",
+                                                "--out-dir", str(tmp_path)])
+        assert r.exit_code == 1
+        assert r.output.splitlines() == [f"error in {sub}: no seeds in '5..3'"]
+        assert os.listdir(tmp_path) == []  # nothing written
+
     def test_train_then_evaluate_matches_evaluate_split(self, runner,
                                                         workdir, tmp_path):
         manifest = str(workdir / "ds" / "manifest.json")
@@ -191,31 +216,97 @@ class TestCommands:
             f"imp_default={format_pct(res.imp_default)} "
             f"imp_pd_best={format_pct(res.imp_pd)}"]
 
-    @pytest.mark.parametrize("sub", ["permute", "features", "predict",
-                                     "evaluate"])
+    @pytest.mark.parametrize("case", [
+        "permute", "features", "predict", "evaluate", "manifest_list",
+        "manifest_key", "perf_short_row", "dataset_log", "split_list",
+        "split_json", "model_truncated"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
-                                         tmp_path, sub):
+                                         forest_model_path, tmp_path, case):
+        ds = workdir / "ds"
+        manifest = json.loads((ds / "manifest.json").read_text())
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME bad\nROWS\n N  OBJ\nBOGUS\nENDATA\n")
         # a model file in the retired v1 format
         v1 = tmp_path / "v1.json"
         v1.write_text(json.dumps({"format": "benloc-model-v1", "kind": "knn",
                                   "payload": {"X": {"__array__": [[0.0]]}}}))
-        mps = str(workdir / "ds" / "instances" / "fam000.perm0.mps")
-        args = {
-            "permute": ["--in", mps, "--seeds", "0..x",
-                        "--out-dir", str(tmp_path)],
-            "features": ["--mps", str(bad), "--out", str(tmp_path / "f.csv")],
-            "predict": ["--model", model_path, "--mps", str(bad)],
-            "evaluate": ["--manifest", str(workdir / "ds" / "manifest.json"),
-                         "--model", str(v1),
-                         "--split", str(workdir / "knn_split.json")],
-        }[sub]
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        nokey = tmp_path / "nokey.json"
+        nokey.write_text(json.dumps({"name": "ds"}))
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"train": [')
+        perf = tmp_path / "perf.csv"
+        perf.write_text("".join((ds / "perf.csv").read_text()
+                                .splitlines(keepends=True)[:2])
+                        + "fam000,0,Default\n")
+        # the dataset with one Default log that has a non-numeric value
+        (tmp_path / "logs").mkdir()
+        log = tmp_path / "logs" / "fam000.perm0.Default.log"
+        log.write_text("ROOTLP active=x\n"
+                       "STATUS status=optimal total_time=2.0 root_time=1.0\n")
+        bad_logs = tmp_path / "manifest.json"
+        bad_logs.write_text(json.dumps(dict(
+            manifest, log_dir=str(tmp_path / "logs"),
+            perf_path=str(ds / "perf.csv"),
+            families={f: {s: str(ds / p) for s, p in seeds.items()}
+                      for f, seeds in manifest["families"].items()})))
+        # a forest model whose first threshold array lost its last value
+        with open(forest_model_path) as fh:
+            model = json.load(fh)
+        arr = model["payload"]["forest"]["__forest__"]["threshold"]["__array__"]
+        n = arr["shape"][0]
+        arr["base64"] = base64.b64encode(base64.b64decode(
+            arr["base64"])[:-8]).decode()
+        arr["shape"] = [n - 1]
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(json.dumps(model))
+        mps = str(ds / "instances" / "fam000.perm0.mps")
+        split = str(workdir / "knn_split.json")
+
+        def evaluate(model, split):
+            return ("evaluate", ["--manifest", str(ds / "manifest.json"),
+                                 "--model", str(model), "--split", str(split)])
+        # command, arguments, the file the error names and the reason given
+        sub, args, path, reason = {
+            "permute": ("permute", ["--in", mps, "--seeds", "0..x",
+                                    "--out-dir", str(tmp_path)], None, None),
+            "features": ("features", ["--mps", str(bad), "--out",
+                                      str(tmp_path / "f.csv")], bad,
+                         "line 4: unknown section header 'BOGUS'"),
+            "predict": ("predict", ["--model", model_path, "--mps", str(bad)],
+                        bad, "line 4: unknown section header 'BOGUS'"),
+            "evaluate": (*evaluate(v1, split), v1,
+                         "model format 'benloc-model-v1' is not "
+                         "'benloc-model-v2'; retrain the model"),
+            "manifest_list": ("split", ["--manifest", str(listed), "--out",
+                                        str(tmp_path / "s.json")], listed,
+                              "manifest is not a JSON object"),
+            "manifest_key": ("split", ["--manifest", str(nokey), "--out",
+                                       str(tmp_path / "s.json")], nokey,
+                             "manifest lacks key 'families'"),
+            "perf_short_row": ("suitability", ["--perf", str(perf)], perf,
+                               "line 3: short row"),
+            "dataset_log": ("pipeline", ["--manifest", str(bad_logs),
+                                         "--seeds", "0", "--out-dir",
+                                         str(tmp_path / "rep")], log,
+                            "line 1: non-numeric value 'x' for 'active'"),
+            "split_list": (*evaluate(model_path, listed), listed,
+                           "split is not a JSON object"),
+            "split_json": (*evaluate(model_path, broken), broken, None),
+            "model_truncated": (
+                *evaluate(truncated, split), truncated,
+                f"forest field 'threshold' has {n - 1} entries, expected {n} "
+                f"(one per internal node)"),
+        }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit)  # handled, not raised
         assert len(r.output.splitlines()) == 1
-        assert r.output.startswith(f"error in {sub}: ")
+        prefix = f"error in {sub}: " + (f"{path}: " if path else "")
+        assert r.output.startswith(prefix)
+        if reason is not None:
+            assert r.output.strip() == prefix + reason
         assert "Traceback" not in r.output
 
     def test_bad_mps_error_names_the_file(self, runner, workdir, tmp_path):

@@ -124,6 +124,26 @@ class TestRandomForest:
         assert np.allclose(back.feature_importances_,
                            forest.feature_importances_)
 
+    @pytest.mark.parametrize("field, change, reason", [
+        ("sizes", lambda a: a[:-1], "does not split"),
+        ("sizes", lambda a: np.r_[a[0] + a[1], 0, a[2:]], "does not split"),
+        ("threshold", lambda a: a[:-1], "expected"),
+        ("right", lambda a: a[1:], "expected"),
+        ("value", lambda a: np.r_[a, a[:1]], "expected"),
+        ("importances", lambda a: a[:1], "splits on feature"),
+        ("right", lambda a: np.r_[0, a[1:]], "points outside its tree"),
+        ("right", lambda a: a + 10**6, "points outside its tree"),
+    ])
+    def test_from_dict_names_a_bad_field(self, field, change, reason):
+        rng = np.random.default_rng(8)
+        X = rng.random((40, 4))
+        d = RandomForest(mode="regression", n_trees=3, seed=2).fit(
+            X, X[:, 3]).to_dict()
+        d[field] = change(d[field])
+        with pytest.raises(ValueError,
+                           match=f"^forest field '{field}' .*{reason}"):
+            RandomForest.from_dict(d)
+
 
 @pytest.mark.parametrize("mode", ["regression", "classification"])
 @pytest.mark.parametrize("n_trees", [5, 10, 50])

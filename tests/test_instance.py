@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
                              MipInstance, MpsParseError, MpsSemanticError,
                              PermutationRecord, apply_permutation, parse_mps,
-                             permute_instance, read_mps, write_mps)
+                             permute_instance, read_file, read_mps, write_mps)
 from benloc.synth import gen_setcover
 
 MINIMAL = """\
@@ -179,6 +179,30 @@ ENDATA
         lo = inst.rhs[inst.row_senses.index(">=")]
         hi = inst.rhs[inst.row_senses.index("<=")]
         assert (lo, hi) == (2.0, 5.0)
+
+
+class TestReadFile:
+    def test_parse_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text("abc")
+        assert read_file(str(path), str.upper) == "ABC"
+
+        def bad_value(text):
+            raise MpsParseError(f"bad {text}", 3)
+
+        def bad_type(text):
+            raise TypeError(text)
+
+        with pytest.raises(MpsParseError) as e:
+            read_file(str(path), bad_value)
+        assert str(e.value) == f"{path}: line 3: bad abc"
+        assert (e.value.path, e.value.line_no) == (str(path), 3)
+        with pytest.raises(KeyError) as e:
+            read_file(str(path), lambda text: {}[text])
+        assert e.value.args == (f"{path}: abc",)
+        assert e.value.path == str(path)
+        with pytest.raises(TypeError, match="^abc$"):  # passed on unchanged
+            read_file(str(path), bad_type)
 
 
 class TestWriteMps:

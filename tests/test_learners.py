@@ -117,6 +117,11 @@ class TestTrain:
             assert predict_config(model, ex.features) == \
                 ex.configs[ex.class_index]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_knn_k_below_one_refused(self, k):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            train("knn", planted_examples(12), hyperparams={"k": k}, seed=0)
+
     def test_deterministic(self):
         examples = planted_examples(30)
         a = train("reg_forest", examples, hyperparams={"n_trees": 10}, seed=5)

@@ -63,6 +63,17 @@ class TestParseLog:
         with pytest.raises(LogSchemaError):
             parse_log("STATUS status=weird total_time=1.0 root_time=0.5\n")
 
+    @pytest.mark.parametrize("key", ["total_time", "root_time"])
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_non_numeric_status_time_names_the_line(self, key, value):
+        times = {"total_time": "2.0", "root_time": "1.0", key: value}
+        text = ("PRESOLVE rows=1 cols=1 integers=0\nSTATUS status=optimal "
+                + " ".join(f"{k}={v}" for k, v in times.items()) + "\n")
+        with pytest.raises(LogSchemaError) as info:
+            parse_log(text)
+        assert str(info.value) == (f"line 2: non-numeric value {value!r} "
+                                   f"for {key!r}")
+
     def test_unknown_lines_counted(self):
         log = parse_log("HELLO world\n"
                         "STATUS status=optimal total_time=1.0 root_time=0.0\n")

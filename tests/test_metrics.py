@@ -220,6 +220,22 @@ class TestPerfTable:
         assert back.time_limit == 7200.0
         assert back.time("f", 0, ConfigId.default()) == 7200.0
 
+    @pytest.mark.parametrize("row, message", [
+        ("g,0,Default", "short row"),
+        ("g,0,Default,abc,optimal,7200.0", "bad time 'abc'"),
+        ("g,0,Default,-1.0,optimal,7200.0", "nonpositive time -1.0 for g.0"),
+        ("g,0,Default,nan,optimal,7200.0", "nonpositive time nan for g.0"),
+        ("g,0,Foo=1,5.0,optimal,7200.0", "bad config 'Foo=1'"),
+        ("g,x,Default,5.0,optimal,7200.0", "bad seed 'x'"),
+        ("f,0,Default,6.0,optimal,7200.0", "repeated row for (f, 0, Default)"),
+    ])
+    def test_csv_bad_row_names_its_line(self, row, message):
+        text = ("family,seed,config,time,status,time_limit\n"
+                "f,0,Default,5.0,optimal,7200.0\n\n" + row + "\n")
+        with pytest.raises(ValueError) as info:
+            PerfTable.from_csv(text)
+        assert str(info.value) == f"line 4: {message}"
+
     def test_csv_mixed_time_limits_rejected(self):
         text = ("family,seed,config,time,status,time_limit\n"
                 "f,0,Default,5.0,optimal,100.0\n"

@@ -38,6 +38,15 @@ class TestManifest:
         assert back.families == m.families
         assert back.name == m.name
 
+    def test_from_json_refuses_a_non_object_or_a_missing_key(self):
+        with pytest.raises(ValueError, match="^manifest is not a JSON object$"):
+            DatasetManifest.from_json("[]")
+        d = json.loads(make_manifest(2, 1).to_json())
+        del d["families"]
+        with pytest.raises(ValueError,
+                           match="^manifest lacks key 'families'$"):
+            DatasetManifest.from_json(json.dumps(d))
+
     def test_manifest_with_feature_path_key_loads(self):
         d = json.loads(make_manifest(2, 1).to_json())
         d["feature_path"] = "features.csv"
@@ -252,6 +261,14 @@ class TestAssignment:
         with pytest.raises(SplitError):
             SplitAssignment(train=[("f", 0)], test=[("f", 0)],
                             strategy="by_instance", seed=0, test_fraction=0.5)
+
+    def test_from_json_refuses_a_non_object_or_a_missing_key(self):
+        with pytest.raises(ValueError, match="^split is not a JSON object$"):
+            SplitAssignment.from_json("[]")
+        d = json.loads(split_by_instance(make_manifest(5, 3)).to_json())
+        del d["test"]
+        with pytest.raises(ValueError, match="^split lacks key 'test'$"):
+            SplitAssignment.from_json(json.dumps(d))
 
     def test_json_round_trip(self):
         split = split_by_instance(make_manifest(5, 3), 0.2, seed=4)
