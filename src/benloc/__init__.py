@@ -7,9 +7,8 @@ from .instance import (MipInstance, MpsError, PermutationRecord,
 from .static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
                               StaticFeatureVector, classify_constraint,
                               extract_static)
-from .logs import (DynamicFeatureVector, FeatureStage, SolveLog,
-                   assemble_features, dynamic_features, extra_cost,
-                   gap_features, parse_log)
+from .logs import (FeatureStage, SolveLog, assemble_features,
+                   dynamic_features, extra_cost, gap_features, parse_log)
 from .graph import (BipartiteGraph, build_graph, canonical_signature,
                     export_graph, import_graph)
 from .metrics import (ConfigId, PerfTable, improvement,

@@ -29,7 +29,7 @@ class BenchmarkData:
     name: str
     perf: PerfTable
     static: dict  # (family, seed) -> StaticFeatureVector
-    logs: dict  # (family, seed) -> {str(config): SolveLog}
+    logs: dict  # (family, seed) -> {ConfigId: SolveLog}
     instances: dict = field(default_factory=dict)  # optional MipInstances
     planted_pi: dict = field(default_factory=dict)  # oracle ground truth
     spec: OracleSpec | None = None
@@ -47,13 +47,10 @@ class BenchmarkData:
                                perf_path="perf.csv", log_dir="logs")
 
     def log(self, family, seed, config):
-        log = self.logs.get((family, seed), {}).get(str(config))
+        log = self.logs.get((family, seed), {}).get(config)
         if log is None:
             raise MissingStageError(f"no {config} log for ({family}, {seed})")
         return log
-
-    def default_log(self, family, seed):
-        return self.log(family, seed, ConfigId.default())
 
     def root_time(self, family, seed, config):
         return self.log(family, seed, config).root_time
@@ -64,7 +61,7 @@ class BenchmarkData:
         for key, static in self.static.items():
             dyn = None
             if stage != FeatureStage.STATIC_ONLY:
-                dyn = dynamic_features(self.default_log(*key))
+                dyn = dynamic_features(self.log(*key, ConfigId.default()))
             out[key] = assemble_features(static, dyn, stage)
         return out
 
@@ -111,12 +108,10 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
             static[key] = feats
             if keep_instances:
                 instances[key] = inst
-            times, solve_logs = oracle_solve_logs(family, s, feats, spec,
-                                                  instance_stats=stats)
-            logs[key] = {}
+            times, logs[key] = oracle_solve_logs(family, s, feats, spec,
+                                                 instance_stats=stats)
             for cfg, t in times.items():
-                perf.add(family, s, cfg, t, solve_logs[cfg].status)
-                logs[key][str(cfg)] = solve_logs[cfg]
+                perf.add(family, s, cfg, t, logs[key][cfg].status)
             planted[key] = planted_optimum(spec, family, feats)
 
     return BenchmarkData(name=name, perf=perf, static=static, logs=logs,
@@ -142,8 +137,8 @@ def write_dataset(data, out_dir):
         with open(path, "w") as fh:
             fh.write(write_mps(inst))
     for (f, s), per_cfg in data.logs.items():
-        for cfg_str, log in per_cfg.items():
-            path = os.path.join(out_dir, "logs", f"{f}.perm{s}.{cfg_str}.log")
+        for cfg, log in per_cfg.items():
+            path = os.path.join(out_dir, "logs", f"{f}.perm{s}.{cfg}.log")
             with open(path, "w") as fh:
                 fh.write(render_log(log))
     with open(os.path.join(out_dir, "perf.csv"), "w") as fh:
@@ -166,7 +161,7 @@ def read_instance(path):
 def load_dataset(manifest_path):
     """Load a written dataset back: parses MPS files, logs and perf.csv."""
     manifest = DatasetManifest.read(manifest_path)
-    manifest.validate(check_files=True)
+    manifest.validate()
     perf = read_file(manifest.perf_path, PerfTable.from_csv)
     static = {}
     instances = {}
@@ -180,6 +175,6 @@ def load_dataset(manifest_path):
                 log_path = os.path.join(manifest.log_dir,
                                         f"{fam}.perm{s}.{cfg}.log")
                 if os.path.exists(log_path):
-                    logs[(fam, s)][str(cfg)] = read_file(log_path, parse_log)
+                    logs[(fam, s)][cfg] = read_file(log_path, parse_log)
     return BenchmarkData(name=manifest.name, perf=perf, static=static,
                          logs=logs, instances=instances)

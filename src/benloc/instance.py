@@ -205,16 +205,19 @@ class PermutationRecord:
 
 def read_file(path, parse):
     """parse(text) of the file at path, the reader of every input file; a
-    ValueError or KeyError from parse gets "<path>: " and .path added."""
-    with open(path) as fh:
-        text = fh.read()
+    ValueError or KeyError from parse, or text that is not UTF-8, gets
+    "<path>: " and .path added."""
     try:
-        return parse(text)
+        with open(path) as fh:
+            return parse(fh.read())
     except (ValueError, KeyError) as exc:
+        if isinstance(exc, UnicodeDecodeError):  # its str() ignores .args
+            exc = ValueError(f"not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})")
         reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         exc.args = (f"{path}: {reason}",)
         exc.path = path
-        raise
+        raise exc
 
 
 def read_mps(path):

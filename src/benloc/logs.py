@@ -23,44 +23,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-STAGE_ORDER = ["presolve", "global_cut", "first_root_lp", "root_end"]
-
-_LINE_STAGE = {
-    "PRESOLVE": "presolve",
-    "GLOBALCUT": "global_cut",
-    "ROOTLP": "first_root_lp",
-    "ROOT_END": "root_end",
+# stage -> line head, in the order the stage lines must appear
+STAGE_LINES = {
+    "presolve": "PRESOLVE",
+    "global_cut": "GLOBALCUT",
+    "first_root_lp": "ROOTLP",
+    "root_end": "ROOT_END",
 }
+_HEAD_STAGE = {head: stage for stage, head in STAGE_LINES.items()}
 
 STATUSES = ("optimal", "time_limit", "infeasible", "error")
+
+# log key -> feature name of the stages whose values are copied unchanged
+COPIED_KEYS = {
+    "first_root_lp": {"active": "Active", "intinf": "IntInf",
+                      "glbred": "GlbRed", "gap": "Gap", "time": "Time",
+                      "obj_density": "objective_density",
+                      "symmetries": "Symmetries"},
+    "root_end": {"nodes": "Nodes", "lpit_per_node": "LPit/n",
+                 "glbfix": "GlbFix", "cuts": "#Cuts", "mcp": "#MCP",
+                 "sepa": "#Sepa", "conf": "#Conf"},
+}
 
 # feature names per group, in emission order
 DYNAMIC_GROUPS = {
     "presolve": ["PresolRows", "PresolColumns", "PresolIntegers"],
-    "global_cut": ["DualInitialGap", "PrimalDualGap", "PrimalInitialGap", "GapClosed"],
-    "first_root_lp": ["Active", "IntInf", "GlbRed", "Gap", "Time",
-                      "objective_density", "Symmetries"],
-    "root_end": ["Nodes", "LPit/n", "GlbFix", "#Cuts", "#MCP", "#Sepa", "#Conf"],
-}
-
-_ROOTLP_KEYS = {
-    "active": "Active",
-    "intinf": "IntInf",
-    "glbred": "GlbRed",
-    "gap": "Gap",
-    "time": "Time",
-    "obj_density": "objective_density",
-    "symmetries": "Symmetries",
-}
-
-_ROOTEND_KEYS = {
-    "nodes": "Nodes",
-    "lpit_per_node": "LPit/n",
-    "glbfix": "GlbFix",
-    "cuts": "#Cuts",
-    "mcp": "#MCP",
-    "sepa": "#Sepa",
-    "conf": "#Conf",
+    "global_cut": ["DualInitialGap", "PrimalDualGap", "PrimalInitialGap",
+                   "GapClosed"],
+    **{stage: list(keys.values()) for stage, keys in COPIED_KEYS.items()},
 }
 
 
@@ -74,7 +64,7 @@ class FeatureStage(enum.Enum):
 STAGE_GROUPS = {
     FeatureStage.STATIC_ONLY: [],
     FeatureStage.UP_TO_FIRST_ROOT_LP: ["presolve", "global_cut", "first_root_lp"],
-    FeatureStage.UP_TO_ROOT_END: STAGE_ORDER,
+    FeatureStage.UP_TO_ROOT_END: list(STAGE_LINES),
 }
 
 
@@ -94,18 +84,11 @@ class MissingStageError(ValueError):
 class SolveLog:
     instance_id: str = ""
     config_id: str = ""
-    events: list = field(default_factory=list)  # (stage, key, value)
+    stages: dict = field(default_factory=dict)  # stage -> {key: value}, file order
     total_time: float = 0.0
     root_time: float = 0.0
     status: str = "optimal"
     unknown_lines: int = 0
-
-    def stage_values(self, stage):
-        return {k: v for s, k, v in self.events if s == stage}
-
-    @property
-    def stages_present(self):
-        return {s for s, _, _ in self.events}
 
 
 def _parse_kv(toks, line_no):
@@ -146,17 +129,19 @@ def parse_log(text):
             kv = _parse_kv(toks[1:], line_no)
             log.instance_id = kv.get("instance", log.instance_id)
             log.config_id = kv.get("config", log.config_id)
-        elif head in _LINE_STAGE:
+        elif head in _HEAD_STAGE:
             if saw_status:
                 raise LogSchemaError(f"line {line_no}: stage line after STATUS")
-            stage = _LINE_STAGE[head]
-            idx = STAGE_ORDER.index(stage)
+            stage = _HEAD_STAGE[head]
+            idx = list(STAGE_LINES).index(stage)
             if idx < last_stage:
                 raise LogSchemaError(
                     f"line {line_no}: stage {head} after a later stage")
             last_stage = idx
-            for k, v in _parse_kv(toks[1:], line_no).items():
-                log.events.append((stage, k, _number(v, k, line_no)))
+            kv = {k: _number(v, k, line_no)
+                  for k, v in _parse_kv(toks[1:], line_no).items()}
+            if kv:  # a bare stage line leaves the stage absent
+                log.stages.setdefault(stage, {}).update(kv)
         elif head == "STATUS":
             kv = _parse_kv(toks[1:], line_no)
             status = kv.get("status")
@@ -184,13 +169,10 @@ def render_log(log):
     lines = []
     if log.instance_id or log.config_id:
         lines.append(f"META instance={log.instance_id} config={log.config_id}")
-    values = {}  # stage -> {key: value}, as stage_values gives them
-    for stage, k, v in log.events:
-        values.setdefault(stage, {})[k] = v
-    for head, stage in _LINE_STAGE.items():  # in STAGE_ORDER
-        if stage in values:
-            body = " ".join([f"{k}={v!r}" for k, v in values[stage].items()])
-            lines.append(f"{head} {body}")
+    for stage, head in STAGE_LINES.items():
+        pairs = [f"{k}={v!r}" for k, v in log.stages.get(stage, {}).items()]
+        if pairs:
+            lines.append(" ".join([head] + pairs))
     lines.append(f"STATUS status={log.status} total_time={log.total_time!r} "
                  f"root_time={log.root_time!r}")
     return "\n".join(lines) + "\n"
@@ -212,57 +194,29 @@ def gap_features(c_d, c_p, c_l):
     return dual_initial, primal_dual, primal_initial, 1.0 - primal_dual
 
 
-@dataclass(eq=False)
-class DynamicFeatureVector:
-    """Per-stage feature groups; unpopulated groups are absent, never zero."""
-
-    groups: dict  # stage tag -> {feature name: value}
-
-    @property
-    def stage_mask(self):
-        return set(self.groups)
-
-    def __getitem__(self, name):
-        for g in self.groups.values():
-            if name in g:
-                return g[name]
-        raise KeyError(name)
-
-
 def dynamic_features(log):
-    """Derive the dynamic feature vector from a parsed log."""
+    """{stage: {feature: value}} of a parsed log; a group whose stage the log
+    lacks is absent, never zero."""
     groups = {}
-    present = log.stages_present
-
-    if "presolve" in present:
-        kv = log.stage_values("presolve")
-        rows = kv.get("rows", 0.0)
-        cols = kv.get("cols", 0.0)
+    stages = log.stages
+    if "presolve" in stages:
+        kv = stages["presolve"]
+        rows, cols = kv.get("rows", 0.0), kv.get("cols", 0.0)
         ints = kv.get("integers", 0.0)
-        groups["presolve"] = {
-            "PresolRows": float(np.log(rows)) if rows > 0 else 0.0,
-            "PresolColumns": float(np.log(cols)) if cols > 0 else 0.0,
-            "PresolIntegers": ints / cols if cols > 0 else 0.0,
-        }
-    if "global_cut" in present:
-        kv = log.stage_values("global_cut")
-        d, pd, pi, closed = gap_features(
-            kv.get("c_d", 0.0), kv.get("c_p", 0.0), kv.get("c_l", 0.0))
-        groups["global_cut"] = {
-            "DualInitialGap": d,
-            "PrimalDualGap": pd,
-            "PrimalInitialGap": pi,
-            "GapClosed": closed,
-        }
-    if "first_root_lp" in present:
-        kv = log.stage_values("first_root_lp")
-        groups["first_root_lp"] = {
-            feat: kv.get(key, 0.0) for key, feat in _ROOTLP_KEYS.items()}
-    if "root_end" in present:
-        kv = log.stage_values("root_end")
-        groups["root_end"] = {
-            feat: kv.get(key, 0.0) for key, feat in _ROOTEND_KEYS.items()}
-    return DynamicFeatureVector(groups)
+        groups["presolve"] = dict(zip(DYNAMIC_GROUPS["presolve"], (
+            float(np.log(rows)) if rows > 0 else 0.0,
+            float(np.log(cols)) if cols > 0 else 0.0,
+            ints / cols if cols > 0 else 0.0)))
+    if "global_cut" in stages:
+        kv = stages["global_cut"]
+        gaps = gap_features(kv.get("c_d", 0.0), kv.get("c_p", 0.0),
+                            kv.get("c_l", 0.0))
+        groups["global_cut"] = dict(zip(DYNAMIC_GROUPS["global_cut"], gaps))
+    for stage, keys in COPIED_KEYS.items():
+        if stage in stages:
+            groups[stage] = {feat: stages[stage].get(key, 0.0)
+                             for key, feat in keys.items()}
+    return groups
 
 
 def assemble_features(static, dyn, stage):
@@ -277,15 +231,14 @@ def assemble_features(static, dyn, stage):
     if needed:
         if dyn is None:
             raise MissingStageError(f"stage {stage.value} needs a log")
-        missing = [g for g in needed if g not in dyn.stage_mask]
+        missing = [g for g in needed if g not in dyn]
         if missing:
             raise MissingStageError(
                 f"stage {stage.value} needs groups {missing}, log has "
-                f"{sorted(dyn.stage_mask)}")
+                f"{sorted(dyn)}")
         for g in needed:
-            for feat in DYNAMIC_GROUPS[g]:
-                names.append(feat)
-                values.append(dyn.groups[g][feat])
+            names.extend(DYNAMIC_GROUPS[g])
+            values.extend(dyn[g][feat] for feat in DYNAMIC_GROUPS[g])
     return names, np.asarray(values, dtype=float)
 
 

@@ -56,18 +56,15 @@ class DatasetManifest:
     def family_ids(self):
         return sorted(self.families)
 
-    def validate(self, check_files=True):
+    def validate(self):
+        """Refuse the manifest if a file it names does not exist."""
         for fam, seeds in self.families.items():
-            if len(set(seeds)) != len(seeds):
-                raise ValueError(f"duplicate seeds in family {fam!r}")
-            if check_files:
-                for s, path in seeds.items():
-                    if not os.path.exists(path):
-                        raise FileNotFoundError(f"{fam} seed {s}: {path}")
-        if check_files:
-            for p in (self.perf_path, self.log_dir):
-                if p and not os.path.exists(p):
-                    raise FileNotFoundError(p)
+            for s, path in seeds.items():
+                if not os.path.exists(path):
+                    raise FileNotFoundError(f"{fam} seed {s}: {path}")
+        for p in (self.perf_path, self.log_dir):
+            if p and not os.path.exists(p):
+                raise FileNotFoundError(p)
 
     def to_json(self):
         return json.dumps({
@@ -81,10 +78,20 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text):
         d = _json_object(text, "manifest", ("name", "families"))
+        if not isinstance(d["families"], dict):
+            raise ValueError("manifest 'families' is not a JSON object")
+        families = {}
+        for f, seeds in d["families"].items():
+            if not (isinstance(seeds, dict)
+                    and all(isinstance(p, str) for p in seeds.values())):
+                raise ValueError(f"manifest family {f!r} is not an object "
+                                 f"of seed -> path")
+            families[f] = {int(s): p for s, p in seeds.items()}
+            if len(families[f]) != len(seeds):
+                raise ValueError(f"manifest family {f!r} repeats a seed")
         return cls(
             name=d["name"],
-            families={f: {int(s): p for s, p in seeds.items()}
-                      for f, seeds in d["families"].items()},
+            families=families,
             perf_path=d.get("perf_path"),
             log_dir=d.get("log_dir"),
         )
@@ -153,6 +160,13 @@ class SplitAssignment:
     def from_json(cls, text):
         d = _json_object(text, "split", ("train", "test", "strategy", "seed",
                                          "test_fraction"))
+        for side in ("train", "test"):
+            if not (isinstance(d[side], list) and all(
+                    isinstance(p, list) and len(p) == 2
+                    and isinstance(p[0], str) and isinstance(p[1], int)
+                    for p in d[side])):
+                raise ValueError(f"split {side!r} is not a list of "
+                                 f"[family, seed] pairs")
         return cls(train=[tuple(p) for p in d["train"]],
                    test=[tuple(p) for p in d["test"]],
                    strategy=d["strategy"], seed=d["seed"],

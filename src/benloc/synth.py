@@ -185,12 +185,12 @@ def oracle_solve_logs(family, perm_seed, static_feats, spec,
         cols = max(1, round(math.exp(static_feats["Columns"])))
         ints = round((static_feats["Binaries"] + static_feats["Integers"]) * cols)
         instance_stats = (rows, cols, ints)
-    rows, cols, ints = instance_stats
+    rows, cols, ints = map(float, instance_stats)  # log values are floats
 
     # instance-level log quantities, shared across configurations
     inst_rng = _stable_rng(spec.seed, "inst", family, perm_seed)
     lp_gap = min(1.0, max(0.0, r + spec.lp_gap_noise * inst_rng.standard_normal()))
-    nodes = 1 + round(999 * r)
+    nodes = float(1 + round(999 * r))
     c_l = 100.0 * (1.0 + inst_rng.random())
     c_d = c_l * (1.0 + 0.2 * inst_rng.random())
     c_p = c_d * (1.0 + 0.3 * inst_rng.random())
@@ -208,19 +208,19 @@ def oracle_solve_logs(family, perm_seed, static_feats, spec,
         times[cfg] = t
         status = "time_limit" if t >= spec.time_limit else "optimal"
         root_time = spec.root_fraction * t
-        values = {
-            "presolve": {"rows": rows, "cols": cols, "integers": ints},
-            "global_cut": {"c_d": c_d, "c_p": c_p, "c_l": c_l},
-            "first_root_lp": {"active": rows, "intinf": ints, "glbred": 0,
-                              "gap": lp_gap, "time": 0.2 * root_time,
-                              "obj_density": 1, "symmetries": 0},
-            "root_end": {"nodes": nodes, "lpit_per_node": 5.0 + 20.0 * r,
-                         "glbfix": 0, "cuts": round(10 * r), "mcp": 0,
-                         "sepa": round(5 * r), "conf": 0, "time": root_time},
-        }
         logs[cfg] = SolveLog(
             instance_id=f"{family}.perm{perm_seed}", config_id=str(cfg),
-            events=[(stage, k, float(v)) for stage, kv in values.items()
-                    for k, v in kv.items()],
+            stages={
+                "presolve": {"rows": rows, "cols": cols, "integers": ints},
+                "global_cut": {"c_d": c_d, "c_p": c_p, "c_l": c_l},
+                "first_root_lp": {"active": rows, "intinf": ints,
+                                  "glbred": 0.0, "gap": lp_gap,
+                                  "time": 0.2 * root_time,
+                                  "obj_density": 1.0, "symmetries": 0.0},
+                "root_end": {"nodes": nodes, "lpit_per_node": 5.0 + 20.0 * r,
+                             "glbfix": 0.0, "cuts": float(round(10 * r)),
+                             "mcp": 0.0, "sepa": float(round(5 * r)),
+                             "conf": 0.0, "time": root_time},
+            },
             total_time=t, root_time=root_time, status=status)
     return times, logs

@@ -276,7 +276,7 @@ def test_a6_parser_round_trips(mps_corpus, small_oracle):
         for log in per_cfg.values():
             n_logs += 1
             back = parse_log(_render_log(log))
-            if (back.unknown_lines != 0 or back.events != log.events
+            if (back.unknown_lines != 0 or back.stages != log.stages
                     or back.total_time != log.total_time
                     or back.root_time != log.root_time
                     or back.status != log.status):

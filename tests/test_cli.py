@@ -219,7 +219,8 @@ class TestCommands:
     @pytest.mark.parametrize("case", [
         "permute", "features", "predict", "evaluate", "manifest_list",
         "manifest_key", "perf_short_row", "dataset_log", "split_list",
-        "split_json", "model_truncated"])
+        "split_json", "model_truncated", "not_utf8", "manifest_families",
+        "split_pairs"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, tmp_path, case):
         ds = workdir / "ds"
@@ -236,6 +237,13 @@ class TestCommands:
         nokey.write_text(json.dumps({"name": "ds"}))
         broken = tmp_path / "broken.json"
         broken.write_text('{"train": [')
+        binary = tmp_path / "binary.mps"
+        binary.write_bytes(b"\xff\xfeNAME x\n")
+        no_families = tmp_path / "no_families.json"
+        no_families.write_text(json.dumps({"name": "ds", "families": []}))
+        unpaired = tmp_path / "unpaired.json"
+        with open(workdir / "knn_split.json") as fh:
+            unpaired.write_text(json.dumps(dict(json.load(fh), train=[1])))
         perf = tmp_path / "perf.csv"
         perf.write_text("".join((ds / "perf.csv").read_text()
                                 .splitlines(keepends=True)[:2])
@@ -298,6 +306,16 @@ class TestCommands:
                 *evaluate(truncated, split), truncated,
                 f"forest field 'threshold' has {n - 1} entries, expected {n} "
                 f"(one per internal node)"),
+            "not_utf8": ("features", ["--mps", str(binary), "--out",
+                                      str(tmp_path / "f.csv")], binary,
+                         "not UTF-8 text (invalid start byte at byte 0)"),
+            "manifest_families": ("split", ["--manifest", str(no_families),
+                                            "--out", str(tmp_path / "s.json")],
+                                  no_families,
+                                  "manifest 'families' is not a JSON object"),
+            "split_pairs": (*evaluate(model_path, unpaired), unpaired,
+                            "split 'train' is not a list of [family, seed] "
+                            "pairs"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from benloc.logs import (DYNAMIC_GROUPS, FeatureStage, IncompleteLogError,
-                         LogSchemaError, MissingStageError, assemble_features,
-                         dynamic_features, extra_cost, gap_features, parse_log)
+from benloc.logs import (DYNAMIC_GROUPS, STAGE_LINES, STATUSES, FeatureStage,
+                         IncompleteLogError, LogSchemaError, MissingStageError,
+                         SolveLog, assemble_features, dynamic_features,
+                         extra_cost, gap_features, parse_log, render_log)
 from benloc.static_features import extract_static
 from benloc.synth import OracleSpec, gen_setcover, oracle_times
 
@@ -22,7 +23,7 @@ class TestParseLog:
     def test_minimal_presolve_only(self):
         log = parse_log("PRESOLVE rows=5 cols=9 integers=9\n"
                         "STATUS status=optimal total_time=3.0 root_time=1.0\n")
-        assert log.stages_present == {"presolve"}
+        assert set(log.stages) == {"presolve"}
         assert log.status == "optimal"
         assert log.total_time == 3.0
 
@@ -30,8 +31,8 @@ class TestParseLog:
         log = parse_log(FULL_LOG)
         assert log.instance_id == "fam000.perm0"
         assert log.config_id == "Default"
-        assert log.stages_present == {"presolve", "global_cut",
-                                      "first_root_lp", "root_end"}
+        assert list(log.stages) == ["presolve", "global_cut",
+                                    "first_root_lp", "root_end"]
         assert log.unknown_lines == 0
 
     def test_oracle_root_time_matches_root_end_line(self):
@@ -74,10 +75,48 @@ class TestParseLog:
         assert str(info.value) == (f"line 2: non-numeric value {value!r} "
                                    f"for {key!r}")
 
+    def test_bare_stage_line_leaves_the_stage_absent(self):
+        log = parse_log("PRESOLVE\nGLOBALCUT c_d=1.0 c_p=2.0 c_l=0.5\n"
+                        "STATUS status=optimal total_time=1.0 root_time=0.5\n")
+        assert log.stages == {"global_cut": {"c_d": 1.0, "c_p": 2.0,
+                                             "c_l": 0.5}}
+
     def test_unknown_lines_counted(self):
         log = parse_log("HELLO world\n"
                         "STATUS status=optimal total_time=1.0 root_time=0.0\n")
         assert log.unknown_lines == 1
+
+
+# tokens of the schema: no whitespace (str.split and splitlines boundaries
+# are all in categories Z and C), and no '=' inside a key
+_ids = st.text(st.characters(exclude_categories=("Z", "C")), max_size=8)
+_keys = st.text(st.characters(exclude_categories=("Z", "C"),
+                              exclude_characters="="), min_size=1, max_size=8)
+
+
+@st.composite
+def solve_logs(draw):
+    stages = draw(st.lists(st.sampled_from(list(STAGE_LINES)), unique=True))
+    root_time, total_time = sorted(draw(st.lists(
+        st.floats(min_value=0.0), min_size=2, max_size=2)))
+    return SolveLog(
+        instance_id=draw(_ids), config_id=draw(_ids),
+        stages={stage: draw(st.dictionaries(_keys, st.floats(allow_nan=False),
+                                            min_size=1, max_size=4))
+                for stage in STAGE_LINES if stage in stages},
+        total_time=total_time, root_time=root_time,
+        status=draw(st.sampled_from(STATUSES)))
+
+
+class TestLogRoundTrip:
+    @settings(deadline=None)
+    @given(solve_logs())
+    def test_render_then_parse_is_identity(self, log):
+        text = render_log(log)
+        back = parse_log(text)
+        assert back == log
+        assert list(back.stages) == list(log.stages)
+        assert render_log(back) == text
 
 
 class TestGapFeatures:
@@ -132,19 +171,20 @@ class TestAssemble:
 
     def test_dynamic_values(self):
         dyn = dynamic_features(parse_log(FULL_LOG))
-        assert dyn["PresolRows"] == np.log(10)
-        assert dyn["PresolIntegers"] == 1.0
-        assert dyn["GapClosed"] == 1.0 - dyn["PrimalDualGap"]
-        assert dyn["Nodes"] == 301
-        assert dyn["LPit/n"] == 11.0
+        assert dyn["presolve"]["PresolRows"] == np.log(10)
+        assert dyn["presolve"]["PresolIntegers"] == 1.0
+        assert (dyn["global_cut"]["GapClosed"]
+                == 1.0 - dyn["global_cut"]["PrimalDualGap"])
+        assert dyn["root_end"]["Nodes"] == 301
+        assert dyn["root_end"]["LPit/n"] == 11.0
 
     def test_unpopulated_groups_absent(self):
         log = parse_log("PRESOLVE rows=5 cols=9 integers=9\n"
                         "STATUS status=optimal total_time=3.0 root_time=1.0\n")
         dyn = dynamic_features(log)
-        assert dyn.stage_mask == {"presolve"}
+        assert set(dyn) == {"presolve"}
         with pytest.raises(KeyError):
-            dyn["Nodes"]
+            dyn["root_end"]
 
 
 class TestExtraCost:

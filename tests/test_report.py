@@ -17,7 +17,7 @@ def keep_logs(data, keep):
 def test_root_time_is_read_only_where_it_is_paid(small_oracle):
     split = split_by_instance(small_oracle.manifest(), 0.25, seed=0)
     static = FeatureStage.STATIC_ONLY
-    only_default = keep_logs(small_oracle, lambda cfg: cfg == "Default")
+    only_default = keep_logs(small_oracle, lambda cfg: cfg.is_default)
     assert (evaluate_split(only_default, split, static, "knn")
             == evaluate_split(small_oracle, split, static, "knn"))
 
@@ -26,7 +26,7 @@ def test_root_time_is_read_only_where_it_is_paid(small_oracle):
     (family, seed), cfg = next((pair, cfg) for pair, cfg
                                in root_end.predictions.items()
                                if cfg.affects_root)
-    without = keep_logs(small_oracle, lambda name: name != str(cfg))
+    without = keep_logs(small_oracle, lambda other: other != cfg)
     with pytest.raises(MissingStageError,
                        match=rf"^no {cfg} log for \({family}, {seed}\)$"):
         evaluate_split(without, split, FeatureStage.UP_TO_ROOT_END, "knn")

@@ -22,15 +22,20 @@ def make_manifest(n_families=10, n_seeds=10):
 
 
 class TestManifest:
-    def test_pairs_and_validation(self):
+    def test_pairs_and_validation(self, tmp_path):
         m = make_manifest(3, 2)
         assert len(m.pairs()) == 6
-        m.validate(check_files=False)
+        m.families = {f: {s: str(tmp_path / p) for s, p in seeds.items()}
+                      for f, seeds in m.families.items()}
+        for seeds in m.families.values():
+            for path in seeds.values():
+                open(path, "w").close()
+        m.validate()
 
     def test_missing_file_detected(self):
         m = make_manifest(2, 1)
         with pytest.raises(FileNotFoundError):
-            m.validate(check_files=True)
+            m.validate()
 
     def test_json_round_trip(self):
         m = make_manifest(3, 2)
@@ -46,6 +51,19 @@ class TestManifest:
         with pytest.raises(ValueError,
                            match="^manifest lacks key 'families'$"):
             DatasetManifest.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("families, reason", [
+        ([], "manifest 'families' is not a JSON object"),
+        ({"a": ["x.mps"]}, "manifest family 'a' is not an object of seed -> path"),
+        ({"a": {"0": 1}}, "manifest family 'a' is not an object of seed -> path"),
+        ({"a": {"0": "x.mps", "00": "y.mps"}},
+         "manifest family 'a' repeats a seed"),
+    ], ids=["list", "family_list", "path_not_text", "repeated_seed"])
+    def test_from_json_refuses_families_of_the_wrong_shape(self, families,
+                                                           reason):
+        text = json.dumps({"name": "x", "families": families})
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            DatasetManifest.from_json(text)
 
     def test_manifest_with_feature_path_key_loads(self):
         d = json.loads(make_manifest(2, 1).to_json())
@@ -268,6 +286,17 @@ class TestAssignment:
         d = json.loads(split_by_instance(make_manifest(5, 3)).to_json())
         del d["test"]
         with pytest.raises(ValueError, match="^split lacks key 'test'$"):
+            SplitAssignment.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("pairs", [
+        {}, [1], [["fam00"]], [["fam00", 0, 1]], [[0, 0]], [["fam00", "0"]]],
+        ids=["object", "int", "single", "triple", "int_family", "str_seed"])
+    def test_from_json_refuses_sides_that_are_not_pairs(self, side, pairs):
+        d = json.loads(split_by_instance(make_manifest(5, 3)).to_json())
+        d[side] = pairs
+        with pytest.raises(ValueError, match=rf"^split '{side}' is not a list "
+                                             rf"of \[family, seed\] pairs$"):
             SplitAssignment.from_json(json.dumps(d))
 
     def test_json_round_trip(self):

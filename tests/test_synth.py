@@ -100,8 +100,8 @@ class TestOracle:
             log = parse_log(raw)
             assert log.unknown_lines == 0
             assert log.root_time <= log.total_time
-            assert log.stages_present == {"presolve", "global_cut",
-                                          "first_root_lp", "root_end"}
+            assert list(log.stages) == ["presolve", "global_cut",
+                                        "first_root_lp", "root_end"]
 
     def test_solve_logs_are_what_the_log_text_parses_to(self):
         spec = OracleSpec(seed=4, rule_source="latent")
@@ -120,7 +120,7 @@ class TestOracle:
         _, logs = oracle_times("famZ", 0, feats, spec,
                                instance_stats=(8, 16, 16))
         log = parse_log(logs[ConfigId.default()])
-        nodes = log.stage_values("root_end")["nodes"]
+        nodes = log.stages["root_end"]["nodes"]
         r = (nodes - 1) / 999.0
         favored = planted_optimum(spec, "famZ", feats)
         want = spec.rule_config if r > spec.rule_threshold else spec.else_config
@@ -148,12 +148,11 @@ class TestDatasetRoundTrip:
         assert loaded.perf.configs() == small_oracle.perf.configs()
         for key in small_oracle.pairs():
             assert loaded.static[key] == small_oracle.static[key]
-            for cfg_str, log in small_oracle.logs[key].items():
-                other = loaded.logs[key][cfg_str]
+            for cfg, log in small_oracle.logs[key].items():
+                other = loaded.logs[key][cfg]
                 assert other.total_time == log.total_time
                 assert other.root_time == log.root_time
-                assert other.stage_values("root_end") == \
-                    log.stage_values("root_end")
+                assert other.stages["root_end"] == log.stages["root_end"]
 
     def test_time_limit_survives_write_and_load(self, tmp_path):
         from benloc.dataset import (build_oracle_dataset, load_dataset,
