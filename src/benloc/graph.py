@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instance import fields_equal
+
 INF = math.inf
 
 FORMAT_TAG = "benloc-graph-v1"
@@ -53,15 +55,7 @@ class BipartiteGraph:
     def num_edges(self):
         return len(self.edge_weight)
 
-    def __eq__(self, other):
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        arrays = ["con_lb", "con_ub", "con_hlb", "con_hub", "var_hlb", "var_hub",
-                  "var_obj", "var_lb", "var_ub", "edge_con", "edge_var",
-                  "edge_weight"]
-        return (self.var_types == other.var_types
-                and all(np.array_equal(getattr(self, a), getattr(other, a))
-                        for a in arrays))
+    __eq__ = fields_equal
 
 
 def build_graph(inst):

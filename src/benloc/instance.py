@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,16 @@ class MpsSemanticError(MpsError):
 
 class InvalidInstanceError(ValueError):
     """An instance violating the model invariants."""
+
+
+def fields_equal(a, b):
+    """Dataclass equality: the same type and every field equal, arrays
+    compared by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in pairs)
 
 
 @dataclass(eq=False)
@@ -108,6 +118,13 @@ class MipInstance:
         if not (len(self.obj_coeffs) == len(self.var_lb) == len(self.var_ub)
                 == len(self.var_types) == len(self.col_names) == n):
             raise InvalidInstanceError("column arrays disagree on n")
+        for what, values in (("objective coefficient", self.obj_coeffs),
+                             ("matrix coefficient", self.mat_vals),
+                             ("rhs", self.rhs)):
+            if not np.isfinite(values).all():
+                raise InvalidInstanceError(f"non-finite {what}")
+        if np.isnan(self.var_lb).any() or np.isnan(self.var_ub).any():
+            raise InvalidInstanceError("NaN variable bound")
         if self.sense not in ("minimize", "maximize"):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
         for s in self.row_senses:
@@ -148,23 +165,7 @@ class MipInstance:
         lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
         return self.mat_cols[lo:hi], self.mat_vals[lo:hi]
 
-    def __eq__(self, other):
-        if not isinstance(other, MipInstance):
-            return NotImplemented
-        return (self.name == other.name
-                and self.sense == other.sense
-                and self.obj_name == other.obj_name
-                and np.array_equal(self.obj_coeffs, other.obj_coeffs)
-                and np.array_equal(self.mat_rows, other.mat_rows)
-                and np.array_equal(self.mat_cols, other.mat_cols)
-                and np.array_equal(self.mat_vals, other.mat_vals)
-                and self.row_senses == other.row_senses
-                and np.array_equal(self.rhs, other.rhs)
-                and np.array_equal(self.var_lb, other.var_lb)
-                and np.array_equal(self.var_ub, other.var_ub)
-                and self.var_types == other.var_types
-                and self.row_names == other.row_names
-                and self.col_names == other.col_names)
+    __eq__ = fields_equal
 
 
 @dataclass
@@ -320,11 +321,8 @@ def parse_mps(text):
                 obj_coeffs.append(0.0)
             j = col_index[cname]
             for k in range(1, len(toks), 2):
-                rname, sval = toks[k], toks[k + 1]
-                try:
-                    val = float(sval)
-                except ValueError:
-                    raise MpsParseError(f"bad coefficient {sval!r}", line_no)
+                rname = toks[k]
+                val = _number(toks[k + 1], "coefficient", line_no)
                 if rname == obj_name:
                     obj_coeffs[j] = val
                     continue
@@ -368,10 +366,7 @@ def parse_mps(text):
                 raise MpsSemanticError(f"undeclared column {cname!r}", line_no)
             val = None
             if sval is not None:
-                try:
-                    val = float(sval)
-                except ValueError:
-                    raise MpsParseError(f"bad bound value {sval!r}", line_no)
+                val = _number(sval, "bound value", line_no, infinite=True)
             bounds.setdefault(col_index[cname], []).append((btype, val))
         elif section is None:
             raise MpsParseError("data line before any section header", line_no)
@@ -462,17 +457,27 @@ def parse_mps(text):
     )
 
 
+def _number(sval, what, line_no, infinite=False):
+    """The number a data token holds; one that is not a number, is NaN, or
+    is infinite without the infinite flag is refused naming the line."""
+    try:
+        val = float(sval)
+    except ValueError:
+        raise MpsParseError(f"bad {what} {sval!r}", line_no)
+    if math.isfinite(val) or (infinite and not math.isnan(val)):
+        return val
+    reason = "NaN" if math.isnan(val) else "infinite"
+    raise MpsParseError(f"{what} {sval!r} is {reason}", line_no)
+
+
 def _read_vector_line(toks, row_index, target, free_rows, obj_name, line_no, what):
     """RHS/RANGES line: optional set name then (row, value) pairs."""
     rest = toks[len(toks) % 2:]  # an odd token count means a set name leads
     if not rest:
         raise MpsParseError(f"malformed {what} line", line_no)
     for k in range(0, len(rest), 2):
-        rname, sval = rest[k], rest[k + 1]
-        try:
-            val = float(sval)
-        except ValueError:
-            raise MpsParseError(f"bad {what} value {sval!r}", line_no)
+        rname = rest[k]
+        val = _number(rest[k + 1], f"{what} value", line_no)
         if rname == obj_name or rname in free_rows:
             warnings.warn(f"{what} entry on free row {rname!r} ignored")
             continue

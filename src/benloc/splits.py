@@ -86,9 +86,18 @@ class DatasetManifest:
                     and all(isinstance(p, str) for p in seeds.values())):
                 raise ValueError(f"manifest family {f!r} is not an object "
                                  f"of seed -> path")
-            families[f] = {int(s): p for s, p in seeds.items()}
+            families[f] = {}
+            for s, p in seeds.items():
+                try:
+                    families[f][int(s)] = p
+                except ValueError:
+                    raise ValueError(f"manifest family {f!r} seed {s!r} is "
+                                     f"not an integer") from None
             if len(families[f]) != len(seeds):
                 raise ValueError(f"manifest family {f!r} repeats a seed")
+        for key in ("perf_path", "log_dir"):
+            if not isinstance(d.get(key), (str, type(None))):
+                raise ValueError(f"manifest {key!r} is not a string or null")
         return cls(
             name=d["name"],
             families=families,

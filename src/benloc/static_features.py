@@ -71,8 +71,40 @@ class StaticFeatureVector:
         return len(self.values)
 
 
-def _is_integral(x):
-    return abs(x - round(x)) <= _INT_TOL
+def _integral(x):
+    return np.abs(x - np.round(x)) <= _INT_TOL
+
+
+def _class_index(starts, coefs, is_bin, is_cont, senses, rhs):
+    """Index into CONSTRAINT_CLASSES of every row, the first of its rules
+    that holds; row i holds entries starts[i]:starts[i + 1] (none empty)."""
+    # per row, whether some and whether all of its entries are of a kind;
+    # bool throughout, so temporaries stay near one byte per entry and kind
+    some_bin, some_cont = np.logical_or.reduceat(
+        np.stack([is_bin, is_cont], axis=1), starts).T
+    all_binary, all_cont, ones, int_coefs, pos_coefs = np.logical_and.reduceat(
+        np.stack([is_bin, is_cont, np.abs(coefs - 1.0) <= _INT_TOL,
+                  _integral(coefs), coefs > 0], axis=1), starts).T
+    unit = all_binary & ones  # binaries, every coefficient 1
+    rhs_one = np.abs(rhs - 1.0) <= _INT_TOL
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    size = np.diff(np.append(starts, len(coefs)))
+    pair = (size == 2) & some_bin & ~all_binary  # one binary, one other
+    rules = [  # in CONSTRAINT_CLASSES order; Continuous when none holds
+        unit & eq & rhs_one,  # SetPartitioning
+        unit & le & rhs_one,  # SetPacking
+        unit & ge & rhs_one,  # SetCovering
+        unit & eq & _integral(rhs) & (rhs >= 2),  # Cardinality
+        all_binary & int_coefs & eq,  # KnapsackEquality
+        all_binary & int_coefs & pos_coefs & le,  # Knapsack
+        ~some_cont & int_coefs & le,  # KnapsackInteger
+        all_binary & pos_coefs & le,  # BinaryPacking
+        pair & ge,  # VariableLowerBound
+        pair & le,  # VariableUpperBound
+        some_bin & some_cont,  # MixedBinary
+        ~all_cont,  # MixedInteger
+    ]
+    return np.select(rules, range(len(rules)), len(rules))
 
 
 def classify_constraint(coefs, var_types, sense, rhs):
@@ -80,41 +112,10 @@ def classify_constraint(coefs, var_types, sense, rhs):
     coefs = np.asarray(coefs, dtype=float)
     if len(coefs) == 0:
         raise ValueError("constraint row has no nonzeros")
-    n_bin = sum(t == "binary" for t in var_types)
-    n_int = sum(t == "integer" for t in var_types)
-    n_cont = sum(t == "continuous" for t in var_types)
-    all_binary = n_bin == len(coefs)
-    all_integral_vars = n_cont == 0
-    all_ones = bool(np.all(np.abs(coefs - 1.0) <= _INT_TOL))
-    int_coefs = all(_is_integral(v) for v in coefs)
-    pos_coefs = bool(np.all(coefs > 0))
-
-    if all_ones and all_binary and sense == "=" and abs(rhs - 1.0) <= _INT_TOL:
-        return "SetPartitioning"
-    if all_ones and all_binary and sense == "<=" and abs(rhs - 1.0) <= _INT_TOL:
-        return "SetPacking"
-    if all_ones and all_binary and sense == ">=" and abs(rhs - 1.0) <= _INT_TOL:
-        return "SetCovering"
-    if all_ones and all_binary and sense == "=" and _is_integral(rhs) and rhs >= 2:
-        return "Cardinality"
-    if all_binary and int_coefs and sense == "=":
-        return "KnapsackEquality"
-    if all_binary and int_coefs and pos_coefs and sense == "<=":
-        return "Knapsack"
-    if all_integral_vars and int_coefs and sense == "<=":
-        return "KnapsackInteger"
-    if all_binary and pos_coefs and sense == "<=":
-        return "BinaryPacking"
-    if len(coefs) == 2 and n_bin == 1:
-        if sense == ">=":
-            return "VariableLowerBound"
-        if sense == "<=":
-            return "VariableUpperBound"
-    if n_bin >= 1 and n_cont >= 1:
-        return "MixedBinary"
-    if n_bin + n_int >= 1:
-        return "MixedInteger"
-    return "Continuous"
+    types = np.asarray(var_types)
+    k = _class_index([0], coefs, types == "binary", types == "continuous",
+                     np.asarray([sense]), np.asarray([rhs], dtype=float))
+    return CONSTRAINT_CLASSES[k[0]]
 
 
 def _oom(values):
@@ -140,36 +141,20 @@ def extract_static(inst):
         raise DegenerateInstanceError(
             f"row {inst.row_names[i]!r} (index {i}) has no nonzeros")
 
-    feats = {}
-    feats["Rows"] = math.log(m)
-    feats["Columns"] = math.log(n)
-    feats["NonZeros"] = inst.nnz / (m * n)
-    feats["Symmetries"] = 0.0  # constant: no symmetry detector wired in
-    n_bin = sum(t == "binary" for t in inst.var_types)
-    n_int = sum(t == "integer" for t in inst.var_types)
-    feats["Binaries"] = n_bin / n
-    feats["Integers"] = n_int / n
-
-    sense_counts = {"<=": 0, ">=": 0, "=": 0}
-    class_counts = {c: 0 for c in CONSTRAINT_CLASSES}
-    for i in range(m):
-        cols, vals = inst.row_entries(i)
-        sense = inst.row_senses[i]
-        sense_counts[sense] += 1
-        types = [inst.var_types[int(j)] for j in cols]
-        cls = classify_constraint(vals, types, sense, inst.rhs[i])
-        class_counts[cls] += 1
-    feats["LessThan"] = sense_counts["<="] / m
-    feats["GreaterThan"] = sense_counts[">="] / m
-    feats["Equality"] = sense_counts["="] / m
-    for c in CONSTRAINT_CLASSES:
-        feats[c] = class_counts[c] / m
-
-    feats["Coefficient_oom"] = _oom(inst.mat_vals)
-    feats["RightHandSide_oom"] = _oom(inst.rhs)
-    feats["Objective_oom"] = _oom(inst.obj_coeffs)
-
-    values = np.array([feats[k] for k in STATIC_FEATURE_NAMES])
+    types = np.asarray(inst.var_types)
+    is_bin, is_cont = types == "binary", types == "continuous"
+    senses = np.asarray(inst.row_senses)
+    classes = _class_index(inst.row_ptr[:-1], inst.mat_vals,
+                           is_bin[inst.mat_cols], is_cont[inst.mat_cols],
+                           senses, inst.rhs)
+    values = np.concatenate([  # in STATIC_FEATURE_NAMES order
+        [math.log(m), math.log(n), inst.nnz / (m * n),
+         0.0,  # Symmetries: no symmetry detector wired in
+         np.count_nonzero(is_bin) / n,
+         np.count_nonzero(types == "integer") / n],
+        [np.count_nonzero(senses == s) / m for s in ("<=", ">=", "=")],
+        np.bincount(classes, minlength=len(CONSTRAINT_CLASSES)) / m,
+        [_oom(inst.mat_vals), _oom(inst.rhs), _oom(inst.obj_coeffs)]])
     return StaticFeatureVector(STATIC_FEATURE_NAMES, values)
 
 

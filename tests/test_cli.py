@@ -220,7 +220,8 @@ class TestCommands:
         "permute", "features", "predict", "evaluate", "manifest_list",
         "manifest_key", "perf_short_row", "dataset_log", "split_list",
         "split_json", "model_truncated", "not_utf8", "manifest_families",
-        "split_pairs"])
+        "split_pairs", "manifest_perf_path", "manifest_log_dir",
+        "manifest_seed", "mps_huge_coef", "mps_nan_coef", "mps_inf_rhs"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, tmp_path, case):
         ds = workdir / "ds"
@@ -244,6 +245,22 @@ class TestCommands:
         unpaired = tmp_path / "unpaired.json"
         with open(workdir / "knn_split.json") as fh:
             unpaired.write_text(json.dumps(dict(json.load(fh), train=[1])))
+        odd = {}  # manifests with one field of the wrong type
+        for key, value in (("perf_path", 5), ("log_dir", ["x"]),
+                           ("families", {"a": {"x": "p.mps"}})):
+            odd[key] = tmp_path / f"odd_{key}.json"
+            odd[key].write_text(json.dumps({"name": "ds", "families": {},
+                                            key: value}))
+        # one all-binary equality row with a non-finite number
+        nonfinite = {}
+        for coef, rhs in (("1e400", "1"), ("nan", "1"), ("1", "inf")):
+            nonfinite[coef, rhs] = tmp_path / f"nonfinite_{coef}_{rhs}.mps"
+            nonfinite[coef, rhs].write_text(
+                "NAME nf\nROWS\n N  OBJ\n E  c1\nCOLUMNS\n"
+                "    M1  'MARKER'  'INTORG'\n"
+                f"    x  c1  {coef}\n"
+                "    M2  'MARKER'  'INTEND'\n"
+                f"RHS\n    RHS  c1  {rhs}\nBOUNDS\n BV BND  x\nENDATA\n")
         perf = tmp_path / "perf.csv"
         perf.write_text("".join((ds / "perf.csv").read_text()
                                 .splitlines(keepends=True)[:2])
@@ -271,6 +288,14 @@ class TestCommands:
         truncated.write_text(json.dumps(model))
         mps = str(ds / "instances" / "fam000.perm0.mps")
         split = str(workdir / "knn_split.json")
+
+        def split_with(manifest):
+            return ("split", ["--manifest", str(manifest), "--out",
+                              str(tmp_path / "s.json")])
+
+        def features(mps):
+            return ("features", ["--mps", str(mps), "--out",
+                                 str(tmp_path / "f.csv")])
 
         def evaluate(model, split):
             return ("evaluate", ["--manifest", str(ds / "manifest.json"),
@@ -316,6 +341,24 @@ class TestCommands:
             "split_pairs": (*evaluate(model_path, unpaired), unpaired,
                             "split 'train' is not a list of [family, seed] "
                             "pairs"),
+            "manifest_perf_path": (*split_with(odd["perf_path"]),
+                                   odd["perf_path"],
+                                   "manifest 'perf_path' is not a string or "
+                                   "null"),
+            "manifest_log_dir": (*split_with(odd["log_dir"]), odd["log_dir"],
+                                 "manifest 'log_dir' is not a string or null"),
+            "manifest_seed": (*split_with(odd["families"]), odd["families"],
+                              "manifest family 'a' seed 'x' is not an "
+                              "integer"),
+            "mps_huge_coef": (*features(nonfinite["1e400", "1"]),
+                              nonfinite["1e400", "1"],
+                              "line 7: coefficient '1e400' is infinite"),
+            "mps_nan_coef": (*features(nonfinite["nan", "1"]),
+                             nonfinite["nan", "1"],
+                             "line 7: coefficient 'nan' is NaN"),
+            "mps_inf_rhs": (*features(nonfinite["1", "inf"]),
+                            nonfinite["1", "inf"],
+                            "line 10: RHS value 'inf' is infinite"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1

@@ -171,6 +171,24 @@ ENDATA
             read_mps(str(path))
         assert str(e.value) == f"{path}: line 14: unknown bound type 'XX'"
 
+    @pytest.mark.parametrize("old, new, reason", [
+        ("x  OBJ  1.0", "x  OBJ  -inf", "line 7: coefficient '-inf' is infinite"),
+        ("c1  1.0\n    y", "c1  NaN\n    y", "line 7: coefficient 'NaN' is NaN"),
+        ("RHS  c1  1.0", "RHS  c1  1e999", "line 11: RHS value '1e999' is infinite"),
+        ("BOUNDS", "RANGES\n    RNG  c1  inf\nBOUNDS",
+         "line 13: RANGES value 'inf' is infinite"),
+        ("BV BND  y", "UP BND  y  nan", "line 14: bound value 'nan' is NaN")])
+    def test_non_finite_numbers_name_the_line(self, old, new, reason):
+        with pytest.raises(MpsParseError) as e:
+            parse_mps(MINIMAL.replace(old, new))
+        assert str(e.value) == reason
+
+    def test_infinite_bounds_are_legal(self):
+        inst = parse_mps(MINIMAL.replace("BV BND  y", "MI BND  y\n UP BND  y  inf")
+                         .replace("BV BND  x", "LO BND  x  -1e400"))
+        assert inst.var_lb.tolist() == [-INF, -INF]
+        assert inst.var_ub.tolist() == [INF, INF]
+
     def test_ranges_equality_negative(self, fixtures_dir):
         import os
         with open(os.path.join(fixtures_dir, "mps", "ranges_e_neg.mps")) as fh:
@@ -352,6 +370,19 @@ class TestInvariants:
                 mat_vals=np.array([0.0]), row_senses=["<="],
                 rhs=np.array([1.0]), var_lb=np.zeros(1), var_ub=np.ones(1),
                 var_types=["continuous"], row_names=["r"], col_names=["x"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("obj_coeffs", [1.0, INF, 0.0]), ("mat_vals", [1.0, -2.0, np.nan, 1.0]),
+        ("rhs", [4.0, -INF]), ("var_lb", [0.0, np.nan, 0.0]),
+        ("var_ub", [1.0, 10.0, np.nan])])
+    def test_non_finite_values_rejected(self, field, value):
+        inst = small_instance()
+        kwargs = {f: getattr(inst, f) for f in (
+            "name", "sense", "obj_coeffs", "mat_rows", "mat_cols", "mat_vals",
+            "row_senses", "rhs", "var_lb", "var_ub", "var_types", "row_names",
+            "col_names")}
+        with pytest.raises(InvalidInstanceError, match="non-finite|NaN"):
+            MipInstance(**dict(kwargs, **{field: np.array(value)}))
 
     def test_binary_bounds_enforced(self):
         with pytest.raises(InvalidInstanceError):

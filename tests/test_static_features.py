@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benloc.instance import MipInstance, parse_mps, permute_instance, write_mps
+from benloc.instance import (SENSES, VAR_TYPES, MipInstance, parse_mps,
+                             permute_instance, write_mps)
 from benloc.static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
                                     DegenerateInstanceError,
                                     classify_constraint, extract_static,
@@ -79,6 +83,124 @@ class TestClassify:
             types = [ins.var_types[j] for j in cols]
             assert classify_constraint(vals, types, ins.row_senses[i],
                                        ins.rhs[i]) == "SetPacking"
+
+
+def reference_class(coefs, var_types, sense, rhs):
+    """The first-match rule chain, one row at a time, as the reference for
+    the rule table."""
+    def integral(x):
+        return abs(x - round(x)) <= 1e-9
+
+    n_bin = var_types.count("binary")
+    n_int = var_types.count("integer")
+    n_cont = var_types.count("continuous")
+    all_binary = n_bin == len(coefs)
+    all_ones = all(abs(v - 1.0) <= 1e-9 for v in coefs)
+    int_coefs = all(integral(v) for v in coefs)
+    pos_coefs = all(v > 0 for v in coefs)
+    rhs_one = abs(rhs - 1.0) <= 1e-9
+    if all_ones and all_binary and sense == "=" and rhs_one:
+        return "SetPartitioning"
+    if all_ones and all_binary and sense == "<=" and rhs_one:
+        return "SetPacking"
+    if all_ones and all_binary and sense == ">=" and rhs_one:
+        return "SetCovering"
+    if all_ones and all_binary and sense == "=" and integral(rhs) and rhs >= 2:
+        return "Cardinality"
+    if all_binary and int_coefs and sense == "=":
+        return "KnapsackEquality"
+    if all_binary and int_coefs and pos_coefs and sense == "<=":
+        return "Knapsack"
+    if n_cont == 0 and int_coefs and sense == "<=":
+        return "KnapsackInteger"
+    if all_binary and pos_coefs and sense == "<=":
+        return "BinaryPacking"
+    if len(coefs) == 2 and n_bin == 1:
+        if sense == ">=":
+            return "VariableLowerBound"
+        if sense == "<=":
+            return "VariableUpperBound"
+    if n_bin >= 1 and n_cont >= 1:
+        return "MixedBinary"
+    if n_bin + n_int >= 1:
+        return "MixedInteger"
+    return "Continuous"
+
+
+# values near the rules' edges: 1 + 1e-10 and 1 + 1e-12 are within the
+# tolerance of 1, 0.5 and 3.5 are not integral
+COEFS = st.sampled_from([1.0, 1 + 1e-10, 0.5, 2.0, 7.0, -1.0, -3.0])
+RHS = st.sampled_from([0.0, 1.0, 1 + 1e-12, 2.0, 3.5, -1.0])
+
+
+TYPES = st.lists(st.sampled_from(VAR_TYPES), min_size=1, max_size=6)
+
+
+@st.composite
+def rows(draw, n_cols):
+    """(columns, coefficients, sense, rhs) of a row of 1-6 entries."""
+    cols = sorted(draw(st.sets(st.integers(0, n_cols - 1), min_size=1,
+                               max_size=min(6, n_cols))))
+    coefs = draw(st.lists(COEFS, min_size=len(cols), max_size=len(cols)))
+    return cols, coefs, draw(st.sampled_from(SENSES)), draw(RHS)
+
+
+@st.composite
+def mixed_instances(draw):
+    types = draw(TYPES)
+    n = len(types)
+    drawn = draw(st.lists(rows(n), min_size=1, max_size=10))
+    inst = MipInstance(
+        name="mixed", sense="minimize", obj_coeffs=np.ones(n),
+        mat_rows=[i for i, (cols, *_) in enumerate(drawn) for _ in cols],
+        mat_cols=[j for cols, *_ in drawn for j in cols],
+        mat_vals=[v for _, coefs, *_ in drawn for v in coefs],
+        row_senses=[r[2] for r in drawn], rhs=[r[3] for r in drawn],
+        var_lb=np.zeros(n), var_ub=[1.0 if t == "binary" else 10.0 for t in types],
+        var_types=types, row_names=[f"r{i}" for i in range(len(drawn))],
+        col_names=[f"x{j}" for j in range(n)])
+    return inst, types, drawn
+
+
+class TestRuleTable:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_one_row_matches_reference(self, data):
+        types = data.draw(TYPES)
+        coefs = data.draw(st.lists(COEFS, min_size=len(types),
+                                   max_size=len(types)))
+        sense, rhs = data.draw(st.sampled_from(SENSES)), data.draw(RHS)
+        assert classify_constraint(coefs, types, sense, rhs) == \
+            reference_class(coefs, types, sense, rhs)
+
+    @settings(deadline=None, max_examples=150)
+    @given(mixed_instances())
+    def test_class_shares_match_reference_counts(self, drawn):
+        inst, types, drawn_rows = drawn
+        feats = extract_static(inst)
+        found = [reference_class(coefs, [types[j] for j in cols], sense, rhs)
+                 for cols, coefs, sense, rhs in drawn_rows]
+        for c in CONSTRAINT_CLASSES:
+            assert feats[c] == found.count(c) / len(drawn_rows)
+
+    def test_calls_do_not_grow_with_rows(self):
+        """Python-level calls in extract_static are the same at m and 4m
+        rows: no work is done per row in Python."""
+        def calls(inst):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            sys.setprofile(profile)
+            try:
+                extract_static(inst)
+            finally:
+                sys.setprofile(None)
+            return count
+        small, large = (gen_setcover(m, 60, 0.1, seed=0) for m in (50, 200))
+        assert large.num_rows == 4 * small.num_rows
+        assert calls(small) == calls(large)
 
 
 class TestExtract:
