@@ -16,7 +16,7 @@ from .metrics import (ConfigId, PerfTable, improvement,
                       shifted_geomean)
 from .splits import (DatasetManifest, SplitAssignment, split_by_instance,
                      split_by_permutation, stratified_split)
-from .learners import (LabeledExample, TrainedSelector, build_examples,
+from .learners import (ExampleSet, TrainedSelector, build_examples,
                        feature_importance, make_labels, predict_config,
                        predict_configs, random_search, train)
 from .synth import OracleSpec, gen_indset, gen_setcover, oracle_times

@@ -14,7 +14,8 @@ import click
 from .dataset import (build_oracle_dataset, load_dataset, read_instance,
                       write_dataset)
 from .instance import permute_instance, read_file, read_mps, write_mps
-from .learners import MODEL_KINDS, TrainedSelector, predict_config
+from .learners import (MODEL_KINDS, TrainedSelector, build_examples,
+                       predict_config)
 from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
 from .metrics import DEFAULT_SHIFT, PerfTable
 from .report import (experiment_report_csv, experiment_report_text,
@@ -186,8 +187,8 @@ def train(manifest_path, split_path, stage, kind, seed, shift, out_path):
     """Train a configuration selector on the training side of a split."""
     data = load_dataset(manifest_path)
     assignment = read_file(split_path, SplitAssignment.from_json)
-    model = fit_split(data, assignment, data.feature_map(STAGES[stage]), kind,
-                      shift=shift, seed=seed)
+    examples = build_examples(data.perf, data.feature_map(STAGES[stage]), shift)
+    model = fit_split(examples, assignment, kind, seed=seed)
     with open(out_path, "w") as fh:
         fh.write(model.to_json())
     click.echo(out_path)
@@ -227,8 +228,8 @@ def evaluate(manifest_path, model_path, split_path, stage, shift):
     data = load_dataset(manifest_path)
     model = read_file(model_path, TrainedSelector.from_json)
     assignment = read_file(split_path, SplitAssignment.from_json)
-    r = score_split(data, assignment, model, data.feature_map(stage), stage,
-                    shift)
+    examples = build_examples(data.perf, data.feature_map(stage), shift)
+    r = score_split(data, assignment, model, examples, stage, shift)
     click.echo(f"pred={r.pred_geomean:.4f} default={r.default_geomean:.4f} "
                f"pd_best={r.pd_geomean:.4f} ({r.pd_config}) "
                f"pi_best={r.pi_geomean:.4f}")

@@ -125,6 +125,13 @@ class MipInstance:
                 raise InvalidInstanceError(f"non-finite {what}")
         if np.isnan(self.var_lb).any() or np.isnan(self.var_ub).any():
             raise InvalidInstanceError("NaN variable bound")
+        # a lower bound of +inf or an upper bound of -inf admits no value
+        for side, bounds, bad in (("lower", self.var_lb, INF),
+                                  ("upper", self.var_ub, -INF)):
+            if (bounds == bad).any():
+                name = self.col_names[int(np.argmax(bounds == bad))]
+                raise InvalidInstanceError(
+                    f"column {name!r} has {side} bound {bad:+}")
         if self.sense not in ("minimize", "maximize"):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
         for s in self.row_senses:

@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,34 +68,48 @@ def feature_fingerprint(names):
     return digest[:16]
 
 
-@dataclass
-class LabeledExample:
+class ExampleRow(NamedTuple):
+    """One row of an ExampleSet, as iterating the set yields it."""
     family: str
     seed: int
+    source: ExampleSet
+
+
+@dataclass(eq=False)
+class ExampleSet:
+    """Features, labels and times, one row per (family, seed) key; take
+    selects rows.  Columns of labels and times follow configs, Default first."""
+    keys: list  # of (family, seed)
     feature_names: tuple
-    features: np.ndarray
     configs: tuple  # of ConfigId, Default first
-    labels: np.ndarray  # log-scaled relative times, aligned with configs
-    times: np.ndarray  # raw capped times, aligned with configs
+    X: np.ndarray  # float, (rows, features)
+    labels: np.ndarray  # log-scaled relative times, (rows, configs)
+    times: np.ndarray  # raw capped times, (rows, configs)
 
     def __post_init__(self):
-        self.feature_names = tuple(self.feature_names)
-        self.configs = tuple(self.configs)
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.labels) != len(self.configs):
-            raise ValueError("label vector length != number of configurations")
+        rows, cols = len(self.keys), len(self.configs)
+        if (self.X.shape != (rows, len(self.feature_names))
+                or {self.labels.shape, self.times.shape} != {(rows, cols)}):
+            raise ValueError("example arrays do not match keys, features "
+                             "and configs")
+        self._row = {key: r for r, key in enumerate(self.keys)}
 
-    @property
-    def class_index(self):
-        # argmin of raw times; configs are Default-first so argmin's
-        # first-minimum rule is the documented tie-break
-        return int(np.argmin(self.times))
+    def __len__(self):
+        return len(self.keys)
 
-    @property
-    def fingerprint(self):
-        return feature_fingerprint(self.feature_names)
+    def __iter__(self):
+        return (ExampleRow(f, s, self) for f, s in self.keys)
+
+    def take(self, keys):
+        """The rows of the given (family, seed) keys, in the order given."""
+        try:
+            rows = [self._row[key] for key in keys]
+        except KeyError as exc:
+            raise KeyError("no example for ({}, {})".format(*exc.args[0])) \
+                from None
+        return ExampleSet([self.keys[r] for r in rows], self.feature_names,
+                          self.configs, self.X[rows], self.labels[rows],
+                          self.times[rows])
 
 
 def _times_and_labels(perf, shift):
@@ -121,20 +136,22 @@ def make_labels(perf, shift=DEFAULT_SHIFT):
 
 
 def build_examples(perf, feature_map, shift=DEFAULT_SHIFT):
-    """Join a performance table with per-instance features.
+    """Join a performance table with per-instance features: one ExampleSet
+    of every instance of the table, keys sorted.
 
-    feature_map: {(family, seed): (names, values)}.
+    feature_map: {(family, seed): (names, values)}, one feature layout.
     """
     configs, instances, times, labels = _times_and_labels(perf, shift)
-    examples = []
-    for i, (f, s) in enumerate(instances):
-        if (f, s) not in feature_map:
-            raise KeyError(f"no features for ({f}, {s})")
-        names, values = feature_map[(f, s)]
-        examples.append(LabeledExample(
-            family=f, seed=s, feature_names=tuple(names), features=values,
-            configs=configs, labels=labels[i], times=times[i]))
-    return examples
+    try:
+        rows = [feature_map[key] for key in instances]
+    except KeyError as exc:
+        raise KeyError("no features for ({}, {})".format(*exc.args[0])) \
+            from None
+    layouts = {tuple(names) for names, _ in rows}
+    if len(layouts) != 1:
+        raise FingerprintMismatchError("instances disagree on features")
+    X = np.array([values for _, values in rows], dtype=float)
+    return ExampleSet(instances, layouts.pop(), configs, X, labels, times)
 
 
 def _encode(obj):
@@ -219,26 +236,29 @@ def _pair_features(X, n_pairs, pair_idx):
 
 
 def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
-    """Fit a TrainedSelector. Deterministic given (examples, hyperparams, seed)."""
+    """Fit a TrainedSelector on an ExampleSet, or on a list of rows from one.
+    Deterministic given (examples, hyperparams, seed)."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if len(examples) < 2:
         raise ValueError("need at least 2 training examples")
+    if not isinstance(examples, ExampleSet):
+        # the roundtrip workload's set-up in perfbench/ passes such rows
+        source = examples[0].source
+        if any(row.source is not source for row in examples):
+            raise ValueError("training rows come from different example sets")
+        examples = source.take([(row.family, row.seed) for row in examples])
     if test_registry:
-        bad = sorted({ex.family for ex in examples} & set(test_registry))
+        bad = sorted({f for f, _ in examples.keys} & set(test_registry))
         if bad:
             raise TrainTestContaminationError(
                 f"training examples from registered test families: {bad}")
 
-    fp = examples[0].fingerprint
-    configs = examples[0].configs
-    for ex in examples:
-        if ex.fingerprint != fp or ex.configs != configs:
-            raise ValueError("examples disagree on feature order or configs")
-
-    X = np.stack([ex.features for ex in examples])
-    labels = np.stack([ex.labels for ex in examples])
-    classes = np.array([ex.class_index for ex in examples])
+    configs, names = examples.configs, examples.feature_names
+    X, labels = examples.X, examples.labels
+    # argmin of raw times; configs are Default-first so argmin's
+    # first-minimum rule is the documented tie-break
+    classes = np.argmin(examples.times, axis=1)
     hp = dict(hyperparams or {})
     payload = {}
 
@@ -284,10 +304,9 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
         payload["forest"] = forest
         payload["pairs"] = [[i, j] for i, j in pairs]
 
-    return TrainedSelector(kind=kind, configs=configs,
-                           feature_names=examples[0].feature_names,
-                           fingerprint=fp, seed=seed, hyperparams=hp,
-                           payload=payload)
+    return TrainedSelector(kind=kind, configs=configs, feature_names=names,
+                           fingerprint=feature_fingerprint(names), seed=seed,
+                           hyperparams=hp, payload=payload)
 
 
 def predict_configs(model, X, feature_names=None):
@@ -389,21 +408,20 @@ def random_search(kind, examples, search_space=None, budget=20, seed=0,
     space = search_space or DEFAULT_SEARCH_SPACE
     rng = np.random.default_rng(seed)
 
-    families = require_families(sorted({ex.family for ex in examples}))
+    families = require_families(sorted({f for f, _ in examples.keys}))
     val_fams = set(pick_test_units({0: families}, val_fraction, rng))
-    train_ex = [ex for ex in examples if ex.family not in val_fams]
-    val_ex = [ex for ex in examples if ex.family in val_fams]
+    fit = examples.take([k for k in examples.keys if k[0] not in val_fams])
+    val = examples.take([k for k in examples.keys if k[0] in val_fams])
 
     best_params, best_score = None, None
     for trial in range(budget):
         params = {key: space[key][int(rng.integers(len(space[key])))]
                   for key in sorted(space)}
-        model = train(kind, train_ex, hyperparams=params,
+        model = train(kind, fit, hyperparams=params,
                       seed=seed * 100003 + trial,
                       test_registry=val_fams)
-        chosen = predict_configs(model, [ex.features for ex in val_ex])
-        score = shifted_geomean([ex.times[ex.configs.index(cfg)]
-                                 for ex, cfg in zip(val_ex, chosen)], shift)
+        chosen = [val.configs.index(c) for c in predict_configs(model, val.X)]
+        score = shifted_geomean(val.times[np.arange(len(val)), chosen], shift)
         if best_score is None or score < best_score:
             best_params, best_score = params, score
     return best_params, best_score

@@ -111,9 +111,6 @@ class PerfTable:
         self._times[key] = min(float(time), self.time_limit)
         self._status[key] = status
 
-    def __len__(self):
-        return len(self._times)
-
     def instances(self):
         return sorted({(f, s) for f, s, _ in self._times})
 
@@ -142,16 +139,6 @@ class PerfTable:
 
     def times_for_config(self, config, instances=None):
         return self.time_matrix(instances, [config])[:, 0]
-
-    def validate(self):
-        """Every instance must have every config; Default must be present."""
-        configs = self.configs()
-        if ConfigId.default() not in configs:
-            raise ValueError("table lacks the Default configuration")
-        for f, s in self.instances():
-            for c in configs:
-                if (f, s, c) not in self._times:
-                    raise ValueError(f"missing entry ({f}, {s}, {c})")
 
     def to_csv(self):
         buf = io.StringIO()

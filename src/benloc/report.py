@@ -23,8 +23,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 
-from .learners import (FingerprintMismatchError, build_examples,
-                       predict_configs, train)
+from .learners import build_examples, predict_configs, train
 from .logs import FeatureStage, extra_cost, pays_root
 from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError,
                       improvement, pd_best, pd_best_geomean, pi_best,
@@ -59,75 +58,69 @@ class EvalResult:
         return improvement(self.pd_geomean, self.pred_geomean)
 
 
-def fit_split(data, assignment, feature_map, kind="reg_forest",
-              hyperparams=None, shift=DEFAULT_SHIFT, seed=0):
+def fit_split(examples, assignment, kind="reg_forest", hyperparams=None,
+              seed=0):
     """Train a selector on the assignment's train side."""
-    examples = {(ex.family, ex.seed): ex
-                for ex in build_examples(data.perf, feature_map, shift)}
+    test = examples.take(assignment.test)  # an unknown instance fails here
     # family-disjoint strategies declare their test registry; the leaky
     # by_permutation strategy cannot (training would rightly refuse)
     registry = None
     if assignment.family_overlap() == 0:
-        registry = set(assignment.test_families())
-    return train(kind, [examples[p] for p in assignment.train],
+        registry = {f for f, _ in test.keys}
+    return train(kind, examples.take(assignment.train),
                  hyperparams=hyperparams, seed=seed, test_registry=registry)
 
 
-def score_split(data, assignment, model, feature_map, stage,
+def score_split(data, assignment, model, examples, stage,
                 shift=DEFAULT_SHIFT):
     """Evaluate a trained selector on the assignment's test side."""
-    test_pairs = assignment.test
-    configs = data.perf.configs()
-    times = data.perf.time_matrix(test_pairs, configs)
-    column = {c: j for j, c in enumerate(configs)}
-
-    default_g = shifted_geomean(times[:, column[ConfigId.default()]], shift)
-    pd_cfg = pd_best(data.perf, shift, instances=assignment.train)
-    pd_g = shifted_geomean(times[:, column[pd_cfg]], shift)
-    _, pi_g = pi_best(data.perf, shift, instances=test_pairs)
-
-    layouts = {tuple(feature_map[p][0]) for p in test_pairs}
-    if len(layouts) != 1:
-        raise FingerprintMismatchError("test instances disagree on features")
-    chosen = predict_configs(model, [feature_map[p][1] for p in test_pairs],
-                             feature_names=layouts.pop())
-    predictions = dict(zip(test_pairs, chosen))
+    test = examples.take(assignment.test)
+    # taken, not read from the split, so that an unknown instance on the
+    # train side fails here as it does in fit_split
+    pd_cfg = pd_best(data.perf, shift,
+                     instances=examples.take(assignment.train).keys)
+    column = {c: j for j, c in enumerate(test.configs)}
+    chosen = predict_configs(model, test.X, feature_names=test.feature_names)
     pred_times = []
-    for i, ((f, s), cfg) in enumerate(predictions.items()):
+    for i, ((f, s), cfg) in enumerate(zip(test.keys, chosen)):
         if cfg not in column:
             raise MissingEntryError(f"no times for predicted config {cfg}")
         # read only where paid: a dataset need not log every configuration
         root = (data.root_time(f, s, cfg) if pays_root(stage, cfg.affects_root)
                 else 0.0)
-        pred_times.append(extra_cost(times[i, column[cfg]], root, stage,
+        pred_times.append(extra_cost(test.times[i, column[cfg]], root, stage,
                                      cfg.affects_root))
-    pred_g = shifted_geomean(pred_times, shift)
 
-    return EvalResult(stage=stage, kind=model.kind, split_seed=assignment.seed,
-                      pd_config=pd_cfg, default_geomean=default_g,
-                      pd_geomean=pd_g, pi_geomean=pi_g, pred_geomean=pred_g,
-                      predictions=predictions)
+    return EvalResult(
+        stage=stage, kind=model.kind, split_seed=assignment.seed,
+        pd_config=pd_cfg,
+        default_geomean=shifted_geomean(test.times[:, 0], shift),
+        pd_geomean=shifted_geomean(test.times[:, column[pd_cfg]], shift),
+        pi_geomean=shifted_geomean(test.times.min(axis=1), shift),
+        pred_geomean=shifted_geomean(pred_times, shift),
+        predictions=dict(zip(test.keys, chosen)))
 
 
 def evaluate_split(data, assignment, stage, kind="reg_forest",
                    hyperparams=None, shift=DEFAULT_SHIFT, train_seed=0):
     """Train on the assignment's train side, evaluate on its test side."""
-    feature_map = data.feature_map(stage)
-    model = fit_split(data, assignment, feature_map, kind, hyperparams, shift,
-                      seed=train_seed)
-    return score_split(data, assignment, model, feature_map, stage, shift)
+    examples = build_examples(data.perf, data.feature_map(stage), shift)
+    model = fit_split(examples, assignment, kind, hyperparams, train_seed)
+    return score_split(data, assignment, model, examples, stage, shift)
 
 
 def run_experiment(data, stage, kind="reg_forest", strategy="by_instance",
                    split_seeds=(0,), test_fraction=0.2, hyperparams=None,
                    shift=DEFAULT_SHIFT):
     """One evaluation per split seed; the learner seed follows the split seed."""
+    examples = build_examples(data.perf, data.feature_map(stage), shift)
     results = []
     for s in split_seeds:
         assignment = make_split(strategy, data.manifest(), test_fraction, s,
                                 perf=data.perf)
-        results.append(evaluate_split(data, assignment, stage, kind,
-                                      hyperparams, shift, train_seed=s))
+        model = fit_split(examples, assignment, kind, hyperparams, seed=s)
+        results.append(score_split(data, assignment, model, examples, stage,
+                                   shift))
     return results
 
 

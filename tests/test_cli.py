@@ -221,7 +221,8 @@ class TestCommands:
         "manifest_key", "perf_short_row", "dataset_log", "split_list",
         "split_json", "model_truncated", "not_utf8", "manifest_families",
         "split_pairs", "manifest_perf_path", "manifest_log_dir",
-        "manifest_seed", "mps_huge_coef", "mps_nan_coef", "mps_inf_rhs"])
+        "manifest_seed", "mps_huge_coef", "mps_nan_coef", "mps_inf_rhs",
+        "split_unknown_train", "split_unknown_test", "mps_inf_lower_bound"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, tmp_path, case):
         ds = workdir / "ds"
@@ -244,7 +245,13 @@ class TestCommands:
         no_families.write_text(json.dumps({"name": "ds", "families": []}))
         unpaired = tmp_path / "unpaired.json"
         with open(workdir / "knn_split.json") as fh:
-            unpaired.write_text(json.dumps(dict(json.load(fh), train=[1])))
+            good_split = json.load(fh)
+        unpaired.write_text(json.dumps(dict(good_split, train=[1])))
+        unknown = {}  # splits naming an instance the dataset lacks
+        for side in ("train", "test"):
+            unknown[side] = tmp_path / f"unknown_{side}.json"
+            unknown[side].write_text(json.dumps(dict(
+                good_split, **{side: good_split[side] + [["fam999", 0]]})))
         odd = {}  # manifests with one field of the wrong type
         for key, value in (("perf_path", 5), ("log_dir", ["x"]),
                            ("families", {"a": {"x": "p.mps"}})):
@@ -253,14 +260,17 @@ class TestCommands:
                                             key: value}))
         # one all-binary equality row with a non-finite number
         nonfinite = {}
-        for coef, rhs in (("1e400", "1"), ("nan", "1"), ("1", "inf")):
+        for coef, rhs, bound in (("1e400", "1", "BV BND  x"),
+                                 ("nan", "1", "BV BND  x"),
+                                 ("1", "inf", "BV BND  x"),
+                                 ("1", "1", "LO BND  x  inf")):
             nonfinite[coef, rhs] = tmp_path / f"nonfinite_{coef}_{rhs}.mps"
             nonfinite[coef, rhs].write_text(
                 "NAME nf\nROWS\n N  OBJ\n E  c1\nCOLUMNS\n"
                 "    M1  'MARKER'  'INTORG'\n"
                 f"    x  c1  {coef}\n"
                 "    M2  'MARKER'  'INTEND'\n"
-                f"RHS\n    RHS  c1  {rhs}\nBOUNDS\n BV BND  x\nENDATA\n")
+                f"RHS\n    RHS  c1  {rhs}\nBOUNDS\n {bound}\nENDATA\n")
         perf = tmp_path / "perf.csv"
         perf.write_text("".join((ds / "perf.csv").read_text()
                                 .splitlines(keepends=True)[:2])
@@ -359,6 +369,16 @@ class TestCommands:
             "mps_inf_rhs": (*features(nonfinite["1", "inf"]),
                             nonfinite["1", "inf"],
                             "line 10: RHS value 'inf' is infinite"),
+            "mps_inf_lower_bound": (*features(nonfinite["1", "1"]),
+                                    nonfinite["1", "1"],
+                                    "column 'x' has lower bound +inf"),
+            "split_unknown_train": (
+                "train", ["--manifest", str(ds / "manifest.json"), "--split",
+                          str(unknown["train"]), "--out",
+                          str(tmp_path / "m.json")], None,
+                "no example for (fam999, 0)"),
+            "split_unknown_test": (*evaluate(model_path, unknown["test"]),
+                                   None, "no example for (fam999, 0)"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1
@@ -369,6 +389,24 @@ class TestCommands:
         if reason is not None:
             assert r.output.strip() == prefix + reason
         assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_unknown_split_instance_fails_train_and_evaluate(
+            self, runner, workdir, model_path, tmp_path, side):
+        with open(workdir / "knn_split.json") as fh:
+            split = json.load(fh)
+        split[side] = split[side] + [["fam999", 0]]
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(split))
+        for sub, args in (("train", ["--out", str(tmp_path / "m.json")]),
+                          ("evaluate", ["--model", model_path])):
+            r = runner.invoke(main, [sub, "--manifest",
+                                     str(workdir / "ds" / "manifest.json"),
+                                     "--split", str(path)] + args)
+            assert r.exit_code == 1
+            assert r.output.splitlines() == [
+                f"error in {sub}: no example for (fam999, 0)"]
+        assert not (tmp_path / "m.json").exists()
 
     def test_bad_mps_error_names_the_file(self, runner, workdir, tmp_path):
         good = str(workdir / "ds" / "instances" / "fam000.perm0.mps")

@@ -189,6 +189,22 @@ ENDATA
         assert inst.var_lb.tolist() == [-INF, -INF]
         assert inst.var_ub.tolist() == [INF, INF]
 
+    @pytest.mark.parametrize("bound, reason", [
+        ("LO BND  x  inf", "column 'x' has lower bound +inf"),
+        ("UP BND  x  -1e400", "column 'x' has upper bound -inf")])
+    def test_infinite_bound_on_the_wrong_side_refused(self, tmp_path, bound,
+                                                      reason):
+        text = MINIMAL.replace("BV BND  y", "MI BND  y\n UP BND  y  inf") \
+            .replace("BV BND  x", "MI BND  x\n " + bound)
+        with pytest.raises(InvalidInstanceError) as e:
+            parse_mps(text)
+        assert str(e.value) == reason
+        path = tmp_path / "wrong_side.mps"
+        path.write_text(text)
+        with pytest.raises(InvalidInstanceError) as e:
+            read_mps(str(path))
+        assert str(e.value) == f"{path}: {reason}"
+
     def test_ranges_equality_negative(self, fixtures_dir):
         import os
         with open(os.path.join(fixtures_dir, "mps", "ranges_e_neg.mps")) as fh:
@@ -383,6 +399,20 @@ class TestInvariants:
             "col_names")}
         with pytest.raises(InvalidInstanceError, match="non-finite|NaN"):
             MipInstance(**dict(kwargs, **{field: np.array(value)}))
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("var_lb", [0.0, INF, 0.0], "column 'b' has lower bound +inf"),
+        ("var_ub", [1.0, 10.0, -INF], "column 'c' has upper bound -inf")])
+    def test_infinite_bound_on_the_wrong_side_rejected(self, field, value,
+                                                       reason):
+        inst = small_instance()
+        kwargs = {f: getattr(inst, f) for f in (
+            "name", "sense", "obj_coeffs", "mat_rows", "mat_cols", "mat_vals",
+            "row_senses", "rhs", "var_lb", "var_ub", "var_types", "row_names",
+            "col_names")}
+        with pytest.raises(InvalidInstanceError) as e:
+            MipInstance(**dict(kwargs, **{field: np.array(value)}))
+        assert str(e.value) == reason
 
     def test_binary_bounds_enforced(self):
         with pytest.raises(InvalidInstanceError):

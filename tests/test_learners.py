@@ -1,13 +1,15 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benloc.dataset import build_oracle_dataset
 from benloc.forest import RandomForest
-from benloc.learners import (FingerprintMismatchError, LabeledExample,
+from benloc.learners import (ExampleSet, FingerprintMismatchError,
                              TrainTestContaminationError, TrainedSelector,
                              UnsupportedModelError, build_examples,
                              feature_fingerprint, feature_importance,
@@ -15,6 +17,7 @@ from benloc.learners import (FingerprintMismatchError, LabeledExample,
                              random_search, train)
 from benloc.logs import FeatureStage
 from benloc.metrics import ConfigId, MissingEntryError, PerfTable
+from benloc.synth import OracleSpec
 
 CONFIGS = (ConfigId.default(), ConfigId.parse("RootCutLevel=3"))
 FEATURES = ("f0", "f1")
@@ -31,19 +34,13 @@ def perf_two_configs():
 
 def planted_examples(n=40, rng_seed=0, flip=False):
     """f0 > 0.5 makes the non-default configuration optimal."""
-    rng = np.random.default_rng(rng_seed)
-    examples = []
-    for i in range(n):
-        x = rng.random(2)
-        alt_best = x[0] > 0.5
-        times = np.array([10.0, 5.0] if alt_best else [10.0, 20.0])
-        labels = np.log((times + 10.0) / (times[0] + 10.0))
-        if flip:
-            labels = labels + 0.7  # common additive shift
-        examples.append(LabeledExample(
-            family=f"fam{i}", seed=0, feature_names=FEATURES, features=x,
-            configs=CONFIGS, labels=labels, times=times))
-    return examples
+    X = np.random.default_rng(rng_seed).random((n, 2))
+    times = np.where(X[:, :1] > 0.5, [10.0, 5.0], [10.0, 20.0])
+    labels = np.log((times + 10.0) / (times[:, :1] + 10.0))
+    if flip:
+        labels = labels + 0.7  # common additive shift
+    return ExampleSet([(f"fam{i}", 0) for i in range(n)], FEATURES, CONFIGS,
+                      X, labels, times)
 
 
 class TestLabels:
@@ -77,20 +74,89 @@ class TestLabels:
         fmap = {("fam0", 0): (FEATURES, np.array([0.1, 0.2])),
                 ("fam1", 0): (FEATURES, np.array([0.9, 0.2]))}
         examples = build_examples(perf_two_configs(), fmap)
-        by_family = {ex.family: ex for ex in examples}
-        assert by_family["fam0"].class_index == 0
-        assert by_family["fam1"].class_index == 1
+        assert examples.keys == [("fam0", 0), ("fam1", 0)]
+        assert np.argmin(examples.times, axis=1).tolist() == [0, 1]
+        assert examples.X.tolist() == [[0.1, 0.2], [0.9, 0.2]]
+
+
+class TestExampleSet:
+    def test_take_keeps_the_order_given(self):
+        examples = planted_examples(6)
+        keys = [("fam4", 0), ("fam1", 0), ("fam5", 0)]
+        part = examples.take(keys)
+        assert part.keys == keys
+        for name in ("X", "labels", "times"):
+            assert np.array_equal(getattr(part, name),
+                                  getattr(examples, name)[[4, 1, 5]])
+        assert (part.feature_names, part.configs) == (FEATURES, CONFIGS)
+
+    def test_take_refuses_an_unknown_key(self):
+        with pytest.raises(KeyError) as info:
+            planted_examples(6).take([("fam1", 0), ("fam999", 0)])
+        assert info.value.args == ("no example for (fam999, 0)",)
+
+    def test_arrays_must_match_keys(self):
+        ex = planted_examples(6)
+        with pytest.raises(ValueError, match="do not match"):
+            ExampleSet(ex.keys[:5], FEATURES, CONFIGS, ex.X, ex.labels,
+                       ex.times)
+        with pytest.raises(ValueError, match="do not match"):
+            ExampleSet(ex.keys, FEATURES, CONFIGS, ex.X, ex.labels,
+                       ex.times[:, :1])
+
+    def test_train_on_rows_equals_train_on_take(self):
+        examples = planted_examples(12)
+        rows = list(examples)[2:9]
+        assert [(r.family, r.seed) for r in rows] == examples.keys[2:9]
+        a = train("knn", rows, seed=0)
+        b = train("knn", examples.take(examples.keys[2:9]), seed=0)
+        assert a.to_json() == b.to_json()
+
+    def test_train_refuses_rows_from_two_sets(self):
+        rows = list(planted_examples(5)) + list(planted_examples(5, 1))[3:]
+        with pytest.raises(ValueError, match="^training rows come from "
+                                             "different example sets$"):
+            train("knn", rows, seed=0)
+
+    def test_build_examples_refuses_layouts_that_disagree(self):
+        fmap = {("fam0", 0): (FEATURES, np.array([0.1, 0.2])),
+                ("fam1", 0): (("f1", "f0"), np.array([0.9, 0.2]))}
+        with pytest.raises(FingerprintMismatchError,
+                           match="instances disagree on features"):
+            build_examples(perf_two_configs(), fmap)
+        del fmap[("fam1", 0)]
+        with pytest.raises(KeyError) as info:
+            build_examples(perf_two_configs(), fmap)
+        assert info.value.args == ("no features for (fam1, 0)",)
+
+    def test_train_calls_do_not_grow_with_rows(self):
+        """Python-level calls in train are the same at n and 4n instances:
+        it reads the set's arrays, with no work per row in Python."""
+        def calls(n_families):
+            data = build_oracle_dataset(n_families=n_families, n_perms=3,
+                                        spec=OracleSpec(seed=0), seed=0)
+            examples = build_examples(
+                data.perf, data.feature_map(FeatureStage.STATIC_ONLY))
+            assert len(examples) == 3 * n_families
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            sys.setprofile(profile)
+            try:
+                train("knn", examples, seed=0)
+            finally:
+                sys.setprofile(None)
+            return count
+        assert calls(10) == calls(40)
 
 
 class TestTrain:
     def test_constant_labels_predict_default(self):
-        examples = []
-        rng = np.random.default_rng(1)
-        for i in range(10):
-            examples.append(LabeledExample(
-                family=f"fam{i}", seed=0, feature_names=FEATURES,
-                features=rng.random(2), configs=CONFIGS,
-                labels=np.zeros(2), times=np.array([5.0, 5.0])))
+        examples = ExampleSet([(f"fam{i}", 0) for i in range(10)], FEATURES,
+                              CONFIGS, np.random.default_rng(1).random((10, 2)),
+                              np.zeros((10, 2)), np.full((10, 2), 5.0))
         model = train("reg_forest", examples, seed=0)
         assert predict_config(model, np.array([0.3, 0.8])).is_default
 
@@ -113,9 +179,8 @@ class TestTrain:
     def test_knn_k1_memorizes(self):
         examples = planted_examples(20)
         model = train("knn", examples, hyperparams={"k": 1}, seed=0)
-        for ex in examples:
-            assert predict_config(model, ex.features) == \
-                ex.configs[ex.class_index]
+        for x, times in zip(examples.X, examples.times):
+            assert predict_config(model, x) == CONFIGS[int(np.argmin(times))]
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_knn_k_below_one_refused(self, k):
@@ -250,10 +315,9 @@ class TestImportance:
                                                       kind):
         fmap = small_oracle.feature_map(FeatureStage.UP_TO_ROOT_END)
         examples = build_examples(small_oracle.perf, fmap)
-        model = train(kind, examples[:24], hyperparams={"n_trees": 10},
-                      seed=2)
-        names = examples[0].feature_names
-        X = np.stack([ex.features for ex in examples])
+        model = train(kind, examples.take(examples.keys[:24]),
+                      hyperparams={"n_trees": 10}, seed=2)
+        names, X = examples.feature_names, examples.X
         assert predict_configs(model, X, feature_names=names) == [
             predict_config(model, x, feature_names=names) for x in X]
         with pytest.raises(FingerprintMismatchError):
@@ -268,11 +332,10 @@ class TestImportance:
             small_oracle.perf, small_oracle.feature_map(FeatureStage.UP_TO_ROOT_END))
         model = train("pair_ranker", examples, hyperparams={"n_trees": 10},
                       seed=0)
-        chosen = predict_configs(model, [ex.features for ex in examples])
+        chosen = predict_configs(model, examples.X)
         best, _ = pi_best(small_oracle.perf)
         assert ConfigId.parse("RootCutLevel=3") in chosen
-        hits = sum(c == best[(ex.family, ex.seed)]
-                   for ex, c in zip(examples, chosen))
+        hits = sum(c == best[key] for key, c in zip(examples.keys, chosen))
         assert hits > len(examples) / 2
 
     def test_knn_unsupported(self):

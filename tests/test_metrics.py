@@ -184,13 +184,6 @@ class TestPerfTable:
         with pytest.raises(MissingEntryError, match="RootCutLevel=3"):
             t.time_matrix()
 
-    def test_validate_flags_holes(self):
-        t = simple_table([("f", 0, "Default", 5.0),
-                          ("f", 0, "RootCutLevel=3", 2.0),
-                          ("g", 0, "Default", 7.0)])
-        with pytest.raises(ValueError):
-            t.validate()
-
     def test_csv_round_trip(self):
         t = simple_table([("f", 0, "Default", 5.0),
                           ("f", 0, "RootCutLevel=3", 2.25),

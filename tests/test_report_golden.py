@@ -4,8 +4,11 @@ A refactor of the data path (log parsing, feature assembly, dataset I/O,
 evaluation) must leave what the CLI writes byte-identical.  The flow below
 runs ``synth --oracle --count 12 --perms 3 --seed 0``, ``features --stage
 root_end`` on that dataset and ``pipeline --seeds 0..2 --n-trees 5`` at the
-``static``, ``first_root_lp`` and ``root_end`` stages, and compares the
-sha256 of every file written against ``fixtures/report_golden.json``.
+``static``, ``first_root_lp`` and ``root_end`` stages.  It then runs ``train``
+of every model kind at ``root_end`` on the by-instance seed-0 split, and
+``evaluate`` of each model, which pins the CLI's own train and evaluate path.
+It compares the sha256 of every file written, and of each ``evaluate``
+stdout, against ``fixtures/report_golden.json``.
 
 Regenerate the fixture only when a change is meant to alter those outputs:
 
@@ -22,6 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 from benloc.cli import main
+from benloc.learners import MODEL_KINDS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures",
                       "report_golden.json")
@@ -32,6 +36,11 @@ def _run(args):
     r = CliRunner().invoke(main, args)
     if r.exit_code != 0:
         raise AssertionError(f"{args[0]} failed: {r.output}")
+    return r.output
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _hashes(root, prefix):
@@ -61,6 +70,19 @@ def compute_golden(workdir):
         _run(["pipeline", "--manifest", manifest, "--stage", stage,
               "--seeds", "0..2", "--n-trees", "5", "--out-dir", reports])
         out.update(_hashes(reports, f"pipeline/{stage}"))
+    split = os.path.join(workdir, "split.json")
+    _run(["split", "--manifest", manifest, "--strategy", "by_instance",
+          "--seed", "0", "--out", split])
+    models = os.path.join(workdir, "train")
+    os.makedirs(models)
+    for kind in MODEL_KINDS:
+        model = os.path.join(models, f"{kind}.json")
+        _run(["train", "--manifest", manifest, "--split", split, "--stage",
+              "root_end", "--kind", kind, "--out", model])
+        out[f"evaluate/{kind}.stdout"] = _sha(_run([
+            "evaluate", "--manifest", manifest, "--model", model, "--split",
+            split, "--stage", "root_end"]))
+    out.update(_hashes(models, "train"))
     return out
 
 
@@ -85,6 +107,9 @@ def test_fixture_covers_every_output(golden, computed):
     for stage in PIPELINE_STAGES:
         assert f"pipeline/{stage}/report.txt" in golden
         assert f"pipeline/{stage}/report_per_seed.csv" in golden
+    for kind in MODEL_KINDS:
+        assert f"train/{kind}.json" in golden
+        assert f"evaluate/{kind}.stdout" in golden
 
 
 if __name__ == "__main__":
