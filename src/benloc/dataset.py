@@ -159,9 +159,12 @@ def read_instance(path):
 
 
 def load_dataset(manifest_path):
-    """Load a written dataset back: parses MPS files, logs and perf.csv."""
+    """Load a written dataset back: parses MPS files, logs and perf.csv.  A
+    manifest must name its perf.csv; one whose log_dir is null has no logs."""
     manifest = DatasetManifest.read(manifest_path)
     manifest.validate()
+    if manifest.perf_path is None:
+        raise ValueError(f"{manifest_path}: manifest has no perf_path")
     perf = read_file(manifest.perf_path, PerfTable.from_csv)
     static = {}
     instances = {}
@@ -171,6 +174,8 @@ def load_dataset(manifest_path):
         for s, path in seeds.items():
             instances[(fam, s)], static[(fam, s)] = read_instance(path)
             logs[(fam, s)] = {}
+            if manifest.log_dir is None:  # no logs: static features only
+                continue
             for cfg in configs:
                 log_path = os.path.join(manifest.log_dir,
                                         f"{fam}.perm{s}.{cfg}.log")

@@ -59,8 +59,8 @@ class TrainTestContaminationError(ValueError):
     """Training examples from families registered as test families."""
 
 
-class UnsupportedModelError(TypeError):
-    pass
+class UnsupportedModelError(ValueError):
+    """A model kind this version cannot train, load or use."""
 
 
 def feature_fingerprint(names):
@@ -114,11 +114,9 @@ class ExampleSet:
 
 def _times_and_labels(perf, shift):
     """configs, instances, the (instance x config) times and their labels."""
-    configs = tuple(perf.configs())
-    if ConfigId.default() not in configs:
-        raise ValueError("performance table lacks Default")
     instances = perf.instances()
-    times = perf.time_matrix(instances, configs)  # Default is column 0
+    times = perf.time_matrix(instances)  # a table without Default fails here
+    configs = tuple(perf.configs())
     # math.log per cell: np.log on the array may differ in the last bit,
     # which is enough to move a forest split
     ratios = ((times + shift) / (times[:, :1] + shift)).tolist()
@@ -212,6 +210,8 @@ class TrainedSelector:
         if fmt != MODEL_FORMAT_TAG:
             raise ValueError(f"model format {fmt!r} is not "
                              f"{MODEL_FORMAT_TAG!r}; retrain the model")
+        if d.get("kind") not in MODEL_KINDS:
+            raise UnsupportedModelError(f"unknown model kind {d.get('kind')!r}")
         payload = {key: _decode(val) for key, val in d["payload"].items()}
         return cls(kind=d["kind"],
                    configs=tuple(ConfigId.parse(c) for c in d["configs"]),
@@ -310,9 +310,14 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
 
 
 def predict_configs(model, X, feature_names=None):
-    """Select a configuration for each row of X: the one selection path.
+    """Select a configuration for each row of X."""
+    return [model.configs[i] for i in predict_indices(model, X, feature_names)]
 
-    A row's choice does not depend on the other rows in the batch.
+
+def predict_indices(model, X, feature_names=None):
+    """The index into model.configs selected for each row of X: the one
+    selection path.  A row's choice does not depend on the other rows in the
+    batch.
     """
     if feature_names is not None:
         if feature_fingerprint(feature_names) != model.fingerprint:
@@ -353,17 +358,15 @@ def predict_configs(model, X, feature_names=None):
         wins = (~j_wins) @ first + j_wins @ second
         chosen = np.argmax(wins, axis=1)  # Copeland winner, Default tie-break
     else:
-        raise UnsupportedModelError(model.kind)
-    return [configs[int(c)] for c in chosen]
+        raise UnsupportedModelError(f"unknown model kind {model.kind!r}")
+    return np.asarray(chosen, dtype=int)
 
 
 def predict_config(model, features, feature_names=None):
-    """Select a configuration for one feature vector."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (len(model.feature_names),):
-        raise FingerprintMismatchError(
-            f"expected {len(model.feature_names)} features, got {features.shape}")
-    return predict_configs(model, features[None, :], feature_names)[0]
+    """Select a configuration for one feature vector: the one-row case of
+    predict_indices, which checks the vector's length."""
+    X = np.asarray(features, dtype=float)[None, ...]
+    return model.configs[predict_indices(model, X, feature_names)[0]]
 
 
 def feature_importance(model):
@@ -420,8 +423,9 @@ def random_search(kind, examples, search_space=None, budget=20, seed=0,
         model = train(kind, fit, hyperparams=params,
                       seed=seed * 100003 + trial,
                       test_registry=val_fams)
-        chosen = [val.configs.index(c) for c in predict_configs(model, val.X)]
-        score = shifted_geomean(val.times[np.arange(len(val)), chosen], shift)
+        # the model's configs are fit's, which are val's columns
+        cols = predict_indices(model, val.X)
+        score = shifted_geomean(val.times[np.arange(len(val)), cols], shift)
         if best_score is None or score < best_score:
             best_params, best_score = params, score
     return best_params, best_score

@@ -248,15 +248,17 @@ def extra_cost(total_time, root_time, stage, config_affects_root):
     Consuming root-end features means the solver must revisit the root when
     the chosen configuration influences root processing, so the root-node
     time is paid again.  Earlier stages (and root-neutral parameters such as
-    tree cutting) incur no extra cost.
+    tree cutting) incur no extra cost.  Scalars or arrays, element-wise.
     """
-    if total_time < 0 or root_time < 0:
+    total_time, root_time = np.asarray(total_time), np.asarray(root_time)
+    if np.any(total_time < 0) or np.any(root_time < 0):
         raise ValueError("times must be nonnegative")
-    if pays_root(stage, config_affects_root):
-        return total_time + root_time
-    return total_time
+    return np.where(pays_root(stage, config_affects_root),
+                    total_time + root_time, total_time)
 
 
 def pays_root(stage, config_affects_root):
-    """Whether a configuration chosen at stage pays the root time again."""
-    return stage == FeatureStage.UP_TO_ROOT_END and config_affects_root
+    """Whether a configuration chosen at stage pays the root time again;
+    element-wise over an array of affects_root flags."""
+    return np.logical_and(stage == FeatureStage.UP_TO_ROOT_END,
+                          config_affects_root)

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,11 +125,13 @@ class PerfTable:
             raise MissingEntryError(f"no entry for ({family}, {seed}, {config})")
 
     def time_matrix(self, instances=None, configs=None):
-        """(instance x config) times; columns default to configs() order."""
+        """(instance x config) times; columns default to configs() with
+        Default first, so a table without Default fails naming its cell."""
         if instances is None:
             instances = self.instances()
         if configs is None:
-            configs = self.configs()
+            configs = [ConfigId.default()] + [c for c in self.configs()
+                                              if not c.is_default]
         try:
             rows = [[self._times[(f, int(s), c)] for c in configs]
                     for f, s in instances]
@@ -197,6 +200,37 @@ def shifted_geomean(times, shift=DEFAULT_SHIFT):
     return float(math.exp(np.mean(np.log(times + shift))) - shift)
 
 
+class Baselines(NamedTuple):
+    """Default, PD-best and PI-best of an (instance x config) times matrix
+    whose column 0 is Default, and their improvements over Default; the PD
+    and PI parts hold without Default."""
+    default: float
+    pd_col: int  # the first column of least shifted geomean, or the given one
+    pd: float
+    pi_cols: np.ndarray  # each row's first argmin
+    pi: float
+    imp_pd: float
+    imp_pi: float
+    headroom: float  # imp_pi - imp_pd: what per-instance selection can gain
+
+
+def baselines(times, shift=DEFAULT_SHIFT, pd_col=None):
+    """The Baselines of times, PD-best chosen on another side if pd_col is
+    given.  First minima break ties: Default, then lexicographic."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("empty performance table")
+    # each geomean over one 1-D column: an axis-0 mean sums in another order
+    geomeans = [shifted_geomean(col, shift) for col in times.T]
+    pd_col = int(np.argmin(geomeans)) if pd_col is None else pd_col
+    pi_cols = np.argmin(times, axis=1)
+    pi = shifted_geomean(times[np.arange(len(times)), pi_cols], shift)
+    d, pd = geomeans[0], geomeans[pd_col]
+    imp_pd, imp_pi = improvement(d, pd), improvement(d, pi)
+    return Baselines(d, pd_col, pd, pi_cols, pi, imp_pd, imp_pi,
+                     imp_pi - imp_pd)
+
+
 def pd_best(table, shift=DEFAULT_SHIFT, instances=None):
     """Configuration minimizing the dataset-level shifted geometric mean."""
     return pd_best_geomean(table, shift, instances)[0]
@@ -205,12 +239,8 @@ def pd_best(table, shift=DEFAULT_SHIFT, instances=None):
 def pd_best_geomean(table, shift=DEFAULT_SHIFT, instances=None):
     """PD-best configuration and its shifted geomean."""
     configs = table.configs()
-    if not configs:
-        raise ValueError("empty performance table")
-    times = table.time_matrix(instances, configs)
-    geomeans = [shifted_geomean(col, shift) for col in times.T]
-    k = int(np.argmin(geomeans))  # first minimum: Default, then lexicographic
-    return configs[k], geomeans[k]
+    b = baselines(table.time_matrix(instances, configs), shift)
+    return configs[b.pd_col], b.pd
 
 
 def pi_best(table, shift=DEFAULT_SHIFT, instances=None):
@@ -218,12 +248,8 @@ def pi_best(table, shift=DEFAULT_SHIFT, instances=None):
     if instances is None:
         instances = table.instances()
     configs = table.configs()
-    if not instances or not configs:
-        raise ValueError("empty performance table")
-    times = table.time_matrix(instances, configs)
-    best = np.argmin(times, axis=1)  # first minimum: the tie-break order
-    chosen = {(f, s): configs[k] for (f, s), k in zip(instances, best)}
-    return chosen, shifted_geomean(times[np.arange(len(best)), best], shift)
+    b = baselines(table.time_matrix(instances, configs), shift)
+    return {key: configs[k] for key, k in zip(instances, b.pi_cols)}, b.pi
 
 
 def improvement(baseline_time, predict_time):
@@ -234,13 +260,5 @@ def improvement(baseline_time, predict_time):
 
 
 def improvement_upper_bound(table, shift=DEFAULT_SHIFT, instances=None):
-    """PI-best improvement over Default minus PD-best improvement over Default.
-
-    This is the headroom any per-instance learning method has over simply
-    picking the best single configuration for the dataset.
-    """
-    default = ConfigId.default()
-    d = shifted_geomean(table.times_for_config(default, instances), shift)
-    _, pd_g = pd_best_geomean(table, shift, instances)
-    _, pi_g = pi_best(table, shift, instances)
-    return improvement(d, pi_g) - improvement(d, pd_g)
+    """The headroom of the table's Baselines."""
+    return baselines(table.time_matrix(instances), shift).headroom

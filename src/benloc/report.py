@@ -23,11 +23,10 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 
-from .learners import build_examples, predict_configs, train
+from .learners import build_examples, predict_indices, train
 from .logs import FeatureStage, extra_cost, pays_root
-from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError,
-                      improvement, pd_best, pd_best_geomean, pi_best,
-                      shifted_geomean)
+from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError, baselines,
+                      improvement, shifted_geomean)
 from .splits import make_split
 
 
@@ -77,28 +76,27 @@ def score_split(data, assignment, model, examples, stage,
     test = examples.take(assignment.test)
     # taken, not read from the split, so that an unknown instance on the
     # train side fails here as it does in fit_split
-    pd_cfg = pd_best(data.perf, shift,
-                     instances=examples.take(assignment.train).keys)
+    pd_col = baselines(examples.take(assignment.train).times, shift).pd_col
+    base = baselines(test.times, shift, pd_col)
+    idx = predict_indices(model, test.X, feature_names=test.feature_names)
     column = {c: j for j, c in enumerate(test.configs)}
-    chosen = predict_configs(model, test.X, feature_names=test.feature_names)
-    pred_times = []
-    for i, ((f, s), cfg) in enumerate(zip(test.keys, chosen)):
-        if cfg not in column:
-            raise MissingEntryError(f"no times for predicted config {cfg}")
-        # read only where paid: a dataset need not log every configuration
-        root = (data.root_time(f, s, cfg) if pays_root(stage, cfg.affects_root)
-                else 0.0)
-        pred_times.append(extra_cost(test.times[i, column[cfg]], root, stage,
-                                     cfg.affects_root))
-
+    cols = np.array([column.get(c, -1) for c in model.configs])[idx]
+    if np.any(cols < 0):
+        cfg = model.configs[idx[np.argmax(cols < 0)]]
+        raise MissingEntryError(f"no times for predicted config {cfg}")
+    affects = np.array([c.affects_root for c in test.configs])[cols]
+    root = np.zeros(len(test))
+    # read only where paid: a dataset need not log every configuration
+    for r in np.flatnonzero(pays_root(stage, affects)):
+        root[r] = data.root_time(*test.keys[r], test.configs[cols[r]])
+    pred = extra_cost(test.times[np.arange(len(test)), cols], root, stage,
+                      affects)
     return EvalResult(
         stage=stage, kind=model.kind, split_seed=assignment.seed,
-        pd_config=pd_cfg,
-        default_geomean=shifted_geomean(test.times[:, 0], shift),
-        pd_geomean=shifted_geomean(test.times[:, column[pd_cfg]], shift),
-        pi_geomean=shifted_geomean(test.times.min(axis=1), shift),
-        pred_geomean=shifted_geomean(pred_times, shift),
-        predictions=dict(zip(test.keys, chosen)))
+        pd_config=test.configs[pd_col], default_geomean=base.default,
+        pd_geomean=base.pd, pi_geomean=base.pi,
+        pred_geomean=shifted_geomean(pred, shift),
+        predictions=dict(zip(test.keys, [model.configs[i] for i in idx])))
 
 
 def evaluate_split(data, assignment, stage, kind="reg_forest",
@@ -190,17 +188,14 @@ def experiment_report_text(results, label=""):
 
 def suitability_rows(perf, shift=DEFAULT_SHIFT, name="dataset"):
     """One suitability row: instance count, PD/PI improvements, headroom."""
-    d = shifted_geomean(perf.times_for_config(ConfigId.default()), shift)
-    pd_cfg, pd_g = pd_best_geomean(perf, shift)
-    _, pi_g = pi_best(perf, shift)
-    imp_pd, imp_pi = improvement(d, pd_g), improvement(d, pi_g)
+    b = baselines(perf.time_matrix(), shift)
     return {
         "dataset": name,
         "instance_count": len(perf.instances()),
-        "pd_best_config": str(pd_cfg),
-        "imp_pd_best": imp_pd,
-        "imp_pi_best": imp_pi,
-        "imp_upper_bound": imp_pi - imp_pd,
+        "pd_best_config": str(perf.configs()[b.pd_col]),
+        "imp_pd_best": b.imp_pd,
+        "imp_pi_best": b.imp_pi,
+        "imp_upper_bound": b.headroom,
     }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import read_file
-from .metrics import DEFAULT_SHIFT, ConfigId, pd_best, shifted_geomean
+from .metrics import DEFAULT_SHIFT, baselines
 
 STRATEGIES = ("by_instance", "by_permutation", "stratified")
 
@@ -250,12 +250,16 @@ def stratified_split(manifest, perf, test_fraction=0.2, seed=0):
     if perf is None:
         raise SplitError("stratified_split needs a performance table")
     fams = require_families(manifest.family_ids())
+    # rows in the manifest's seed order, which each family's geomeans sum in
+    times = perf.time_matrix([(f, s) for f in fams
+                              for s in manifest.families[f]])
+    configs = perf.configs()
+    sizes = [len(manifest.families[f]) for f in fams]
     labels, log_times = [], []
-    for fam in fams:
-        pairs = [(fam, s) for s in manifest.families[fam]]
-        labels.append(str(pd_best(perf, instances=pairs)))
-        t = shifted_geomean(perf.times_for_config(ConfigId.default(), pairs))
-        log_times.append(math.log(t + DEFAULT_SHIFT))
+    for block in np.split(times, np.cumsum(sizes)[:-1]):
+        b = baselines(block)
+        labels.append(str(configs[b.pd_col]))
+        log_times.append(math.log(b.default + DEFAULT_SHIFT))
     quartiles = np.quantile(log_times, [0.25, 0.5, 0.75])
     buckets = np.searchsorted(quartiles, log_times, side="right")
     strata = {}

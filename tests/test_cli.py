@@ -222,7 +222,9 @@ class TestCommands:
         "split_json", "model_truncated", "not_utf8", "manifest_families",
         "split_pairs", "manifest_perf_path", "manifest_log_dir",
         "manifest_seed", "mps_huge_coef", "mps_nan_coef", "mps_inf_rhs",
-        "split_unknown_train", "split_unknown_test", "mps_inf_lower_bound"])
+        "split_unknown_train", "split_unknown_test", "mps_inf_lower_bound",
+        "model_kind_predict", "model_kind_evaluate", "manifest_null_perf_path",
+        "manifest_null_log_dir_features", "manifest_null_log_dir_train"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, tmp_path, case):
         ds = workdir / "ds"
@@ -296,6 +298,20 @@ class TestCommands:
         arr["shape"] = [n - 1]
         truncated = tmp_path / "truncated.json"
         truncated.write_text(json.dumps(model))
+        # a model file whose kind no version knows
+        with open(model_path) as fh:
+            bogus = tmp_path / "bogus.json"
+            bogus.write_text(json.dumps(dict(json.load(fh), kind="bogus")))
+        # the dataset's manifest with a null perf_path or log_dir
+        null = {}
+        for key in ("perf_path", "log_dir"):
+            null[key] = tmp_path / f"null_{key}.json"
+            null[key].write_text(json.dumps(dict(
+                manifest, perf_path=str(ds / "perf.csv"),
+                log_dir=str(ds / "logs"),
+                families={f: {s: str(ds / p) for s, p in seeds.items()}
+                          for f, seeds in manifest["families"].items()})
+                | {key: None}))
         mps = str(ds / "instances" / "fam000.perm0.mps")
         split = str(workdir / "knn_split.json")
 
@@ -379,6 +395,24 @@ class TestCommands:
                 "no example for (fam999, 0)"),
             "split_unknown_test": (*evaluate(model_path, unknown["test"]),
                                    None, "no example for (fam999, 0)"),
+            "model_kind_predict": ("predict", ["--model", str(bogus),
+                                               "--mps", mps], bogus,
+                                   "unknown model kind 'bogus'"),
+            "model_kind_evaluate": (*evaluate(bogus, split), bogus,
+                                    "unknown model kind 'bogus'"),
+            "manifest_null_perf_path": (
+                "features", ["--manifest", str(null["perf_path"]), "--out",
+                             str(tmp_path / "f.csv")], null["perf_path"],
+                "manifest has no perf_path"),
+            "manifest_null_log_dir_features": (
+                "features", ["--manifest", str(null["log_dir"]), "--stage",
+                             "first_root_lp", "--out", str(tmp_path / "f.csv")],
+                None, "no Default log for (fam000, 0)"),
+            "manifest_null_log_dir_train": (
+                "train", ["--manifest", str(null["log_dir"]), "--split", split,
+                          "--stage", "root_end", "--out",
+                          str(tmp_path / "m.json")], None,
+                "no Default log for (fam000, 0)"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1
@@ -407,6 +441,22 @@ class TestCommands:
             assert r.output.splitlines() == [
                 f"error in {sub}: no example for (fam999, 0)"]
         assert not (tmp_path / "m.json").exists()
+
+    def test_manifest_without_logs_serves_the_static_stage(self, runner,
+                                                          workdir, tmp_path):
+        ds = workdir / "ds"
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (tmp_path / "perf.csv").write_text((ds / "perf.csv").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps(dict(
+            manifest, log_dir=None, families={
+                f: {s: str(ds / p) for s, p in seeds.items()}
+                for f, seeds in manifest["families"].items()})))
+        for args in (["features", "--out", str(tmp_path / "f.csv")],
+                     ["train", "--split", str(workdir / "knn_split.json"),
+                      "--out", str(tmp_path / "m.json")]):
+            r = runner.invoke(main, args + ["--manifest",
+                                            str(tmp_path / "manifest.json")])
+            assert r.exit_code == 0, r.output
 
     def test_bad_mps_error_names_the_file(self, runner, workdir, tmp_path):
         good = str(workdir / "ds" / "instances" / "fam000.perm0.mps")

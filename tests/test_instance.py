@@ -183,6 +183,39 @@ ENDATA
             parse_mps(MINIMAL.replace(old, new))
         assert str(e.value) == reason
 
+    # one case per raise site of parse_mps that no other test reaches:
+    # (old, new) edit MINIMAL, or new alone is the whole text
+    @pytest.mark.parametrize("old, new, error, message", [
+        (" G  c1\n", " G\n", MpsParseError,
+         "line 4: ROWS line needs a sense and a name"),
+        (" G  c1\n", " G  c1\n L  c1\n", MpsSemanticError,
+         "line 5: duplicate row 'c1'"),
+        (" G  c1", " X  c1", MpsParseError, "line 4: unknown row sense 'X'"),
+        ("'INTEND'", "'INTMID'", MpsParseError,
+         "line 9: unknown marker \"'INTMID'\""),
+        ("y  OBJ  1.0  c1  1.0", "y  OBJ  1.0  c1", MpsParseError,
+         "line 8: COLUMNS line needs name plus (row, value) pairs"),
+        ("x  OBJ  1.0", "x  OBJ  abc", MpsParseError,
+         "line 7: bad coefficient 'abc'"),
+        ("RHS  c1  1.0", "RHS", MpsParseError, "line 11: malformed RHS line"),
+        ("RHS  c1  1.0", "RHS  c9  1.0", MpsSemanticError,
+         "line 11: undeclared row 'c9'"),
+        (" BV BND  y", " BV", MpsParseError, "line 14: short BOUNDS line"),
+        (" BV BND  y", " BV BND  y  1  2", MpsParseError,
+         "line 14: malformed BOUNDS line"),
+        (" BV BND  y", " BV BND  z", MpsSemanticError,
+         "line 14: undeclared column 'z'"),
+        ("NAME test\n", "NAME test\n    x  c1  1.0\n", MpsParseError,
+         "line 2: data line before any section header"),
+        (None, "NAME t\nENDATA\n", MpsParseError, "missing ROWS section"),
+        (None, "NAME t\nROWS\n G  c1\nENDATA\n", MpsParseError,
+         "missing objective (N) row")])
+    def test_error_messages(self, old, new, error, message):
+        text = new if old is None else MINIMAL.replace(old, new, 1)
+        with pytest.raises(error) as e:
+            parse_mps(text)
+        assert str(e.value) == message
+
     def test_infinite_bounds_are_legal(self):
         inst = parse_mps(MINIMAL.replace("BV BND  y", "MI BND  y\n UP BND  y  inf")
                          .replace("BV BND  x", "LO BND  x  -1e400"))

@@ -322,6 +322,9 @@ class TestImportance:
             predict_config(model, x, feature_names=names) for x in X]
         with pytest.raises(FingerprintMismatchError):
             predict_configs(model, X[:, :-1])
+        for bad in (X[0, :-1], X[:1], X[0, 0]):  # one vector of the layout
+            with pytest.raises(FingerprintMismatchError):
+                predict_config(model, bad)
 
     def test_pair_ranker_picks_per_instance(self, small_oracle):
         """Each (row, pair) input marks only its own pair, as in training, so

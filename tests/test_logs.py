@@ -64,6 +64,18 @@ class TestParseLog:
         with pytest.raises(LogSchemaError):
             parse_log("STATUS status=weird total_time=1.0 root_time=0.5\n")
 
+    # one case per raise site of parse_log that no other test reaches
+    @pytest.mark.parametrize("text, message", [
+        ("PRESOLVE rows\n", "line 1: expected key=value, got 'rows'"),
+        ("STATUS status=optimal total_time=1.0 root_time=0.5\n"
+         "PRESOLVE rows=1\n", "line 2: stage line after STATUS"),
+        ("# a comment\nSTATUS status=optimal total_time=-1.0 root_time=0.0\n",
+         "line 2: negative time")])
+    def test_error_messages(self, text, message):
+        with pytest.raises(LogSchemaError) as info:
+            parse_log(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("key", ["total_time", "root_time"])
     @pytest.mark.parametrize("value", ["abc", "nan"])
     def test_non_numeric_status_time_names_the_line(self, key, value):
@@ -200,6 +212,15 @@ class TestExtraCost:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             extra_cost(-1.0, 0.0, FeatureStage.STATIC_ONLY, False)
+
+    @pytest.mark.parametrize("stage", list(FeatureStage))
+    def test_arrays_match_scalars(self, stage):
+        total, root = np.array([10.0, 4.0, 7.5]), np.array([3.0, 0.5, 2.0])
+        affects = np.array([True, False, True])
+        assert extra_cost(total, root, stage, affects).tolist() == [
+            extra_cost(t, r, stage, a) for t, r, a in zip(total, root, affects)]
+        with pytest.raises(ValueError):
+            extra_cost(total, -root, stage, affects)
 
     @given(st.floats(0, 1e6), st.floats(0, 1e6),
            st.sampled_from(list(FeatureStage)), st.booleans())

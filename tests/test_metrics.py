@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from benloc.metrics import (ConfigId, MissingEntryError, PerfTable,
-                            improvement, improvement_upper_bound, pd_best,
-                            pd_best_geomean, pi_best, shifted_geomean)
+                            baselines, improvement, improvement_upper_bound,
+                            pd_best, pd_best_geomean, pi_best, shifted_geomean)
+from benloc.report import suitability_rows
+from benloc.splits import DatasetManifest, stratified_split
 
 
 def simple_table(entries, limit=7200.0):
@@ -117,6 +119,45 @@ class TestBaselines:
             _, pd_g = pd_best_geomean(t, 10.0)
             _, pi_g = pi_best(t, 10.0)
             assert pi_g <= pd_g + 1e-9 <= d + 1e-9
+
+    def test_kernel_equals_per_column_loops(self):
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            times = rng.uniform(1, 100, size=(7, 4))
+            times[:, 2] = times[:, 0]  # a tie: the first column wins
+            b = baselines(times, 10.0)
+            geomeans = [shifted_geomean(list(times[:, j]), 10.0)
+                        for j in range(4)]
+            pd_col = min(range(4), key=lambda j: (geomeans[j], j))
+            pi = [min(row) for row in times.tolist()]
+            assert (b.default, b.pd_col, b.pd) == (geomeans[0], pd_col,
+                                                   geomeans[pd_col])
+            assert b.pi_cols.tolist() == [row.index(min(row))
+                                          for row in times.tolist()]
+            assert b.pi == shifted_geomean(pi, 10.0)
+            assert b.headroom == (improvement(geomeans[0], b.pi)
+                                  - improvement(geomeans[0], b.pd))
+            given = baselines(times, 10.0, pd_col=3)
+            assert (given.pd_col, given.pd) == (3, geomeans[3])
+        with pytest.raises(ValueError, match="empty performance table"):
+            baselines(np.zeros((0, 3)))
+
+    def test_table_without_default(self):
+        """PD-best and PI-best answer; what compares with Default names the
+        first cell it lacks."""
+        t = simple_table([(f, s, c, float(1 + s + 2 * (c == "TreeCutLevel=1")))
+                          for f in ("fam000", "fam001") for s in (0, 1)
+                          for c in ("RootCutLevel=3", "TreeCutLevel=1")])
+        assert pd_best(t) == ConfigId.parse("RootCutLevel=3")
+        assert set(pi_best(t)[0].values()) == {ConfigId.parse("RootCutLevel=3")}
+        manifest = DatasetManifest("m", {f: {0: "a.mps", 1: "b.mps"}
+                                         for f in ("fam000", "fam001")})
+        for call in (lambda: improvement_upper_bound(t),
+                     lambda: suitability_rows(t),
+                     lambda: stratified_split(manifest, t, 0.5)):
+            with pytest.raises(MissingEntryError) as e:
+                call()
+            assert e.value.args == ("no entry for (fam000, 0, Default)",)
 
     def test_oracle_pi_map_matches_planted(self, small_oracle):
         chosen, _ = pi_best(small_oracle.perf)

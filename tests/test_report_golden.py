@@ -7,8 +7,11 @@ root_end`` on that dataset and ``pipeline --seeds 0..2 --n-trees 5`` at the
 ``static``, ``first_root_lp`` and ``root_end`` stages.  It then runs ``train``
 of every model kind at ``root_end`` on the by-instance seed-0 split, and
 ``evaluate`` of each model, which pins the CLI's own train and evaluate path.
-It compares the sha256 of every file written, and of each ``evaluate``
-stdout, against ``fixtures/report_golden.json``.
+Last it runs ``suitability`` on the dataset's ``perf.csv`` and ``split
+--strategy stratified`` at seeds 0 and 1, which pin the baseline arithmetic
+outside ``evaluate``.  It compares the sha256 of every file written, and of
+each ``evaluate`` and ``suitability`` stdout, against
+``fixtures/report_golden.json``.
 
 Regenerate the fixture only when a change is meant to alter those outputs:
 
@@ -83,6 +86,16 @@ def compute_golden(workdir):
             "evaluate", "--manifest", manifest, "--model", model, "--split",
             split, "--stage", "root_end"]))
     out.update(_hashes(models, "train"))
+    extra = os.path.join(workdir, "baselines")
+    os.makedirs(extra)
+    out["suitability/stdout"] = _sha(_run([
+        "suitability", "--perf", os.path.join(ds, "perf.csv"), "--name",
+        "oracle", "--out-csv", os.path.join(extra, "suitability.csv")]))
+    for seed in ("0", "1"):
+        _run(["split", "--manifest", manifest, "--strategy", "stratified",
+              "--seed", seed, "--out",
+              os.path.join(extra, f"stratified_{seed}.json")])
+    out.update(_hashes(extra, "baselines"))
     return out
 
 
@@ -110,6 +123,9 @@ def test_fixture_covers_every_output(golden, computed):
     for kind in MODEL_KINDS:
         assert f"train/{kind}.json" in golden
         assert f"evaluate/{kind}.stdout" in golden
+    for name in ("suitability.csv", "stratified_0.json", "stratified_1.json"):
+        assert f"baselines/{name}" in golden
+    assert "suitability/stdout" in golden
 
 
 if __name__ == "__main__":
