@@ -2,20 +2,22 @@
 
 Kept deliberately small: greedy binary splits on axis-aligned thresholds,
 variance reduction for regression and Gini for classification, bootstrap
-resampling and per-node feature subsampling.  Every tree draws its randomness
-from a seed spawned off the forest seed by tree index, so training is
-reproducible and independent of any thread scheduling.
+resampling and per-node feature subsampling.  All randomness comes from one
+generator seeded with the forest seed, drawn in a fixed order (every tree's
+bootstrap rows, then each depth's feature draws), so training is reproducible.
 
 Regression leaves predict the mean of the training targets routed to them;
 classification leaves predict the majority class (ties toward the lower class
 index).  Importances are mean decrease in impurity, normalized to sum to 1
 when any split exists.
 
-A fitted forest is one set of node arrays.  Trees are grown depth-first and
-numbered in preorder, tree after tree, so an internal node's left child is
-always the next node and only the right child is stored.  A node scores all
-of its candidate features in one array pass, and the forest predicts by
-descending every tree for every row at once.  A row's prediction is the same
+All trees grow together, one depth at a time (the level-wise growth of
+XGBoost's hist method, applied to exact CART): one sort per depth orders every
+open node's (row, candidate feature) pairs by value, and one array pass scores
+every boundary.  A fitted forest is one set of node arrays numbered in
+preorder, tree after tree, so an internal node's left child is always the
+next node and only the right child is stored.  The forest predicts by
+descending every tree for every row at once; a row's prediction is the same
 whatever batch it comes in.
 """
 
@@ -31,6 +33,8 @@ _LEAF = -1
 
 _PARAMS = ("mode", "n_trees", "max_depth", "min_samples_leaf", "max_features",
            "bootstrap", "seed", "n_classes")
+# (row, feature) elements per split-search run: bounds the search's memory
+_RUN = 1 << 14
 
 
 class Tree(NamedTuple):
@@ -40,6 +44,32 @@ class Tree(NamedTuple):
     threshold: np.ndarray
     right: np.ndarray
     value: np.ndarray
+
+
+def _preorder(levels):
+    """(feature, threshold, right, value, roots) in preorder, tree after
+    tree, from per-depth (feature, threshold, value) node arrays in which
+    split node q's children are nodes 2q and 2q + 1 of the next depth."""
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
+    for f, *_ in levels[-2::-1]:  # subtree sizes, deepest depth first
+        sizes.insert(0, np.ones(len(f), dtype=np.int64))
+        sizes[0][f >= 0] += sizes[1][0::2] + sizes[1][1::2]
+    n = int(sizes[0].sum())
+    feature, threshold, right = np.full(n, _LEAF), np.zeros(n), np.arange(n)
+    value = np.zeros(n, dtype=levels[0][2].dtype)
+    roots = pos = np.cumsum(sizes[0]) - sizes[0]
+    for (f, thr, val), size in zip(levels, sizes[1:] + [None]):
+        feature[pos], threshold[pos], value[pos] = f, thr, val
+        if size is not None:
+            left = pos[f >= 0] + 1
+            right[pos[f >= 0]] = left + size[0::2]
+            pos = np.column_stack([left, left + size[0::2]]).ravel()
+    return feature, threshold, right, value, roots
+
+
+def _refuse(key, bad, why):
+    if bad:
+        raise ValueError(f"forest field {key!r} {why}")
 
 
 def _fitted():
@@ -83,29 +113,65 @@ class RandomForest:
                 raise ValueError(f"n_classes={n_classes} but labels reach "
                                  f"{seen - 1}")
             self.n_classes = seen if n_classes is None else int(n_classes)
+            y = y.astype(np.int64)
         else:
             y = y.astype(float)
-        # feature-major copy: one node's candidate block is a row gather
-        Xt = np.ascontiguousarray(X.T)
-        nodes = ([], [], [], [])  # feature, threshold, right, value
-        roots, per_tree = [], []
-        for ss in np.random.SeedSequence(self.seed).spawn(self.n_trees):
-            rng = np.random.default_rng(ss)
-            if self.bootstrap:
-                idx = rng.integers(0, len(y), size=len(y))
-            else:
-                idx = np.arange(len(y))
-            roots.append(len(nodes[0]))
-            per_tree.append(np.zeros(X.shape[1]))
-            self._build(Xt[:, idx], y[idx], np.arange(len(idx)), 0, rng,
-                        nodes, per_tree[-1])
-        feature, threshold, right, value = nodes
-        self._set_nodes(
-            np.array(feature, dtype=np.int64), np.array(threshold),
-            np.array(right, dtype=np.int64),
-            np.array(value, dtype=float if self.mode == "regression"
-                     else np.int64),
-            np.array(roots, dtype=np.int64), np.sum(per_tree, axis=0))
+        (n, d), C = X.shape, self.n_classes
+        k = self._n_candidate_features(d)
+        rng = np.random.default_rng(self.seed)
+        # each value's rank among its column's distinct values
+        rank = np.array([np.unique(c, return_inverse=True)[1] for c in X.T])
+        # the rows of every tree in one pool, grouped by node, tree by tree
+        rows = (rng.integers(0, n, size=(self.n_trees, n)) if self.bootstrap
+                else np.tile(np.arange(n), (self.n_trees, 1))).ravel()
+        counts, importances = np.full(self.n_trees, n), np.zeros(d)
+        levels = []  # per depth, by node: feature, threshold, value
+        while len(counts):
+            m, ys = len(counts), y[rows]
+            node = np.repeat(np.arange(m), counts)
+            # each node's leaf value, impurity * n (SSE or n * gini) and the
+            # sums its split search needs: sum y and sum y^2, or class counts
+            if self.mode == "regression":
+                stats = np.stack([np.bincount(node, w, m)
+                                  for w in (ys, ys * ys)], axis=1)
+                value = stats[:, 0] / counts
+                imp = np.bincount(node, (ys - value[node]) ** 2, m)
+            else:  # argmax takes the lowest tied class
+                stats = np.bincount(node * C + ys, minlength=m * C)
+                stats = stats.reshape(m, C)
+                value = stats.argmax(axis=1)
+                imp = counts - (stats * stats).sum(axis=1) / counts
+            grow = ((imp > 0.0) & (len(levels) < self.max_depth)
+                    & (counts >= 2 * self.min_samples_leaf))
+            sub, on = np.flatnonzero(grow), grow[node]
+            rows, node, counts = rows[on], node[on], counts[sub]
+            # each growing node's k features, then the others
+            perm = np.argsort(rng.random((len(sub), d)), axis=1)
+            child, f, thr = best = self._search(
+                X, rank, y, rows, counts, np.sort(perm[:, :k]), stats[sub])
+            stuck = np.isinf(child) & (k < d)
+            if stuck.any():
+                # the sampled features are constant on these nodes: search
+                # the others rather than settle for a leaf
+                for part, more in zip(best, self._search(
+                        X, rank, y, rows[np.repeat(stuck, counts)],
+                        counts[stuck], np.sort(perm[stuck, k:]),
+                        stats[sub[stuck]])):
+                    part[stuck] = more
+            ok = np.isfinite(child)
+            np.add.at(importances, f[ok], imp[sub[ok]] - child[ok])
+            feature, threshold = np.full(m, _LEAF), np.zeros(m)
+            feature[sub[ok]], threshold[sub[ok]], value[sub[ok]] = \
+                f[ok], thr[ok], 0
+            levels.append((feature, threshold, value))
+            on = feature[node] >= 0
+            rows, node = rows[on], node[on]
+            # split node q's children are nodes 2q and 2q + 1 of the next depth
+            child = 2 * (np.cumsum(feature >= 0) - 1)[node] + \
+                ~(X[rows, feature[node]] <= threshold[node])
+            rows = rows[np.argsort(child, kind="stable")]
+            counts = np.bincount(child, minlength=2 * int(ok.sum()))
+        self._set_nodes(*_preorder(levels), importances)
         return self
 
     def _set_nodes(self, feature, threshold, right, value, roots,
@@ -133,101 +199,67 @@ class RandomForest:
             return max(1, int(self.max_features * d))
         return max(1, min(int(self.max_features), d))
 
-    def _leaf_and_impurity(self, y_node):
-        """The node's leaf value and its impurity * n (SSE or n * gini)."""
-        n = len(y_node)
-        if self.mode == "regression":
-            mean = y_node.sum() / n  # bit-equal to y_node.mean()
-            return float(mean), float(((y_node - mean) ** 2).sum())
-        counts = np.bincount(y_node, minlength=self.n_classes)
-        # argmax takes the lowest tied class
-        return (int(np.argmax(counts)),
-                float(n - counts @ counts / n) if n else 0.0)
+    def _search(self, X, rank, y, rows, counts, feats, stats):
+        """(child impurity sum, feature, threshold) of each node's best split,
+        the impurity inf where there is none.  Node i owns the next counts[i]
+        entries of rows and searches the features feats[i].
 
-    def _build(self, Xt, y, idx, depth, rng, nodes, importances):
-        """Append the subtree of rows idx to nodes; nodes are numbered, and
-        draw from rng, in DFS preorder."""
-        feature, threshold, right, value = nodes
-        node = len(feature)
-        leaf, parent_imp = self._leaf_and_impurity(y[idx])
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        right.append(node)
-        value.append(leaf)
-        if (depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf
-                or parent_imp <= 0.0):
-            return
-
-        d = Xt.shape[0]
-        k = self._n_candidate_features(d)
-        feats = np.sort(rng.choice(d, size=k, replace=False))
-        best = self._best_split(Xt, y, idx, feats)
-        if best is None and k < d:
-            # the sampled features were constant on this node; keep searching
-            # the remaining ones, k at a time, instead of degenerating into a
-            # leaf.  Blocks run in feature order and only a strictly lower
-            # impurity replaces the best, so ties keep the lowest feature.
-            rest = np.ones(d, dtype=bool)
-            rest[feats] = False
-            rest = np.flatnonzero(rest)
-            for start in range(0, len(rest), k):
-                cand = self._best_split(Xt, y, idx, rest[start:start + k])
-                if cand is not None and (best is None or cand[2] < best[2]):
-                    best = cand
-        if best is None:
-            return
-
-        f, thr, child_imp = best
-        importances[f] += parent_imp - child_imp
-        go_left = Xt[f, idx] <= thr
-        feature[node], threshold[node], value[node] = f, thr, 0
-        self._build(Xt, y, idx[go_left], depth + 1, rng, nodes, importances)
-        right[node] = len(feature)
-        self._build(Xt, y, idx[~go_left], depth + 1, rng, nodes, importances)
-
-    def _best_split(self, Xt, y, idx, feats):
-        """(feature, threshold, child impurity sum) of the best split, or None.
-
-        Scores every feature in feats at once on a (k, n) block.  The stable
-        sort orders tied values by row, and the first argmin over the
-        row-major (k, n - 1) block takes the lowest impurity, then the lowest
-        feature (feats is increasing), then the lowest threshold.
+        Nodes go in runs of at most _RUN (row, feature) elements, a larger
+        node alone.  One sort of the key (node, feature slot, rank) lays out
+        a run's nodes, and each node's features one after another in value
+        order, so a node's first minimum over its boundaries takes the lowest
+        impurity, then the lowest feature, then the lowest threshold.
         """
-        n = len(idx)
-        min_leaf = self.min_samples_leaf
-        rows = feats[:, None]
-        order = Xt[rows, idx].argsort(axis=1, kind="stable")
-        sorted_idx = idx[order]  # (k, n) training rows in each feature's order
-        xs = Xt[rows, sorted_idx]
-        # a split after sorted position j leaves j + 1 rows on the left
-        valid = xs[:, 1:] != xs[:, :-1]
-        valid[:, :min_leaf - 1] = False
-        valid[:, n - min_leaf:] = False
-        if not valid.any():
-            return None
-        nl = np.arange(1, n, dtype=float)
-        nr = n - nl
-        yo = y[sorted_idx]
-        if self.mode == "regression":
-            cs = yo.cumsum(axis=1)[:, :-1]
-            total = yo.sum(axis=1, keepdims=True)
-            sq = (yo ** 2).sum(axis=1, keepdims=True)
-            child = sq - (cs ** 2 / nl + (total - cs) ** 2 / nr)
-        else:
-            # integer class counts left of each split: exact, so the sums of
-            # squares are the same floats whatever the summation order
-            cl = (yo[:, :, None] == np.arange(self.n_classes)).cumsum(axis=1)
-            cr = cl[:, -1:] - cl[:, :-1]
-            cl = cl[:, :-1]
-            child = (nl - (cl * cl).sum(axis=2) / nl) + \
-                    (nr - (cr * cr).sum(axis=2) / nr)
-        child[~valid] = np.inf
-        row, j = divmod(int(child.argmin()), n - 1)
-        child_imp = float(child[row, j])
-        if math.isinf(child_imp):
-            return None
-        thr = 0.5 * (xs[row, j] + xs[row, j + 1])
-        return int(feats[row]), float(thr), child_imp
+        m, k = feats.shape
+        best = np.full(m, np.inf), np.zeros(m, dtype=np.int64), np.zeros(m)
+        bits, leaf = len(X).bit_length(), self.min_samples_leaf
+        end, first = np.cumsum(counts * k), np.cumsum(counts) - counts
+        a = 0
+        while a < m:
+            b = max(a + 1, int(np.searchsorted(end, end[a] - counts[a] * k
+                                               + _RUN, "right")))
+            r = rows[first[a]:first[b - 1] + counts[b - 1]]
+            local = np.repeat(np.arange(b - a), counts[a:b])
+            # element e is row r[e // k] under feature slot e % k
+            key = ((local[:, None] * k + np.arange(k)) << bits) | \
+                rank.ravel()[feats[a:b][local] * len(X) + r[:, None]]
+            order = key.ravel().argsort()
+            key = key.ravel()[order]
+            size = np.repeat(counts[a:b], k)  # of each (node, slot) group
+            start = np.cumsum(size) - size
+            # a split after sorted position i, never across a group's end
+            step = key[1:] != key[:-1]
+            step[start[1:] - 1] = False
+            i = np.flatnonzero(step)
+            g = key[i] >> bits
+            nl, n = i + 1 - start[g], size[g]
+            ok = (nl >= leaf) & (n - nl >= leaf)
+            i, g, n, nl, node = i[ok], g[ok], n[ok], nl[ok], g[ok] // k
+            ys, stat = y[r[order // k]], stats[a + node]
+            if self.mode == "regression":
+                cs = np.cumsum(ys)
+                left = cs[i] - np.r_[0.0, cs][start[g]]
+                c = stat[:, 1] - (left ** 2 / nl
+                                  + (stat[:, 0] - left) ** 2 / (n - nl))
+            else:
+                # integer class counts: exact, so the sums of squares are
+                # the same floats whatever the summation order
+                sl = sr = 0
+                for cls in range(self.n_classes):
+                    cs = np.cumsum(ys == cls)
+                    left = cs[i] - np.r_[0, cs][start[g]]
+                    sl, sr = sl + left ** 2, sr + (stat[:, cls] - left) ** 2
+                c = (nl - sl / nl) + ((n - nl) - sr / (n - nl))
+            new = np.diff(node, prepend=-1) != 0
+            low = np.minimum.reduceat(c, np.flatnonzero(new))
+            hit = np.flatnonzero(c == low[np.cumsum(new) - 1])
+            hit = hit[np.diff(node[hit], prepend=-1) != 0]
+            at, f, i = a + node[hit], feats[a + node[hit], g[hit] % k], i[hit]
+            best[0][at], best[1][at] = low, f
+            best[2][at] = 0.5 * (X[r[order[i] // k], f]
+                                 + X[r[order[i + 1] // k], f])
+            a = b
+        return best
 
     # -- prediction ---------------------------------------------------------
 
@@ -276,38 +308,55 @@ class RandomForest:
 
     @classmethod
     def from_dict(cls, d):
-        """The forest of to_dict; arrays that disagree with the node counts
-        are refused with a ValueError naming the field."""
+        """The forest of to_dict; a field of the wrong type, or an array that
+        disagrees with the node counts, is refused with a ValueError naming
+        the field."""
+        _refuse("mode", d.get("mode") not in ("regression", "classification"),
+                f"is {d.get('mode')!r}, not 'regression' or 'classification'")
+        for key in ("n_trees", "max_depth", "min_samples_leaf", "seed",
+                    "n_classes"):
+            val = d.get(key)
+            _refuse(key, isinstance(val, bool) or not isinstance(
+                val, (int, np.integer)), f"is {val!r}, not an int")
         forest = cls(**{key: d[key] for key in _PARAMS})
+        floats = {"threshold", "importances"} | (
+            {"value"} if forest.mode == "regression" else set())
+        for key in ("sizes", "feature", "threshold", "right", "value",
+                    "importances"):
+            kinds, what = ("f", "floats") if key in floats else ("iu", "ints")
+            _refuse(key, np.ndim(d.get(key)) != 1
+                    or np.asarray(d[key]).dtype.kind not in kinds,
+                    f"is not an array of {what}")
         feature = np.asarray(d["feature"], dtype=np.int64)
         internal = feature >= 0
         n, n_internal = len(feature), int(internal.sum())
         sizes = np.asarray(d["sizes"], dtype=np.int64)
-        if (len(sizes) != forest.n_trees or sizes.sum() != n
-                or np.any(sizes < 1)):
-            raise ValueError(f"forest field 'sizes' does not split {n} nodes "
-                             f"into {forest.n_trees} trees")
+        _refuse("sizes", len(sizes) != forest.n_trees or sizes.sum() != n
+                or np.any(sizes < 1),
+                f"does not split {n} nodes into {forest.n_trees} trees")
         for key, count, per in (("threshold", n_internal, "internal node"),
                                 ("right", n_internal, "internal node"),
                                 ("value", n - n_internal, "leaf")):
-            if len(d[key]) != count:
-                raise ValueError(f"forest field {key!r} has {len(d[key])} "
-                                 f"entries, expected {count} (one per {per})")
-        if feature.max(initial=-1) >= len(d["importances"]):
-            raise ValueError(f"forest field 'importances' has "
-                             f"{len(d['importances'])} entries, but a node "
-                             f"splits on feature {feature.max()}")
+            _refuse(key, len(d[key]) != count, f"has {len(d[key])} entries, "
+                    f"expected {count} (one per {per})")
+        top = feature.max(initial=-1)
+        _refuse("importances", top >= len(d["importances"]),
+                f"has {len(d['importances'])} entries, but a node splits on "
+                f"feature {top}")
         roots = np.cumsum(sizes) - sizes
         ids = np.arange(n)
         right = ids.copy()
         right[internal] = d["right"]
         # a right child lies after its node and inside its node's tree
         ends = np.repeat(roots + sizes, sizes)
-        if np.any(internal & ((right <= ids) | (right >= ends))):
-            raise ValueError("forest field 'right' points outside its tree")
+        _refuse("right", np.any(internal & ((right <= ids) | (right >= ends))),
+                "points outside its tree")
         threshold = np.zeros(n)
         threshold[internal] = d["threshold"]
         leaves = np.asarray(d["value"])
+        _refuse("value", forest.mode == "classification" and np.any(
+            (leaves < 0) | (leaves >= forest.n_classes)),
+            f"holds a class outside 0..{forest.n_classes - 1}")
         value = np.zeros(n, dtype=leaves.dtype)
         value[~internal] = leaves
         forest._set_nodes(feature, threshold, right, value, roots,

@@ -40,6 +40,13 @@ MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
 
 MODEL_FORMAT_TAG = "benloc-model-v2"
 
+# a model file's top-level fields: type, and how a refusal names it
+_MODEL_FIELDS = {"configs": (list, "a list of strings"),
+                 "feature_names": (list, "a list of strings"),
+                 "fingerprint": (str, "a string"), "seed": (int, "an int"),
+                 "hyperparams": (dict, "an object"),
+                 "payload": (dict, "an object")}
+
 FOREST_DEFAULTS = {
     "n_trees": 200,
     "max_depth": 12,
@@ -168,17 +175,77 @@ def _encode(obj):
                           "base64": base64.b64encode(obj.tobytes()).decode()}}
 
 
-def _decode(val):
-    """Inverse of _encode; integer arrays come back as int64."""
+def _decode(val, field):
+    """Inverse of _encode; integer arrays come back as int64.  An array or
+    forest that does not decode is refused with a ValueError naming field."""
     if isinstance(val, dict) and "__forest__" in val:
-        return RandomForest.from_dict({key: _decode(v) for key, v
-                                       in val["__forest__"].items()})
-    if isinstance(val, dict) and "__array__" in val:
-        a = val["__array__"]
-        arr = np.frombuffer(base64.b64decode(a["base64"]),
-                            dtype=a["dtype"]).reshape(a["shape"])
-        return arr.astype(np.int64) if arr.dtype.kind in "iu" else arr
-    return val
+        d = val["__forest__"]
+        if not isinstance(d, dict):
+            raise ValueError(f"model field {field!r} is not a forest object")
+        return RandomForest.from_dict({key: _decode(v, f"{field}.{key}")
+                                       for key, v in d.items()})
+    if not (isinstance(val, dict) and "__array__" in val):
+        return val
+    a = val["__array__"]
+    try:
+        dtype = a["dtype"] if isinstance(a["dtype"], str) else object
+        if np.dtype(dtype).kind not in "biuf":
+            raise ValueError(f"data type {a['dtype']!r} is not numeric")
+        if not all(type(s) is int and s >= 0 for s in a["shape"]):
+            raise ValueError(f"shape {a['shape']!r} is not a list of sizes")
+        arr = np.frombuffer(base64.b64decode(a["base64"], validate=True),
+                            dtype=dtype).reshape(a["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model field {field!r} is not an array: {exc}") \
+            from None
+    return arr.astype(np.int64) if arr.dtype.kind in "iu" else arr
+
+
+def _check_payload(kind, payload, n_configs, n_features):
+    """Refuse a payload that lacks a field its kind reads, or holds one of
+    the wrong type or shape, with a ValueError naming the field."""
+    def need(key, ok, what):
+        if key not in payload or not ok(payload[key]):
+            raise ValueError(f"model field 'payload.{key}' is "
+                             + ("missing" if key not in payload
+                                else f"not {what}"))
+
+    def forest(mode, width, n_classes=None):
+        return lambda f: (isinstance(f, RandomForest) and f.mode == mode
+                          and len(f.importances) == width
+                          and n_classes in (None, f.n_classes))
+
+    def array(shape, kinds):
+        return lambda a: (isinstance(a, np.ndarray) and a.shape == shape
+                          and a.dtype.kind in kinds)
+
+    if kind == "reg_forest":
+        for c in range(n_configs):
+            need(f"forest_{c}", forest("regression", n_features),
+                 f"a regression forest over {n_features} features")
+    elif kind == "clf_forest":
+        need("forest", forest("classification", n_features, n_configs),
+             f"a classification forest over {n_features} features and "
+             f"{n_configs} classes")
+    elif kind == "knn":
+        need("k", lambda k: type(k) is int and k >= 1, "an int >= 1")
+        need("X", lambda X: isinstance(X, np.ndarray) and X.ndim == 2
+             and X.shape[1] == n_features and X.dtype.kind == "f",
+             f"a float array of {n_features} columns")
+        rows = payload["X"].shape[0]
+        for key in ("mean", "std"):
+            need(key, array((n_features,), "f"),
+                 f"a float array of shape ({n_features},)")
+        need("classes", lambda c: array((rows,), "iu")(c) and np.all(
+            (c >= 0) & (c < n_configs)),
+             f"an array of {rows} config indices below {n_configs}")
+    else:
+        pairs = [[i, j] for i in range(n_configs)
+                 for j in range(i + 1, n_configs)]
+        need("pairs", lambda p: isinstance(p, list) and p == pairs,
+             f"every pair i < j of {n_configs} configs")
+        need("forest", forest("classification", n_features + len(pairs), 2),
+             f"a two-class forest over {n_features + len(pairs)} features")
 
 
 @dataclass
@@ -212,12 +279,20 @@ class TrainedSelector:
                              f"{MODEL_FORMAT_TAG!r}; retrain the model")
         if d.get("kind") not in MODEL_KINDS:
             raise UnsupportedModelError(f"unknown model kind {d.get('kind')!r}")
-        payload = {key: _decode(val) for key, val in d["payload"].items()}
-        return cls(kind=d["kind"],
-                   configs=tuple(ConfigId.parse(c) for c in d["configs"]),
-                   feature_names=tuple(d["feature_names"]),
-                   fingerprint=d["fingerprint"], seed=d["seed"],
-                   hyperparams=d["hyperparams"], payload=payload)
+        for key, (typ, what) in _MODEL_FIELDS.items():
+            if not isinstance(d.get(key), typ) or typ is list and not all(
+                    isinstance(v, str) for v in d[key]):
+                raise ValueError(f"model field {key!r} is not {what}")
+        payload = {key: _decode(val, f"payload.{key}")
+                   for key, val in d["payload"].items()}
+        model = cls(kind=d["kind"],
+                    configs=tuple(ConfigId.parse(c) for c in d["configs"]),
+                    feature_names=tuple(d["feature_names"]),
+                    fingerprint=d["fingerprint"], seed=d["seed"],
+                    hyperparams=d["hyperparams"], payload=payload)
+        _check_payload(model.kind, payload, len(model.configs),
+                       len(model.feature_names))
+        return model
 
 
 def _forest_params(hyperparams):

@@ -86,6 +86,8 @@ class DatasetManifest:
                     and all(isinstance(p, str) for p in seeds.values())):
                 raise ValueError(f"manifest family {f!r} is not an object "
                                  f"of seed -> path")
+            if not seeds:
+                raise ValueError(f"manifest family {f!r} has no seeds")
             families[f] = {}
             for s, p in seeds.items():
                 try:

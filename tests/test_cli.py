@@ -61,6 +61,20 @@ def forest_model_path(workdir, model_path):
     return model
 
 
+@pytest.fixture(scope="module")
+def ranker_models(workdir, model_path):
+    """Small reg_forest and pair_ranker models on the kNN model's split."""
+    paths = {}
+    for kind in ("reg_forest", "pair_ranker"):
+        paths[kind] = str(workdir / f"{kind}.json")
+        r = CliRunner().invoke(main, [
+            "train", "--manifest", str(workdir / "ds" / "manifest.json"),
+            "--split", str(workdir / "knn_split.json"), "--stage", "root_end",
+            "--kind", kind, "--out", paths[kind]])
+        assert r.exit_code == 0, r.output
+    return paths
+
+
 class TestHelp:
     def test_group_help(self, runner):
         r = runner.invoke(main, ["--help"])
@@ -224,9 +238,13 @@ class TestCommands:
         "manifest_seed", "mps_huge_coef", "mps_nan_coef", "mps_inf_rhs",
         "split_unknown_train", "split_unknown_test", "mps_inf_lower_bound",
         "model_kind_predict", "model_kind_evaluate", "manifest_null_perf_path",
-        "manifest_null_log_dir_features", "manifest_null_log_dir_train"])
+        "manifest_null_log_dir_features", "manifest_null_log_dir_train",
+        "model_dtype", "model_n_classes", "model_mode", "model_forest_1",
+        "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
+        "manifest_empty_family"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
-                                         forest_model_path, tmp_path, case):
+                                         forest_model_path, ranker_models,
+                                         tmp_path, case):
         ds = workdir / "ds"
         manifest = json.loads((ds / "manifest.json").read_text())
         bad = tmp_path / "bad.mps"
@@ -312,8 +330,54 @@ class TestCommands:
                 families={f: {s: str(ds / p) for s, p in seeds.items()}
                           for f, seeds in manifest["families"].items()})
                 | {key: None}))
+        # model files with one field broken
+        def tampered(source, name, change):
+            with open(source) as fh:
+                model = json.load(fh)
+            change(model["payload"])
+            (tmp_path / name).write_text(json.dumps(model))
+            return tmp_path / name, model
+
+        def forest(payload):
+            return payload["forest"]["__forest__"]
+
+        def zero_d(arr):
+            arr.update(shape=[], base64=base64.b64encode(base64.b64decode(
+                arr["base64"])[:8]).decode())
+        broken_model = {
+            "model_dtype": tampered(forest_model_path, "dtype.json", lambda p:
+                                    forest(p)["threshold"]["__array__"]
+                                    .update(dtype="")),
+            "model_n_classes": tampered(forest_model_path, "n_classes.json",
+                                        lambda p: forest(p).update(
+                                            n_classes="2")),
+            "model_mode": tampered(forest_model_path, "mode.json", lambda p:
+                                   forest(p).update(mode="bogus")),
+            "model_forest_1": tampered(ranker_models["reg_forest"],
+                                       "forest_1.json",
+                                       lambda p: p.pop("forest_1")),
+            "model_knn_k": tampered(model_path, "k.json",
+                                    lambda p: p.update(k="x")),
+            "model_knn_mean": tampered(model_path, "mean.json", lambda p:
+                                       zero_d(p["mean"]["__array__"])),
+            "model_pairs": tampered(ranker_models["pair_ranker"], "pairs.json",
+                                    lambda p: p.update(pairs=[[0, 9]])),
+        }
+        with open(model_path) as fh:
+            listed_payload = tmp_path / "payload.json"
+            listed_payload.write_text(json.dumps(dict(json.load(fh),
+                                                      payload=[])))
+        n_features = len(broken_model["model_knn_mean"][1]["feature_names"])
+        n_configs = len(broken_model["model_pairs"][1]["configs"])
+        empty_family = tmp_path / "empty_family.json"
+        empty_family.write_text(json.dumps(dict(
+            manifest, families=dict(manifest["families"], famX={}))))
         mps = str(ds / "instances" / "fam000.perm0.mps")
         split = str(workdir / "knn_split.json")
+
+        def tampered_model(case, reason):
+            path = broken_model[case][0]
+            return (*evaluate(path, split), path, reason)
 
         def split_with(manifest):
             return ("split", ["--manifest", str(manifest), "--out",
@@ -413,6 +477,28 @@ class TestCommands:
                           "--stage", "root_end", "--out",
                           str(tmp_path / "m.json")], None,
                 "no Default log for (fam000, 0)"),
+            "model_dtype": tampered_model("model_dtype", (
+                "model field 'payload.forest.threshold' is not an array: "
+                "data type '' not understood")),
+            "model_n_classes": tampered_model("model_n_classes", (
+                "forest field 'n_classes' is '2', not an int")),
+            "model_mode": tampered_model("model_mode", (
+                "forest field 'mode' is 'bogus', not 'regression' or "
+                "'classification'")),
+            "model_forest_1": tampered_model("model_forest_1", (
+                "model field 'payload.forest_1' is missing")),
+            "model_knn_k": tampered_model("model_knn_k", (
+                "model field 'payload.k' is not an int >= 1")),
+            "model_knn_mean": tampered_model("model_knn_mean", (
+                f"model field 'payload.mean' is not a float array of shape "
+                f"({n_features},)")),
+            "model_pairs": tampered_model("model_pairs", (
+                f"model field 'payload.pairs' is not every pair i < j of "
+                f"{n_configs} configs")),
+            "model_payload": (*evaluate(listed_payload, split), listed_payload,
+                              "model field 'payload' is not an object"),
+            "manifest_empty_family": (*split_with(empty_family), empty_family,
+                                      "manifest family 'famX' has no seeds"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1

@@ -285,13 +285,20 @@ def fitted_forests(draw):
 @given(fitted_forests())
 def test_model_file_round_trip_is_bit_identical(case):
     forest, X = case
-    model = TrainedSelector(kind="clf_forest", configs=(), feature_names=(),
-                            fingerprint="", seed=0, hyperparams={},
-                            payload={"forest": forest})
+    # the smallest selector that holds the forest and passes the load checks
+    regression = forest.mode == "regression"
+    key = "forest_0" if regression else "forest"
+    configs = (ConfigId.default(),) + tuple(
+        ConfigId.parse(f"RootCutLevel={c}")
+        for c in range(0 if regression else forest.n_classes - 1))
+    model = TrainedSelector(
+        kind="reg_forest" if regression else "clf_forest", configs=configs,
+        feature_names=tuple(f"f{j}" for j in range(X.shape[1])),
+        fingerprint="", seed=0, hyperparams={}, payload={key: forest})
     text = model.to_json()
     back = TrainedSelector.from_json(text)
     assert back.to_json() == text
-    loaded = back.payload["forest"]
+    loaded = back.payload[key]
     for name in ("feature", "threshold", "right", "value", "roots",
                  "importances"):
         a, b = getattr(forest, name), getattr(loaded, name)
