@@ -14,11 +14,12 @@ when any split exists.
 All trees grow together, one depth at a time (the level-wise growth of
 XGBoost's hist method, applied to exact CART): one sort per depth orders every
 open node's (row, candidate feature) pairs by value, and one array pass scores
-every boundary.  A fitted forest is one set of node arrays numbered in
-preorder, tree after tree, so an internal node's left child is always the
-next node and only the right child is stored.  The forest predicts by
-descending every tree for every row at once; a row's prediction is the same
-whatever batch it comes in.
+every boundary.  A fitted forest is one set of node arrays in the order the
+builder grows them: every tree's root, then depth 1 of every tree, and so
+on.  In that level order the children of the i-th internal node are nodes
+n_trees + 2i and n_trees + 2i + 1, so no child pointer is stored.  The
+forest predicts by descending every tree for every row at once; a row's
+prediction is the same whatever batch it comes in.
 """
 
 from __future__ import annotations
@@ -38,33 +39,10 @@ _RUN = 1 << 14
 
 
 class Tree(NamedTuple):
-    """One tree's slice of its forest's node arrays (views; node ids are the
-    forest's)."""
+    """One tree's nodes in level order, taken from its forest's arrays."""
     feature: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
     value: np.ndarray
-
-
-def _preorder(levels):
-    """(feature, threshold, right, value, roots) in preorder, tree after
-    tree, from per-depth (feature, threshold, value) node arrays in which
-    split node q's children are nodes 2q and 2q + 1 of the next depth."""
-    sizes = [np.ones(len(levels[-1][0]), dtype=np.int64)]
-    for f, *_ in levels[-2::-1]:  # subtree sizes, deepest depth first
-        sizes.insert(0, np.ones(len(f), dtype=np.int64))
-        sizes[0][f >= 0] += sizes[1][0::2] + sizes[1][1::2]
-    n = int(sizes[0].sum())
-    feature, threshold, right = np.full(n, _LEAF), np.zeros(n), np.arange(n)
-    value = np.zeros(n, dtype=levels[0][2].dtype)
-    roots = pos = np.cumsum(sizes[0]) - sizes[0]
-    for (f, thr, val), size in zip(levels, sizes[1:] + [None]):
-        feature[pos], threshold[pos], value[pos] = f, thr, val
-        if size is not None:
-            left = pos[f >= 0] + 1
-            right[pos[f >= 0]] = left + size[0::2]
-            pos = np.column_stack([left, left + size[0::2]]).ravel()
-    return feature, threshold, right, value, roots
 
 
 def _refuse(key, bad, why):
@@ -86,18 +64,17 @@ class RandomForest:
     bootstrap: bool = True
     seed: int = 0
     n_classes: int = 0
-    # the fitted nodes of all trees, tree t's after those of trees 0..t-1.
-    # A leaf has feature -1, threshold 0 and right pointing at itself; only
-    # leaves carry a value.  importances sums the trees' MDI vectors.
+    # the fitted nodes of all trees in level order: the roots are nodes
+    # 0..n_trees-1.  A leaf has feature -1 and threshold 0; only leaves
+    # carry a value.  importances sums the trees' MDI vectors.
     feature: np.ndarray = _fitted()
     threshold: np.ndarray = _fitted()
-    right: np.ndarray = _fitted()
     value: np.ndarray = _fitted()
-    roots: np.ndarray = _fitted()  # each tree's first node
     importances: np.ndarray = _fitted()
-    # descent steps: node + 1 at internal nodes, the leaf itself at leaves,
-    # so every row takes _depth steps (the deepest leaf's depth)
+    # descent steps: the children of internal nodes, the leaf itself at
+    # leaves, so every row takes _depth steps (the deepest leaf's depth)
     _left: np.ndarray = _fitted()
+    _right: np.ndarray = _fitted()
     _depth: int = _fitted()
 
     def fit(self, X, y, n_classes=None):
@@ -171,22 +148,23 @@ class RandomForest:
                 ~(X[rows, feature[node]] <= threshold[node])
             rows = rows[np.argsort(child, kind="stable")]
             counts = np.bincount(child, minlength=2 * int(ok.sum()))
-        self._set_nodes(*_preorder(levels), importances)
+        self._set_nodes(*map(np.concatenate, zip(*levels)), importances)
         return self
 
-    def _set_nodes(self, feature, threshold, right, value, roots,
-                   importances):
-        self.feature, self.threshold, self.right = feature, threshold, right
-        self.value, self.roots, self.importances = value, roots, importances
-        leaf = feature < 0
-        ids = np.arange(len(feature))
-        self._left = np.where(leaf, ids, ids + 1)
-        self._depth = 0
-        frontier = roots[~leaf[roots]]
-        while len(frontier):
-            self._depth += 1
-            frontier = np.concatenate([frontier + 1, right[frontier]])
-            frontier = frontier[~leaf[frontier]]
+    def _set_nodes(self, feature, threshold, value, importances):
+        self.feature, self.threshold = feature, threshold
+        self.value, self.importances = value, importances
+        # the i-th internal node's children are nodes n_trees + 2i and
+        # n_trees + 2i + 1, and a leaf is its own child
+        internal = feature >= 0
+        before = np.r_[0, np.cumsum(internal)]
+        self._left = np.where(internal, self.n_trees + 2 * before[:-1],
+                              np.arange(len(feature)))
+        self._right = self._left + internal
+        # depth d + 1 holds the children of depth d's internal nodes
+        self._depth, end = 0, self.n_trees
+        while end < len(feature):
+            self._depth, end = self._depth + 1, self.n_trees + 2 * before[end]
 
     # -- growing ------------------------------------------------------------
 
@@ -256,8 +234,9 @@ class RandomForest:
             hit = hit[np.diff(node[hit], prepend=-1) != 0]
             at, f, i = a + node[hit], feats[a + node[hit], g[hit] % k], i[hit]
             best[0][at], best[1][at] = low, f
-            best[2][at] = 0.5 * (X[r[order[i] // k], f]
-                                 + X[r[order[i + 1] // k], f])
+            # the midpoint, or lo where it rounds up to hi (adjacent floats)
+            lo, hi = (X[r[order[j] // k], f] for j in (i, i + 1))
+            best[2][at] = np.where(0.5 * (lo + hi) < hi, 0.5 * (lo + hi), lo)
             a = b
         return best
 
@@ -266,13 +245,13 @@ class RandomForest:
     def predict(self, X):
         """One prediction per row; a row's result never depends on the batch."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.tile(self.roots, (len(X), 1))  # (rows, trees)
+        node = np.tile(np.arange(self.n_trees), (len(X), 1))  # (rows, trees)
         rows = np.arange(len(X))[:, None]
         for _ in range(self._depth):
             # a leaf's feature -1 reads the last column; either way the row
             # stays at the leaf
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self._left[node], self.right[node])
+            node = np.where(go_left, self._left[node], self._right[node])
         votes = self.value[node]
         if self.mode == "regression":
             return votes.mean(axis=1)
@@ -282,11 +261,15 @@ class RandomForest:
 
     @property
     def trees(self):
-        """One Tree of views per tree, in fitting order."""
-        bounds = self.roots[1:]
-        return [Tree(*parts) for parts in zip(
-            *(np.split(a, bounds) for a in (self.feature, self.threshold,
-                                            self.right, self.value)))]
+        """One Tree per tree in fitting order, found by following parents."""
+        parent = np.r_[np.arange(self.n_trees),
+                       np.repeat(np.flatnonzero(self.feature >= 0), 2)]
+        tree = np.arange(len(self.feature))
+        for _ in range(self._depth):
+            tree = parent[tree]
+        return [Tree(*(a[tree == t] for a in (self.feature, self.threshold,
+                                              self.value)))
+                for t in range(self.n_trees)]
 
     @property
     def feature_importances_(self):
@@ -295,22 +278,19 @@ class RandomForest:
         return total / s if s > 0 else total
 
     def to_dict(self):
-        """Hyperparameters and node arrays: per-tree node counts, every
-        node's feature, thresholds and right children of internal nodes only,
-        values of leaves only, and the summed importances."""
+        """Hyperparameters, every node's feature, the internal nodes'
+        thresholds, the leaves' values and the summed importances."""
         internal = self.feature >= 0
         d = {key: getattr(self, key) for key in _PARAMS}
-        d.update(sizes=np.diff(self.roots, append=len(self.feature)),
-                 feature=self.feature, threshold=self.threshold[internal],
-                 right=self.right[internal], value=self.value[~internal],
-                 importances=self.importances)
+        d.update(feature=self.feature, threshold=self.threshold[internal],
+                 value=self.value[~internal], importances=self.importances)
         return d
 
     @classmethod
     def from_dict(cls, d):
-        """The forest of to_dict; a field of the wrong type, or an array that
-        disagrees with the node counts, is refused with a ValueError naming
-        the field."""
+        """The forest of to_dict.  A field of the wrong type, a feature array
+        that is not a level-order layout, or an array that disagrees with it
+        is refused with a ValueError naming the field."""
         _refuse("mode", d.get("mode") not in ("regression", "classification"),
                 f"is {d.get('mode')!r}, not 'regression' or 'classification'")
         for key in ("n_trees", "max_depth", "min_samples_leaf", "seed",
@@ -321,21 +301,21 @@ class RandomForest:
         forest = cls(**{key: d[key] for key in _PARAMS})
         floats = {"threshold", "importances"} | (
             {"value"} if forest.mode == "regression" else set())
-        for key in ("sizes", "feature", "threshold", "right", "value",
-                    "importances"):
+        for key in ("feature", "threshold", "value", "importances"):
             kinds, what = ("f", "floats") if key in floats else ("iu", "ints")
             _refuse(key, np.ndim(d.get(key)) != 1
                     or np.asarray(d[key]).dtype.kind not in kinds,
                     f"is not an array of {what}")
         feature = np.asarray(d["feature"], dtype=np.int64)
         internal = feature >= 0
-        n, n_internal = len(feature), int(internal.sum())
-        sizes = np.asarray(d["sizes"], dtype=np.int64)
-        _refuse("sizes", len(sizes) != forest.n_trees or sizes.sum() != n
-                or np.any(sizes < 1),
-                f"does not split {n} nodes into {forest.n_trees} trees")
+        n, n_internal, m = len(feature), int(internal.sum()), forest.n_trees
+        # every node but a root is a child of an earlier internal node, so
+        # every descent reaches a leaf within _depth steps
+        _refuse("feature", m < 1 or n != m + 2 * n_internal
+                or np.any(feature < _LEAF) or np.any(
+                    np.flatnonzero(internal) >= m + 2 * np.arange(n_internal)),
+                f"is not a level-order layout of {m} trees")
         for key, count, per in (("threshold", n_internal, "internal node"),
-                                ("right", n_internal, "internal node"),
                                 ("value", n - n_internal, "leaf")):
             _refuse(key, len(d[key]) != count, f"has {len(d[key])} entries, "
                     f"expected {count} (one per {per})")
@@ -343,22 +323,12 @@ class RandomForest:
         _refuse("importances", top >= len(d["importances"]),
                 f"has {len(d['importances'])} entries, but a node splits on "
                 f"feature {top}")
-        roots = np.cumsum(sizes) - sizes
-        ids = np.arange(n)
-        right = ids.copy()
-        right[internal] = d["right"]
-        # a right child lies after its node and inside its node's tree
-        ends = np.repeat(roots + sizes, sizes)
-        _refuse("right", np.any(internal & ((right <= ids) | (right >= ends))),
-                "points outside its tree")
-        threshold = np.zeros(n)
-        threshold[internal] = d["threshold"]
         leaves = np.asarray(d["value"])
         _refuse("value", forest.mode == "classification" and np.any(
             (leaves < 0) | (leaves >= forest.n_classes)),
             f"holds a class outside 0..{forest.n_classes - 1}")
-        value = np.zeros(n, dtype=leaves.dtype)
-        value[~internal] = leaves
-        forest._set_nodes(feature, threshold, right, value, roots,
+        threshold, value = np.zeros(n), np.zeros(n, dtype=leaves.dtype)
+        threshold[internal], value[~internal] = d["threshold"], leaves
+        forest._set_nodes(feature, threshold, value,
                           np.asarray(d["importances"], dtype=float))
         return forest

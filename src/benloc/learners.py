@@ -38,7 +38,7 @@ from .splits import pick_test_units, require_families
 
 MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
 
-MODEL_FORMAT_TAG = "benloc-model-v2"
+MODEL_FORMAT_TAG = "benloc-model-v3"
 
 # a model file's top-level fields: type, and how a refusal names it
 _MODEL_FIELDS = {"configs": (list, "a list of strings"),

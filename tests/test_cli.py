@@ -2,6 +2,7 @@ import base64
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -241,7 +242,7 @@ class TestCommands:
         "manifest_null_log_dir_features", "manifest_null_log_dir_train",
         "model_dtype", "model_n_classes", "model_mode", "model_forest_1",
         "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
-        "manifest_empty_family"])
+        "manifest_empty_family", "model_v2_predict", "model_layout"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -344,6 +345,11 @@ class TestCommands:
         def zero_d(arr):
             arr.update(shape=[], base64=base64.b64encode(base64.b64decode(
                 arr["base64"])[:8]).decode())
+
+        def leaves_first(arr):  # every internal node after every leaf
+            arr.update(base64=base64.b64encode(np.sort(np.frombuffer(
+                base64.b64decode(arr["base64"]), dtype=arr["dtype"]))
+                .tobytes()).decode())
         broken_model = {
             "model_dtype": tampered(forest_model_path, "dtype.json", lambda p:
                                     forest(p)["threshold"]["__array__"]
@@ -362,7 +368,17 @@ class TestCommands:
                                        zero_d(p["mean"]["__array__"])),
             "model_pairs": tampered(ranker_models["pair_ranker"], "pairs.json",
                                     lambda p: p.update(pairs=[[0, 9]])),
+            "model_layout": tampered(forest_model_path, "layout.json",
+                                     lambda p: leaves_first(
+                                         forest(p)["feature"]["__array__"])),
         }
+        n_trees = forest(broken_model["model_layout"][1]["payload"])["n_trees"]
+        # a model file of the retired v2 format, which stored its nodes in
+        # preorder with right-child pointers
+        with open(forest_model_path) as fh:
+            v2 = tmp_path / "v2.json"
+            v2.write_text(json.dumps(dict(json.load(fh),
+                                          format="benloc-model-v2")))
         with open(model_path) as fh:
             listed_payload = tmp_path / "payload.json"
             listed_payload.write_text(json.dumps(dict(json.load(fh),
@@ -401,7 +417,7 @@ class TestCommands:
                         bad, "line 4: unknown section header 'BOGUS'"),
             "evaluate": (*evaluate(v1, split), v1,
                          "model format 'benloc-model-v1' is not "
-                         "'benloc-model-v2'; retrain the model"),
+                         "'benloc-model-v3'; retrain the model"),
             "manifest_list": ("split", ["--manifest", str(listed), "--out",
                                         str(tmp_path / "s.json")], listed,
                               "manifest is not a JSON object"),
@@ -499,6 +515,13 @@ class TestCommands:
                               "model field 'payload' is not an object"),
             "manifest_empty_family": (*split_with(empty_family), empty_family,
                                       "manifest family 'famX' has no seeds"),
+            "model_v2_predict": ("predict", ["--model", str(v2), "--mps",
+                                             mps], v2,
+                                 "model format 'benloc-model-v2' is not "
+                                 "'benloc-model-v3'; retrain the model"),
+            "model_layout": tampered_model("model_layout", (
+                f"forest field 'feature' is not a level-order layout of "
+                f"{n_trees} trees")),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1

@@ -1,7 +1,10 @@
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benloc.forest import RandomForest
 
@@ -127,14 +130,15 @@ class TestRandomForest:
                            forest.feature_importances_)
 
     @pytest.mark.parametrize("field, change, reason", [
-        ("sizes", lambda a: a[:-1], "does not split"),
-        ("sizes", lambda a: np.r_[a[0] + a[1], 0, a[2:]], "does not split"),
+        # one node too many; internal nodes after every leaf, past the
+        # positions their parents reach; leaves that index no column
+        ("feature", lambda a: np.r_[a, -1], "level-order layout of 3 trees"),
+        ("feature", np.sort, "level-order layout of 3 trees"),
+        ("feature", lambda a: np.where(a < 0, -5, a),
+         "level-order layout of 3 trees"),
         ("threshold", lambda a: a[:-1], "expected"),
-        ("right", lambda a: a[1:], "expected"),
         ("value", lambda a: np.r_[a, a[:1]], "expected"),
         ("importances", lambda a: a[:1], "splits on feature"),
-        ("right", lambda a: np.r_[0, a[1:]], "points outside its tree"),
-        ("right", lambda a: a + 10**6, "points outside its tree"),
         ("mode", lambda a: "bogus", "not 'regression' or 'classification'"),
         ("n_classes", lambda a: "2", "not an int"),
         ("feature", lambda a: a + 0.5, "not an array of ints"),
@@ -190,11 +194,11 @@ def test_classification_vote_spans_n_classes():
 
 
 def reference_tree(mode, X, y, max_depth, min_leaf):
-    """Preorder (feature, threshold, right, value) of a recursive CART that
-    tries every feature at every node: the lowest child impurity wins, then
-    the lowest feature, then the lowest threshold."""
+    """Level-order (feature, threshold, value) of a CART grown from a FIFO
+    queue that tries every feature at every node: the lowest child impurity
+    wins, then the lowest feature, then the lowest threshold."""
     n_classes = int(y.max()) + 1 if mode == "classification" else 0
-    feature, threshold, right, value = [], [], [], []
+    feature, threshold, value = [], [], []
 
     def impurity(ys):  # SSE, or n * gini from integer class counts
         if mode == "regression":
@@ -213,13 +217,13 @@ def reference_tree(mode, X, y, max_depth, min_leaf):
         cr = np.bincount(ys[j:], minlength=n_classes)
         return (j - cl @ cl / j) + ((n - j) - cr @ cr / (n - j))
 
-    def grow(idx, depth):
-        node = len(feature)
+    queue = deque([(np.arange(len(y)), 0)])
+    while queue:
+        idx, depth = queue.popleft()
         leaf, imp = impurity(y[idx])
-        feature.append(-1), threshold.append(0.0), right.append(node)
-        value.append(leaf)
+        feature.append(-1), threshold.append(0.0), value.append(leaf)
         if depth >= max_depth or len(idx) < 2 * min_leaf or imp <= 0:
-            return
+            continue
         best = None
         for f in range(X.shape[1]):
             order = idx[np.argsort(X[idx, f], kind="stable")]
@@ -229,18 +233,15 @@ def reference_tree(mode, X, y, max_depth, min_leaf):
                     continue
                 child = child_impurity(y[order], j)
                 if best is None or child < best[0]:
-                    best = (child, f, 0.5 * (xs[j - 1] + xs[j]))
+                    mid = 0.5 * (xs[j - 1] + xs[j])
+                    best = (child, f, mid if mid < xs[j] else xs[j - 1])
         if best is None:
-            return
+            continue
         _, f, thr = best
-        feature[node], threshold[node], value[node] = f, thr, 0
+        feature[-1], threshold[-1], value[-1] = f, thr, 0
         go_left = X[idx, f] <= thr
-        grow(idx[go_left], depth + 1)
-        right[node] = len(feature)
-        grow(idx[~go_left], depth + 1)
-
-    grow(np.arange(len(y)), 0)
-    return feature, threshold, right, value
+        queue.extend([(idx[go_left], depth + 1), (idx[~go_left], depth + 1)])
+    return feature, threshold, value
 
 
 def exact_data(mode, seed, n=48, d=4):
@@ -253,8 +254,7 @@ def exact_data(mode, seed, n=48, d=4):
 
 
 def assert_same_tree(forest, reference):
-    for name, want in zip(("feature", "threshold", "right", "value"),
-                          reference):
+    for name, want in zip(("feature", "threshold", "value"), reference):
         assert getattr(forest, name).tolist() == want, name
 
 
@@ -280,6 +280,52 @@ def test_constant_sampled_features_fall_back_to_the_others(mode, seed):
                           max_features=1, seed=seed).fit(X, y)
     assert_same_tree(forest, reference_tree(mode, X, y, 12, 1))
     assert np.any(forest.feature == 3)
+
+
+def test_adjacent_float_split_sends_rows_both_ways():
+    # the midpoint of 1 + 2^-52 and 1 + 2^-51 rounds to the upper value, so
+    # a midpoint threshold sends every row left and grows empty leaves
+    X = np.array([[1 + 2 ** -52], [1 + 2 ** -51]] * 2)
+    forest = one_tree("regression", max_features="all").fit(X, [0, 1, 0, 1])
+    assert forest.feature.tolist() == [0, -1, -1]
+    assert forest.threshold[0] == 1 + 2 ** -52
+    assert forest.predict(np.vstack([X, [[2.0]]])).tolist() == [0, 1, 0, 1, 1]
+
+
+@st.composite
+def layout_cases(draw):
+    """A small fit: values drawn from a few adjacent floats, so columns tie
+    and some midpoints round up, with every growth parameter drawn."""
+    mode = draw(st.sampled_from(["regression", "classification"]))
+    n, d = draw(st.integers(2, 16)), draw(st.integers(1, 3))
+    base = np.array([1.0, 1 + 2 ** -52, 1 + 2 ** -51, 3.0])
+    X = base[np.array(draw(st.lists(st.integers(0, 3), min_size=n * d,
+                                    max_size=n * d))).reshape(n, d)]
+    if draw(st.booleans()):
+        X[:, -1] = X[:, 0]  # a column tied with another
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    if mode == "regression":
+        y = y * 0.75
+    forest = RandomForest(
+        mode=mode, n_trees=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(1, 6)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        max_features=draw(st.sampled_from(["sqrt", "all", 1])),
+        bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    return forest.fit(X, y), X
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(layout_cases())
+def test_fitted_layout_is_level_order(case):
+    forest, X = case
+    internal = int(np.sum(forest.feature >= 0))
+    assert len(forest.feature) == forest.n_trees + 2 * internal
+    assert np.all(np.isfinite(forest.value[forest.feature < 0]))
+    back = RandomForest.from_dict(forest.to_dict())
+    X_new = np.vstack([X, X[::-1] * 1.5, [[0.0] * X.shape[1]]])
+    a, b = forest.predict(X_new), back.predict(X_new)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_fit_memory_stays_bounded():

@@ -253,7 +253,7 @@ class TestPredict:
         with pytest.raises(ValueError) as info:
             TrainedSelector.from_json(v1)
         assert str(info.value) == ("model format 'benloc-model-v1' is not "
-                                   "'benloc-model-v2'; retrain the model")
+                                   "'benloc-model-v3'; retrain the model")
 
 
 @st.composite
@@ -299,8 +299,7 @@ def test_model_file_round_trip_is_bit_identical(case):
     back = TrainedSelector.from_json(text)
     assert back.to_json() == text
     loaded = back.payload[key]
-    for name in ("feature", "threshold", "right", "value", "roots",
-                 "importances"):
+    for name in ("feature", "threshold", "value", "importances"):
         a, b = getattr(forest, name), getattr(loaded, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     X_new = np.vstack([X, X + 0.05, X - 0.05])
