@@ -1,9 +1,14 @@
 """Sparse MIP instance model, MPS reading/writing, and permutation augmentation.
 
 The MPS reader accepts both fixed- and free-format files (section headers in
-column 1, data lines indented, names without embedded blanks).  RANGES rows are
-expanded into two plain inequality rows so that every stored row carries a
-single sense.  The writer always emits free format and is deterministic.
+column 1, data lines indented, names without embedded blanks).  Each data line
+takes effect as it is read, so BOUNDS lines apply in file order, each as its
+type's entry in the _BOUNDS table says.  A negative UP bound also sets the
+lower bound to -inf unless the column already has a LO, MI or FX bound (the
+classic MPS convention).  RANGES rows are expanded into two plain inequality
+rows so that every stored row carries a single sense.  The writer always emits
+free format and is deterministic; it writes a LO line for a lower bound of 0
+under a negative upper bound, which the convention would otherwise free.
 
 Permutations are drawn from numpy's PCG64 generator so the same seed produces
 the same row/column swap on every platform.  Seed 0 is reserved for the
@@ -26,7 +31,23 @@ VAR_TYPES = ("continuous", "binary", "integer")
 
 _MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
 _SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
-_BOUND_TYPES = ("UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI")
+_SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
+             "ENDATA")
+# bound type -> (lower, upper, integer): each side is a constant, _VALUE for
+# the line's value, or None to leave it unchanged; a line carries a value
+# exactly when its type uses one
+_VALUE = "value"
+_BOUNDS = {
+    "UP": (None, _VALUE, False),
+    "LO": (_VALUE, None, False),
+    "FX": (_VALUE, _VALUE, False),
+    "FR": (-INF, INF, False),
+    "MI": (-INF, None, False),
+    "PL": (None, INF, False),
+    "BV": (0.0, 1.0, True),
+    "UI": (None, _VALUE, True),
+    "LI": (_VALUE, None, True),
+}
 
 
 class MpsError(ValueError):
@@ -242,17 +263,16 @@ def parse_mps(text):
     sense = "minimize"
     obj_name = None
     free_rows = set()  # extra N rows, dropped with a warning
-    row_index = {}
+    row_index = {}  # name -> row, in declaration order
     row_senses = []
-    row_names = []
-    col_index = {}
-    col_names = []
+    col_index = {}  # name -> column, in declaration order
     col_integer = []
     obj_coeffs = []
+    lb = []
+    ub = []
+    has_lower = set()  # columns with a LO, MI or FX bound so far
     entries = {}  # (row, col) -> value
-    rhs_map = {}
-    ranges_map = {}
-    bounds = {}  # col -> list of (btype, value)
+    vectors = {"RHS": {}, "RANGES": {}}  # section -> {row: value}
     integral = False
     section = None
     pending_objsense = False
@@ -261,34 +281,23 @@ def parse_mps(text):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
-        is_header = not raw[0].isspace()
         toks = raw.split()
-        if is_header:
+        if not raw[0].isspace():  # a section header
             head = toks[0].upper()
-            pending_objsense = False
+            if head not in _SECTIONS:
+                raise MpsParseError(f"unknown section header {toks[0]!r}", line_no)
+            if head == "ENDATA":
+                break
             if head == "NAME":
                 name = toks[1] if len(toks) > 1 else ""
-                section = None
-            elif head == "OBJSENSE":
-                if len(toks) > 1:
-                    sense = "maximize" if toks[1].upper().startswith("MAX") else "minimize"
-                else:
-                    pending_objsense = True
-                section = "OBJSENSE"
-            elif head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                section = head
-                if head == "ROWS":
-                    saw_rows = True
-            elif head == "ENDATA":
-                break
-            else:
-                raise MpsParseError(f"unknown section header {toks[0]!r}", line_no)
+            elif head == "OBJSENSE" and len(toks) > 1:
+                sense = "maximize" if toks[1].upper().startswith("MAX") else "minimize"
+            # NAME takes no data lines
+            section = None if head == "NAME" else head
+            pending_objsense = head == "OBJSENSE" and len(toks) == 1
+            saw_rows = saw_rows or head == "ROWS"
             continue
 
-        if section == "OBJSENSE" and pending_objsense:
-            sense = "maximize" if toks[0].upper().startswith("MAX") else "minimize"
-            pending_objsense = False
-            continue
         if section == "ROWS":
             if len(toks) != 2:
                 raise MpsParseError("ROWS line needs a sense and a name", line_no)
@@ -302,8 +311,7 @@ def parse_mps(text):
             elif rtype in _MPS_SENSE:
                 if rname in row_index:
                     raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
-                row_index[rname] = len(row_names)
-                row_names.append(rname)
+                row_index[rname] = len(row_senses)
                 row_senses.append(_MPS_SENSE[rtype])
             else:
                 raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
@@ -322,10 +330,11 @@ def parse_mps(text):
                                     line_no)
             cname = toks[0]
             if cname not in col_index:
-                col_index[cname] = len(col_names)
-                col_names.append(cname)
+                col_index[cname] = len(obj_coeffs)
                 col_integer.append(integral)
                 obj_coeffs.append(0.0)
+                lb.append(0.0)
+                ub.append(INF)
             j = col_index[cname]
             for k in range(1, len(toks), 2):
                 rname = toks[k]
@@ -346,36 +355,50 @@ def parse_mps(text):
                     raise MpsSemanticError(
                         f"duplicate entry for ({rname}, {cname})", line_no)
                 entries[key] = val
-        elif section == "RHS":
-            _read_vector_line(toks, row_index, rhs_map, free_rows, obj_name,
-                              line_no, "RHS")
-        elif section == "RANGES":
-            _read_vector_line(toks, row_index, ranges_map, free_rows, obj_name,
-                              line_no, "RANGES")
+        elif section in vectors:
+            # an optional set name (an odd token count), then (row, value) pairs
+            rest = toks[len(toks) % 2:]
+            if not rest:
+                raise MpsParseError(f"malformed {section} line", line_no)
+            for k in range(0, len(rest), 2):
+                rname = rest[k]
+                val = _number(rest[k + 1], f"{section} value", line_no)
+                if rname == obj_name or rname in free_rows:
+                    warnings.warn(f"{section} entry on free row {rname!r} ignored")
+                elif rname not in row_index:
+                    raise MpsSemanticError(f"undeclared row {rname!r}", line_no)
+                else:
+                    vectors[section][row_index[rname]] = val
         elif section == "BOUNDS":
             if len(toks) < 2:
                 raise MpsParseError("short BOUNDS line", line_no)
             btype = toks[0].upper()
-            if btype not in _BOUND_TYPES:
+            if btype not in _BOUNDS:
                 raise MpsParseError(f"unknown bound type {btype!r}", line_no)
-            no_value = btype in ("FR", "MI", "PL", "BV")
-            want = 3 if no_value else 4
-            if len(toks) == want:
-                cname = toks[2]
-                sval = None if no_value else toks[3]
-            elif len(toks) == want - 1:
-                # bound-set name omitted
-                cname = toks[1]
-                sval = None if no_value else toks[2]
-            else:
+            lower, upper, integer = _BOUNDS[btype]
+            n_args = 2 if _VALUE in (lower, upper) else 1  # column [, value]
+            if not 1 <= len(toks) - n_args <= 2:  # type [, bound-set name]
                 raise MpsParseError("malformed BOUNDS line", line_no)
+            cname = toks[-n_args]
             if cname not in col_index:
                 raise MpsSemanticError(f"undeclared column {cname!r}", line_no)
-            val = None
-            if sval is not None:
-                val = _number(sval, "bound value", line_no, infinite=True)
-            bounds.setdefault(col_index[cname], []).append((btype, val))
-        elif section is None:
+            j = col_index[cname]
+            val = (_number(toks[-1], "bound value", line_no, infinite=True)
+                   if n_args == 2 else None)
+            if lower is not None:
+                lb[j] = val if lower is _VALUE else lower
+            if upper is not None:
+                ub[j] = val if upper is _VALUE else upper
+            col_integer[j] = col_integer[j] or integer
+            if btype in ("LO", "MI", "FX"):
+                has_lower.add(j)
+            elif btype == "UP" and val < 0 and j not in has_lower:
+                lb[j] = -INF  # classic MPS convention for negative UP
+        elif section == "OBJSENSE":
+            if pending_objsense:
+                sense = "maximize" if toks[0].upper().startswith("MAX") else "minimize"
+                pending_objsense = False
+        else:
             raise MpsParseError("data line before any section header", line_no)
 
     if not saw_rows:
@@ -383,46 +406,15 @@ def parse_mps(text):
     if obj_name is None:
         raise MpsParseError("missing objective (N) row")
 
+    row_names = list(row_index)
     m = len(row_names)
-    rhs = [0.0] * m
-    for i, v in rhs_map.items():
-        rhs[i] = v
-
-    # variable types and bounds
-    n = len(col_names)
-    lb = np.zeros(n)
-    ub = np.full(n, INF)
-    for j, blist in bounds.items():
-        for btype, val in blist:
-            if btype == "UP":
-                ub[j] = val
-                if val < 0 and not any(bt in ("LO", "MI", "FX") for bt, _ in blist):
-                    lb[j] = -INF  # classic MPS convention for negative UP
-            elif btype == "LO":
-                lb[j] = val
-            elif btype == "FX":
-                lb[j] = ub[j] = val
-            elif btype == "FR":
-                lb[j], ub[j] = -INF, INF
-            elif btype == "MI":
-                lb[j] = -INF
-            elif btype == "PL":
-                ub[j] = INF
-            elif btype == "BV":
-                col_integer[j] = True
-                lb[j], ub[j] = 0.0, 1.0
-            elif btype == "UI":
-                col_integer[j] = True
-                ub[j] = val
-            else:  # LI
-                col_integer[j] = True
-                lb[j] = val
+    rhs = [vectors["RHS"].get(i, 0.0) for i in range(m)]
 
     # expand RANGES into an extra inequality row each, copying the row's
     # entries; R = 0 pins any row to its rhs, an equality
     ranged = []
-    for i in sorted(ranges_map):
-        r, s, b = ranges_map[i], row_senses[i], rhs[i]
+    for i, r in sorted(vectors["RANGES"].items()):
+        s, b = row_senses[i], rhs[i]
         if r == 0:
             row_senses[i] = "="
             continue
@@ -459,7 +451,7 @@ def parse_mps(text):
         var_ub=ub,
         var_types=["integer" if t else "continuous" for t in col_integer],
         row_names=row_names,
-        col_names=col_names,
+        col_names=list(col_index),
         obj_name=obj_name,
     )
 
@@ -475,22 +467,6 @@ def _number(sval, what, line_no, infinite=False):
         return val
     reason = "NaN" if math.isnan(val) else "infinite"
     raise MpsParseError(f"{what} {sval!r} is {reason}", line_no)
-
-
-def _read_vector_line(toks, row_index, target, free_rows, obj_name, line_no, what):
-    """RHS/RANGES line: optional set name then (row, value) pairs."""
-    rest = toks[len(toks) % 2:]  # an odd token count means a set name leads
-    if not rest:
-        raise MpsParseError(f"malformed {what} line", line_no)
-    for k in range(0, len(rest), 2):
-        rname = rest[k]
-        val = _number(rest[k + 1], f"{what} value", line_no)
-        if rname == obj_name or rname in free_rows:
-            warnings.warn(f"{what} entry on free row {rname!r} ignored")
-            continue
-        if rname not in row_index:
-            raise MpsSemanticError(f"undeclared row {rname!r}", line_no)
-        target[row_index[rname]] = val
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +532,10 @@ def write_mps(inst):
         if lo == -INF and hi == INF:
             out.append(f" FR BND  {cname}")
             continue
+        # a negative UP line alone would also free the lower bound
         if lo == -INF:
             out.append(f" MI BND  {cname}")
-        elif lo != 0.0 or t != "continuous":
+        elif lo != 0.0 or t != "continuous" or hi < 0:
             out.append(f" LO BND  {cname}  {_fmt(lo)}")
         if hi != INF:
             out.append(f" UP BND  {cname}  {_fmt(hi)}")

@@ -102,12 +102,17 @@ def _parse_kv(toks, line_no):
 
 
 def _number(value, key, line_no):
+    """The finite number a log value holds, or a LogSchemaError naming the
+    line and the key."""
     try:
         number = float(value)
     except ValueError:
         number = math.nan
     if math.isnan(number):
         raise LogSchemaError(f"line {line_no}: non-numeric value {value!r} "
+                             f"for {key!r}")
+    if math.isinf(number):
+        raise LogSchemaError(f"line {line_no}: infinite value {value!r} "
                              f"for {key!r}")
     return number
 
@@ -165,7 +170,18 @@ def parse_log(text):
 
 
 def render_log(log):
-    """Emit a SolveLog in the canonical schema; parse_log reads it back."""
+    """Emit a SolveLog in the canonical schema; parse_log reads it back.
+
+    A NaN or infinite stage value or time is refused with a ValueError
+    naming the key, since parse_log would refuse the text.
+    """
+    values = [(k, v) for stage in STAGE_LINES
+              for k, v in log.stages.get(stage, {}).items()]
+    for key, value in values + [("total_time", log.total_time),
+                                ("root_time", log.root_time)]:
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render log: non-finite value "
+                             f"{value!r} for {key!r}")
     lines = []
     if log.instance_id or log.config_id:
         lines.append(f"META instance={log.instance_id} config={log.config_id}")

@@ -57,20 +57,19 @@ def gen_setcover(rows, cols, density, seed):
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    mat_rows, mat_cols = [], []
-    for i in range(rows):
+    masks = []
+    for _ in range(rows):
         mask = rng.random(cols) < density
         while not mask.any():  # every element must be coverable
             mask = rng.random(cols) < density
-        for j in np.nonzero(mask)[0]:
-            mat_rows.append(i)
-            mat_cols.append(int(j))
+        masks.append(mask)
+    mat_rows, mat_cols = np.nonzero(np.array(masks))
     return MipInstance(
         name=f"setcover_r{rows}_c{cols}_s{seed}",
         sense="minimize",
         obj_coeffs=np.ones(cols),
-        mat_rows=np.array(mat_rows, dtype=np.int64),
-        mat_cols=np.array(mat_cols, dtype=np.int64),
+        mat_rows=mat_rows,
+        mat_cols=mat_cols,
         mat_vals=np.ones(len(mat_rows)),
         row_senses=[">="] * rows,
         rhs=np.ones(rows),
@@ -89,19 +88,17 @@ def gen_indset(nodes, edge_prob, seed):
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)
-             if rng.random() < edge_prob]
-    mat_rows, mat_cols = [], []
-    for i, (u, v) in enumerate(edges):
-        mat_rows.extend([i, i])
-        mat_cols.extend([u, v])
-    m = len(edges)
+    # one draw per pair u < v in row-major order; the order fixes each
+    # seed's graph
+    u, v = np.triu_indices(nodes, 1)
+    edge = rng.random(len(u)) < edge_prob
+    m = int(edge.sum())
     return MipInstance(
         name=f"indset_n{nodes}_s{seed}",
         sense="maximize",
         obj_coeffs=np.ones(nodes),
-        mat_rows=np.array(mat_rows, dtype=np.int64),
-        mat_cols=np.array(mat_cols, dtype=np.int64),
+        mat_rows=np.repeat(np.arange(m), 2),
+        mat_cols=np.column_stack([u[edge], v[edge]]).ravel(),
         mat_vals=np.ones(2 * m),
         row_senses=["<="] * m,
         rhs=np.ones(m),

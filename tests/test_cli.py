@@ -242,7 +242,8 @@ class TestCommands:
         "manifest_null_log_dir_features", "manifest_null_log_dir_train",
         "model_dtype", "model_n_classes", "model_mode", "model_forest_1",
         "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
-        "manifest_empty_family", "model_v2_predict", "model_layout"])
+        "manifest_empty_family", "model_v2_predict", "model_layout",
+        "dataset_log_inf"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -307,6 +308,15 @@ class TestCommands:
             perf_path=str(ds / "perf.csv"),
             families={f: {s: str(ds / p) for s, p in seeds.items()}
                       for f, seeds in manifest["families"].items()})))
+        # the dataset with one RootCutLevel=3 log that has infinite times
+        (tmp_path / "inf_logs").mkdir()
+        inf_log = tmp_path / "inf_logs" / "fam000.perm0.RootCutLevel=3.log"
+        inf_log.write_text(
+            "STATUS status=optimal total_time=inf root_time=inf\n")
+        inf_logs = tmp_path / "inf_manifest.json"
+        inf_logs.write_text(json.dumps(dict(
+            json.loads(bad_logs.read_text()),
+            log_dir=str(tmp_path / "inf_logs"))))
         # a forest model whose first threshold array lost its last value
         with open(forest_model_path) as fh:
             model = json.load(fh)
@@ -522,6 +532,10 @@ class TestCommands:
             "model_layout": tampered_model("model_layout", (
                 f"forest field 'feature' is not a level-order layout of "
                 f"{n_trees} trees")),
+            "dataset_log_inf": ("pipeline", [
+                "--manifest", str(inf_logs), "--stage", "root_end", "--seeds",
+                "0", "--n-trees", "3", "--out-dir", str(tmp_path / "rep")],
+                inf_log, "line 1: infinite value 'inf' for 'total_time'"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1

@@ -5,12 +5,23 @@ One small oracle dataset, its split and one model of each kind are built
 once.  Each example applies one mutation to one of those files (truncation,
 deleting or duplicating a line, replacing a token with junk, appending junk,
 flipping a character), runs one CLI command that reads the file, and restores
-it.  The command must exit 0, or exit 1 with exactly one ``error in
-<command>: `` line on stderr; any other exception fails the property.
+it.  A second property edits one array of a model file (dropping or
+duplicating one row, moving it to the end, or replacing one element) and
+re-encodes it with a matching shape, so the file decodes and reaches the
+model's own checks.  The command must exit 0 within a time limit, or exit 1
+with exactly one ``error in <command>: `` line on stderr, which for an edited
+model names the file and a model or forest field; any other exception fails
+the property.
 """
 
+import base64
+import json
+import math
+import os
 import re
+import signal
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -24,6 +35,16 @@ MUTATIONS = ("truncate", "delete_line", "duplicate_line", "junk_token",
 JUNK = ("", "x", "-1", "0", "1e400", "nan", "-inf", "null", "[]", "{}", '"',
         "é", "\x00", "99999999999999999999")
 TOKEN = re.compile(r'[^\s,:"{}\[\]]+')
+ARRAY_EDITS = ("drop", "duplicate", "to_end", -5, 10 ** 6, math.nan)
+TIME_LIMIT = 20  # seconds a command may run before it counts as hung
+
+
+class CommandTimeout(Exception):
+    """A command ran past TIME_LIMIT."""
+
+
+def _timeout(signum, frame):
+    raise CommandTimeout(f"ran past {TIME_LIMIT} s")
 
 
 def _run(args):
@@ -97,19 +118,53 @@ def mutate(text, how, at, junk):
     return text[:i] + (junk[:1] or "#") + text[i + 1:]
 
 
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(data=st.data(), how=st.sampled_from(MUTATIONS),
-       at=st.integers(0, 10 ** 9), junk=st.sampled_from(JUNK))
-def test_mutated_input_fails_with_one_line(files, data, how, at, junk):
-    path = data.draw(st.sampled_from(sorted(files)), label="file")
-    args = data.draw(st.sampled_from(files[path]), label="command")
+def arrays(node):
+    """Every ``__array__`` body under a decoded JSON node, forests included."""
+    if isinstance(node, dict):
+        if "__array__" in node:
+            return [node["__array__"]]
+        node = list(node.values())
+    if isinstance(node, list):
+        return [body for item in node for body in arrays(item)]
+    return []
+
+
+def edit_array(body, edit, at):
+    """Drop or duplicate row at of an array body, move it to the end, or set
+    its element at to edit; the body is re-encoded with a matching dtype and
+    shape."""
+    arr = np.frombuffer(base64.b64decode(body["base64"]),
+                        dtype=body["dtype"]).reshape(body["shape"])
+    i = at % max(len(arr), 1)
+    if edit == "drop":
+        arr = np.concatenate([arr[:i], arr[i + 1:]])
+    elif edit == "duplicate":
+        arr = np.concatenate([arr[:i + 1], arr[i:]])
+    elif edit == "to_end":
+        arr = np.concatenate([arr[:i], arr[i + 1:], arr[i:i + 1]])
+    elif arr.size:
+        arr = arr.astype(np.result_type(arr.dtype, np.asarray(edit).dtype))
+        arr.flat[at % arr.size] = edit
+    body.update(dtype=arr.dtype.str, shape=list(arr.shape),
+                base64=base64.b64encode(arr.tobytes()).decode())
+
+
+def fails_with_one_line(path, change, args, reason=""):
+    """Run args with the file at path holding change(its text), then restore
+    the file; the command must exit 0 within TIME_LIMIT, or with one
+    ``error in`` line whose message starts with a match of the regex
+    reason."""
     with open(path, encoding="utf-8") as fh:
         original = fh.read()
+    handler = signal.signal(signal.SIGALRM, _timeout)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(mutate(original, how, at, junk))
+            fh.write(change(original))
+        signal.alarm(TIME_LIMIT)
         r = CliRunner().invoke(main, args)
     finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(original)
     if r.exit_code == 0:
@@ -118,5 +173,33 @@ def test_mutated_input_fails_with_one_line(files, data, how, at, junk):
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), \
         repr(r.exception)
     lines = r.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error in {args[0]}: "), \
-        r.stderr
+    assert len(lines) == 1 and re.match(
+        re.escape(f"error in {args[0]}: ") + reason, lines[0]), r.stderr
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(data=st.data(), how=st.sampled_from(MUTATIONS),
+       at=st.integers(0, 10 ** 9), junk=st.sampled_from(JUNK))
+def test_mutated_input_fails_with_one_line(files, data, how, at, junk):
+    path = data.draw(st.sampled_from(sorted(files)), label="file")
+    args = data.draw(st.sampled_from(files[path]), label="command")
+    fails_with_one_line(path, lambda text: mutate(text, how, at, junk), args)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(data=st.data(), edit=st.sampled_from(ARRAY_EDITS),
+       at=st.integers(0, 10 ** 9))
+def test_edited_model_array_fails_with_one_line(files, data, edit, at):
+    models = sorted(p for p in files
+                    if os.path.basename(p)[:-len(".json")] in MODEL_KINDS)
+    path = data.draw(st.sampled_from(models), label="model")
+    args = data.draw(st.sampled_from(files[path]), label="command")
+
+    def change(text):
+        model = json.loads(text)
+        bodies = arrays(model["payload"])
+        edit_array(bodies[at % len(bodies)], edit, at // len(bodies))
+        return json.dumps(model)
+    # the model's own checks refuse the file, naming it and the field
+    fails_with_one_line(path, change, args,
+                        re.escape(f"{path}: ") + "(model|forest) field '")

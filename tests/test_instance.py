@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
@@ -464,7 +464,8 @@ class TestInvariants:
 @st.composite
 def instances(draw):
     """Valid instances: 0-5 rows, 1-5 columns, every variable type, infinite,
-    negative and fixed bounds, empty columns and zero objectives."""
+    negative, fixed and crossed (lower above upper) bounds, empty columns and
+    zero objectives."""
     m, n = draw(st.integers(0, 5)), draw(st.integers(1, 5))
     var_types, lb, ub = [], [], []
     for _ in range(n):
@@ -474,8 +475,7 @@ def instances(draw):
             hi = draw(st.sampled_from([v for v in (0.0, 0.5, 1.0) if v >= lo]))
         else:
             lo = draw(st.sampled_from([-INF, -3.0, -0.5, 0.0, 0.5, 1.0, 7.25]))
-            hi = draw(st.sampled_from(
-                [v for v in (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 7.25, INF) if v >= lo]))
+            hi = draw(st.sampled_from([-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 7.25, INF]))
         var_types.append(t)
         lb.append(lo)
         ub.append(hi)
@@ -501,6 +501,60 @@ class TestProperties:
     @given(instances())
     def test_write_parse_round_trip(self, inst):
         assert parse_mps(write_mps(inst)) == inst
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI"]),
+        st.integers(0, 1),
+        st.sampled_from([-2.0, -0.5, 0.0, 0.5, 3.0, INF, -INF])),
+        min_size=1, max_size=5))
+    # a negative UP after, before and between lower bounds of its column
+    @example([("LO", 0, 0.5), ("UP", 0, -2.0)])
+    @example([("UP", 0, -2.0), ("FX", 1, 3.0), ("UP", 1, -0.5)])
+    @example([("MI", 0, 0.0), ("LI", 0, 3.0), ("UP", 0, -0.5)])
+    def test_bounds_match_reference_in_file_order(self, bounds):
+        valued = ("UP", "LO", "FX", "UI", "LI")
+        lines = ["NAME b", "ROWS", " N  OBJ", " L  r0", "COLUMNS",
+                 "    c0  OBJ  1.0  r0  1.0", "    c1  r0  2.0", "BOUNDS"]
+        lines += [f" {t} BND  c{j}" + (f"  {v}" if t in valued else "")
+                  for t, j, v in bounds]
+        lines.append("ENDATA")
+        text = "\n".join(lines) + "\n"
+
+        # each column's bounds apply in file order from [0, +inf]; a negative
+        # UP also frees the lower bound unless the column has a LO, MI or FX
+        # bound anywhere in the file
+        lb, ub, integer = [0.0, 0.0], [INF, INF], [False, False]
+        for j in range(2):
+            column = [(t, v) for t, jj, v in bounds if jj == j]
+            for t, v in column:
+                if t in ("LO", "LI", "FX"):
+                    lb[j] = v
+                if t in ("UP", "UI", "FX"):
+                    ub[j] = v
+                if t in ("MI", "FR"):
+                    lb[j] = -INF
+                if t in ("PL", "FR"):
+                    ub[j] = INF
+                if t == "BV":
+                    lb[j], ub[j] = 0.0, 1.0
+                integer[j] = integer[j] or t in ("BV", "UI", "LI")
+                if t == "UP" and v < 0 and not any(
+                        b in ("LO", "MI", "FX") for b, _ in column):
+                    lb[j] = -INF
+        try:
+            expected = MipInstance(
+                name="b", sense="minimize", obj_coeffs=[1.0, 0.0],
+                mat_rows=[0, 0], mat_cols=[0, 1], mat_vals=[1.0, 2.0],
+                row_senses=["<="], rhs=[0.0], var_lb=lb, var_ub=ub,
+                var_types=["integer" if t else "continuous" for t in integer],
+                row_names=["r0"], col_names=["c0", "c1"])
+        except InvalidInstanceError as exc:  # a wrong-side infinite bound
+            with pytest.raises(InvalidInstanceError) as e:
+                parse_mps(text)
+            assert str(e.value) == str(exc)
+            return
+        assert parse_mps(text) == expected
 
     @settings(deadline=None)
     @given(instances())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,7 +72,11 @@ class TestParseLog:
         ("STATUS status=optimal total_time=1.0 root_time=0.5\n"
          "PRESOLVE rows=1\n", "line 2: stage line after STATUS"),
         ("# a comment\nSTATUS status=optimal total_time=-1.0 root_time=0.0\n",
-         "line 2: negative time")])
+         "line 2: negative time"),
+        ("STATUS status=optimal total_time=inf root_time=inf\n",
+         "line 1: infinite value 'inf' for 'total_time'"),
+        ("ROOTLP active=1 gap=-1e400\n", "line 1: infinite value '-1e400' "
+         "for 'gap'")])
     def test_error_messages(self, text, message):
         with pytest.raises(LogSchemaError) as info:
             parse_log(text)
@@ -121,9 +127,24 @@ def solve_logs(draw):
 
 
 class TestLogRoundTrip:
+    @pytest.mark.parametrize("log, key", [
+        (SolveLog(stages={"first_root_lp": {"gap": -math.inf}}), "gap"),
+        (SolveLog(total_time=math.inf, root_time=1.0), "total_time"),
+        (SolveLog(total_time=1.0, root_time=math.nan), "root_time")])
+    def test_render_refuses_non_finite_value(self, log, key):
+        with pytest.raises(ValueError, match=f"for '{key}'"):
+            render_log(log)
+
     @settings(deadline=None)
     @given(solve_logs())
     def test_render_then_parse_is_identity(self, log):
+        values = [v for stage in log.stages.values() for v in stage.values()]
+        if not all(map(math.isfinite, values + [log.total_time,
+                                                log.root_time])):
+            # the schema refuses infinities, so the writer does too
+            with pytest.raises(ValueError, match="non-finite value"):
+                render_log(log)
+            return
         text = render_log(log)
         back = parse_log(text)
         assert back == log
