@@ -288,9 +288,10 @@ class RandomForest:
 
     @classmethod
     def from_dict(cls, d):
-        """The forest of to_dict.  A field of the wrong type, a feature array
-        that is not a level-order layout, or an array that disagrees with it
-        is refused with a ValueError naming the field."""
+        """The forest of to_dict.  A field of the wrong type, a float array
+        holding NaN or infinity, a feature array that is not a level-order
+        layout, or an array that disagrees with it is refused with a
+        ValueError naming the field."""
         _refuse("mode", d.get("mode") not in ("regression", "classification"),
                 f"is {d.get('mode')!r}, not 'regression' or 'classification'")
         for key in ("n_trees", "max_depth", "min_samples_leaf", "seed",
@@ -306,6 +307,8 @@ class RandomForest:
             _refuse(key, np.ndim(d.get(key)) != 1
                     or np.asarray(d[key]).dtype.kind not in kinds,
                     f"is not an array of {what}")
+            _refuse(key, not np.isfinite(d[key]).all(),
+                    "holds a NaN or infinite value")
         feature = np.asarray(d["feature"], dtype=np.int64)
         internal = feature >= 0
         n, n_internal, m = len(feature), int(internal.sum()), forest.n_trees

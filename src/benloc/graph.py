@@ -14,6 +14,7 @@ boundary to external graph-learning pipelines.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -149,20 +150,34 @@ def import_graph(text):
 
 
 def canonical_signature(g):
-    """Order-independent signature; equal for graphs that differ only by a
-    relabeling of constraint and variable indices."""
-    by_con = {}
-    by_var = {}
-    for c, v, w in zip(g.edge_con, g.edge_var, g.edge_weight):
-        by_con.setdefault(int(c), []).append(float(w))
-        by_var.setdefault(int(v), []).append(float(w))
-    con_sigs = sorted(
-        (float(g.con_lb[i]), float(g.con_ub[i]), int(g.con_hlb[i]),
-         int(g.con_hub[i]), tuple(sorted(by_con.get(i, []))))
-        for i in range(g.num_constraints))
-    var_sigs = sorted(
-        (int(g.var_hlb[j]), int(g.var_hub[j]), float(g.var_obj[j]),
-         float(g.var_lb[j]), float(g.var_ub[j]), g.var_types[j],
-         tuple(sorted(by_var.get(j, []))))
-        for j in range(g.num_variables))
-    return tuple(con_sigs), tuple(var_sigs)
+    """Order-independent signature: a SHA-256 digest of the constraint nodes
+    and one of the variable nodes.  The digests are equal for graphs that
+    differ only by a relabeling of constraint and variable indices, or by
+    -0.0 in place of 0.0."""
+    types = sorted(set(g.var_types))
+    var_type = np.fromiter(map({t: k for k, t in enumerate(types)}.__getitem__,
+                               g.var_types), float, g.num_variables)
+    return (_nodes_digest((g.con_lb, g.con_ub, g.con_hlb, g.con_hub),
+                          g.edge_con, g.edge_weight, b""),
+            _nodes_digest((g.var_hlb, g.var_hub, g.var_obj, g.var_lb, g.var_ub,
+                           var_type), g.edge_var, g.edge_weight,
+                          "\0".join(types).encode()))
+
+
+def _nodes_digest(fields, node, weight, head):
+    """SHA-256 of head and the sorted keys of one side's nodes.  A node's key
+    is its fields and its degree, then the weights of its edges in ascending
+    order, all as float64 bytes with -0.0 made 0.0; the fixed-size part
+    holds the degree, so the joined keys have one reading."""
+    degree = np.bincount(node, minlength=len(fields[0]))
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+    record = np.column_stack([*fields, degree]).astype(float) + 0.0
+    heads = record.view(np.dtype((np.void, 8 * record.shape[1]))).ravel()
+    weight = weight + 0.0
+    weights = weight[np.lexsort((weight, node))].tobytes()
+    ends = 8 * np.cumsum(degree)
+    tails = map(weights.__getitem__, map(slice, (ends - 8 * degree).tolist(),
+                                         ends.tolist()))
+    digest = hashlib.sha256(head)
+    digest.update(b"".join(sorted(map(bytes.__add__, heads.tolist(), tails))))
+    return digest.digest()

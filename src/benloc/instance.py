@@ -1,14 +1,20 @@
 """Sparse MIP instance model, MPS reading/writing, and permutation augmentation.
 
 The MPS reader accepts both fixed- and free-format files (section headers in
-column 1, data lines indented, names without embedded blanks).  Each data line
-takes effect as it is read, so BOUNDS lines apply in file order, each as its
-type's entry in the _BOUNDS table says.  A negative UP bound also sets the
-lower bound to -inf unless the column already has a LO, MI or FX bound (the
-classic MPS convention).  RANGES rows are expanded into two plain inequality
-rows so that every stored row carries a single sense.  The writer always emits
-free format and is deterministic; it writes a LO line for a lower bound of 0
-under a negative upper bound, which the convention would otherwise free.
+column 1, data lines indented, names without embedded blanks).  It splits the
+text into lines about _CHUNK characters at a time and works on each section's
+data lines in a chunk as one flat token array: names map to ids with one dict
+lookup per token, values with one float() per token, and every check is an
+array mask.  The first failure is raised in (line, pair, check) order, with
+the message and line number a reader taking one line at a time would give,
+and BOUNDS lines take effect in file order, each as its type's entry in the
+_BOUNDS table says.  A negative UP bound also sets the lower bound to -inf
+unless the column already has a LO, MI or FX bound (the classic MPS
+convention).  RANGES rows are expanded into two plain inequality rows so that
+every stored row carries a single sense.  The writer always emits free format
+and is deterministic; it formats each distinct value once and writes a LO line
+for a lower bound of 0 under a negative upper bound, which the convention
+would otherwise free.
 
 Permutations are drawn from numpy's PCG64 generator so the same seed produces
 the same row/column swap on every platform.  Seed 0 is reserved for the
@@ -19,8 +25,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from itertools import chain, count, filterfalse, repeat
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -48,6 +58,28 @@ _BOUNDS = {
     "UI": (None, _VALUE, True),
     "LI": (_VALUE, None, True),
 }
+_BOUND_CODE = {t: k for k, t in enumerate(_BOUNDS)}
+# _BOUNDS by code, then a last row for an unknown type, as arrays: each
+# side's constant (NaN leaves it unchanged) and whether it takes the line's
+# value, then the integer flag
+_BOUND_TABLE = tuple(np.array(a) for a in zip(*(
+    [(np.nan if lower in (None, _VALUE) else lower, lower is _VALUE,
+      np.nan if upper in (None, _VALUE) else upper, upper is _VALUE, integer)
+     for lower, upper, integer in _BOUNDS.values()]
+    + [(np.nan, False, np.nan, False, False)])))
+_MARKERS = {"INTORG": 1, "INTEND": 0}
+_HEADER = re.compile(r"[^\s*]")  # the first character of a header line
+_COMMENT = methodcaller("startswith", "*")  # a comment line's first token
+_CHUNK = 1 << 20  # characters split into lines at once, bounding the tokens
+_SETS_LOWER = np.isin(np.arange(len(_BOUNDS) + 1),
+                      [_BOUND_CODE[t] for t in ("LO", "MI", "FX")])
+# the writer's bound lines by code, 5 standing for no line, and which of
+# them carry a value
+_BOUND_NAMES = ("BV", "FX", "FR", "MI", "LO", None, "UP")
+_BOUND_VALUED = np.array([t is not None and _VALUE in _BOUNDS[t]
+                          for t in _BOUND_NAMES])
+# a COLUMNS, RHS or RANGES row name that is not a declared row
+_OBJ, _FREE, _UNDECLARED = -1, -2, -3
 
 
 class MpsError(ValueError):
@@ -121,16 +153,21 @@ class MipInstance:
     def _canonicalize(self):
         # keep coordinate entries sorted by (row, col) so equality is structural
         # and row i's entries are row_ptr[i]:row_ptr[i + 1]
-        if self.nnz:
-            order = np.lexsort((self.mat_cols, self.mat_rows))
+        rows, cols = self.mat_rows, self.mat_cols
+        if self.nnz and ((rows[1:] < rows[:-1]) | (
+                (rows[1:] == rows[:-1]) & (cols[1:] < cols[:-1]))).any():
+            order = np.lexsort((cols, rows))
             self.mat_rows = self.mat_rows[order]
             self.mat_cols = self.mat_cols[order]
             self.mat_vals = self.mat_vals[order]
-        self.row_ptr = np.searchsorted(self.mat_rows, np.arange(self.num_rows + 1))
-        # an integer variable with bounds inside [0, 1] is binary
-        for j, (t, lo, hi) in enumerate(zip(self.var_types, self.var_lb, self.var_ub)):
-            if t == "integer" and 0 <= lo and hi <= 1:
-                self.var_types[j] = "binary"
+        self.row_ptr = self.mat_rows.searchsorted(np.arange(self.num_rows + 1))
+        # an integer variable with bounds inside [0, 1] is binary (when the
+        # column arrays disagree, validate refuses the instance)
+        if len(self.var_types) == len(self.var_lb) == len(self.var_ub):
+            types = np.fromiter(self.var_types, object, len(self.var_types))
+            types[(types == "integer") & (self.var_lb >= 0)
+                  & (self.var_ub <= 1)] = "binary"
+            self.var_types = types.tolist()
 
     def validate(self):
         m, n = self.num_rows, self.num_cols
@@ -155,26 +192,27 @@ class MipInstance:
                     f"column {name!r} has {side} bound {bad:+}")
         if self.sense not in ("minimize", "maximize"):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
-        for s in self.row_senses:
-            if s not in SENSES:
-                raise InvalidInstanceError(f"bad row sense {s!r}")
-        for t in self.var_types:
-            if t not in VAR_TYPES:
-                raise InvalidInstanceError(f"bad var type {t!r}")
+        for s in filterfalse(SENSES.__contains__, self.row_senses):
+            raise InvalidInstanceError(f"bad row sense {s!r}")
+        for t in filterfalse(VAR_TYPES.__contains__, self.var_types):
+            raise InvalidInstanceError(f"bad var type {t!r}")
         if self.nnz:
             if self.mat_rows.min(initial=0) < 0 or (m and self.mat_rows.max() >= m):
                 raise InvalidInstanceError("matrix row index out of range")
             if self.mat_cols.min(initial=0) < 0 or (n and self.mat_cols.max() >= n):
                 raise InvalidInstanceError("matrix col index out of range")
-            keys = self.mat_rows * max(n, 1) + self.mat_cols
-            if len(np.unique(keys)) != self.nnz:
+            # entries are sorted by (row, col), so a repeated pair is adjacent
+            rows, cols = self.mat_rows, self.mat_cols
+            if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
                 raise InvalidInstanceError("duplicate (row, col) entries")
-            if np.any(self.mat_vals == 0.0):
+            if (self.mat_vals == 0.0).any():
                 raise InvalidInstanceError("stored zero coefficient")
-        for j, t in enumerate(self.var_types):
-            if t == "binary" and not (0 <= self.var_lb[j] and self.var_ub[j] <= 1):
-                raise InvalidInstanceError(
-                    f"binary variable {self.col_names[j]} has bounds outside [0, 1]")
+        binary = np.fromiter(self.var_types, object, n) == "binary"
+        outside = binary & ~((self.var_lb >= 0) & (self.var_ub <= 1))
+        if outside.any():
+            raise InvalidInstanceError(
+                f"binary variable {self.col_names[np.argmax(outside)]} has "
+                "bounds outside [0, 1]")
 
     @property
     def num_rows(self):
@@ -258,202 +296,68 @@ def parse_mps(text):
     """Parse fixed- or free-format MPS into a MipInstance."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    reader = _MpsReader()
+    reader.read(text)
+    return reader.instance()
 
-    name = ""
-    sense = "minimize"
-    obj_name = None
-    free_rows = set()  # extra N rows, dropped with a warning
-    row_index = {}  # name -> row, in declaration order
-    row_senses = []
-    col_index = {}  # name -> column, in declaration order
-    col_integer = []
-    obj_coeffs = []
-    lb = []
-    ub = []
-    has_lower = set()  # columns with a LO, MI or FX bound so far
-    entries = {}  # (row, col) -> value
-    vectors = {"RHS": {}, "RANGES": {}}  # section -> {row: value}
-    integral = False
-    section = None
-    pending_objsense = False
-    saw_rows = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        toks = raw.split()
-        if not raw[0].isspace():  # a section header
-            head = toks[0].upper()
-            if head not in _SECTIONS:
-                raise MpsParseError(f"unknown section header {toks[0]!r}", line_no)
-            if head == "ENDATA":
-                break
-            if head == "NAME":
-                name = toks[1] if len(toks) > 1 else ""
-            elif head == "OBJSENSE" and len(toks) > 1:
-                sense = "maximize" if toks[1].upper().startswith("MAX") else "minimize"
-            # NAME takes no data lines
-            section = None if head == "NAME" else head
-            pending_objsense = head == "OBJSENSE" and len(toks) == 1
-            saw_rows = saw_rows or head == "ROWS"
-            continue
+def _data_lines(lines, star):
+    """Every token of lines as an object array, and each data line's first
+    token, token count and index in lines; blank and comment lines are left
+    out.  Only lines holding a "*" (star) can be comments."""
+    toks = []
+    # toks += line.split() for each line, keeping len(toks) after each
+    ends = np.fromiter(map(len, map(toks.__iadd__, map(str.split, lines))),
+                       np.int64, len(lines))
+    toks = np.fromiter(toks, object, len(toks))
+    starts = np.concatenate([[0], ends[:-1]])
+    line = (ends > starts).nonzero()[0]
+    if star:
+        line = line[~np.fromiter(map(_COMMENT, toks[starts[line]].tolist()),
+                                 bool, len(line))]
+    return toks, starts[line], ends[line] - starts[line], line
 
-        if section == "ROWS":
-            if len(toks) != 2:
-                raise MpsParseError("ROWS line needs a sense and a name", line_no)
-            rtype, rname = toks[0].upper(), toks[1]
-            if rtype == "N":
-                if obj_name is None:
-                    obj_name = rname
-                else:
-                    warnings.warn(f"dropping extra free row {rname!r}")
-                    free_rows.add(rname)
-            elif rtype in _MPS_SENSE:
-                if rname in row_index:
-                    raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
-                row_index[rname] = len(row_senses)
-                row_senses.append(_MPS_SENSE[rtype])
-            else:
-                raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1].strip("'\"").upper() == "MARKER":
-                marker = toks[2].strip("'\"").upper()
-                if marker == "INTORG":
-                    integral = True
-                elif marker == "INTEND":
-                    integral = False
-                else:
-                    raise MpsParseError(f"unknown marker {toks[2]!r}", line_no)
-                continue
-            if len(toks) < 3 or len(toks) % 2 == 0:
-                raise MpsParseError("COLUMNS line needs name plus (row, value) pairs",
-                                    line_no)
-            cname = toks[0]
-            if cname not in col_index:
-                col_index[cname] = len(obj_coeffs)
-                col_integer.append(integral)
-                obj_coeffs.append(0.0)
-                lb.append(0.0)
-                ub.append(INF)
-            j = col_index[cname]
-            for k in range(1, len(toks), 2):
-                rname = toks[k]
-                val = _number(toks[k + 1], "coefficient", line_no)
-                if rname == obj_name:
-                    obj_coeffs[j] = val
-                    continue
-                if rname in free_rows:
-                    continue
-                if rname not in row_index:
-                    raise MpsSemanticError(f"undeclared row {rname!r}", line_no)
-                if val == 0.0:
-                    warnings.warn(
-                        f"dropping explicit zero coefficient at ({rname}, {cname})")
-                    continue
-                key = (row_index[rname], j)
-                if key in entries:
-                    raise MpsSemanticError(
-                        f"duplicate entry for ({rname}, {cname})", line_no)
-                entries[key] = val
-        elif section in vectors:
-            # an optional set name (an odd token count), then (row, value) pairs
-            rest = toks[len(toks) % 2:]
-            if not rest:
-                raise MpsParseError(f"malformed {section} line", line_no)
-            for k in range(0, len(rest), 2):
-                rname = rest[k]
-                val = _number(rest[k + 1], f"{section} value", line_no)
-                if rname == obj_name or rname in free_rows:
-                    warnings.warn(f"{section} entry on free row {rname!r} ignored")
-                elif rname not in row_index:
-                    raise MpsSemanticError(f"undeclared row {rname!r}", line_no)
-                else:
-                    vectors[section][row_index[rname]] = val
-        elif section == "BOUNDS":
-            if len(toks) < 2:
-                raise MpsParseError("short BOUNDS line", line_no)
-            btype = toks[0].upper()
-            if btype not in _BOUNDS:
-                raise MpsParseError(f"unknown bound type {btype!r}", line_no)
-            lower, upper, integer = _BOUNDS[btype]
-            n_args = 2 if _VALUE in (lower, upper) else 1  # column [, value]
-            if not 1 <= len(toks) - n_args <= 2:  # type [, bound-set name]
-                raise MpsParseError("malformed BOUNDS line", line_no)
-            cname = toks[-n_args]
-            if cname not in col_index:
-                raise MpsSemanticError(f"undeclared column {cname!r}", line_no)
-            j = col_index[cname]
-            val = (_number(toks[-1], "bound value", line_no, infinite=True)
-                   if n_args == 2 else None)
-            if lower is not None:
-                lb[j] = val if lower is _VALUE else lower
-            if upper is not None:
-                ub[j] = val if upper is _VALUE else upper
-            col_integer[j] = col_integer[j] or integer
-            if btype in ("LO", "MI", "FX"):
-                has_lower.add(j)
-            elif btype == "UP" and val < 0 and j not in has_lower:
-                lb[j] = -INF  # classic MPS convention for negative UP
-        elif section == "OBJSENSE":
-            if pending_objsense:
-                sense = "maximize" if toks[0].upper().startswith("MAX") else "minimize"
-                pending_objsense = False
-        else:
-            raise MpsParseError("data line before any section header", line_no)
 
-    if not saw_rows:
-        raise MpsParseError("missing ROWS section")
-    if obj_name is None:
-        raise MpsParseError("missing objective (N) row")
+def _is_marker(words):
+    """Whether each word, without enclosing quotes, is MARKER in any case;
+    each distinct word is looked at once."""
+    distinct = list(set(words))
+    markers = {w for w, key in zip(distinct, _unquoted(distinct))
+               if key == "MARKER"}
+    return np.fromiter(map(markers.__contains__, words), bool, len(words))
 
-    row_names = list(row_index)
-    m = len(row_names)
-    rhs = [vectors["RHS"].get(i, 0.0) for i in range(m)]
 
-    # expand RANGES into an extra inequality row each, copying the row's
-    # entries; R = 0 pins any row to its rhs, an equality
-    ranged = []
-    for i, r in sorted(vectors["RANGES"].items()):
-        s, b = row_senses[i], rhs[i]
-        if r == 0:
-            row_senses[i] = "="
-            continue
-        ranged.append(i)
-        if s == "<=":
-            new_sense, new_rhs = ">=", b - abs(r)
-        elif s == ">=":
-            new_sense, new_rhs = "<=", b + abs(r)
-        else:  # equality becomes [min(b, b+r), max(b, b+r)]
-            lo, hi = (b, b + r) if r > 0 else (b + r, b)
-            row_senses[i] = ">="
-            rhs[i] = lo
-            new_sense, new_rhs = "<=", hi
-        row_names.append(row_names[i] + "__rng")
-        row_senses.append(new_sense)
-        rhs.append(new_rhs)
+def _unquoted(words):
+    """Each word without enclosing quotes, upper-cased."""
+    return map(str.upper, map(str.strip, words, repeat("'\"")))
 
-    rows, cols = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
-    vals = np.array(list(entries.values()), dtype=float)
-    copy_to = np.full(m, -1)
-    copy_to[ranged] = np.arange(m, len(row_names))
-    copied = np.flatnonzero(copy_to[rows] >= 0)
 
-    return MipInstance(
-        name=name,
-        sense=sense,
-        obj_coeffs=obj_coeffs,
-        mat_rows=np.concatenate([rows, copy_to[rows[copied]]]),
-        mat_cols=np.concatenate([cols, cols[copied]]),
-        mat_vals=np.concatenate([vals, vals[copied]]),
-        row_senses=row_senses,
-        rhs=rhs,
-        var_lb=lb,
-        var_ub=ub,
-        var_types=["integer" if t else "continuous" for t in col_integer],
-        row_names=row_names,
-        col_names=list(col_index),
-        obj_name=obj_name,
-    )
+def _pairs(starts, n_pairs):
+    """Token index of each (name, value) pair's name, for lines whose
+    n_pairs pairs begin at token starts, and the index of its line."""
+    line = np.arange(len(n_pairs)).repeat(n_pairs)
+    first = n_pairs.cumsum() - n_pairs
+    return (starts - 2 * first)[line] + 2 * np.arange(len(line)), line
+
+
+def _floats(toks):
+    """float() of each token, NaN from the first one float() refuses on."""
+    vals = []
+    try:
+        vals.extend(map(float, toks.tolist()))
+    except ValueError:
+        pass
+    return np.concatenate([vals, np.full(len(toks) - len(vals), np.nan)])
+
+
+def _first(*masks):
+    """Index of the first position where any mask is true, and the index
+    of the first mask true there; (None, None) when none is."""
+    fail = reduce(np.logical_or, masks).nonzero()[0]
+    if not len(fail):
+        return None, None
+    i = int(fail[0])
+    return i, next(k for k, mask in enumerate(masks) if mask[i])
 
 
 def _number(sval, what, line_no, infinite=False):
@@ -469,78 +373,414 @@ def _number(sval, what, line_no, infinite=False):
     raise MpsParseError(f"{what} {sval!r} is {reason}", line_no)
 
 
+class _MpsReader:
+    """What parse_mps has read so far.  The text is split into lines a
+    chunk at a time.  Each section method takes the data lines of one
+    section in one chunk, as _data_lines gives them, finds every failure as
+    an array mask, raises the first in (line, pair, check) order, which is
+    the one a reader applying a line at a time would meet, and otherwise
+    applies them."""
+
+    def __init__(self):
+        self.name = ""
+        self.sense = "minimize"
+        self.saw_rows = False
+        self.obj_name = None
+        self.free_rows = set()  # extra N rows, dropped with a warning
+        self.row_index = {}  # name -> row, in declaration order
+        self.row_senses = []
+        self.col_index = {}  # name -> column, in declaration order
+        self.integral = False  # between INTORG and INTEND markers
+        self.col_integer = np.zeros(0, dtype=bool)
+        # column -> objective coefficient, lower and upper bound, as set
+        self.obj, self.lb, self.ub = {}, {}, {}
+        self.has_lower = set()  # columns with a LO, MI or FX bound so far
+        # the matrix entries sorted by row << 32 | col, their key
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.vals = np.zeros(0)
+        self.vectors = {"RHS": {}, "RANGES": {}}  # section -> {row: value}
+
+    def read(self, text):
+        """Apply the sections of text up to ENDATA, in file order."""
+        section = None
+        pending_objsense = False
+        pos = line_no = 0  # where the chunk starts, and lines before it
+        while pos < len(text):
+            # end the chunk after a "\n", so that no "\r\n" is cut in two
+            end = text.rfind("\n", pos, pos + _CHUNK) + 1 or len(text)
+            chunk = text[pos:end]
+            lines = chunk.splitlines()
+            toks, starts, counts, data = _data_lines(lines, "*" in chunk)
+            # a section header is a line whose first character is neither
+            # blank nor the "*" of a comment
+            firsts = "".join(map(itemgetter(0), map(str.ljust, lines,
+                                                    repeat(1))))
+            heads = [m.start() for m in _HEADER.finditer(firsts)]
+            # the data lines after each header, up to the next one
+            begins = data.searchsorted([-1] + heads, side="right").tolist()
+            ends = data.searchsorted(heads + [len(lines)]).tolist()
+            for a, lo, hi in zip([-1] + heads, begins, ends):
+                if a >= 0:
+                    head_toks = lines[a].split()
+                    head = head_toks[0].upper()
+                    if head not in _SECTIONS:
+                        raise MpsParseError(
+                            f"unknown section header {head_toks[0]!r}",
+                            line_no + a + 1)
+                    if head == "ENDATA":
+                        return
+                    if head == "NAME":
+                        self.name = head_toks[1] if len(head_toks) > 1 else ""
+                    elif head == "OBJSENSE" and len(head_toks) > 1:
+                        self.set_sense(head_toks[1])
+                    # NAME takes no data lines
+                    section = None if head == "NAME" else head
+                    pending_objsense = head == "OBJSENSE" and len(head_toks) == 1
+                    self.saw_rows = self.saw_rows or head == "ROWS"
+                if lo == hi:
+                    continue
+                piece = (toks, starts[lo:hi], counts[lo:hi],
+                         data[lo:hi] + line_no + 1)
+                if section is None:
+                    raise MpsParseError("data line before any section header",
+                                        int(piece[3][0]))
+                if section in self.vectors:
+                    self.vector(section, *piece)
+                elif section != "OBJSENSE":
+                    getattr(self, section.lower())(*piece)
+                elif pending_objsense:
+                    self.set_sense(toks[piece[1][0]])
+                    pending_objsense = False
+            pos, line_no = end, line_no + len(lines)
+
+    def set_sense(self, token):
+        self.sense = "maximize" if token.upper().startswith("MAX") else "minimize"
+
+    def rows(self, toks, starts, counts, line_nos):
+        for s, count, line_no in zip(starts.tolist(), counts.tolist(),
+                                     line_nos.tolist()):
+            if count != 2:
+                raise MpsParseError("ROWS line needs a sense and a name", line_no)
+            rtype, rname = toks[s].upper(), toks[s + 1]
+            if rtype == "N":
+                if self.obj_name is None:
+                    self.obj_name = rname
+                else:
+                    warnings.warn(f"dropping extra free row {rname!r}")
+                    self.free_rows.add(rname)
+            elif rtype in _MPS_SENSE:
+                if rname in self.row_index:
+                    raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
+                self.row_index[rname] = len(self.row_senses)
+                self.row_senses.append(_MPS_SENSE[rtype])
+            else:
+                raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
+
+    def _row_codes(self, names):
+        """Each name's row, or _OBJ, _FREE or _UNDECLARED."""
+        codes = dict(self.row_index)
+        codes.update(dict.fromkeys(self.free_rows, _FREE))
+        codes[self.obj_name] = _OBJ
+        return np.fromiter(map(codes.get, names.tolist(), repeat(_UNDECLARED)),
+                           np.int64, len(names))
+
+    def columns(self, toks, starts, counts, line_nos):
+        # a line of three or more tokens whose second is MARKER opens or
+        # closes an integer block
+        long = (counts >= 3).nonzero()[0]
+        is_marker = np.zeros(len(starts), dtype=bool)
+        is_marker[long] = _is_marker(toks[starts[long] + 1].tolist())
+        marker = is_marker.nonzero()[0]
+        flag = np.fromiter(map(_MARKERS.get, _unquoted(
+            toks[starts[marker] + 2].tolist()), repeat(-1)), np.int64,
+                           len(marker))
+        bad_marker = np.zeros(len(starts), dtype=bool)
+        bad_marker[marker] = flag < 0
+        malformed = ~is_marker & ((counts < 3) | (counts % 2 == 0))
+        # each data line declares its column, under the last marker before it
+        data = (~is_marker & ~malformed).nonzero()[0]
+        state = np.concatenate([[self.integral], flag > 0])
+        names = toks[starts[data]].tolist()
+        n_old = len(self.col_index)
+        new = dict.fromkeys(filterfalse(self.col_index.__contains__, names))
+        self.col_index.update(zip(new, count(n_old)))
+        col = np.fromiter(map(self.col_index.__getitem__, names), np.int64,
+                          len(names))
+        # a new column's first line is the first to pass every earlier id
+        seen = np.maximum.accumulate(np.concatenate([[n_old - 1], col[:-1]]))
+        self.col_integer = np.concatenate([
+            self.col_integer, state[marker.searchsorted(data)][col > seen]])
+
+        at, pair_line = _pairs(starts[data] + 1, (counts[data] - 1) // 2)
+        vals = _floats(toks[at + 1])
+        rows = self._row_codes(toks[at])
+        cols = col[pair_line]
+        stored = (rows >= 0) & (vals != 0.0)
+        keys = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
+        # a stable sort merges the sorted keys stored before with the new
+        # ones, and of two equal keys puts the one stored later second
+        order = keys.argsort(kind="stable")
+        again = order[1:][keys[order[1:]] == keys[order[:-1]]] - len(self.keys)
+        dup = np.zeros(len(at), dtype=bool)
+        dup[stored.nonzero()[0][again]] = True
+        i, check = _first(~np.isfinite(vals), rows == _UNDECLARED, dup)
+        j, line_check = _first(malformed, bad_marker)
+        # pairs before the first failing pair, or before the first failing
+        # line when that comes first
+        cut = len(at) if i is None else i
+        if j is not None and (i is None or data[pair_line[i]] > j):
+            cut, i = data[pair_line].searchsorted(j), None
+        for k in ((rows[:cut] >= 0) & (vals[:cut] == 0.0)).nonzero()[0]:
+            warnings.warn("dropping explicit zero coefficient at "
+                          f"({toks[at[k]]}, {names[pair_line[k]]})")
+        if i is not None:
+            line_no = int(line_nos[data[pair_line[i]]])
+            if check == 0:
+                _number(toks[at[i] + 1], "coefficient", line_no)
+            if check == 1:
+                raise MpsSemanticError(f"undeclared row {toks[at[i]]!r}",
+                                       line_no)
+            raise MpsSemanticError(f"duplicate entry for ({toks[at[i]]}, "
+                                   f"{names[pair_line[i]]})", line_no)
+        if j is not None:
+            if line_check == 0:
+                raise MpsParseError(
+                    "COLUMNS line needs name plus (row, value) pairs",
+                    int(line_nos[j]))
+            raise MpsParseError(f"unknown marker {toks[starts[j] + 2]!r}",
+                                int(line_nos[j]))
+
+        self.integral = bool(state[-1])
+        objective = rows == _OBJ
+        self.obj.update(zip(cols[objective].tolist(), vals[objective].tolist()))
+        self.keys = keys[order]
+        self.vals = np.concatenate([self.vals, vals[stored]])[order]
+
+    def vector(self, section, toks, starts, counts, line_nos):
+        # an optional set name (an odd token count), then (row, value) pairs
+        at, pair_line = _pairs(starts + counts % 2, counts // 2)
+        vals = _floats(toks[at + 1])
+        rows = self._row_codes(toks[at])
+        i, check = _first(~np.isfinite(vals), rows == _UNDECLARED)
+        j, _ = _first(counts == 1)
+        cut = len(at) if i is None else i
+        if j is not None and (i is None or pair_line[i] > j):
+            cut, i = pair_line.searchsorted(j), None
+        for k in ((rows[:cut] == _OBJ) | (rows[:cut] == _FREE)).nonzero()[0]:
+            warnings.warn(f"{section} entry on free row {toks[at[k]]!r} ignored")
+        if i is not None:
+            line_no = int(line_nos[pair_line[i]])
+            if check == 0:
+                _number(toks[at[i] + 1], f"{section} value", line_no)
+            raise MpsSemanticError(f"undeclared row {toks[at[i]]!r}", line_no)
+        if j is not None:
+            raise MpsParseError(f"malformed {section} line", int(line_nos[j]))
+        keep = rows >= 0
+        self.vectors[section].update(zip(rows[keep].tolist(),
+                                         vals[keep].tolist()))
+
+    def bounds(self, toks, starts, counts, line_nos):
+        btypes = list(map(str.upper, toks[starts].tolist()))
+        code = np.fromiter(map(_BOUND_CODE.get, btypes, repeat(len(_BOUNDS))),
+                           np.int64, len(starts))
+        lower, lower_valued, upper, upper_valued, integer = (
+            a[code] for a in _BOUND_TABLE)
+        # type [, bound-set name], column [, value]
+        n_args = 1 + (lower_valued | upper_valued)
+        short = counts < 2
+        unknown = code == len(_BOUNDS)
+        malformed = ~((1 <= counts - n_args) & (counts - n_args <= 2))
+        ok = (~(short | unknown | malformed)).nonzero()[0]
+        cname = starts + counts - n_args
+        col = np.full(len(starts), -1)
+        col[ok] = np.fromiter(map(self.col_index.get, toks[cname[ok]].tolist(),
+                                  repeat(-1)), np.int64, len(ok))
+        undeclared = np.zeros(len(starts), dtype=bool)
+        undeclared[ok] = col[ok] < 0
+        valued = ((col >= 0) & (n_args == 2)).nonzero()[0]
+        vals = np.full(len(starts), np.nan)
+        vals[valued] = _floats(toks[(starts + counts - 1)[valued]])
+        bad_value = np.zeros(len(starts), dtype=bool)
+        bad_value[valued] = np.isnan(vals[valued])
+        j, check = _first(short, unknown, malformed, undeclared, bad_value)
+        if j is not None:
+            line_no = int(line_nos[j])
+            if check == 4:
+                _number(toks[starts[j] + counts[j] - 1], "bound value",
+                        line_no, infinite=True)
+            if check == 3:
+                raise MpsSemanticError(
+                    f"undeclared column {toks[cname[j]]!r}", line_no)
+            raise MpsParseError(("short BOUNDS line",
+                                 f"unknown bound type {btypes[j]!r}",
+                                 "malformed BOUNDS line")[check], line_no)
+
+        # each side takes the last value a line gives it; a negative UP
+        # also frees the lower bound unless a LO, MI or FX line came before
+        sets_lower = _SETS_LOWER[code]
+        frees = (code == _BOUND_CODE["UP"]) & (vals < 0)
+        if frees.any():
+            first_lower = np.full(len(self.col_index), len(col))
+            np.minimum.at(first_lower, col[sets_lower],
+                          sets_lower.nonzero()[0])
+            frees &= (first_lower[col] > np.arange(len(col))) & ~np.fromiter(
+                map(self.has_lower.__contains__, col.tolist()), bool, len(col))
+        lower = np.where(frees, -INF, np.where(lower_valued, vals, lower))
+        upper = np.where(upper_valued, vals, upper)
+        for side, values in ((self.lb, lower), (self.ub, upper)):
+            sets = ~np.isnan(values)
+            side.update(zip(col[sets].tolist(), values[sets].tolist()))
+        self.col_integer[col[integer]] = True
+        self.has_lower.update(col[sets_lower].tolist())
+
+    def instance(self):
+        if not self.saw_rows:
+            raise MpsParseError("missing ROWS section")
+        if self.obj_name is None:
+            raise MpsParseError("missing objective (N) row")
+        n = len(self.col_index)
+        obj, lb, ub = np.zeros(n), np.zeros(n), np.full(n, INF)
+        rhs = np.zeros(len(self.row_senses))
+        for array, values in ((obj, self.obj), (lb, self.lb), (ub, self.ub),
+                              (rhs, self.vectors["RHS"])):
+            array[list(values)] = list(values.values())
+        row_fields = dict(
+            row_names=list(self.row_index), row_senses=self.row_senses,
+            rhs=rhs, mat_rows=self.keys >> 32, mat_cols=self.keys & 0xFFFFFFFF,
+            mat_vals=self.vals)
+        if self.vectors["RANGES"]:
+            row_fields = _expand_ranges(self.vectors["RANGES"], **row_fields)
+        return MipInstance(
+            name=self.name,
+            sense=self.sense,
+            obj_coeffs=obj,
+            var_lb=lb,
+            var_ub=ub,
+            var_types=list(map(("continuous", "integer").__getitem__,
+                               self.col_integer.tolist())),
+            col_names=list(self.col_index),
+            obj_name=self.obj_name,
+            **row_fields,
+        )
+
+
+def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,
+                   mat_vals):
+    """The row fields with RANGES {row: R} applied: a nonzero R adds an
+    inequality row "<name>__rng" after every original row, with a copy of
+    the row's entries, and R = 0 pins any row to its rhs, an equality."""
+    m = len(row_names)
+    senses = np.array(row_senses, dtype=object)
+    ranged = np.array(sorted(ranges), dtype=np.int64)
+    r = np.array([ranges[i] for i in ranged.tolist()], dtype=float)
+    senses[ranged[r == 0]] = "="
+    ranged, r = ranged[r != 0], r[r != 0]
+    s, b = senses[ranged], rhs[ranged]
+    le, ge = s == "<=", s == ">="
+    eq = ~(le | ge)
+    # L gives [b - |R|, b], G [b, b + |R|] and E the interval from b to
+    # b + R: the original row keeps one side, the new row the other
+    new_rhs = np.where(le, b - abs(r), np.where(ge, b + abs(r),
+                                                np.where(r > 0, b + r, b)))
+    rhs[ranged[eq]] = np.where(r > 0, b, b + r)[eq]
+    senses[ranged[eq]] = ">="
+    copy_to = np.full(m, -1)
+    copy_to[ranged] = np.arange(m, m + len(ranged))
+    copied = (copy_to[mat_rows] >= 0).nonzero()[0]
+    return dict(
+        row_names=row_names + [row_names[i] + "__rng" for i in ranged.tolist()],
+        row_senses=senses.tolist() + np.where(le, ">=", "<=").tolist(),
+        rhs=np.concatenate([rhs, new_rhs]),
+        mat_rows=np.concatenate([mat_rows, copy_to[mat_rows[copied]]]),
+        mat_cols=np.concatenate([mat_cols, mat_cols[copied]]),
+        mat_vals=np.concatenate([mat_vals, mat_vals[copied]]))
+
+
 # ---------------------------------------------------------------------------
 # MPS writing
 
 
-def _fmt(v):
-    if v == INF:
-        return "1e308"
-    if v == -INF:
-        return "-1e308"
-    return repr(float(v))
+def _formatted(values, form="%r"):
+    """form % value for each value, formatting each distinct float64 once;
+    its bits key it, so -0.0 keeps its sign."""
+    bits = np.asarray(values, dtype=float).view(np.int64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    text = dict(zip(distinct, map(form.__mod__, np.array(
+        distinct, dtype=np.int64).view(float).tolist())))
+    return list(map(text.__getitem__, bits))
+
+
+def _lines(*fields):
+    """The text of one line per position of the fields: each field is one
+    string per line, or a str that every line repeats."""
+    return "".join(chain.from_iterable(zip(
+        *(repeat(f) if isinstance(f, str) else f for f in fields),
+        repeat("\n"))))
 
 
 def write_mps(inst):
     """Serialize to free-format MPS. Deterministic: equal instances, equal bytes."""
-    out = []
-    out.append(f"NAME          {inst.name}")
-    if inst.sense == "maximize":
-        out.append("OBJSENSE")
-        out.append("    MAX")
-    out.append("ROWS")
-    out.append(f" N  {inst.obj_name}")
-    for sense, rname in zip(inst.row_senses, inst.row_names):
-        out.append(f" {_SENSE_MPS[sense]}  {rname}")
+    m, n = inst.num_rows, inst.num_cols
+    col_names = inst.col_names.__getitem__
+    integer = np.fromiter(map("continuous".__ne__, inst.var_types), bool, n)
 
-    by_col = {j: [] for j in range(inst.num_cols)}
-    for i, j, v in zip(inst.mat_rows, inst.mat_cols, inst.mat_vals):
-        by_col[int(j)].append((int(i), float(v)))
+    # each column's objective entry, then its matrix entries by row; a
+    # column with no matrix entry is declared by its objective entry
+    obj = np.flatnonzero((inst.obj_coeffs != 0.0)
+                         | (np.bincount(inst.mat_cols, minlength=n) == 0))
+    order = np.argsort(np.concatenate([obj, inst.mat_cols]), kind="stable")
+    cols = np.concatenate([obj, inst.mat_cols])[order]
+    rows = np.concatenate([np.full(len(obj), m), inst.mat_rows])[order]
+    vals = np.concatenate([inst.obj_coeffs[obj], inst.mat_vals])[order]
+    # a MARKER line opens or closes an integer block before each column
+    # whose integrality differs from the column before
+    switch = np.flatnonzero(integer != np.concatenate([[False], integer[:-1]]))
+    prefix = np.full(len(cols), "    ", dtype=object)
+    prefix[cols.searchsorted(switch)] = list(map(
+        "    MARKER%d  'MARKER'  '%s'\n    ".__mod__,
+        zip(range(len(switch)), np.where(integer[switch], "INTORG",
+                                         "INTEND").tolist())))
+    columns = _lines(prefix.tolist(), map(col_names, cols.tolist()), "  ",
+                     map((inst.row_names + [inst.obj_name]).__getitem__,
+                         rows.tolist()), "  ", _formatted(vals))
+    if n and integer[-1]:
+        columns += f"    MARKER{len(switch)}  'MARKER'  'INTEND'\n"
 
-    out.append("COLUMNS")
-    in_int = False
-    marker = 0
-    for j, cname in enumerate(inst.col_names):
-        want_int = inst.var_types[j] in ("binary", "integer")
-        if want_int != in_int:
-            tag = "INTORG" if want_int else "INTEND"
-            out.append(f"    MARKER{marker}  'MARKER'  '{tag}'")
-            marker += 1
-            in_int = want_int
-        # a column with no matrix entry is declared by its objective entry
-        if inst.obj_coeffs[j] != 0.0 or not by_col[j]:
-            out.append(f"    {cname}  {inst.obj_name}  {_fmt(inst.obj_coeffs[j])}")
-        for i, v in by_col[j]:
-            out.append(f"    {cname}  {inst.row_names[i]}  {_fmt(v)}")
-    if in_int:
-        out.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
+    rhs = np.flatnonzero(inst.rhs != 0.0)
+    rhs = _lines("    RHS  ", map(inst.row_names.__getitem__, rhs.tolist()),
+                 "  ", _formatted(inst.rhs[rhs]))
 
-    out.append("RHS")
-    for i, rname in enumerate(inst.row_names):
-        if inst.rhs[i] != 0.0:
-            out.append(f"    RHS  {rname}  {_fmt(inst.rhs[i])}")
+    # per column a BV, FX, FR, MI or LO line, the first that applies, then
+    # an UP line after a MI or LO line or none; a negative UP line alone
+    # would also free the lower bound
+    lo, hi = inst.var_lb, inst.var_ub
+    binary = np.fromiter(map("binary".__eq__, inst.var_types), bool, n)
+    kind = np.full(2 * n, 5)
+    first = kind[0::2]  # set last to first, so the first that applies wins
+    first[(lo != 0.0) | integer | (hi < 0)] = 4
+    first[lo == -INF] = 3
+    first[(lo == -INF) & (hi == INF)] = 2
+    first[lo == hi] = 1
+    first[binary & (lo == 0.0) & (hi == 1.0)] = 0
+    kind[1::2][(hi != INF) & (first >= 3)] = 6
+    value = np.empty(2 * n)
+    value[0::2], value[1::2] = lo, hi
+    has = kind != 5
+    kind, value = kind[has], value[has]
+    suffix = np.full(len(kind), "", dtype=object)
+    valued = _BOUND_VALUED[kind]
+    suffix[valued] = _formatted(value[valued], "  %r")
+    bounds = _lines(" ", map(_BOUND_NAMES.__getitem__, kind.tolist()),
+                    " BND  ", map(col_names, (has.nonzero()[0] // 2).tolist()),
+                    suffix.tolist())
 
-    out.append("BOUNDS")
-    for j, cname in enumerate(inst.col_names):
-        lo, hi, t = inst.var_lb[j], inst.var_ub[j], inst.var_types[j]
-        if t == "binary" and lo == 0.0 and hi == 1.0:
-            out.append(f" BV BND  {cname}")
-            continue
-        if lo == hi:
-            out.append(f" FX BND  {cname}  {_fmt(lo)}")
-            continue
-        if lo == -INF and hi == INF:
-            out.append(f" FR BND  {cname}")
-            continue
-        # a negative UP line alone would also free the lower bound
-        if lo == -INF:
-            out.append(f" MI BND  {cname}")
-        elif lo != 0.0 or t != "continuous" or hi < 0:
-            out.append(f" LO BND  {cname}  {_fmt(lo)}")
-        if hi != INF:
-            out.append(f" UP BND  {cname}  {_fmt(hi)}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    return "".join([
+        f"NAME          {inst.name}\n",
+        "OBJSENSE\n    MAX\n" if inst.sense == "maximize" else "",
+        f"ROWS\n N  {inst.obj_name}\n",
+        _lines(" ", map(_SENSE_MPS.__getitem__, inst.row_senses), "  ",
+               inst.row_names),
+        "COLUMNS\n", columns, "RHS\n", rhs, "BOUNDS\n", bounds, "ENDATA\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,8 @@ def _decode(val, field):
 
 def _check_payload(kind, payload, n_configs, n_features):
     """Refuse a payload that lacks a field its kind reads, or holds one of
-    the wrong type or shape, with a ValueError naming the field."""
+    the wrong type or shape or with a NaN or infinite value, with a
+    ValueError naming the field."""
     def need(key, ok, what):
         if key not in payload or not ok(payload[key]):
             raise ValueError(f"model field 'payload.{key}' is "
@@ -239,6 +240,8 @@ def _check_payload(kind, payload, n_configs, n_features):
         need("classes", lambda c: array((rows,), "iu")(c) and np.all(
             (c >= 0) & (c < n_configs)),
              f"an array of {rows} config indices below {n_configs}")
+        for key in ("X", "mean", "std"):
+            need(key, lambda a: np.isfinite(a).all(), "finite")
     else:
         pairs = [[i, j] for i in range(n_configs)
                  for j in range(i + 1, n_configs)]

@@ -243,7 +243,7 @@ class TestCommands:
         "model_dtype", "model_n_classes", "model_mode", "model_forest_1",
         "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
         "manifest_empty_family", "model_v2_predict", "model_layout",
-        "dataset_log_inf"])
+        "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -356,6 +356,10 @@ class TestCommands:
             arr.update(shape=[], base64=base64.b64encode(base64.b64decode(
                 arr["base64"])[:8]).decode())
 
+        def filled(arr, value):  # every entry set to value
+            arr.update(base64=base64.b64encode(np.full(
+                arr["shape"], value, dtype=arr["dtype"]).tobytes()).decode())
+
         def leaves_first(arr):  # every internal node after every leaf
             arr.update(base64=base64.b64encode(np.sort(np.frombuffer(
                 base64.b64decode(arr["base64"]), dtype=arr["dtype"]))
@@ -381,6 +385,13 @@ class TestCommands:
             "model_layout": tampered(forest_model_path, "layout.json",
                                      lambda p: leaves_first(
                                          forest(p)["feature"]["__array__"])),
+            "model_forest_nan": tampered(ranker_models["reg_forest"],
+                                         "nan_leaves.json", lambda p: filled(
+                                             p["forest_0"]["__forest__"]
+                                             ["value"]["__array__"], np.nan)),
+            "model_knn_inf_mean": tampered(model_path, "inf_mean.json",
+                                           lambda p: filled(
+                                               p["mean"]["__array__"], np.inf)),
         }
         n_trees = forest(broken_model["model_layout"][1]["payload"])["n_trees"]
         # a model file of the retired v2 format, which stored its nodes in
@@ -532,6 +543,10 @@ class TestCommands:
             "model_layout": tampered_model("model_layout", (
                 f"forest field 'feature' is not a level-order layout of "
                 f"{n_trees} trees")),
+            "model_forest_nan": tampered_model("model_forest_nan", (
+                "forest field 'value' holds a NaN or infinite value")),
+            "model_knn_inf_mean": tampered_model("model_knn_inf_mean", (
+                "model field 'payload.mean' is not finite")),
             "dataset_log_inf": ("pipeline", [
                 "--manifest", str(inf_logs), "--stage", "root_end", "--seeds",
                 "0", "--n-trees", "3", "--out-dir", str(tmp_path / "rep")],

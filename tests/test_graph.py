@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -97,3 +98,23 @@ class TestSignature:
         a = canonical_signature(build_graph(gen_setcover(8, 14, 0.4, seed=5)))
         b = canonical_signature(build_graph(gen_setcover(8, 14, 0.4, seed=6)))
         assert a != b
+
+    def test_negative_zero_equals_zero(self):
+        g = build_graph(tiny_instance())
+        g.edge_weight[1] = 0.0  # an imported graph may hold a zero weight
+        negative = dataclasses.replace(g, **{
+            key: np.where(getattr(g, key) == 0.0, -0.0, getattr(g, key))
+            for key in ("var_obj", "var_lb", "edge_weight")})
+        assert np.signbit(negative.var_lb).all()
+        assert canonical_signature(negative) == canonical_signature(g)
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("edge_weight", 3, 2.5), ("var_ub", 4, 7.0), ("con_lb", 2, -9.0),
+        ("var_types", 0, "continuous")])
+    def test_one_changed_field_changes_the_signature(self, key, index, value):
+        g = build_graph(gen_setcover(6, 9, 0.5, seed=2))
+        changed = getattr(g, key).copy()
+        assert changed[index] != value
+        changed[index] = value
+        assert (canonical_signature(dataclasses.replace(g, **{key: changed}))
+                != canonical_signature(g))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,8 @@ from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
                              MipInstance, MpsParseError, MpsSemanticError,
                              PermutationRecord, apply_permutation, parse_mps,
                              permute_instance, read_file, read_mps, write_mps)
+from benloc import instance
+from benloc.graph import build_graph, canonical_signature
 from benloc.synth import gen_setcover
 
 MINIMAL = """\
@@ -323,6 +327,24 @@ class TestWriteMps:
                 again = parse_mps(write_mps(first))
             assert again == first, path
 
+    def test_every_bound_combination_round_trips(self):
+        """Each finite or infinite lower and upper bound, crossed ones too,
+        of every variable type is written without a stand-in for infinity
+        and reads back."""
+        combos = [(lo, hi, t) for t in VAR_TYPES
+                  for lo in (-INF, -2.0, 0.0, 0.5, 1.0)
+                  for hi in (-2.0, 0.0, 0.5, 1.0, 3.0, INF)
+                  if t != "binary" or 0.0 <= lo and hi <= 1.0]
+        lb, ub, types = zip(*combos)
+        inst = MipInstance(
+            name="b", sense="minimize", obj_coeffs=np.ones(len(combos)),
+            mat_rows=[], mat_cols=[], mat_vals=[], row_senses=[], rhs=[],
+            var_lb=lb, var_ub=ub, var_types=types, row_names=[],
+            col_names=[f"c{j}" for j in range(len(combos))])
+        text = write_mps(inst)
+        assert "1e308" not in text and "inf" not in text
+        assert parse_mps(text) == inst
+
     def test_permuted_name_order(self):
         inst = small_instance()
         permuted, rec = apply_permutation(inst, [1, 0], [2, 0, 1])
@@ -638,3 +660,68 @@ class TestProperties:
             var_types=["continuous"] * n, row_names=names,
             col_names=[f"c{j}" for j in range(n)])
         assert parse_mps("\n".join(lines) + "\n") == expected
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_reflowed_pairs_read_the_same(self, data):
+        """The writer's one-pair COLUMNS, RHS and RANGES lines, joined two
+        pairs to a line at random and with or without the RHS or RANGES set
+        name, read back as the same instance.  A zero range on an equality
+        row leaves it as it is."""
+        inst = data.draw(instances())
+        zero_ranges = "".join(f"    RNG  {name}  0.0\n" for name, s in zip(
+            inst.row_names, inst.row_senses) if s == "=")
+        text = write_mps(inst).replace("BOUNDS\n",
+                                       f"RANGES\n{zero_ranges}BOUNDS\n")
+        lines, group, section = [], None, None
+
+        def flush():
+            if group is not None:
+                named = section == "COLUMNS" or data.draw(st.booleans())
+                lines.append("    " + "  ".join(group[0 if named else 1:]))
+
+        for line in text.splitlines():
+            toks = line.split()
+            pairs = (section in ("COLUMNS", "RHS", "RANGES")
+                     and line[0].isspace() and toks[1] != "'MARKER'")
+            if (pairs and group is not None and len(group) == 3
+                    and group[0] == toks[0] and data.draw(st.booleans())):
+                group += toks[1:]
+                continue
+            flush()
+            group = toks if pairs else None
+            if not pairs:
+                lines.append(line)
+                if not line[0].isspace():
+                    section = toks[0]
+        assert parse_mps("\n".join(lines) + "\n") == inst
+
+
+class TestCalls:
+    @pytest.mark.parametrize("layer", ["parse", "write", "signature"])
+    def test_calls_do_not_grow_with_nnz(self, layer):
+        """parse_mps, write_mps and canonical_signature make as many
+        Python-level calls at 20k nonzeros as at 2k: none of their work is
+        done per line, nonzero or node in Python."""
+        def calls(inst):
+            arg = {"parse": write_mps(inst), "write": inst,
+                   "signature": build_graph(inst)}[layer]
+            fn = {"parse": parse_mps, "write": write_mps,
+                  "signature": canonical_signature}[layer]
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            sys.setprofile(profile)
+            try:
+                fn(arg)
+            finally:
+                sys.setprofile(None)
+            return count
+        small = gen_setcover(100, 200, 0.1, seed=0)
+        large = gen_setcover(400, 500, 0.1, seed=0)
+        assert 9 * small.nnz < large.nnz < 11 * small.nnz
+        # parse_mps makes a fixed number of calls per chunk of text
+        assert len(write_mps(large)) < instance._CHUNK
+        assert calls(small) == calls(large)
