@@ -9,8 +9,7 @@ from .static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
                               extract_static)
 from .logs import (FeatureStage, SolveLog, assemble_features,
                    dynamic_features, extra_cost, gap_features, parse_log)
-from .graph import (BipartiteGraph, build_graph, canonical_signature,
-                    export_graph, import_graph)
+from .graph import BipartiteGraph, build_graph, canonical_signature
 from .metrics import (ConfigId, PerfTable, improvement,
                       improvement_upper_bound, pd_best, pi_best,
                       shifted_geomean)

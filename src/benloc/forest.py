@@ -14,9 +14,14 @@ when any split exists.
 All trees grow together, one depth at a time (the level-wise growth of
 XGBoost's hist method, applied to exact CART): one sort per depth orders every
 open node's (row, candidate feature) pairs by value, and one array pass scores
-every boundary.  A fitted forest is one set of node arrays in the order the
-builder grows them: every tree's root, then depth 1 of every tree, and so
-on.  In that level order the children of the i-th internal node are nodes
+every boundary.  Only live (node, feature) groups, where the feature takes
+more than one value on the node's rows, are sorted, and their keys (group,
+rank, row position) are unique, so the order, and with it every float sum,
+is the same under every sort algorithm and CPU.
+
+A fitted forest is one set of node arrays in the order the builder grows
+them: every tree's root, then depth 1 of every tree, and so on.  In that
+level order the children of the i-th internal node are nodes
 n_trees + 2i and n_trees + 2i + 1, so no child pointer is stored.  The
 forest predicts by descending every tree for every row at once; a row's
 prediction is the same whatever batch it comes in.
@@ -43,6 +48,24 @@ class Tree(NamedTuple):
     feature: np.ndarray
     threshold: np.ndarray
     value: np.ndarray
+
+
+def _widths(groups, ranks, rows):
+    """Bit widths of the rank and row-position fields of a split-search key
+    (group, rank, row position) whose fields hold values below groups, ranks
+    and rows.  A key wider than 63 bits is refused."""
+    widths = [(size - 1).bit_length() for size in (groups, ranks, rows)]
+    if sum(widths) > 63:
+        raise ValueError(f"a split-search key of {groups} groups, {ranks} "
+                         f"ranks and {rows} rows needs {sum(widths)} bits, "
+                         f"more than 63")
+    return widths[1:]
+
+
+def _changes(a):
+    """True where a non-negative array differs from the entry before it, and
+    at its first entry."""
+    return a != np.concatenate(([-1], a[:-1]))
 
 
 def _refuse(key, bad, why):
@@ -183,40 +206,59 @@ class RandomForest:
         entries of rows and searches the features feats[i].
 
         Nodes go in runs of at most _RUN (row, feature) elements, a larger
-        node alone.  One sort of the key (node, feature slot, rank) lays out
-        a run's nodes, and each node's features one after another in value
-        order, so a node's first minimum over its boundaries takes the lowest
-        impurity, then the lowest feature, then the lowest threshold.
+        node alone.  A (node, feature slot) group is live when its feature
+        takes more than one value on the node's rows; only a live group has
+        a boundary, so only its elements are keyed.  The key (group, rank,
+        row position) is unique, so one sort lays the run out the same way
+        under every sort algorithm: the nodes, each node's features one
+        after another in value order, and tied values in row order.  A
+        node's first minimum over its boundaries takes the lowest impurity,
+        then the lowest feature, then the lowest threshold.
         """
         m, k = feats.shape
         best = np.full(m, np.inf), np.zeros(m, dtype=np.int64), np.zeros(m)
-        bits, leaf = len(X).bit_length(), self.min_samples_leaf
+        leaf = self.min_samples_leaf
         end, first = np.cumsum(counts * k), np.cumsum(counts) - counts
+        column = feats * len(X)  # where each candidate's ranks start in rank
         a = 0
         while a < m:
             b = max(a + 1, int(np.searchsorted(end, end[a] - counts[a] * k
                                                + _RUN, "right")))
             r = rows[first[a]:first[b - 1] + counts[b - 1]]
             local = np.repeat(np.arange(b - a), counts[a:b])
-            # element e is row r[e // k] under feature slot e % k
-            key = ((local[:, None] * k + np.arange(k)) << bits) | \
-                rank.ravel()[feats[a:b][local] * len(X) + r[:, None]]
-            order = key.ravel().argsort()
-            key = key.ravel()[order]
-            size = np.repeat(counts[a:b], k)  # of each (node, slot) group
+            # element e = p * k + s is row r[p] under its node's slot s
+            rk = rank.ravel()[column[a:b][local] + r[:, None]]
+            head = first[a:b] - first[a]  # each node's first row in r
+            live = (np.minimum.reduceat(rk, head)
+                    != np.maximum.reduceat(rk, head))
+            size = (counts[a:b, None] * live).ravel()  # of group local * k + s
             start = np.cumsum(size) - size
-            # a split after sorted position i, never across a group's end
-            step = key[1:] != key[:-1]
-            step[start[1:] - 1] = False
-            i = np.flatnonzero(step)
-            g = key[i] >> bits
+            rb, pb = _widths(len(size), len(X), len(r))
+            # each live element's key (group, rank, row position p)
+            e = np.flatnonzero(live[local])
+            p = e // k
+            key = local[p]
+            key *= k
+            key += e % k
+            key <<= rb
+            key |= rk.ravel()[e]
+            key <<= pb
+            key |= p
+            del rk, e  # the run's largest arrays: free them before the sort
+            key.sort()
+            # a split after sorted position i: the rank changes, the group not
+            gr = key >> pb
+            g = gr >> rb
+            i = np.flatnonzero((gr[1:] != gr[:-1]) & (g[1:] == g[:-1]))
+            p, g = key & ((1 << pb) - 1), g[i]
             nl, n = i + 1 - start[g], size[g]
             ok = (nl >= leaf) & (n - nl >= leaf)
             i, g, n, nl, node = i[ok], g[ok], n[ok], nl[ok], g[ok] // k
-            ys, stat = y[r[order // k]], stats[a + node]
+            ys, stat = y[r[p]], stats[a + node]
+            # prefix sums of y, or of class counts, with a leading zero
             if self.mode == "regression":
-                cs = np.cumsum(ys)
-                left = cs[i] - np.r_[0.0, cs][start[g]]
+                cs = np.concatenate(([0.0], ys)).cumsum()
+                left = cs[i + 1] - cs[start[g]]
                 c = stat[:, 1] - (left ** 2 / nl
                                   + (stat[:, 0] - left) ** 2 / (n - nl))
             else:
@@ -224,18 +266,18 @@ class RandomForest:
                 # the same floats whatever the summation order
                 sl = sr = 0
                 for cls in range(self.n_classes):
-                    cs = np.cumsum(ys == cls)
-                    left = cs[i] - np.r_[0, cs][start[g]]
+                    cs = np.concatenate(([0], ys == cls)).cumsum()
+                    left = cs[i + 1] - cs[start[g]]
                     sl, sr = sl + left ** 2, sr + (stat[:, cls] - left) ** 2
                 c = (nl - sl / nl) + ((n - nl) - sr / (n - nl))
-            new = np.diff(node, prepend=-1) != 0
+            new = _changes(node)
             low = np.minimum.reduceat(c, np.flatnonzero(new))
             hit = np.flatnonzero(c == low[np.cumsum(new) - 1])
-            hit = hit[np.diff(node[hit], prepend=-1) != 0]
+            hit = hit[_changes(node[hit])]
             at, f, i = a + node[hit], feats[a + node[hit], g[hit] % k], i[hit]
             best[0][at], best[1][at] = low, f
             # the midpoint, or lo where it rounds up to hi (adjacent floats)
-            lo, hi = (X[r[order[j] // k], f] for j in (i, i + 1))
+            lo, hi = (X[r[p[j]], f] for j in (i, i + 1))
             best[2][at] = np.where(0.5 * (lo + hi) < hi, 0.5 * (lo + hi), lo)
             a = b
         return best

@@ -1,21 +1,17 @@
-"""Bipartite variable/constraint graph construction and export.
+"""Bipartite variable/constraint graph construction and its canonical
+signature.
 
 Constraint nodes carry interval bounds derived from the row sense
 (ax <= b -> (-inf, b], ax >= b -> [b, +inf), ax = b -> [b, b]) plus 0/1
 indicators hlb/hub marking which side is finite.  Variable nodes carry bound
 indicators, the objective coefficient, the bounds themselves and a type tag
 (binary folds into "integer").  Edges are the nonzero matrix coefficients.
-
-The export format is deterministic JSON with one node or edge per line;
-infinite bounds are written as the strings "inf"/"-inf" so the file stays
-standard JSON.  No embeddings or message passing happen here: the file is the
-boundary to external graph-learning pipelines.
+No embeddings or message passing happen here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,8 +20,6 @@ import numpy as np
 from .instance import fields_equal
 
 INF = math.inf
-
-FORMAT_TAG = "benloc-graph-v1"
 
 
 @dataclass(eq=False)
@@ -82,70 +76,6 @@ def build_graph(inst):
         edge_con=inst.mat_rows.copy(),
         edge_var=inst.mat_cols.copy(),
         edge_weight=inst.mat_vals.copy(),
-    )
-
-
-def _enc(v):
-    if v == INF:
-        return '"inf"'
-    if v == -INF:
-        return '"-inf"'
-    return repr(float(v))
-
-
-def _dec(v):
-    if isinstance(v, str):
-        return INF if v == "inf" else -INF
-    return float(v)
-
-
-def export_graph(g):
-    """Serialize a graph: node tables, then one edge per line. Valid JSON."""
-    lines = ["{", f'"format": "{FORMAT_TAG}",', '"constraint_nodes": [']
-    con = [f"[{_enc(g.con_lb[i])}, {_enc(g.con_ub[i])}, "
-           f"{int(g.con_hlb[i])}, {int(g.con_hub[i])}]"
-           for i in range(g.num_constraints)]
-    lines.append(",\n".join(con))
-    lines.append('],')
-    lines.append('"variable_nodes": [')
-    var = [f"[{int(g.var_hlb[j])}, {int(g.var_hub[j])}, {_enc(g.var_obj[j])}, "
-           f"{_enc(g.var_lb[j])}, {_enc(g.var_ub[j])}, \"{g.var_types[j]}\"]"
-           for j in range(g.num_variables)]
-    lines.append(",\n".join(var))
-    lines.append('],')
-    lines.append('"edges": [')
-    edges = [f"[{int(g.edge_con[e])}, {int(g.edge_var[e])}, {_enc(g.edge_weight[e])}]"
-             for e in range(g.num_edges)]
-    lines.append(",\n".join(edges))
-    lines.append(']')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def import_graph(text):
-    """Inverse of export_graph."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    d = json.loads(text)
-    if d.get("format") != FORMAT_TAG:
-        raise ValueError(f"unknown graph format {d.get('format')!r}")
-    con = d["constraint_nodes"]
-    var = d["variable_nodes"]
-    edges = d["edges"]
-    return BipartiteGraph(
-        con_lb=np.array([_dec(r[0]) for r in con]),
-        con_ub=np.array([_dec(r[1]) for r in con]),
-        con_hlb=np.array([int(r[2]) for r in con], dtype=np.int64),
-        con_hub=np.array([int(r[3]) for r in con], dtype=np.int64),
-        var_hlb=np.array([int(r[0]) for r in var], dtype=np.int64),
-        var_hub=np.array([int(r[1]) for r in var], dtype=np.int64),
-        var_obj=np.array([_dec(r[2]) for r in var]),
-        var_lb=np.array([_dec(r[3]) for r in var]),
-        var_ub=np.array([_dec(r[4]) for r in var]),
-        var_types=[r[5] for r in var],
-        edge_con=np.array([int(e[0]) for e in edges], dtype=np.int64),
-        edge_var=np.array([int(e[1]) for e in edges], dtype=np.int64),
-        edge_weight=np.array([float(e[2]) for e in edges]),
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benloc.forest import RandomForest
+from benloc.forest import RandomForest, _widths
 
 
 def brute_force_best_sse_split(x, y):
@@ -280,6 +280,50 @@ def test_constant_sampled_features_fall_back_to_the_others(mode, seed):
                           max_features=1, seed=seed).fit(X, y)
     assert_same_tree(forest, reference_tree(mode, X, y, 12, 1))
     assert np.any(forest.feature == 3)
+
+
+def repeated_data(mode, seed, constant, n=12, block=4):
+    """exact_data's rows repeated in blocks, after `constant` constant
+    columns.  The rows of a block share a feature vector, as the
+    permutations of one family share their static features, but each row
+    draws its own target, so a node holding one block's rows cannot split."""
+    X, _ = exact_data(mode, seed, n=n)
+    _, y = exact_data(mode, seed + 1, n=n * block)
+    fixed = np.tile(np.arange(constant, dtype=float) + 2.0, (n * block, 1))
+    return np.hstack([fixed, np.repeat(X, block, axis=0)]), y
+
+
+@pytest.mark.parametrize("mode", ["regression", "classification"])
+@pytest.mark.parametrize("constant", range(4))
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+def test_level_builder_grows_the_reference_tree_on_repeated_rows(
+        mode, constant, min_leaf):
+    # most (node, feature) groups take one value here and are never keyed
+    X, y = repeated_data(mode, seed=10 * constant + min_leaf,
+                         constant=constant)
+    forest = one_tree(mode, min_samples_leaf=min_leaf,
+                      max_features="all").fit(X, y)
+    assert_same_tree(forest, reference_tree(mode, X, y, 12, min_leaf))
+
+
+@pytest.mark.parametrize("mode", ["regression", "classification"])
+def test_repeated_rows_fall_back_to_the_others(mode):
+    # test_constant_sampled_features_fall_back_to_the_others on rows repeated
+    # in blocks: a block's nodes hold no live feature at all
+    X, y = repeated_data(mode, seed=5, constant=3)
+    X = np.hstack([X[:, :4], np.full((len(y), 2), 7.0)])
+    forest = RandomForest(mode=mode, n_trees=1, bootstrap=False,
+                          max_features=1, seed=5).fit(X, y)
+    assert_same_tree(forest, reference_tree(mode, X, y, 12, 1))
+    assert np.any(forest.feature == 3)
+
+
+def test_search_key_wider_than_63_bits_is_refused():
+    # (group, rank, row position) fields below 2^14, 240 and 2,400
+    assert _widths(1 << 14, 240, 2400) == [8, 12]
+    assert _widths(1 << 21, 1 << 21, 1 << 21) == [21, 21]
+    with pytest.raises(ValueError, match="needs 64 bits, more than 63"):
+        _widths(1 << 21, 1 << 21, 1 << 22)
 
 
 def test_adjacent_float_split_sends_rows_both_ways():

@@ -4,7 +4,14 @@ Every forest speedup must leave the trees bit-identical: the same RNG draws in
 the same order, the same split choice and tie-break, the same floats.  Each
 case below fits one forest (or trains one selector) on fixed synthetic data
 and compares the sha256 of its node arrays (of its model file, for a
-selector) against ``fixtures/forest_golden.json``.
+selector) against ``fixtures/forest_golden.json``.  The hashes do not
+depend on the CPU: the split search sorts unique keys and sums in that
+order, so numpy's dispatch level (AVX-512, AVX2 or baseline kernels) cannot
+reorder the search's sums.  ``forest/reg_sqrt_leaf1_boot`` and
+``train/reg_forest`` were regenerated when the search began to sort only
+live groups by unique keys: their regression sums moved in the last bits,
+and one two-row node of reg_sqrt_leaf1_boot whose candidate splits both
+have child impurity 0 now takes the lower feature, as the tie-break says.
 
 Regenerate the fixture only when a change is meant to alter the trees:
 
@@ -12,8 +19,10 @@ Regenerate the fixture only when a change is meant to alter the trees:
 """
 
 import hashlib
+import importlib
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -96,11 +105,27 @@ def _examples():
                           data.feature_map(FeatureStage.UP_TO_ROOT_END))
 
 
+def selector_hash(kind, examples=None):
+    examples = _examples() if examples is None else examples
+    return _sha(train(kind, examples, hyperparams={"n_trees": 5},
+                      seed=3).to_json())
+
+
 def selector_hashes():
     examples = _examples()
-    return {kind: _sha(train(kind, examples, hyperparams={"n_trees": 5},
-                             seed=3).to_json())
-            for kind in MODEL_KINDS}
+    return {kind: selector_hash(kind, examples) for kind in MODEL_KINDS}
+
+
+def cpu_dispatch_targets():
+    """The CPU features numpy dispatches kernels for (AVX2, AVX-512, ...),
+    or [] when this numpy does not name them."""
+    for module in ("numpy._core._multiarray_umath",
+                   "numpy.core._multiarray_umath"):
+        try:
+            return list(importlib.import_module(module).__cpu_dispatch__)
+        except (ImportError, AttributeError):
+            continue
+    return []
 
 
 def compute_golden():
@@ -123,6 +148,22 @@ def test_forest_matches_golden(golden, name):
 def test_selectors_match_golden(golden):
     assert selector_hashes() == {kind: golden[f"train/{kind}"]
                                  for kind in MODEL_KINDS}
+
+
+def test_reg_forest_does_not_depend_on_cpu_dispatch():
+    """A process that may use none of numpy's CPU-dispatched kernels, so
+    sorts and sums take their baseline code, trains the same reg_forest."""
+    targets = cpu_dispatch_targets()
+    if not targets:
+        pytest.skip("this numpy names no CPU dispatch targets")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_forest_golden as t; "
+         "print(t.selector_hash('reg_forest'))"],
+        cwd=os.path.dirname(os.path.abspath(__file__)), env=env,
+        capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == selector_hash("reg_forest")
 
 
 def test_fixture_covers_every_case(golden):

@@ -1,14 +1,12 @@
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
 
-from benloc.graph import (build_graph, canonical_signature, export_graph,
-                          import_graph)
+from benloc.graph import build_graph, canonical_signature
 from benloc.instance import MipInstance, permute_instance
-from benloc.synth import gen_indset, gen_setcover
+from benloc.synth import gen_setcover
 
 
 def tiny_instance():
@@ -58,34 +56,6 @@ class TestBuild:
         assert con_deg.sum() == var_deg.sum() == inst.nnz
 
 
-class TestExport:
-    def test_round_trip(self):
-        g = build_graph(gen_indset(9, 0.4, seed=2))
-        assert import_graph(export_graph(g)) == g
-
-    def test_matches_golden_bytes(self, fixtures_dir):
-        g = build_graph(tiny_instance())
-        with open(os.path.join(fixtures_dir, "graph_golden.json")) as fh:
-            assert export_graph(g) == fh.read()
-
-    def test_one_edge_per_line(self):
-        inst = gen_setcover(10, 20, 0.3, seed=0)
-        text = export_graph(build_graph(inst))
-        edge_block = text.split('"edges": [\n')[1].rsplit("]\n}", 1)[0]
-        lines = [l for l in edge_block.splitlines() if l.strip("],")]
-        assert len(lines) == inst.nnz
-
-    def test_infinite_bounds_as_strings(self):
-        text = export_graph(build_graph(tiny_instance()))
-        assert '"-inf"' in text
-        back = import_graph(text)
-        assert back.con_lb[0] == -math.inf
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            import_graph('{"format": "something-else"}')
-
-
 class TestSignature:
     def test_invariant_under_permutation(self):
         inst = gen_setcover(8, 14, 0.4, seed=5)
@@ -101,7 +71,7 @@ class TestSignature:
 
     def test_negative_zero_equals_zero(self):
         g = build_graph(tiny_instance())
-        g.edge_weight[1] = 0.0  # an imported graph may hold a zero weight
+        g.edge_weight[1] = 0.0  # a graph built by hand may hold a zero weight
         negative = dataclasses.replace(g, **{
             key: np.where(getattr(g, key) == 0.0, -0.0, getattr(g, key))
             for key in ("var_obj", "var_lb", "edge_weight")})
