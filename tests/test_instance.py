@@ -1,4 +1,7 @@
+import os
 import sys
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
                              permute_instance, read_file, read_mps, write_mps)
 from benloc import instance
 from benloc.graph import build_graph, canonical_signature
-from benloc.synth import gen_setcover
+from benloc.synth import gen_indset, gen_setcover
+import mps_reference
 
 MINIMAL = """\
 NAME test
@@ -695,6 +699,164 @@ class TestProperties:
                 if not line[0].isspace():
                     section = toks[0]
         assert parse_mps("\n".join(lines) + "\n") == inst
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: parse_mps against the line-at-a-time reader
+
+_MPS_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "mps")
+_FIXTURE_TEXTS = [read_file(os.path.join(_MPS_DIR, f), str)
+                  for f in sorted(os.listdir(_MPS_DIR))]
+_BOUND_TYPES = ("UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI")
+# tokens a mutation may put in a line, besides the text's own
+_ODD_TOKENS = ("nan", "inf", "-inf", "1e999", "abc", "0", "0.0", "-1", "-2.5",
+               "MARKER", "'MARKER'", "'INTORG'", "'INTEND'", "'INTMID'", "XX",
+               "N", "L", "G", "E", "RHS", "RNG", "BND", "OBJ", "zz") \
+    + _BOUND_TYPES
+_ODD_CHARS = ("\r", "\x0b", "\x1c", "\x85", "\u2028", " ", "\t", "*", "x",
+              "\n")
+_STRAY_LINES = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA",
+                "OBJSENSE", "OBJSENSE MAX", "NAME other", "BOGUS", "* note",
+                "  * indented note", "", "   ")
+_TOKEN_OPS = ("replace_token", "insert_token", "delete_token",
+              "truncate_line")
+_LINE_OPS = ("delete", "duplicate", "swap", "join", "stray",
+             "comment") + _TOKEN_OPS
+_CHAR_OPS = ("flip", "truncate")
+
+
+@st.composite
+def oracle_texts(draw):
+    """A fixture, or a generated set-cover or independent-set text with
+    RANGES, RHS lines of two pairs and extra BOUNDS lines."""
+    kind = draw(st.sampled_from(["fixture", "setcover", "indset"]))
+    if kind == "fixture":
+        return draw(st.sampled_from(_FIXTURE_TEXTS))
+    seed = draw(st.integers(0, 50))
+    inst = (gen_setcover(draw(st.integers(2, 6)), draw(st.integers(3, 8)),
+                         0.4, seed) if kind == "setcover"
+            else gen_indset(draw(st.integers(3, 6)), 0.5, seed))
+    head, rest = write_mps(inst).split("RHS\n")
+    rhs, bounds = rest.split("BOUNDS\n")
+    pairs = [line.split()[1:] for line in rhs.splitlines()]
+    rhs = "".join("    RHS  " + "  ".join(sum(pairs[k:k + 2], [])) + "\n"
+                  for k in range(0, len(pairs), 2))
+    ranges = "".join(
+        f"    RNG  {name}  {r}\n" for name, r in zip(inst.row_names, draw(
+            st.lists(st.sampled_from([None, 0.0, 2.5, -1.5]),
+                     min_size=inst.num_rows, max_size=inst.num_rows)))
+        if r is not None)
+    # bound lines on the first two columns, a negative UP line, which frees
+    # the first column's lower bound unless a LO, MI or FX line set it, and
+    # more lines on the second column
+    bound = st.tuples(st.sampled_from(_BOUND_TYPES),
+                      st.sampled_from([-2.0, 0.0, 3.0, INF, -INF]))
+    extra = "".join(
+        f" {t} BND  {inst.col_names[j % inst.num_cols]}"
+        + (f"  {v}" if t in ("UP", "LO", "FX", "UI", "LI") else "") + "\n"
+        for j, t, v in [(draw(st.integers(0, 1)), *line) for line in draw(
+            st.lists(bound, max_size=4))] + [(0, "UP", -2.0)]
+        + [(1, *line) for line in draw(st.lists(bound, max_size=2))])
+    if draw(st.booleans()):
+        # a second N row, with a matrix and an RHS entry, and a zero
+        # coefficient: each is dropped with a warning
+        col, row = inst.col_names[0], (inst.row_names + ["OBJ"])[0]
+        head = head.replace(" N  OBJ\n", " N  OBJ\n N  FREE\n").replace(
+            "COLUMNS\n", f"COLUMNS\n    {col}  FREE  2.0  {row}  0.0\n")
+        rhs += "    RHS  FREE  1.0\n"
+    return (f"{head}RHS\n{rhs}RANGES\n{ranges}BOUNDS\n"
+            + bounds.replace("ENDATA\n", extra + "ENDATA\n"))
+
+
+def _mutated(data, text):
+    """text with 1-4 line, token and character mutations and a drawn line
+    end.  Each lands on the first line or after it, or on the first data
+    line of the RHS, RANGES or BOUNDS section or after it, so that the
+    later sections are not always masked by a failure in an earlier one."""
+    # token edits weighted up: they reach a section's arity and value checks
+    ops = data.draw(st.lists(st.sampled_from(
+        _LINE_OPS + _CHAR_OPS + ("replace_token", "delete_token",
+                                 "truncate_line") * 2), min_size=1, max_size=4))
+    lines, end = text.splitlines(), data.draw(st.sampled_from(["\n", "\r\n",
+                                                               "\r"]))
+    for op in ops:
+        if not lines:
+            break
+        start = data.draw(st.sampled_from(
+            [0] + [k + 1 for k, line in enumerate(lines[:-1])
+                   if line.startswith(("RHS", "RANGES", "BOUNDS"))]))
+        i = data.draw(st.integers(start, len(lines) - 1))
+        toks = lines[i].split()
+        indent = "    " if lines[i][:1].isspace() else ""
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif op == "join" and i + 1 < len(lines):
+            lines[i] += lines.pop(i + 1)
+        elif op == "stray":
+            lines.insert(i, data.draw(st.sampled_from(_STRAY_LINES)))
+        elif op == "comment":
+            lines[i] = "*" + lines[i]
+        elif op in _CHAR_OPS:
+            p = data.draw(st.integers(0, len(lines[i])))
+            if op == "truncate":  # the text ends inside line i
+                return end.join(lines[:i] + [lines[i][:p]])
+            # a flipped line end splits the line, as the reader will
+            lines[i:i + 1] = (lines[i][:p] + data.draw(st.sampled_from(
+                _ODD_CHARS)) + lines[i][p + 1:]).splitlines() or [""]
+        elif op in _TOKEN_OPS:
+            # one- and two-token lines are where arities go wrong
+            k = data.draw(st.sampled_from([1, 2]) | st.integers(0, len(toks)))
+            new = data.draw(st.sampled_from(_ODD_TOKENS)
+                            | st.sampled_from(text.split()))
+            if op == "replace_token":
+                toks[k:k + 1] = [new]
+            elif op == "insert_token":
+                toks.insert(k, new)
+            elif op == "delete_token":
+                del toks[k:k + 1]
+            else:
+                del toks[k:]
+            lines[i] = indent + "  ".join(toks)
+    return end.join(lines) + end
+
+
+def _outcome(parse, text):
+    """What parse(text) gives: the instance's fields, arrays as (dtype,
+    shape, bytes), or the exception's class, message and line number; and
+    the warnings it issued, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            inst = parse(text)
+        except Exception as exc:  # every class, so a stray one shows
+            result = (type(exc), str(exc), getattr(exc, "line_no", None))
+        else:
+            result = [(v.dtype.str, v.shape, v.tobytes())
+                      if isinstance(v, np.ndarray) else v
+                      for v in (getattr(inst, f.name) for f in fields(inst))]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestOracle:
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(st.data())
+    def test_parse_matches_line_reader(self, data):
+        """parse_mps gives what the line-at-a-time reader gives: the same
+        instance, to the bytes of every array, or the same exception class,
+        message and line number, and the same warnings, whatever the chunk
+        size."""
+        text = _mutated(data, data.draw(oracle_texts()))
+        chunk = data.draw(st.sampled_from([1, 7, 40, 300, 2000, 1 << 20]))
+        saved, instance._CHUNK = instance._CHUNK, chunk
+        try:
+            got = _outcome(parse_mps, text)
+        finally:
+            instance._CHUNK = saved
+        assert got == _outcome(mps_reference.parse_mps, text)
 
 
 class TestCalls:
