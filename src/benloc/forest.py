@@ -24,13 +24,17 @@ them: every tree's root, then depth 1 of every tree, and so on.  In that
 level order the children of the i-th internal node are nodes
 n_trees + 2i and n_trees + 2i + 1, so no child pointer is stored.  The
 forest predicts by descending every tree for every row at once; a row's
-prediction is the same whatever batch it comes in.
+prediction is the same whatever batch it comes in.  leaf_values does that
+for several forests at once, laying their node arrays end to end, so that
+reg_forest's per-configuration forests take one descent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -102,9 +106,19 @@ class RandomForest:
 
     def fit(self, X, y, n_classes=None):
         """Fit the trees; classification votes over n_classes classes
-        (default: the largest label + 1)."""
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        (default: the largest label + 1).  A growth hyperparameter out of
+        range is refused with a ValueError naming it."""
+        for key, low in (("n_trees", 1), ("min_samples_leaf", 1),
+                         ("max_depth", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got "
+                                 f"{getattr(self, key)}")
+        k = self.max_features
+        if not (k in ("sqrt", "all", None) or (
+                isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                and k >= 1) or (isinstance(k, float) and 0 < k <= 1)):
+            raise ValueError("max_features must be 'sqrt', 'all', None, an "
+                             f"int >= 1 or a float in (0, 1], got {k!r}")
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if self.mode == "classification":
@@ -119,8 +133,7 @@ class RandomForest:
         (n, d), C = X.shape, self.n_classes
         k = self._n_candidate_features(d)
         rng = np.random.default_rng(self.seed)
-        # each value's rank among its column's distinct values
-        rank = np.array([np.unique(c, return_inverse=True)[1] for c in X.T])
+        rank = None  # ranked when a node first grows
         # the rows of every tree in one pool, grouped by node, tree by tree
         rows = (rng.integers(0, n, size=(self.n_trees, n)) if self.bootstrap
                 else np.tile(np.arange(n), (self.n_trees, 1))).ravel()
@@ -144,6 +157,10 @@ class RandomForest:
             grow = ((imp > 0.0) & (len(levels) < self.max_depth)
                     & (counts >= 2 * self.min_samples_leaf))
             sub, on = np.flatnonzero(grow), grow[node]
+            if rank is None and len(sub):
+                # each value's rank among its column's distinct values
+                rank = np.array([np.unique(c, return_inverse=True)[1]
+                                 for c in X.T])
             rows, node, counts = rows[on], node[on], counts[sub]
             # each growing node's k features, then the others
             perm = np.argsort(rng.random((len(sub), d)), axis=1)
@@ -286,15 +303,7 @@ class RandomForest:
 
     def predict(self, X):
         """One prediction per row; a row's result never depends on the batch."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.tile(np.arange(self.n_trees), (len(X), 1))  # (rows, trees)
-        rows = np.arange(len(X))[:, None]
-        for _ in range(self._depth):
-            # a leaf's feature -1 reads the last column; either way the row
-            # stays at the leaf
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self._left[node], self._right[node])
-        votes = self.value[node]
+        votes = leaf_values([self], X)[:, 0]
         if self.mode == "regression":
             return votes.mean(axis=1)
         # majority vote across trees, ties toward the lower class index
@@ -377,3 +386,29 @@ class RandomForest:
         forest._set_nodes(feature, threshold, value,
                           np.asarray(d["importances"], dtype=float))
         return forest
+
+
+def leaf_values(forests, X):
+    """The value of the leaf each row of X reaches in each tree of each
+    forest, shape (rows, forests, trees), for forests of as many trees
+    each: one descent through their node arrays laid end to end, as many
+    steps as the deepest forest needs (a leaf is its own child)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n_rows, n_forests, n_trees = len(X), len(forests), forests[0].n_trees
+    # a leaf's feature -1 reads this -inf column, so the row takes the
+    # leaf's left child, the leaf itself
+    X = np.concatenate([X, np.full((n_rows, 1), -np.inf)], axis=1)
+    feature, threshold, left = map(np.concatenate, zip(*map(
+        attrgetter("feature", "threshold", "_left"), forests)))
+    # each column of node descends one tree: its forest's first node, and
+    # its root
+    first = np.array(list(accumulate(map(len, map(
+        attrgetter("feature"), forests[:-1])), initial=0))).repeat(n_trees)
+    node = (first + np.arange(len(first)) % n_trees)[None].repeat(n_rows, 0)
+    rows, step = np.arange(n_rows)[:, None], first + 1
+    for _ in range(max(map(attrgetter("_depth"), forests))):
+        # the left child, or the right one (left + 1) unless value <= threshold
+        node = left[node] + step - (X[rows, feature[node]] <= threshold[node])
+    node = (node - first).reshape(n_rows, n_forests, n_trees)
+    return np.concatenate([f.value[node[:, k]] for k, f in enumerate(
+        forests)], axis=1).reshape(n_rows, n_forests, n_trees)

@@ -39,6 +39,9 @@ INF = math.inf
 SENSES = ("<=", ">=", "=")
 VAR_TYPES = ("continuous", "binary", "integer")
 
+# an integer variable with bounds inside [0, 1] is binary
+_PROMOTED = {("integer", True): "binary"}
+
 _MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
 _SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
 _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
@@ -61,14 +64,16 @@ _BOUNDS = {
 _BOUND_CODE = {t: k for k, t in enumerate(_BOUNDS)}
 # _BOUNDS by code, then a last row for an unknown type, as arrays: each
 # side's constant (NaN leaves it unchanged) and whether it takes the line's
-# value, then the integer flag
+# value, the integer flag, and the arguments after the type and set name
+# (the column, and the value when a side takes it)
 _BOUND_TABLE = tuple(np.array(a) for a in zip(*(
     [(np.nan if lower in (None, _VALUE) else lower, lower is _VALUE,
-      np.nan if upper in (None, _VALUE) else upper, upper is _VALUE, integer)
+      np.nan if upper in (None, _VALUE) else upper, upper is _VALUE, integer,
+      1 + (_VALUE in (lower, upper)))
      for lower, upper, integer in _BOUNDS.values()]
-    + [(np.nan, False, np.nan, False, False)])))
+    + [(np.nan, False, np.nan, False, False, 1)])))
 _MARKERS = {"INTORG": 1, "INTEND": 0}
-_HEADER = re.compile(r"[^\s*]")  # the first character of a header line
+_HEADER = re.compile(r"\S")  # the first character of a header line
 _COMMENT = methodcaller("startswith", "*")  # a comment line's first token
 _CHUNK = 1 << 20  # characters split into lines at once, bounding the tokens
 _SETS_LOWER = np.isin(np.arange(len(_BOUNDS) + 1),
@@ -78,8 +83,14 @@ _SETS_LOWER = np.isin(np.arange(len(_BOUNDS) + 1),
 _BOUND_NAMES = ("BV", "FX", "FR", "MI", "LO", None, "UP")
 _BOUND_VALUED = np.array([t is not None and _VALUE in _BOUNDS[t]
                           for t in _BOUND_NAMES])
-# a COLUMNS, RHS or RANGES row name that is not a declared row
-_OBJ, _FREE, _UNDECLARED = -1, -2, -3
+# a COLUMNS, RHS or RANGES row name that is not a declared row: below
+# _UNDECLARED, a free row
+_UNDECLARED, _OBJ, _FREE = -1, -2, -3
+# the sections of (row, value) pairs by kind, and the kind of a header line
+# among them
+_PAIR_SECTIONS = ("COLUMNS", "RHS", "RANGES")
+_PAIR_KIND = {s: k for k, s in enumerate(_PAIR_SECTIONS)}
+_HEAD = len(_PAIR_SECTIONS)
 
 
 class MpsError(ValueError):
@@ -152,11 +163,11 @@ class MipInstance:
 
     def _canonicalize(self):
         # keep coordinate entries sorted by (row, col) so equality is structural
-        # and row i's entries are row_ptr[i]:row_ptr[i + 1]
-        rows, cols = self.mat_rows, self.mat_cols
-        if self.nnz and ((rows[1:] < rows[:-1]) | (
-                (rows[1:] == rows[:-1]) & (cols[1:] < cols[:-1]))).any():
-            order = np.lexsort((cols, rows))
+        # and row i's entries are row_ptr[i]:row_ptr[i + 1] (an index out of
+        # range may misorder the key, but validate refuses it)
+        key = self.mat_rows << 32 | self.mat_cols
+        if (key[1:] < key[:-1]).any():
+            order = np.lexsort((self.mat_cols, self.mat_rows))
             self.mat_rows = self.mat_rows[order]
             self.mat_cols = self.mat_cols[order]
             self.mat_vals = self.mat_vals[order]
@@ -164,10 +175,9 @@ class MipInstance:
         # an integer variable with bounds inside [0, 1] is binary (when the
         # column arrays disagree, validate refuses the instance)
         if len(self.var_types) == len(self.var_lb) == len(self.var_ub):
-            types = np.fromiter(self.var_types, object, len(self.var_types))
-            types[(types == "integer") & (self.var_lb >= 0)
-                  & (self.var_ub <= 1)] = "binary"
-            self.var_types = types.tolist()
+            unit = (self.var_lb >= 0) & (self.var_ub <= 1)
+            self.var_types = list(map(_PROMOTED.get, zip(
+                self.var_types, unit.tolist()), self.var_types))
 
     def validate(self):
         m, n = self.num_rows, self.num_cols
@@ -181,15 +191,17 @@ class MipInstance:
                              ("rhs", self.rhs)):
             if not np.isfinite(values).all():
                 raise InvalidInstanceError(f"non-finite {what}")
-        if np.isnan(self.var_lb).any() or np.isnan(self.var_ub).any():
-            raise InvalidInstanceError("NaN variable bound")
-        # a lower bound of +inf or an upper bound of -inf admits no value
-        for side, bounds, bad in (("lower", self.var_lb, INF),
-                                  ("upper", self.var_ub, -INF)):
-            if (bounds == bad).any():
-                name = self.col_names[int(np.argmax(bounds == bad))]
-                raise InvalidInstanceError(
-                    f"column {name!r} has {side} bound {bad:+}")
+        # a NaN bound, a lower bound of +inf or an upper bound of -inf (which
+        # admits no value) fails one of these comparisons
+        lb, ub = self.var_lb, self.var_ub
+        if not ((lb < INF).all() and (ub > -INF).all()):
+            if np.isnan(lb).any() or np.isnan(ub).any():
+                raise InvalidInstanceError("NaN variable bound")
+            for side, bounds, bad in (("lower", lb, INF), ("upper", ub, -INF)):
+                if (bounds == bad).any():
+                    name = self.col_names[int(np.argmax(bounds == bad))]
+                    raise InvalidInstanceError(
+                        f"column {name!r} has {side} bound {bad:+}")
         if self.sense not in ("minimize", "maximize"):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
         for s in filterfalse(SENSES.__contains__, self.row_senses):
@@ -197,18 +209,19 @@ class MipInstance:
         for t in filterfalse(VAR_TYPES.__contains__, self.var_types):
             raise InvalidInstanceError(f"bad var type {t!r}")
         if self.nnz:
-            if self.mat_rows.min(initial=0) < 0 or (m and self.mat_rows.max() >= m):
+            rows, cols = self.mat_rows, self.mat_cols
+            if rows.min() < 0 or rows.max() >= m:
                 raise InvalidInstanceError("matrix row index out of range")
-            if self.mat_cols.min(initial=0) < 0 or (n and self.mat_cols.max() >= n):
+            if cols.min() < 0 or cols.max() >= n:
                 raise InvalidInstanceError("matrix col index out of range")
             # entries are sorted by (row, col), so a repeated pair is adjacent
-            rows, cols = self.mat_rows, self.mat_cols
-            if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
+            key = rows << 32 | cols
+            if (key[1:] == key[:-1]).any():
                 raise InvalidInstanceError("duplicate (row, col) entries")
             if (self.mat_vals == 0.0).any():
                 raise InvalidInstanceError("stored zero coefficient")
-        binary = np.fromiter(self.var_types, object, n) == "binary"
-        outside = binary & ~((self.var_lb >= 0) & (self.var_ub <= 1))
+        binary = np.fromiter(map("binary".__eq__, self.var_types), bool, n)
+        outside = binary & ((lb < 0) | (ub > 1))
         if outside.any():
             raise InvalidInstanceError(
                 f"binary variable {self.col_names[np.argmax(outside)]} has "
@@ -319,12 +332,13 @@ def _data_lines(lines, star):
 
 
 def _is_marker(words):
-    """Whether each word, without enclosing quotes, is MARKER in any case;
-    each distinct word is looked at once."""
-    distinct = list(set(words))
-    markers = {w for w, key in zip(distinct, _unquoted(distinct))
-               if key == "MARKER"}
-    return np.fromiter(map(markers.__contains__, words), bool, len(words))
+    """Whether each word of an object array, without enclosing quotes, is
+    MARKER in any case; each distinct word is looked at once."""
+    found = np.zeros(len(words), dtype=bool)
+    for word in set(words.tolist()):
+        if word.strip("'\"").upper() == "MARKER":
+            found |= words == word
+    return found
 
 
 def _unquoted(words):
@@ -341,13 +355,17 @@ def _pairs(starts, n_pairs):
 
 
 def _floats(toks):
-    """float() of each token, NaN from the first one float() refuses on."""
-    vals = []
+    """float() of each token of an object array, NaN from the first one
+    float() refuses on."""
     try:
-        vals.extend(map(float, toks.tolist()))
+        return toks.astype(float)  # float() of each token
     except ValueError:
-        pass
-    return np.concatenate([vals, np.full(len(toks) - len(vals), np.nan)])
+        vals = []
+        try:
+            vals.extend(map(float, toks.tolist()))
+        except ValueError:
+            return np.concatenate([vals, np.full(len(toks) - len(vals),
+                                                 np.nan)])
 
 
 def _first(*masks):
@@ -375,11 +393,11 @@ def _number(sval, what, line_no, infinite=False):
 
 class _MpsReader:
     """What parse_mps has read so far.  The text is split into lines a
-    chunk at a time.  Each section method takes the data lines of one
-    section in one chunk, as _data_lines gives them, finds every failure as
-    an array mask, raises the first in (line, pair, check) order, which is
-    the one a reader applying a line at a time would meet, and otherwise
-    applies them."""
+    chunk at a time.  Each section method takes the data lines of one run
+    of sections in one chunk, as _data_lines gives them, finds every
+    failure as an array mask, raises the first in (line, pair, check)
+    order, which is the one a reader applying a line at a time would meet,
+    and otherwise applies them."""
 
     def __init__(self):
         self.name = ""
@@ -411,22 +429,26 @@ class _MpsReader:
             chunk = text[pos:end]
             lines = chunk.splitlines()
             toks, starts, counts, data = _data_lines(lines, "*" in chunk)
-            # a section header is a line whose first character is neither
-            # blank nor the "*" of a comment
-            firsts = "".join(map(itemgetter(0), map(str.ljust, lines,
-                                                    repeat(1))))
-            heads = [m.start() for m in _HEADER.finditer(firsts)]
-            # the data lines after each header, up to the next one
-            begins = data.searchsorted([-1] + heads, side="right").tolist()
-            ends = data.searchsorted(heads + [len(lines)]).tolist()
-            for a, lo, hi in zip([-1] + heads, begins, ends):
+            line_nos = data + (line_no + 1)
+            # a section header is a data line whose first character is not
+            # blank; heads index the data lines
+            heads = [m.start() for m in _HEADER.finditer("".join(map(
+                itemgetter(0), map(lines.__getitem__, data.tolist()))))]
+            # each data line's _PAIR_KIND, for COLUMNS, RHS and RANGES lines;
+            # the run of them since the last other header begins at run
+            kind, run = np.full(len(data), _HEAD), None
+            for a, b in zip([-1] + heads, heads + [len(data)]):
                 if a >= 0:
-                    head_toks = lines[a].split()
+                    head_toks = lines[data[a]].split()
                     head = head_toks[0].upper()
+                    if run is not None and head not in _PAIR_KIND:
+                        self.pairs(toks, *(x[run:a] for x in (
+                            starts, counts, line_nos, kind)))
+                        run = None
                     if head not in _SECTIONS:
                         raise MpsParseError(
                             f"unknown section header {head_toks[0]!r}",
-                            line_no + a + 1)
+                            int(line_nos[a]))
                     if head == "ENDATA":
                         return
                     if head == "NAME":
@@ -437,20 +459,24 @@ class _MpsReader:
                     section = None if head == "NAME" else head
                     pending_objsense = head == "OBJSENSE" and len(head_toks) == 1
                     self.saw_rows = self.saw_rows or head == "ROWS"
-                if lo == hi:
+                if a + 1 == b:
                     continue
-                piece = (toks, starts[lo:hi], counts[lo:hi],
-                         data[lo:hi] + line_no + 1)
-                if section is None:
+                piece = (toks, starts[a + 1:b], counts[a + 1:b],
+                         line_nos[a + 1:b])
+                if section in _PAIR_KIND:
+                    kind[a + 1:b] = _PAIR_KIND[section]
+                    run = a + 1 if run is None else run
+                elif section is None:
                     raise MpsParseError("data line before any section header",
-                                        int(piece[3][0]))
-                if section in self.vectors:
-                    self.vector(section, *piece)
+                                        int(line_nos[a + 1]))
                 elif section != "OBJSENSE":
                     getattr(self, section.lower())(*piece)
                 elif pending_objsense:
-                    self.set_sense(toks[piece[1][0]])
+                    self.set_sense(toks[starts[a + 1]])
                     pending_objsense = False
+            if run is not None:
+                self.pairs(toks, *(x[run:] for x in (starts, counts, line_nos,
+                                                       kind)))
             pos, line_no = end, line_no + len(lines)
 
     def set_sense(self, token):
@@ -476,6 +502,102 @@ class _MpsReader:
             else:
                 raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
 
+    def pairs(self, toks, starts, counts, line_nos, kind):
+        """COLUMNS, RHS and RANGES lines, by kind, and the headers between
+        them in one pass: a COLUMNS line names its column, then (row, value)
+        pairs; an RHS or RANGES line an optional set name (an odd token
+        count), then pairs."""
+        columns = kind == 0
+        # a COLUMNS line of three or more tokens whose second is MARKER opens
+        # or closes an integer block
+        long = (columns & (counts >= 3)).nonzero()[0]
+        marker = long[_is_marker(toks[starts[long] + 1])]
+        flag = np.fromiter(map(_MARKERS.get, _unquoted(
+            toks[starts[marker] + 2].tolist()), repeat(-1)), np.int64,
+                           len(marker))
+        offset = (counts | columns) & 1  # where a line's pairs begin
+        n_pairs = (counts - offset) >> 1
+        # a line with no pair, or a COLUMNS line of an even token count
+        bad = (n_pairs == 0) | (offset > (counts & 1))
+        head = kind == _HEAD
+        n_pairs[head] = bad[head] = 0
+        n_pairs[marker], bad[marker] = 0, flag < 0
+        # each other COLUMNS line declares its column, under the last marker
+        # before it
+        columns[marker] = False
+        decl = columns.nonzero()[0]
+        names = toks[starts[decl]].tolist()
+        n_old = len(self.col_index)
+        self.col_index.update(zip(filterfalse(self.col_index.__contains__,
+                                              dict.fromkeys(names)),
+                                  count(n_old)))
+        ids = np.fromiter(map(self.col_index.__getitem__, names), np.int64,
+                          len(names))
+        col = np.zeros(len(kind), dtype=np.int64)
+        col[decl] = ids
+        # a new column's first line is the first to pass every earlier id
+        seen = np.maximum.accumulate(np.concatenate([[n_old - 1], ids[:-1]]))
+        state = np.concatenate([[self.integral], flag > 0])
+        self.col_integer = np.concatenate([self.col_integer, state[
+            marker.searchsorted(decl)][ids > seen]])
+
+        at, pair_line = _pairs(starts + offset, n_pairs)
+        vals = _floats(toks[at + 1])
+        rows = self._row_codes(toks[at])
+        pair_kind, cols = kind[pair_line], col[pair_line]
+        declared, zero, entry = rows >= 0, vals == 0.0, pair_kind == 0
+        stored = entry & declared & ~zero
+        keys = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
+        # a stable sort merges the sorted keys stored before with the new
+        # ones, and of two equal keys puts the one stored later second
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        dup = np.zeros(len(at), dtype=bool)
+        again = order[1:][keys[1:] == keys[:-1]] - len(self.keys)
+        dup[stored.nonzero()[0][again]] = True
+        i, check = _first(~np.isfinite(vals), rows == _UNDECLARED, dup)
+        j, _ = _first(bad)
+        # pairs before the first failing pair, or before the first failing
+        # line when that comes first
+        cut = len(at) if i is None else i
+        if j is not None and (i is None or pair_line[i] >= j):
+            cut, i = pair_line.searchsorted(j), None
+        # a zero coefficient, or an RHS or RANGES value on a free row
+        for k in np.where(entry, declared & zero,
+                          rows < _UNDECLARED)[:cut].nonzero()[0]:
+            warnings.warn(f"{_PAIR_SECTIONS[pair_kind[k]]} entry on free row "
+                          f"{toks[at[k]]!r} ignored" if pair_kind[k] else
+                          "dropping explicit zero coefficient at "
+                          f"({toks[at[k]]}, {toks[starts[pair_line[k]]]})")
+        if i is not None:
+            line_no = int(line_nos[pair_line[i]])
+            if check == 0:
+                _number(toks[at[i] + 1], f"{_PAIR_SECTIONS[pair_kind[i]]} "
+                        "value" if pair_kind[i] else "coefficient", line_no)
+            if check == 1:
+                raise MpsSemanticError(f"undeclared row {toks[at[i]]!r}",
+                                       line_no)
+            raise MpsSemanticError(f"duplicate entry for ({toks[at[i]]}, "
+                                   f"{toks[starts[pair_line[i]]]})", line_no)
+        if j is not None:
+            if j in marker:
+                raise MpsParseError(f"unknown marker {toks[starts[j] + 2]!r}",
+                                    int(line_nos[j]))
+            raise MpsParseError(
+                f"malformed {_PAIR_SECTIONS[kind[j]]} line" if kind[j] else
+                "COLUMNS line needs name plus (row, value) pairs",
+                int(line_nos[j]))
+
+        self.integral = bool(state[-1])
+        self.keys = keys
+        self.vals = np.concatenate([self.vals, vals[stored]])[order]
+        # the objective coefficients by column, RHS and RANGES by row
+        for k, target in enumerate((self.obj, self.vectors["RHS"],
+                                    self.vectors["RANGES"])):
+            sets = (pair_kind == k) & (declared if k else rows == _OBJ)
+            target.update(zip((rows if k else cols)[sets].tolist(),
+                              vals[sets].tolist()))
+
     def _row_codes(self, names):
         """Each name's row, or _OBJ, _FREE or _UNDECLARED."""
         codes = dict(self.row_index)
@@ -484,135 +606,34 @@ class _MpsReader:
         return np.fromiter(map(codes.get, names.tolist(), repeat(_UNDECLARED)),
                            np.int64, len(names))
 
-    def columns(self, toks, starts, counts, line_nos):
-        # a line of three or more tokens whose second is MARKER opens or
-        # closes an integer block
-        long = (counts >= 3).nonzero()[0]
-        is_marker = np.zeros(len(starts), dtype=bool)
-        is_marker[long] = _is_marker(toks[starts[long] + 1].tolist())
-        marker = is_marker.nonzero()[0]
-        flag = np.fromiter(map(_MARKERS.get, _unquoted(
-            toks[starts[marker] + 2].tolist()), repeat(-1)), np.int64,
-                           len(marker))
-        bad_marker = np.zeros(len(starts), dtype=bool)
-        bad_marker[marker] = flag < 0
-        malformed = ~is_marker & ((counts < 3) | (counts % 2 == 0))
-        # each data line declares its column, under the last marker before it
-        data = (~is_marker & ~malformed).nonzero()[0]
-        state = np.concatenate([[self.integral], flag > 0])
-        names = toks[starts[data]].tolist()
-        n_old = len(self.col_index)
-        new = dict.fromkeys(filterfalse(self.col_index.__contains__, names))
-        self.col_index.update(zip(new, count(n_old)))
-        col = np.fromiter(map(self.col_index.__getitem__, names), np.int64,
-                          len(names))
-        # a new column's first line is the first to pass every earlier id
-        seen = np.maximum.accumulate(np.concatenate([[n_old - 1], col[:-1]]))
-        self.col_integer = np.concatenate([
-            self.col_integer, state[marker.searchsorted(data)][col > seen]])
-
-        at, pair_line = _pairs(starts[data] + 1, (counts[data] - 1) // 2)
-        vals = _floats(toks[at + 1])
-        rows = self._row_codes(toks[at])
-        cols = col[pair_line]
-        stored = (rows >= 0) & (vals != 0.0)
-        keys = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
-        # a stable sort merges the sorted keys stored before with the new
-        # ones, and of two equal keys puts the one stored later second
-        order = keys.argsort(kind="stable")
-        again = order[1:][keys[order[1:]] == keys[order[:-1]]] - len(self.keys)
-        dup = np.zeros(len(at), dtype=bool)
-        dup[stored.nonzero()[0][again]] = True
-        i, check = _first(~np.isfinite(vals), rows == _UNDECLARED, dup)
-        j, line_check = _first(malformed, bad_marker)
-        # pairs before the first failing pair, or before the first failing
-        # line when that comes first
-        cut = len(at) if i is None else i
-        if j is not None and (i is None or data[pair_line[i]] > j):
-            cut, i = data[pair_line].searchsorted(j), None
-        for k in ((rows[:cut] >= 0) & (vals[:cut] == 0.0)).nonzero()[0]:
-            warnings.warn("dropping explicit zero coefficient at "
-                          f"({toks[at[k]]}, {names[pair_line[k]]})")
-        if i is not None:
-            line_no = int(line_nos[data[pair_line[i]]])
-            if check == 0:
-                _number(toks[at[i] + 1], "coefficient", line_no)
-            if check == 1:
-                raise MpsSemanticError(f"undeclared row {toks[at[i]]!r}",
-                                       line_no)
-            raise MpsSemanticError(f"duplicate entry for ({toks[at[i]]}, "
-                                   f"{names[pair_line[i]]})", line_no)
-        if j is not None:
-            if line_check == 0:
-                raise MpsParseError(
-                    "COLUMNS line needs name plus (row, value) pairs",
-                    int(line_nos[j]))
-            raise MpsParseError(f"unknown marker {toks[starts[j] + 2]!r}",
-                                int(line_nos[j]))
-
-        self.integral = bool(state[-1])
-        objective = rows == _OBJ
-        self.obj.update(zip(cols[objective].tolist(), vals[objective].tolist()))
-        self.keys = keys[order]
-        self.vals = np.concatenate([self.vals, vals[stored]])[order]
-
-    def vector(self, section, toks, starts, counts, line_nos):
-        # an optional set name (an odd token count), then (row, value) pairs
-        at, pair_line = _pairs(starts + counts % 2, counts // 2)
-        vals = _floats(toks[at + 1])
-        rows = self._row_codes(toks[at])
-        i, check = _first(~np.isfinite(vals), rows == _UNDECLARED)
-        j, _ = _first(counts == 1)
-        cut = len(at) if i is None else i
-        if j is not None and (i is None or pair_line[i] > j):
-            cut, i = pair_line.searchsorted(j), None
-        for k in ((rows[:cut] == _OBJ) | (rows[:cut] == _FREE)).nonzero()[0]:
-            warnings.warn(f"{section} entry on free row {toks[at[k]]!r} ignored")
-        if i is not None:
-            line_no = int(line_nos[pair_line[i]])
-            if check == 0:
-                _number(toks[at[i] + 1], f"{section} value", line_no)
-            raise MpsSemanticError(f"undeclared row {toks[at[i]]!r}", line_no)
-        if j is not None:
-            raise MpsParseError(f"malformed {section} line", int(line_nos[j]))
-        keep = rows >= 0
-        self.vectors[section].update(zip(rows[keep].tolist(),
-                                         vals[keep].tolist()))
-
     def bounds(self, toks, starts, counts, line_nos):
-        btypes = list(map(str.upper, toks[starts].tolist()))
-        code = np.fromiter(map(_BOUND_CODE.get, btypes, repeat(len(_BOUNDS))),
-                           np.int64, len(starts))
-        lower, lower_valued, upper, upper_valued, integer = (
+        # each distinct type token is upper-cased and looked up once
+        types = toks[starts].tolist()
+        codes = {t: _BOUND_CODE.get(t.upper(), len(_BOUNDS))
+                 for t in set(types)}
+        code = np.fromiter(map(codes.__getitem__, types), np.int64, len(types))
+        lower, lower_valued, upper, upper_valued, integer, n_args = (
             a[code] for a in _BOUND_TABLE)
         # type [, bound-set name], column [, value]
-        n_args = 1 + (lower_valued | upper_valued)
-        short = counts < 2
-        unknown = code == len(_BOUNDS)
-        malformed = ~((1 <= counts - n_args) & (counts - n_args <= 2))
-        ok = (~(short | unknown | malformed)).nonzero()[0]
-        cname = starts + counts - n_args
-        col = np.full(len(starts), -1)
-        col[ok] = np.fromiter(map(self.col_index.get, toks[cname[ok]].tolist(),
-                                  repeat(-1)), np.int64, len(ok))
-        undeclared = np.zeros(len(starts), dtype=bool)
-        undeclared[ok] = col[ok] < 0
-        valued = ((col >= 0) & (n_args == 2)).nonzero()[0]
-        vals = np.full(len(starts), np.nan)
-        vals[valued] = _floats(toks[(starts + counts - 1)[valued]])
-        bad_value = np.zeros(len(starts), dtype=bool)
-        bad_value[valued] = np.isnan(vals[valued])
-        j, check = _first(short, unknown, malformed, undeclared, bad_value)
+        last = starts + counts - 1
+        col = np.fromiter(map(self.col_index.get, toks[last + 1 - n_args]
+                              .tolist(), repeat(-1)), np.int64, len(types))
+        valued = (n_args == 2).nonzero()[0]
+        vals = np.zeros(len(types))
+        vals[valued] = _floats(toks[last[valued]])
+        extra = counts - n_args  # a bound-set name makes it 2, else 1
+        j, check = _first(counts < 2, code == len(_BOUNDS),
+                          (extra < 1) | (extra > 2), col < 0, np.isnan(vals))
         if j is not None:
             line_no = int(line_nos[j])
             if check == 4:
-                _number(toks[starts[j] + counts[j] - 1], "bound value",
-                        line_no, infinite=True)
+                _number(toks[last[j]], "bound value", line_no, infinite=True)
             if check == 3:
                 raise MpsSemanticError(
-                    f"undeclared column {toks[cname[j]]!r}", line_no)
+                    f"undeclared column {toks[last[j] + 1 - n_args[j]]!r}",
+                    line_no)
             raise MpsParseError(("short BOUNDS line",
-                                 f"unknown bound type {btypes[j]!r}",
+                                 f"unknown bound type {types[j].upper()!r}",
                                  "malformed BOUNDS line")[check], line_no)
 
         # each side takes the last value a line gives it; a negative UP
@@ -628,7 +649,7 @@ class _MpsReader:
         lower = np.where(frees, -INF, np.where(lower_valued, vals, lower))
         upper = np.where(upper_valued, vals, upper)
         for side, values in ((self.lb, lower), (self.ub, upper)):
-            sets = ~np.isnan(values)
+            sets = values == values  # NaN leaves the side unchanged
             side.update(zip(col[sets].tolist(), values[sets].tolist()))
         self.col_integer[col[integer]] = True
         self.has_lower.update(col[sets_lower].tolist())
@@ -643,7 +664,8 @@ class _MpsReader:
         rhs = np.zeros(len(self.row_senses))
         for array, values in ((obj, self.obj), (lb, self.lb), (ub, self.ub),
                               (rhs, self.vectors["RHS"])):
-            array[list(values)] = list(values.values())
+            array[np.fromiter(values, np.int64, len(values))] = np.fromiter(
+                values.values(), float, len(values))
         row_fields = dict(
             row_names=list(self.row_index), row_senses=self.row_senses,
             rhs=rhs, mat_rows=self.keys >> 32, mat_cols=self.keys & 0xFFFFFFFF,

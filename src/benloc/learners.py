@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forest import RandomForest
+from .forest import RandomForest, leaf_values
 from .metrics import DEFAULT_SHIFT, ConfigId, shifted_geomean
 from .splits import pick_test_units, require_families
 
@@ -408,8 +408,10 @@ def predict_indices(model, X, feature_names=None):
     configs = model.configs
 
     if model.kind == "reg_forest":
-        preds = np.column_stack([model.payload[f"forest_{k}"].predict(X)
-                                 for k in range(len(configs))])
+        # every config's forest in one descent; each config's prediction is
+        # its forest's mean leaf value, as RandomForest.predict gives it
+        preds = leaf_values([model.payload[f"forest_{k}"] for k in range(
+            len(configs))], X).mean(axis=2)
         chosen = np.argmin(preds, axis=1)  # first minimum: Default tie-break
     elif model.kind == "clf_forest":
         chosen = model.payload["forest"].predict(X)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import deque
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benloc.forest import RandomForest, _widths
+from benloc.forest import RandomForest, _widths, leaf_values
 
 
 def brute_force_best_sse_split(x, y):
@@ -179,6 +180,70 @@ def test_batch_predict_equals_row_by_row_bitwise(mode, n_trees):
                            for i in range(len(X_new))])
     assert batch.dtype == rows.dtype
     assert batch.tobytes() == rows.tobytes()
+
+
+def test_one_descent_of_unequal_forests_equals_each_forest_bitwise():
+    """leaf_values over a depth-0 forest (a constant target) and two
+    depth-12 ones gives, per forest, the same bits as the forest's own
+    predict, and as a descent that follows each forest's children."""
+    rng = np.random.default_rng(4)
+    X = rng.random((400, 3))
+    forests = [RandomForest(mode="regression", n_trees=6, seed=s).fit(X, y)
+               for s, y in enumerate([np.zeros(400), rng.random(400),
+                                      rng.random(400)])]
+    assert [f._depth for f in forests] == [0, 12, 12]
+    X_new = rng.random((50, 3))
+    for rows in [X_new, *(X_new[i:i + 1] for i in range(len(X_new)))]:
+        stacked = leaf_values(forests, rows).mean(axis=2)
+        each = np.column_stack([f.predict(rows) for f in forests])
+        assert stacked.tobytes() == each.tobytes()
+    for k, f in enumerate(forests):  # the descent as the layout defines it
+        node = np.tile(np.arange(f.n_trees), (len(X_new), 1))
+        for _ in range(f._depth):
+            go_left = X_new[np.arange(len(X_new))[:, None],
+                            f.feature[node]] <= f.threshold[node]
+            node = np.where(go_left, f._left[node], f._right[node])
+        assert leaf_values(forests, X_new)[:, k].tobytes() == \
+            f.value[node].tobytes()
+
+
+def test_constant_target_fit_ranks_no_column():
+    """A forest whose roots cannot split fits without ranking X."""
+    X = np.random.default_rng(0).random((30, 4))
+
+    def called(y):
+        names = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.add(frame.f_code.co_name)
+        sys.setprofile(profile)
+        try:
+            RandomForest(mode="regression", n_trees=3, seed=0).fit(X, y)
+        finally:
+            sys.setprofile(None)
+        return names
+    assert "unique" not in called(np.zeros(30))
+    assert "unique" in called(X[:, 0])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("min_samples_leaf", 0, "min_samples_leaf must be >= 1, got 0"),
+    ("max_depth", -2, "max_depth must be >= 0, got -2"),
+    ("max_features", "bogus", "max_features must be 'sqrt', 'all', None, an "
+     "int >= 1 or a float in (0, 1], got 'bogus'")])
+def test_fit_refuses_a_bad_growth_hyperparameter(field, value, message):
+    X = np.random.default_rng(0).random((30, 3))
+    with pytest.raises(ValueError) as e:
+        RandomForest(mode="regression", **{field: value}).fit(X, X[:, 0])
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("value", [0, -1, 0.0, 1.5, True, "SQRT", 2.0])
+def test_fit_refuses_max_features_outside_its_forms(value):
+    X = np.random.default_rng(0).random((30, 3))
+    with pytest.raises(ValueError, match="^max_features must be"):
+        RandomForest(mode="regression", max_features=value).fit(X, X[:, 0])
 
 
 def test_classification_vote_spans_n_classes():

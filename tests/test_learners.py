@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benloc.dataset import build_oracle_dataset
-from benloc.forest import RandomForest
+from benloc.forest import RandomForest, leaf_values
 from benloc.learners import (ExampleSet, FingerprintMismatchError,
                              TrainTestContaminationError, TrainedSelector,
                              UnsupportedModelError, build_examples,
@@ -305,6 +305,56 @@ def test_model_file_round_trip_is_bit_identical(case):
     X_new = np.vstack([X, X + 0.05, X - 0.05])
     a, b = forest.predict(X_new), loaded.predict(X_new)
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRegForestDescent:
+    def test_one_descent_equals_per_forest_predict_on_the_golden(self):
+        """On the train/reg_forest golden's model, the configs' forests
+        descended at once give each row the bits of column-stacked
+        per-forest predicts."""
+        from test_forest_golden import _examples
+        examples = _examples()
+        model = train("reg_forest", examples, hyperparams={"n_trees": 5},
+                      seed=3)
+        forests = [model.payload[f"forest_{k}"]
+                   for k in range(len(model.configs))]
+        assert forests[0]._depth == 0  # Default's label is 0 everywhere
+        for rows in [examples.X] + [examples.X[i:i + 1]
+                                    for i in range(len(examples))]:
+            each = np.column_stack([f.predict(rows) for f in forests])
+            assert leaf_values(forests, rows).mean(axis=2).tobytes() == \
+                each.tobytes()
+            assert predict_configs(model, rows) == [
+                model.configs[i] for i in np.argmin(each, axis=1)]
+
+    def test_one_row_calls_do_not_grow_with_configs(self):
+        """A one-row reg_forest selection makes as many Python-level calls
+        with 5 configurations as with 2: the forests take one descent."""
+        rng = np.random.default_rng(0)
+
+        def calls(n_configs):
+            configs = (ConfigId.default(),) + tuple(
+                ConfigId.parse(f"RootCutLevel={k}")
+                for k in range(n_configs - 1))
+            times = rng.random((40, n_configs)) + 1.0
+            examples = ExampleSet([(f"fam{i}", 0) for i in range(40)],
+                                  FEATURES, configs, rng.random((40, 2)),
+                                  np.log(times / times[:, :1]), times)
+            model = train("reg_forest", examples, hyperparams={"n_trees": 4},
+                          seed=0)
+            x = rng.random(2)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            sys.setprofile(profile)
+            try:
+                predict_config(model, x)
+            finally:
+                sys.setprofile(None)
+            return count
+        assert calls(2) == calls(5)
 
 
 class TestImportance:
