@@ -432,18 +432,20 @@ class _MpsReader:
             line_nos = data + (line_no + 1)
             # a section header is a data line whose first character is not
             # blank; heads index the data lines
+            data_list = data.tolist()
             heads = [m.start() for m in _HEADER.finditer("".join(map(
-                itemgetter(0), map(lines.__getitem__, data.tolist()))))]
-            # each data line's _PAIR_KIND, for COLUMNS, RHS and RANGES lines;
-            # the run of them since the last other header begins at run
+                itemgetter(0), map(lines.__getitem__, data_list))))]
+            # each data line's _PAIR_KIND, for COLUMNS, RHS and RANGES lines,
+            # read in one pass from run, where their sections begin, to the
+            # next other header
             kind, run = np.full(len(data), _HEAD), None
             for a, b in zip([-1] + heads, heads + [len(data)]):
                 if a >= 0:
-                    head_toks = lines[data[a]].split()
+                    head_toks = lines[data_list[a]].split()
                     head = head_toks[0].upper()
                     if run is not None and head not in _PAIR_KIND:
-                        self.pairs(toks, *(x[run:a] for x in (
-                            starts, counts, line_nos, kind)))
+                        self.pairs(toks, starts[run:a], counts[run:a],
+                                   line_nos[run:a], kind[run:a])
                         run = None
                     if head not in _SECTIONS:
                         raise MpsParseError(
@@ -461,8 +463,6 @@ class _MpsReader:
                     self.saw_rows = self.saw_rows or head == "ROWS"
                 if a + 1 == b:
                     continue
-                piece = (toks, starts[a + 1:b], counts[a + 1:b],
-                         line_nos[a + 1:b])
                 if section in _PAIR_KIND:
                     kind[a + 1:b] = _PAIR_KIND[section]
                     run = a + 1 if run is None else run
@@ -470,13 +470,15 @@ class _MpsReader:
                     raise MpsParseError("data line before any section header",
                                         int(line_nos[a + 1]))
                 elif section != "OBJSENSE":
-                    getattr(self, section.lower())(*piece)
+                    getattr(self, section.lower())(
+                        toks, starts[a + 1:b], counts[a + 1:b],
+                        line_nos[a + 1:b])
                 elif pending_objsense:
                     self.set_sense(toks[starts[a + 1]])
                     pending_objsense = False
             if run is not None:
-                self.pairs(toks, *(x[run:] for x in (starts, counts, line_nos,
-                                                       kind)))
+                self.pairs(toks, starts[run:], counts[run:], line_nos[run:],
+                           kind[run:])
             pos, line_no = end, line_no + len(lines)
 
     def set_sense(self, token):
@@ -552,9 +554,11 @@ class _MpsReader:
         # ones, and of two equal keys puts the one stored later second
         order = keys.argsort(kind="stable")
         keys = keys[order]
+        # the later of two equal keys is a new pair's, repeating a stored one
         dup = np.zeros(len(at), dtype=bool)
-        again = order[1:][keys[1:] == keys[:-1]] - len(self.keys)
-        dup[stored.nonzero()[0][again]] = True
+        again = (keys[1:] == keys[:-1]).nonzero()[0]
+        if len(again):
+            dup[stored.nonzero()[0][order[again + 1] - len(self.keys)]] = True
         i, check = _first(~np.isfinite(vals), rows == _UNDECLARED, dup)
         j, _ = _first(bad)
         # pairs before the first failing pair, or before the first failing
