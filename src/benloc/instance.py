@@ -39,9 +39,6 @@ INF = math.inf
 SENSES = ("<=", ">=", "=")
 VAR_TYPES = ("continuous", "binary", "integer")
 
-# an integer variable with bounds inside [0, 1] is binary
-_PROMOTED = {("integer", True): "binary"}
-
 _MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
 _SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
 _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
@@ -64,33 +61,28 @@ _BOUNDS = {
 _BOUND_CODE = {t: k for k, t in enumerate(_BOUNDS)}
 # _BOUNDS by code, then a last row for an unknown type, as arrays: each
 # side's constant (NaN leaves it unchanged) and whether it takes the line's
-# value, the integer flag, and the arguments after the type and set name
-# (the column, and the value when a side takes it)
+# value, the integer flag, whether it sets the lower bound (LO, MI, FX), and
+# the arguments after the type and set name (column [, value])
 _BOUND_TABLE = tuple(np.array(a) for a in zip(*(
     [(np.nan if lower in (None, _VALUE) else lower, lower is _VALUE,
       np.nan if upper in (None, _VALUE) else upper, upper is _VALUE, integer,
-      1 + (_VALUE in (lower, upper)))
-     for lower, upper, integer in _BOUNDS.values()]
-    + [(np.nan, False, np.nan, False, False, 1)])))
+      t in ("LO", "MI", "FX"), 1 + (_VALUE in (lower, upper)))
+     for t, (lower, upper, integer) in _BOUNDS.items()]
+    + [(np.nan, False, np.nan, False, False, False, 1)])))
 _MARKERS = {"INTORG": 1, "INTEND": 0}
 _HEADER = re.compile(r"\S")  # the first character of a header line
 _COMMENT = methodcaller("startswith", "*")  # a comment line's first token
 _CHUNK = 1 << 20  # characters split into lines at once, bounding the tokens
-_SETS_LOWER = np.isin(np.arange(len(_BOUNDS) + 1),
-                      [_BOUND_CODE[t] for t in ("LO", "MI", "FX")])
 # the writer's bound lines by code, 5 standing for no line, and which of
 # them carry a value
 _BOUND_NAMES = ("BV", "FX", "FR", "MI", "LO", None, "UP")
 _BOUND_VALUED = np.array([t is not None and _VALUE in _BOUNDS[t]
                           for t in _BOUND_NAMES])
-# a COLUMNS, RHS or RANGES row name that is not a declared row: below
-# _UNDECLARED, a free row
+# a pair's row name that is not a declared row; below _UNDECLARED, a free row
 _UNDECLARED, _OBJ, _FREE = -1, -2, -3
-# the sections of (row, value) pairs by kind, and the kind of a header line
-# among them
+# the sections of (row, value) pairs by kind; _HEAD marks a header among them
 _PAIR_SECTIONS = ("COLUMNS", "RHS", "RANGES")
-_PAIR_KIND = {s: k for k, s in enumerate(_PAIR_SECTIONS)}
-_HEAD = len(_PAIR_SECTIONS)
+_PAIR_KIND, _HEAD = {s: k for k, s in enumerate(_PAIR_SECTIONS)}, 3
 
 
 class MpsError(ValueError):
@@ -176,7 +168,7 @@ class MipInstance:
         # column arrays disagree, validate refuses the instance)
         if len(self.var_types) == len(self.var_lb) == len(self.var_ub):
             unit = (self.var_lb >= 0) & (self.var_ub <= 1)
-            self.var_types = list(map(_PROMOTED.get, zip(
+            self.var_types = list(map({("integer", True): "binary"}.get, zip(
                 self.var_types, unit.tolist()), self.var_types))
 
     def validate(self):
@@ -191,8 +183,7 @@ class MipInstance:
                              ("rhs", self.rhs)):
             if not np.isfinite(values).all():
                 raise InvalidInstanceError(f"non-finite {what}")
-        # a NaN bound, a lower bound of +inf or an upper bound of -inf (which
-        # admits no value) fails one of these comparisons
+        # a NaN bound, or a lower bound of +inf or upper of -inf (no value)
         lb, ub = self.var_lb, self.var_ub
         if not ((lb < INF).all() and (ub > -INF).all()):
             if np.isnan(lb).any() or np.isnan(ub).any():
@@ -331,16 +322,6 @@ def _data_lines(lines, star):
     return toks, starts[line], ends[line] - starts[line], line
 
 
-def _is_marker(words):
-    """Whether each word of an object array, without enclosing quotes, is
-    MARKER in any case; each distinct word is looked at once."""
-    found = np.zeros(len(words), dtype=bool)
-    for word in set(words.tolist()):
-        if word.strip("'\"").upper() == "MARKER":
-            found |= words == word
-    return found
-
-
 def _unquoted(words):
     """Each word without enclosing quotes, upper-cased."""
     return map(str.upper, map(str.strip, words, repeat("'\"")))
@@ -359,13 +340,13 @@ def _floats(toks):
     float() refuses on."""
     try:
         return toks.astype(float)  # float() of each token
-    except ValueError:
+    except ValueError:  # find the token float() refuses
         vals = []
         try:
             vals.extend(map(float, toks.tolist()))
         except ValueError:
-            return np.concatenate([vals, np.full(len(toks) - len(vals),
-                                                 np.nan)])
+            pass
+        return np.concatenate([vals, np.full(len(toks) - len(vals), np.nan)])
 
 
 def _first(*masks):
@@ -393,11 +374,11 @@ def _number(sval, what, line_no, infinite=False):
 
 class _MpsReader:
     """What parse_mps has read so far.  The text is split into lines a
-    chunk at a time.  Each section method takes the data lines of one run
-    of sections in one chunk, as _data_lines gives them, finds every
-    failure as an array mask, raises the first in (line, pair, check)
-    order, which is the one a reader applying a line at a time would meet,
-    and otherwise applies them."""
+    chunk at a time.  Each section method takes the data lines of one
+    section in one chunk (pairs: of successive COLUMNS, RHS and RANGES
+    sections), finds every failure as an array mask, raises the first in
+    (line, pair, check) order, which is the one a reader applying a line at
+    a time would meet, and otherwise applies them."""
 
     def __init__(self):
         self.name = ""
@@ -432,16 +413,14 @@ class _MpsReader:
             line_nos = data + (line_no + 1)
             # a section header is a data line whose first character is not
             # blank; heads index the data lines
-            data_list = data.tolist()
             heads = [m.start() for m in _HEADER.finditer("".join(map(
-                itemgetter(0), map(lines.__getitem__, data_list))))]
-            # each data line's _PAIR_KIND, for COLUMNS, RHS and RANGES lines,
-            # read in one pass from run, where their sections begin, to the
-            # next other header
+                itemgetter(0), map(lines.__getitem__, data.tolist()))))]
+            # the _PAIR_KIND of COLUMNS, RHS and RANGES lines, read in one
+            # pass from run, where their sections begin, to another header
             kind, run = np.full(len(data), _HEAD), None
             for a, b in zip([-1] + heads, heads + [len(data)]):
                 if a >= 0:
-                    head_toks = lines[data_list[a]].split()
+                    head_toks = lines[data[a]].split()
                     head = head_toks[0].upper()
                     if run is not None and head not in _PAIR_KIND:
                         self.pairs(toks, starts[run:a], counts[run:a],
@@ -505,15 +484,18 @@ class _MpsReader:
                 raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
 
     def pairs(self, toks, starts, counts, line_nos, kind):
-        """COLUMNS, RHS and RANGES lines, by kind, and the headers between
-        them in one pass: a COLUMNS line names its column, then (row, value)
-        pairs; an RHS or RANGES line an optional set name (an odd token
-        count), then pairs."""
+        """COLUMNS, RHS and RANGES lines by kind, and headers between them,
+        in one pass: a COLUMNS line names its column, then (row, value) pairs;
+        an RHS or RANGES line an optional set name (odd count), then pairs."""
         columns = kind == 0
-        # a COLUMNS line of three or more tokens whose second is MARKER opens
-        # or closes an integer block
+        # a COLUMNS line of three or more tokens whose second is MARKER (any
+        # case, quotes stripped) opens or closes an integer block
         long = (columns & (counts >= 3)).nonzero()[0]
-        marker = long[_is_marker(toks[starts[long] + 1])]
+        second, is_marker = toks[starts[long] + 1], np.zeros(len(long), bool)
+        for word in set(second.tolist()):
+            if word.strip("'\"").upper() == "MARKER":
+                is_marker |= second == word
+        marker = long[is_marker]
         flag = np.fromiter(map(_MARKERS.get, _unquoted(
             toks[starts[marker] + 2].tolist()), repeat(-1)), np.int64,
                            len(marker))
@@ -524,8 +506,7 @@ class _MpsReader:
         head = kind == _HEAD
         n_pairs[head] = bad[head] = 0
         n_pairs[marker], bad[marker] = 0, flag < 0
-        # each other COLUMNS line declares its column, under the last marker
-        # before it
+        # each other COLUMNS line declares its column under the last marker
         columns[marker] = False
         decl = columns.nonzero()[0]
         names = toks[starts[decl]].tolist()
@@ -551,10 +532,9 @@ class _MpsReader:
         stored = entry & declared & ~zero
         keys = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
         # a stable sort merges the sorted keys stored before with the new
-        # ones, and of two equal keys puts the one stored later second
+        # ones; of two equal keys the later, a repeated pair, comes second
         order = keys.argsort(kind="stable")
         keys = keys[order]
-        # the later of two equal keys is a new pair's, repeating a stored one
         dup = np.zeros(len(at), dtype=bool)
         again = (keys[1:] == keys[:-1]).nonzero()[0]
         if len(again):
@@ -616,8 +596,8 @@ class _MpsReader:
         codes = {t: _BOUND_CODE.get(t.upper(), len(_BOUNDS))
                  for t in set(types)}
         code = np.fromiter(map(codes.__getitem__, types), np.int64, len(types))
-        lower, lower_valued, upper, upper_valued, integer, n_args = (
-            a[code] for a in _BOUND_TABLE)
+        (lower, lower_valued, upper, upper_valued, integer, sets_lower,
+         n_args) = (a[code] for a in _BOUND_TABLE)
         # type [, bound-set name], column [, value]
         last = starts + counts - 1
         col = np.fromiter(map(self.col_index.get, toks[last + 1 - n_args]
@@ -642,7 +622,6 @@ class _MpsReader:
 
         # each side takes the last value a line gives it; a negative UP
         # also frees the lower bound unless a LO, MI or FX line came before
-        sets_lower = _SETS_LOWER[code]
         frees = (code == _BOUND_CODE["UP"]) & (vals < 0)
         if frees.any():
             first_lower = np.full(len(self.col_index), len(col))
@@ -677,17 +656,10 @@ class _MpsReader:
         if self.vectors["RANGES"]:
             row_fields = _expand_ranges(self.vectors["RANGES"], **row_fields)
         return MipInstance(
-            name=self.name,
-            sense=self.sense,
-            obj_coeffs=obj,
-            var_lb=lb,
-            var_ub=ub,
+            name=self.name, sense=self.sense, obj_coeffs=obj, var_lb=lb,
+            var_ub=ub, col_names=list(self.col_index), obj_name=self.obj_name,
             var_types=list(map(("continuous", "integer").__getitem__,
-                               self.col_integer.tolist())),
-            col_names=list(self.col_index),
-            obj_name=self.obj_name,
-            **row_fields,
-        )
+                               self.col_integer.tolist())), **row_fields)
 
 
 def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,

@@ -723,6 +723,14 @@ _TOKEN_OPS = ("replace_token", "insert_token", "delete_token",
 _LINE_OPS = ("delete", "duplicate", "swap", "join", "stray",
              "comment") + _TOKEN_OPS
 _CHAR_OPS = ("flip", "truncate")
+# _CHUNK sizes: small ones put a chunk seam between most pairs of lines
+_CHUNKS = (1, 20, 40, 100, 300, 2000, 1 << 20)
+# token edits weighted up: they reach a section's arity and value checks
+_OPS = st.lists(st.sampled_from(_LINE_OPS + _CHAR_OPS + (
+    "replace_token", "delete_token", "truncate_line") * 2), min_size=1,
+                max_size=4)
+_BOUND_LINE = st.tuples(st.sampled_from(_BOUND_TYPES),
+                        st.sampled_from([-2.0, 0.0, 3.0, INF, -INF]))
 
 
 @st.composite
@@ -731,7 +739,7 @@ def oracle_texts(draw):
     RANGES, RHS lines of two pairs and extra BOUNDS lines."""
     kind = draw(st.sampled_from(["fixture", "setcover", "indset"]))
     if kind == "fixture":
-        return draw(st.sampled_from(_FIXTURE_TEXTS))
+        return _FIXTURE_TEXTS[draw(st.integers(0, len(_FIXTURE_TEXTS) - 1))]
     seed = draw(st.integers(0, 50))
     inst = (gen_setcover(draw(st.integers(2, 6)), draw(st.integers(3, 8)),
                          0.4, seed) if kind == "setcover"
@@ -746,17 +754,23 @@ def oracle_texts(draw):
             st.lists(st.sampled_from([None, 0.0, 2.5, -1.5]),
                      min_size=inst.num_rows, max_size=inst.num_rows)))
         if r is not None)
-    # bound lines on the first two columns, a negative UP line, which frees
-    # the first column's lower bound unless a LO, MI or FX line set it, and
-    # more lines on the second column
-    bound = st.tuples(st.sampled_from(_BOUND_TYPES),
-                      st.sampled_from([-2.0, 0.0, 3.0, INF, -INF]))
-    extra = "".join(
-        f" {t} BND  {inst.col_names[j % inst.num_cols]}"
-        + (f"  {v}" if t in ("UP", "LO", "FX", "UI", "LI") else "") + "\n"
-        for j, t, v in [(draw(st.integers(0, 1)), *line) for line in draw(
-            st.lists(bound, max_size=4))] + [(0, "UP", -2.0)]
-        + [(1, *line) for line in draw(st.lists(bound, max_size=2))])
+    # the first two columns' bound lines, in place of the writer's: drawn
+    # lines, then the other columns' lines, then a negative UP line, which
+    # frees the first column's lower bound unless a LO, MI or FX line set
+    # it, then lines on the second column
+    first_two = inst.col_names[:2]
+
+    def lines(drawn):
+        return "".join(
+            f" {t} BND  {first_two[j % len(first_two)]}"
+            + (f"  {v}" if t in ("UP", "LO", "FX", "UI", "LI") else "") + "\n"
+            for j, t, v in drawn)
+    *others, end = (line for line in bounds.splitlines(True)
+                    if line.split()[2:3] not in [[c] for c in first_two])
+    bounds = (lines([(draw(st.integers(0, 1)), *line) for line in draw(
+        st.lists(_BOUND_LINE, min_size=1, max_size=4))]) + "".join(others)
+        + lines([(0, "UP", -2.0)] + [(1, *line) for line in draw(
+            st.lists(_BOUND_LINE, max_size=2))]) + end)
     if draw(st.booleans()):
         # a second N row, with a matrix and an RHS entry, and a zero
         # coefficient: each is dropped with a warning
@@ -764,8 +778,7 @@ def oracle_texts(draw):
         head = head.replace(" N  OBJ\n", " N  OBJ\n N  FREE\n").replace(
             "COLUMNS\n", f"COLUMNS\n    {col}  FREE  2.0  {row}  0.0\n")
         rhs += "    RHS  FREE  1.0\n"
-    return (f"{head}RHS\n{rhs}RANGES\n{ranges}BOUNDS\n"
-            + bounds.replace("ENDATA\n", extra + "ENDATA\n"))
+    return f"{head}RHS\n{rhs}RANGES\n{ranges}BOUNDS\n{bounds}"
 
 
 def _mutated(data, text):
@@ -773,18 +786,14 @@ def _mutated(data, text):
     end.  Each lands on the first line or after it, or on the first data
     line of the RHS, RANGES or BOUNDS section or after it, so that the
     later sections are not always masked by a failure in an earlier one."""
-    # token edits weighted up: they reach a section's arity and value checks
-    ops = data.draw(st.lists(st.sampled_from(
-        _LINE_OPS + _CHAR_OPS + ("replace_token", "delete_token",
-                                 "truncate_line") * 2), min_size=1, max_size=4))
-    lines, end = text.splitlines(), data.draw(st.sampled_from(["\n", "\r\n",
-                                                               "\r"]))
-    for op in ops:
+    def pick(seq):
+        return seq[data.draw(st.integers(0, len(seq) - 1))]
+    lines, end = text.splitlines(), pick(["\n", "\r\n", "\r"])
+    for op in data.draw(_OPS):
         if not lines:
             break
-        start = data.draw(st.sampled_from(
-            [0] + [k + 1 for k, line in enumerate(lines[:-1])
-                   if line.startswith(("RHS", "RANGES", "BOUNDS"))]))
+        start = pick([0] + [k + 1 for k, line in enumerate(lines[:-1])
+                            if line.startswith(("RHS", "RANGES", "BOUNDS"))])
         i = data.draw(st.integers(start, len(lines) - 1))
         toks = lines[i].split()
         indent = "    " if lines[i][:1].isspace() else ""
@@ -797,7 +806,7 @@ def _mutated(data, text):
         elif op == "join" and i + 1 < len(lines):
             lines[i] += lines.pop(i + 1)
         elif op == "stray":
-            lines.insert(i, data.draw(st.sampled_from(_STRAY_LINES)))
+            lines.insert(i, pick(_STRAY_LINES))
         elif op == "comment":
             lines[i] = "*" + lines[i]
         elif op in _CHAR_OPS:
@@ -805,13 +814,13 @@ def _mutated(data, text):
             if op == "truncate":  # the text ends inside line i
                 return end.join(lines[:i] + [lines[i][:p]])
             # a flipped line end splits the line, as the reader will
-            lines[i:i + 1] = (lines[i][:p] + data.draw(st.sampled_from(
-                _ODD_CHARS)) + lines[i][p + 1:]).splitlines() or [""]
+            lines[i:i + 1] = (lines[i][:p] + pick(_ODD_CHARS)
+                              + lines[i][p + 1:]).splitlines() or [""]
         elif op in _TOKEN_OPS:
             # one- and two-token lines are where arities go wrong
-            k = data.draw(st.sampled_from([1, 2]) | st.integers(0, len(toks)))
-            new = data.draw(st.sampled_from(_ODD_TOKENS)
-                            | st.sampled_from(text.split()))
+            k = pick([1, 2, data.draw(st.integers(0, len(toks)))])
+            new = pick(_ODD_TOKENS if data.draw(st.booleans())
+                       else text.split())
             if op == "replace_token":
                 toks[k:k + 1] = [new]
             elif op == "insert_token":
@@ -850,7 +859,7 @@ class TestOracle:
         message and line number, and the same warnings, whatever the chunk
         size."""
         text = _mutated(data, data.draw(oracle_texts()))
-        chunk = data.draw(st.sampled_from([1, 7, 40, 300, 2000, 1 << 20]))
+        chunk = data.draw(st.sampled_from(_CHUNKS))
         saved, instance._CHUNK = instance._CHUNK, chunk
         try:
             got = _outcome(parse_mps, text)
