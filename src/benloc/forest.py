@@ -395,20 +395,20 @@ def leaf_values(forests, X):
     steps as the deepest forest needs (a leaf is its own child)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n_rows, n_forests, n_trees = len(X), len(forests), forests[0].n_trees
-    # a leaf's feature -1 reads this -inf column, so the row takes the
-    # leaf's left child, the leaf itself
-    X = np.concatenate([X, np.full((n_rows, 1), -np.inf)], axis=1)
+    # the rows one after another, each ending in a -inf that a leaf's
+    # feature -1 reads, so that the row takes the leaf's left child: itself
+    flat = np.concatenate([X, np.full((n_rows, 1), -np.inf)], axis=1).ravel()
     feature, threshold, left = map(np.concatenate, zip(*map(
         attrgetter("feature", "threshold", "_left"), forests)))
-    # each column of node descends one tree: its forest's first node, and
-    # its root
-    first = np.array(list(accumulate(map(len, map(
-        attrgetter("feature"), forests[:-1])), initial=0))).repeat(n_trees)
-    node = (first + np.arange(len(first)) % n_trees)[None].repeat(n_rows, 0)
-    rows, step = np.arange(n_rows)[:, None], first + 1
+    # per (row, forest, tree): the forest's first node, and the row's start
+    first = np.tile(np.array(list(accumulate(map(len, map(attrgetter(
+        "feature"), forests[:-1])), initial=0))).repeat(n_trees), n_rows)
+    at = np.arange(n_rows).repeat(n_forests * n_trees) * (X.shape[1] + 1)
+    node, step = first + np.arange(len(first)) % n_trees, first + 1
     for _ in range(max(map(attrgetter("_depth"), forests))):
-        # the left child, or the right one (left + 1) unless value <= threshold
-        node = left[node] + step - (X[rows, feature[node]] <= threshold[node])
+        # the left child where value <= threshold, else the right (left + 1)
+        node = left[node] + step - (flat[at + feature[node]]
+                                    <= threshold[node])
     node = (node - first).reshape(n_rows, n_forests, n_trees)
     return np.concatenate([f.value[node[:, k]] for k, f in enumerate(
         forests)], axis=1).reshape(n_rows, n_forests, n_trees)
