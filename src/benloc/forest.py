@@ -98,10 +98,10 @@ class RandomForest:
     threshold: np.ndarray = _fitted()
     value: np.ndarray = _fitted()
     importances: np.ndarray = _fitted()
-    # descent steps: the children of internal nodes, the leaf itself at
-    # leaves, so every row takes _depth steps (the deepest leaf's depth)
+    # descent steps: an internal node's left child (its right child is the
+    # next node), the leaf itself at a leaf, so every row takes _depth steps
+    # (the deepest leaf's depth)
     _left: np.ndarray = _fitted()
-    _right: np.ndarray = _fitted()
     _depth: int = _fitted()
 
     def fit(self, X, y, n_classes=None):
@@ -200,7 +200,6 @@ class RandomForest:
         before = np.r_[0, np.cumsum(internal)]
         self._left = np.where(internal, self.n_trees + 2 * before[:-1],
                               np.arange(len(feature)))
-        self._right = self._left + internal
         # depth d + 1 holds the children of depth d's internal nodes
         self._depth, end = 0, self.n_trees
         while end < len(feature):

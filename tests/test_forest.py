@@ -199,10 +199,10 @@ def test_one_descent_of_unequal_forests_equals_each_forest_bitwise():
         assert stacked.tobytes() == each.tobytes()
     for k, f in enumerate(forests):  # the descent as the layout defines it
         node = np.tile(np.arange(f.n_trees), (len(X_new), 1))
-        for _ in range(f._depth):
-            go_left = X_new[np.arange(len(X_new))[:, None],
-                            f.feature[node]] <= f.threshold[node]
-            node = np.where(go_left, f._left[node], f._right[node])
+        for _ in range(f._depth):  # a leaf stays; a node's right is left + 1
+            go_right = ~(X_new[np.arange(len(X_new))[:, None],
+                               f.feature[node]] <= f.threshold[node])
+            node = f._left[node] + (go_right & (f.feature[node] >= 0))
         assert leaf_values(forests, X_new)[:, k].tobytes() == \
             f.value[node].tobytes()
 
