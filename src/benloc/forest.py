@@ -45,6 +45,11 @@ _PARAMS = ("mode", "n_trees", "max_depth", "min_samples_leaf", "max_features",
            "bootstrap", "seed", "n_classes")
 # (row, feature) elements per split-search run: bounds the search's memory
 _RUN = 1 << 14
+# forests whose nodes number at most this together descend as one: beyond
+# it, copying their node arrays costs more than the steps it saves (one row
+# through five forests of 14k nodes in all: 0.07 ms as one, 0.19 ms one by
+# one; of 71k nodes: 0.77 ms against 0.22 ms)
+_STACKED_NODES = 1 << 14
 
 
 class Tree(NamedTuple):
@@ -390,19 +395,38 @@ class RandomForest:
 def leaf_values(forests, X):
     """The value of the leaf each row of X reaches in each tree of each
     forest, shape (rows, forests, trees), for forests of as many trees
-    each: one descent through their node arrays laid end to end, as many
-    steps as the deepest forest needs (a leaf is its own child)."""
+    each.  Consecutive forests of at most _STACKED_NODES nodes together are
+    descended as one, their node arrays laid end to end; a forest too large
+    to share descends alone, on its own arrays."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n_rows, n_forests, n_trees = len(X), len(forests), forests[0].n_trees
     # the rows one after another, each ending in a -inf that a leaf's
     # feature -1 reads, so that the row takes the leaf's left child: itself
-    flat = np.concatenate([X, np.full((n_rows, 1), -np.inf)], axis=1).ravel()
-    feature, threshold, left = map(np.concatenate, zip(*map(
-        attrgetter("feature", "threshold", "_left"), forests)))
+    flat = np.concatenate([X, np.full((len(X), 1), -np.inf)], axis=1).ravel()
+    groups, size = [], _STACKED_NODES
+    for forest in forests:
+        if size + len(forest.feature) > _STACKED_NODES:
+            groups.append([])
+            size = 0
+        groups[-1].append(forest)
+        size += len(forest.feature)
+    row_start = np.arange(len(X)) * (X.shape[1] + 1)
+    return np.concatenate([_descend(group, flat, row_start)
+                           for group in groups], axis=1)
+
+
+def _descend(forests, flat, row_start):
+    """leaf_values of forests laid end to end, for the rows of flat that
+    begin at row_start: as many steps as the deepest forest needs (a leaf is
+    its own child)."""
+    n_rows, n_forests = len(row_start), len(forests)
+    n_trees = forests[0].n_trees
+    parts = zip(*map(attrgetter("feature", "threshold", "_left"), forests))
+    feature, threshold, left = (p[0] if n_forests == 1 else np.concatenate(p)
+                                for p in parts)
     # per (row, forest, tree): the forest's first node, and the row's start
     first = np.tile(np.array(list(accumulate(map(len, map(attrgetter(
         "feature"), forests[:-1])), initial=0))).repeat(n_trees), n_rows)
-    at = np.arange(n_rows).repeat(n_forests * n_trees) * (X.shape[1] + 1)
+    at = row_start.repeat(n_forests * n_trees)
     node, step = first + np.arange(len(first)) % n_trees, first + 1
     for _ in range(max(map(attrgetter("_depth"), forests))):
         # the left child where value <= threshold, else the right (left + 1)

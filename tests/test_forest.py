@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benloc import forest as forest_module
 from benloc.forest import RandomForest, _widths, leaf_values
 
 
@@ -182,10 +183,14 @@ def test_batch_predict_equals_row_by_row_bitwise(mode, n_trees):
     assert batch.tobytes() == rows.tobytes()
 
 
-def test_one_descent_of_unequal_forests_equals_each_forest_bitwise():
+@pytest.mark.parametrize("stacked_nodes", [1 << 14, 3000, 1])
+def test_one_descent_of_unequal_forests_equals_each_forest_bitwise(
+        monkeypatch, stacked_nodes):
     """leaf_values over a depth-0 forest (a constant target) and two
     depth-12 ones gives, per forest, the same bits as the forest's own
-    predict, and as a descent that follows each forest's children."""
+    predict, and as a descent that follows each forest's children, whether
+    the forests descend as one, in two groups or one by one."""
+    monkeypatch.setattr(forest_module, "_STACKED_NODES", stacked_nodes)
     rng = np.random.default_rng(4)
     X = rng.random((400, 3))
     forests = [RandomForest(mode="regression", n_trees=6, seed=s).fit(X, y)
