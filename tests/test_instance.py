@@ -772,8 +772,8 @@ def oracle_texts(draw):
         + lines([(0, "UP", -2.0)] + [(1, *line) for line in draw(
             st.lists(_BOUND_LINE, max_size=2))]) + end)
     if draw(st.booleans()):
-        # a second N row, with a matrix and an RHS entry, and a zero
-        # coefficient: each is dropped with a warning
+        # a second N row, an entry on it in COLUMNS (dropped silently) and
+        # in RHS (ignored with a warning), and a zero coefficient
         col, row = inst.col_names[0], (inst.row_names + ["OBJ"])[0]
         head = head.replace(" N  OBJ\n", " N  OBJ\n N  FREE\n").replace(
             "COLUMNS\n", f"COLUMNS\n    {col}  FREE  2.0  {row}  0.0\n")
