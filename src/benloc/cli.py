@@ -7,13 +7,15 @@ Bad input (a ValueError, KeyError or OSError from any command) prints one
 from __future__ import annotations
 
 import csv
+import io
 import os
 
 import click
 
 from .dataset import (build_oracle_dataset, load_dataset, read_instance,
                       write_dataset)
-from .instance import permute_instance, read_file, read_mps, write_mps
+from .instance import (permute_instance, read_file, read_mps, write_file,
+                       write_mps)
 from .learners import (MODEL_KINDS, TrainedSelector, build_examples,
                        predict_config)
 from .logs import FeatureStage, assemble_features, dynamic_features, parse_log
@@ -93,8 +95,7 @@ def synth(kind, rows, cols, density, nodes, count, seed, out_dir, oracle, perms)
         else:
             inst = gen_indset(nodes, density, seed + k)
         path = os.path.join(out_dir, f"{inst.name}.mps")
-        with open(path, "w") as fh:
-            fh.write(write_mps(inst))
+        write_file(path, write_mps(inst))
         click.echo(path)
 
 
@@ -110,10 +111,9 @@ def permute(in_path, seeds, out_dir):
     for s in _parse_seeds(seeds):
         permuted, record = permute_instance(inst, s)
         mps_path = os.path.join(out_dir, f"{stem}.perm{s}.mps")
-        with open(mps_path, "w") as fh:
-            fh.write(write_mps(permuted))
-        with open(os.path.join(out_dir, f"{stem}.perm{s}.json"), "w") as fh:
-            fh.write(record.to_json())
+        write_file(mps_path, write_mps(permuted))
+        write_file(os.path.join(out_dir, f"{stem}.perm{s}.json"),
+                   record.to_json())
         click.echo(mps_path)
 
 
@@ -131,18 +131,18 @@ def features(mps_paths, manifest_path, stage, out_path):
         fmap = data.feature_map(stage)
         keys = sorted(fmap)
         names = fmap[keys[0]][0] if keys else []
-        with open(out_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["family", "seed"] + list(names))
-            for f, s in keys:
-                w.writerow([f, s] + [repr(float(v)) for v in fmap[(f, s)][1]])
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["family", "seed"] + list(names))
+        for f, s in keys:
+            w.writerow([f, s] + [repr(float(v)) for v in fmap[(f, s)][1]])
+        write_file(out_path, buf.getvalue())
     else:
         if stage != FeatureStage.STATIC_ONLY:
             raise ValueError("dynamic stages need --manifest with logs")
         rows = [(os.path.basename(path), read_instance(path)[1])
                 for path in mps_paths]
-        with open(out_path, "w") as fh:
-            fh.write(static_features_csv(rows))
+        write_file(out_path, static_features_csv(rows))
     click.echo(out_path)
 
 
@@ -164,8 +164,7 @@ def split(manifest_path, strategy, test_frac, seed, perf_path, out_path):
     if perf_path:
         perf = read_file(perf_path, PerfTable.from_csv)
     assignment = make_split(strategy, manifest, test_frac, seed, perf=perf)
-    with open(out_path, "w") as fh:
-        fh.write(assignment.to_json())
+    write_file(out_path, assignment.to_json())
     click.echo(f"train={len(assignment.train)} test={len(assignment.test)} "
                f"family_overlap={assignment.family_overlap()} "
                f"leakage={assignment.leakage_fraction():.3f}")
@@ -189,8 +188,7 @@ def train(manifest_path, split_path, stage, kind, seed, shift, out_path):
     assignment = read_file(split_path, SplitAssignment.from_json)
     examples = build_examples(data.perf, data.feature_map(STAGES[stage]), shift)
     model = fit_split(examples, assignment, kind, seed=seed)
-    with open(out_path, "w") as fh:
-        fh.write(model.to_json())
+    write_file(out_path, model.to_json())
     click.echo(out_path)
 
 
@@ -248,8 +246,7 @@ def suitability(perf_path, name, shift, out_csv):
     rows = [suitability_rows(perf, shift, name)]
     click.echo(suitability_report_text(rows), nl=False)
     if out_csv:
-        with open(out_csv, "w") as fh:
-            fh.write(suitability_report_csv(rows))
+        write_file(out_csv, suitability_report_csv(rows))
 
 
 @main.command()
@@ -276,11 +273,9 @@ def pipeline(manifest_path, stage, kind, strategy, seeds, test_frac, shift,
                              test_fraction=test_frac,
                              hyperparams={"n_trees": n_trees}, shift=shift)
     csv_path = os.path.join(out_dir, "report_per_seed.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(experiment_report_csv(results))
+    write_file(csv_path, experiment_report_csv(results))
     txt_path = os.path.join(out_dir, "report.txt")
-    with open(txt_path, "w") as fh:
-        fh.write(experiment_report_text(results, label=kind))
+    write_file(txt_path, experiment_report_text(results, label=kind))
     s = summarize(results)
     click.echo(f"mean imp over Default: {format_pct(s['mean_imp_default'])}; "
                f"mean imp over PD best: {format_pct(s['mean_imp_pd'])}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import parse_mps, permute_instance, read_file, write_mps
+from .instance import (parse_mps, permute_instance, read_file, write_file,
+                       write_mps)
 from .logs import (FeatureStage, MissingStageError, assemble_features,
                    dynamic_features, parse_log, render_log)
 from .metrics import ConfigId, PerfTable
@@ -134,18 +135,14 @@ def write_dataset(data, out_dir):
     os.makedirs(os.path.join(out_dir, "logs"), exist_ok=True)
     for (f, s), inst in data.instances.items():
         path = os.path.join(out_dir, "instances", f"{f}.perm{s}.mps")
-        with open(path, "w") as fh:
-            fh.write(write_mps(inst))
+        write_file(path, write_mps(inst))
     for (f, s), per_cfg in data.logs.items():
         for cfg, log in per_cfg.items():
             path = os.path.join(out_dir, "logs", f"{f}.perm{s}.{cfg}.log")
-            with open(path, "w") as fh:
-                fh.write(render_log(log))
-    with open(os.path.join(out_dir, "perf.csv"), "w") as fh:
-        fh.write(data.perf.to_csv())
-    manifest = data.manifest()
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(manifest.to_json())
+            write_file(path, render_log(log))
+    write_file(os.path.join(out_dir, "perf.csv"), data.perf.to_csv())
+    write_file(os.path.join(out_dir, "manifest.json"),
+               data.manifest().to_json())
     return os.path.join(out_dir, "manifest.json")
 
 

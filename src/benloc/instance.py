@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field, fields
@@ -271,16 +272,20 @@ class PermutationRecord:
 
 
 # ---------------------------------------------------------------------------
-# Reading files
+# Reading and writing files
 
 
 def read_file(path, parse):
-    """parse(text) of the file at path, the reader of every input file; a
-    ValueError or KeyError from parse, or text that is not UTF-8, gets
-    "<path>: " and .path added."""
+    """parse(text) of the UTF-8 file at path, the reader of every input file;
+    CRLF and CR line ends read as LF, as in text mode.  A ValueError or
+    KeyError from parse, or bytes that are not UTF-8, gets "<path>: " and
+    .path added."""
     try:
-        with open(path) as fh:
-            return parse(fh.read())
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return parse(text)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, UnicodeDecodeError):  # its str() ignores .args
             exc = ValueError(f"not UTF-8 text ({exc.reason} at byte "
@@ -289,6 +294,24 @@ def read_file(path, parse):
         exc.args = (f"{path}: {reason}",)
         exc.path = path
         raise exc
+
+
+def write_file(path, text):
+    """Write text to the file at path as UTF-8, the writer of every output
+    file.  A new file is created with mode 0o666 less the umask, as open(path,
+    "w") does; an existing one is overwritten in place and then cut to the
+    new length, without first truncating it to zero bytes, which on ext4
+    frees its blocks only for close to allocate and flush them again.
+
+    Neither way is atomic.  A crash mid-write may leave the new bytes
+    followed by the tail of the old file (open(path, "w") could leave the
+    file empty); outputs can be written again, and write_dataset writes
+    manifest.json last."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.truncate()
 
 
 def read_mps(path):

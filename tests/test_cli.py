@@ -1,4 +1,5 @@
 import base64
+import errno
 import json
 import os
 
@@ -7,10 +8,11 @@ import pytest
 from click.testing import CliRunner
 
 from benloc.cli import main
-from benloc.dataset import load_dataset
+from benloc.dataset import build_oracle_dataset, load_dataset
 from benloc.logs import FeatureStage
 from benloc.report import evaluate_split, format_pct
 from benloc.splits import SplitAssignment
+from benloc.synth import OracleSpec
 
 SUBCOMMANDS = ["synth", "permute", "features", "split", "train", "predict",
                "evaluate", "suitability", "pipeline"]
@@ -243,7 +245,8 @@ class TestCommands:
         "model_dtype", "model_n_classes", "model_mode", "model_forest_1",
         "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
         "manifest_empty_family", "model_v2_predict", "model_layout",
-        "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean"])
+        "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean",
+        "out_is_directory"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -551,6 +554,12 @@ class TestCommands:
                 "--manifest", str(inf_logs), "--stage", "root_end", "--seeds",
                 "0", "--n-trees", "3", "--out-dir", str(tmp_path / "rep")],
                 inf_log, "line 1: infinite value 'inf' for 'total_time'"),
+            "out_is_directory": ("split", ["--manifest",
+                                           str(ds / "manifest.json"), "--out",
+                                           str(tmp_path)], None,
+                                 f"[Errno {errno.EISDIR}] "
+                                 f"{os.strerror(errno.EISDIR)}: "
+                                 f"'{tmp_path}'"),
         }[case]
         r = runner.invoke(main, [sub] + args)
         assert r.exit_code == 1
@@ -613,6 +622,25 @@ class TestCommands:
                                      str(tmp_path / "f.csv")])
             assert r.exit_code == 1
             assert r.output.strip() == f"error in features: {path}: {message}"
+
+    def test_smaller_dataset_over_a_larger_one(self, runner, tmp_path):
+        """A second synth --oracle into the same directory overwrites each
+        file in place: its shorter instance files keep no tail of the first
+        build's, and the dataset loads back as the second build."""
+        out = str(tmp_path / "ds")
+        for count, seed in (("12", "0"), ("6", "1")):
+            r = runner.invoke(main, ["synth", "--oracle", "--count", count,
+                                     "--perms", "3", "--seed", seed,
+                                     "--out-dir", out])
+            assert r.exit_code == 0, r.output
+        loaded = load_dataset(os.path.join(out, "manifest.json"))
+        built = build_oracle_dataset(n_families=6, n_perms=3,
+                                     spec=OracleSpec(seed=1), seed=1,
+                                     keep_instances=True)
+        assert loaded.instances == built.instances
+        assert loaded.static == built.static
+        assert loaded.logs == built.logs
+        assert loaded.perf.to_csv() == built.perf.to_csv()
 
 
 class TestManifestPaths:

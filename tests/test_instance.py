@@ -1,4 +1,6 @@
+import ast
 import os
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
                              MipInstance, MpsParseError, MpsSemanticError,
                              PermutationRecord, apply_permutation, parse_mps,
-                             permute_instance, read_file, read_mps, write_mps)
+                             permute_instance, read_file, read_mps, write_file,
+                             write_mps)
 from benloc import instance
 from benloc.graph import build_graph, canonical_signature
 from benloc.synth import gen_indset, gen_setcover
@@ -278,6 +281,97 @@ class TestReadFile:
         assert e.value.path == str(path)
         with pytest.raises(TypeError, match="^abc$"):  # passed on unchanged
             read_file(str(path), bad_type)
+
+    def test_line_ends_read_as_text_mode(self, tmp_path):
+        path = tmp_path / "ends.txt"
+        path.write_bytes(b"a\r\nb\rc\n\xc3\xa9\r")
+        assert read_file(str(path), str) == "a\nb\nc\né\n"
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        """Under the C locale, with UTF-8 mode and locale coercion off, a log
+        naming a non-ASCII instance is written and read back as UTF-8."""
+        script = (
+            "import sys\n"
+            "from benloc.instance import read_file, write_file\n"
+            "from benloc.logs import SolveLog, parse_log, render_log\n"
+            "assert sys.flags.utf8_mode == 0\n"
+            "log = SolveLog(instance_id='caf\\u00e9', config_id='c1',\n"
+            "               total_time=2.0, root_time=1.0)\n"
+            "write_file(sys.argv[1], render_log(log))\n"
+            "assert read_file(sys.argv[1], parse_log) == log\n")
+        path = tmp_path / "café.log"
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script,
+                               str(path)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes().startswith(
+            "META instance=café config=c1\n".encode("utf-8"))
+
+
+class TestWriteFile:
+    def test_shorter_text_leaves_exactly_its_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_file(str(path), "a much longer first text\n" * 3)
+        write_file(str(path), "short é\n")
+        assert path.read_bytes() == "short é\n".encode("utf-8")
+        write_file(str(path), "")
+        assert path.read_bytes() == b""
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        saved = os.umask(0o027)
+        try:
+            write_file(str(tmp_path / "new.txt"), "x")
+            with open(tmp_path / "ref.txt", "w") as fh:
+                fh.write("x")
+        finally:
+            os.umask(saved)
+        assert (os.stat(tmp_path / "new.txt").st_mode
+                == os.stat(tmp_path / "ref.txt").st_mode)
+
+    def test_same_bytes_advance_mtime(self, tmp_path):
+        path = str(tmp_path / "same.txt")
+        write_file(path, "same\n")
+        os.utime(path, ns=(10**9, 10**9))
+        write_file(path, "same\n")
+        assert os.stat(path).st_mtime_ns > 10**9
+
+    def test_directory_path_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            write_file(str(tmp_path), "x")
+
+    def test_only_writer_in_the_package(self):
+        """No open() call in benloc outside read_file and write_file has a
+        writing mode, so every output goes through write_file."""
+        package = os.path.dirname(instance.__file__)
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            allowed = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef)
+                       and fn.name in ("read_file", "write_file")
+                       for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"
+                        and id(node) not in allowed):
+                    continue
+                mode = ([kw.value for kw in node.keywords if kw.arg == "mode"]
+                        or node.args[1:2])
+                if not mode:
+                    text = "r"
+                elif isinstance(mode[0], ast.Constant):
+                    text = mode[0].value
+                else:
+                    text = "?"  # a mode computed at run time
+                if set(text) & set("wax+?"):
+                    found.append(f"{name}:{node.lineno} open mode {text!r}")
+        assert found == []
 
 
 class TestWriteMps:
@@ -723,7 +817,8 @@ _TOKEN_OPS = ("replace_token", "insert_token", "delete_token",
 _LINE_OPS = ("delete", "duplicate", "swap", "join", "stray",
              "comment") + _TOKEN_OPS
 _CHAR_OPS = ("flip", "truncate")
-# _CHUNK sizes: small ones put a chunk seam between most pairs of lines
+# fixed _CHUNK sizes; one shorter than a line makes the rest of the text one
+# chunk
 _CHUNKS = (1, 20, 40, 100, 300, 2000, 1 << 20)
 # token edits weighted up: they reach a section's arity and value checks
 _OPS = st.lists(st.sampled_from(_LINE_OPS + _CHAR_OPS + (
@@ -731,6 +826,14 @@ _OPS = st.lists(st.sampled_from(_LINE_OPS + _CHAR_OPS + (
                 max_size=4)
 _BOUND_LINE = st.tuples(st.sampled_from(_BOUND_TYPES),
                         st.sampled_from([-2.0, 0.0, 3.0, INF, -INF]))
+
+
+def _chunk_sizes(text):
+    """A _CHUNK size from the longest line of text, which puts a chunk seam
+    after every line or two, or one of _CHUNKS."""
+    longest = max(map(len, text.splitlines(True)), default=1)
+    return st.one_of(st.integers(longest, 2 * longest),
+                     st.sampled_from(_CHUNKS))
 
 
 @st.composite
@@ -755,9 +858,12 @@ def oracle_texts(draw):
                      min_size=inst.num_rows, max_size=inst.num_rows)))
         if r is not None)
     # the first two columns' bound lines, in place of the writer's: drawn
-    # lines, then the other columns' lines, then a negative UP line, which
-    # frees the first column's lower bound unless a LO, MI or FX line set
-    # it, then lines on the second column
+    # lines, a LO line on the first column, a drawn number (at least one)
+    # of the other columns' lines, a negative UP line on each column, which
+    # frees its lower bound unless a LO, MI or FX line set it, lines on the
+    # second column, then the rest of the other columns' lines.  With a
+    # chunk size from the line lengths, the first column's LO line routinely
+    # lies in an earlier chunk than its UP line
     first_two = inst.col_names[:2]
 
     def lines(drawn):
@@ -767,10 +873,13 @@ def oracle_texts(draw):
             for j, t, v in drawn)
     *others, end = (line for line in bounds.splitlines(True)
                     if line.split()[2:3] not in [[c] for c in first_two])
+    k = draw(st.integers(min(1, len(others)), len(others)))
     bounds = (lines([(draw(st.integers(0, 1)), *line) for line in draw(
-        st.lists(_BOUND_LINE, min_size=1, max_size=4))]) + "".join(others)
-        + lines([(0, "UP", -2.0)] + [(1, *line) for line in draw(
-            st.lists(_BOUND_LINE, max_size=2))]) + end)
+        st.lists(_BOUND_LINE, min_size=1, max_size=4))]
+        + [(0, "LO", draw(_BOUND_LINE)[1])]) + "".join(others[:k])
+        + lines([(0, "UP", -2.0), (1, "UP", -2.0)] + [(1, *line) for line in
+                 draw(st.lists(_BOUND_LINE, max_size=2))])
+        + "".join(others[k:]) + end)
     if draw(st.booleans()):
         # a second N row, an entry on it in COLUMNS (dropped silently) and
         # in RHS (ignored with a warning), and a zero coefficient
@@ -859,7 +968,7 @@ class TestOracle:
         message and line number, and the same warnings, whatever the chunk
         size."""
         text = _mutated(data, data.draw(oracle_texts()))
-        chunk = data.draw(st.sampled_from(_CHUNKS))
+        chunk = data.draw(_chunk_sizes(text))
         saved, instance._CHUNK = instance._CHUNK, chunk
         try:
             got = _outcome(parse_mps, text)
