@@ -17,7 +17,7 @@ from .splits import (DatasetManifest, SplitAssignment, split_by_instance,
                      split_by_permutation, stratified_split)
 from .learners import (ExampleSet, TrainedSelector, build_examples,
                        feature_importance, make_labels, predict_config,
-                       predict_configs, random_search, train)
+                       random_search, train)
 from .synth import OracleSpec, gen_indset, gen_setcover, oracle_times
 from .dataset import BenchmarkData, build_oracle_dataset, load_dataset, write_dataset
 from .report import evaluate_split, run_experiment, summarize

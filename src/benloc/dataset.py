@@ -33,7 +33,6 @@ class BenchmarkData:
     logs: dict  # (family, seed) -> {ConfigId: SolveLog}
     instances: dict = field(default_factory=dict)  # optional MipInstances
     planted_pi: dict = field(default_factory=dict)  # oracle ground truth
-    spec: OracleSpec | None = None
 
     def pairs(self):
         return sorted(self.static)
@@ -72,7 +71,7 @@ def _family_rng(seed, idx):
 
 
 def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
-                         seed=0, keep_instances=False, name="oracle"):
+                         seed=0, keep_instances=False):
     """Generate families, permute each, and label everything with the oracle.
 
     Instance sizes and densities vary per family; densities avoid a margin
@@ -115,8 +114,8 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
                 perf.add(family, s, cfg, t, logs[key][cfg].status)
             planted[key] = planted_optimum(spec, family, feats)
 
-    return BenchmarkData(name=name, perf=perf, static=static, logs=logs,
-                         instances=instances, planted_pi=planted, spec=spec)
+    return BenchmarkData(name="oracle", perf=perf, static=static, logs=logs,
+                         instances=instances, planted_pi=planted)
 
 
 def write_dataset(data, out_dir):

@@ -320,9 +320,9 @@ def read_mps(path):
 
 
 def parse_mps(text):
-    """Parse fixed- or free-format MPS into a MipInstance."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Parse fixed- or free-format MPS text into a MipInstance.  Chunks end
+    at a line feed, so text whose lines end in a bare carriage return reads
+    as one chunk; read_file turns those line ends into line feeds."""
     reader = _MpsReader()
     reader.read(text)
     return reader.instance()
@@ -428,8 +428,9 @@ class _MpsReader:
         pending_objsense = False
         pos = line_no = 0  # where the chunk starts, and lines before it
         while pos < len(text):
-            # end the chunk after a "\n", so that no "\r\n" is cut in two
-            end = text.rfind("\n", pos, pos + _CHUNK) + 1 or len(text)
+            # end the chunk after the first "\n" that makes it at least
+            # _CHUNK characters long, so that no "\r\n" is cut in two
+            end = text.find("\n", pos + _CHUNK - 1) + 1 or len(text)
             chunk = text[pos:end]
             lines = chunk.splitlines()
             toks, starts, counts, data = _data_lines(lines, "*" in chunk)

@@ -224,6 +224,10 @@ def _check_payload(kind, payload, n_configs, n_features):
         for c in range(n_configs):
             need(f"forest_{c}", forest("regression", n_features),
                  f"a regression forest over {n_features} features")
+            # one descent reads every forest's tree count from forest_0
+            n_trees = payload["forest_0"].n_trees
+            need(f"forest_{c}", lambda f: f.n_trees == n_trees,
+                 f"a forest of {n_trees} trees, as forest_0 is")
     elif kind == "clf_forest":
         need("forest", forest("classification", n_features, n_configs),
              f"a classification forest over {n_features} features and "
@@ -385,11 +389,6 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
     return TrainedSelector(kind=kind, configs=configs, feature_names=names,
                            fingerprint=feature_fingerprint(names), seed=seed,
                            hyperparams=hp, payload=payload)
-
-
-def predict_configs(model, X, feature_names=None):
-    """Select a configuration for each row of X."""
-    return [model.configs[i] for i in predict_indices(model, X, feature_names)]
 
 
 def predict_indices(model, X, feature_names=None):

@@ -118,9 +118,7 @@ def _number(value, key, line_no):
 
 
 def parse_log(text):
-    """Parse a canonical solver log into a SolveLog."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """Parse the text of a canonical solver log into a SolveLog."""
     log = SolveLog()
     last_stage = -1
     saw_status = False

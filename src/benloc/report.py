@@ -30,9 +30,9 @@ from .metrics import (DEFAULT_SHIFT, ConfigId, MissingEntryError, baselines,
 from .splits import make_split
 
 
-def format_pct(fraction, decimals=2):
+def format_pct(fraction):
     """Half-even percentage formatting, e.g. 0.0249195 -> '2.49%'."""
-    q = Decimal(1).scaleb(-decimals)
+    q = Decimal("0.01")
     return f"{Decimal(fraction * 100).quantize(q, ROUND_HALF_EVEN)}%"
 
 

@@ -14,18 +14,20 @@ Time model, all factors multiplicative:
               * exp(family_sigma * z_family(c))   family-level random effect
               * exp(noise_sigma * z)               per-run noise
 
-capped at the time limit.  The rule either reads a static feature of the
-instance ("static" source) or a latent per-family difficulty that the oracle
-exposes only through log lines ("latent" source: cleanly in the root-end
-node count, noisily in the first-root-LP gap).  The latent variant is what
-makes the feature-stage comparison meaningful.
+capped at the time limit, over the five DEFAULT_CONFIGS.  The rule favors
+its config when a value exceeds RULE_THRESHOLD, and Default otherwise.  The
+value is either the instance's NonZeros static feature ("static" source) or
+a latent per-family difficulty that the oracle exposes only through log
+lines ("latent" source: cleanly in the root-end node count, noisily in the
+first-root-LP gap).  The latent variant is what makes the feature-stage
+comparison meaningful.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +50,9 @@ DEFAULT_BASE_MULTIPLIERS = {
     "DivingHeurLevel=2": 1.15,
     "SubMipHeurLevel=1": 1.2,
 }
+
+RULE_THRESHOLD = 0.5
+ROOT_FRACTION = 0.05
 
 
 def gen_setcover(rows, cols, density, seed):
@@ -112,28 +117,22 @@ def gen_indset(nodes, edge_prob, seed):
 
 @dataclass
 class OracleSpec:
-    """Knobs of the planted solve-time oracle."""
+    """Knobs of the planted solve-time oracle.  Fixed for every spec: the
+    DEFAULT_CONFIGS and their DEFAULT_BASE_MULTIPLIERS, the static rule's
+    feature (NonZeros), RULE_THRESHOLD, Default as the config the rule
+    favors otherwise, and root time as ROOT_FRACTION of the total."""
 
     seed: int = 0
-    configs: tuple = DEFAULT_CONFIGS
-    base_multipliers: dict = field(
-        default_factory=lambda: dict(DEFAULT_BASE_MULTIPLIERS))
     rule_source: str = "static"  # "static" | "latent"
-    rule_feature: str = "NonZeros"  # read from static features when "static"
-    rule_threshold: float = 0.5
     rule_config: ConfigId = ConfigId("RootCutLevel", 3)
-    else_config: ConfigId = ConfigId.default()
     rule_factor: float = 0.6
     family_sigma: float = 0.05
     noise_sigma: float = 0.02
     lp_gap_noise: float = 0.3  # blur of the latent rule value at first root LP
     base_time: float = 20.0
-    root_fraction: float = 0.05
     time_limit: float = DEFAULT_TIME_LIMIT
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.base_multipliers.values()):
-            raise ValueError("base multipliers must be positive")
         if self.noise_sigma < 0 or self.family_sigma < 0:
             raise ValueError("noise levels must be nonnegative")
 
@@ -146,7 +145,7 @@ def _stable_rng(*parts):
 
 def _rule_value(spec, family, static_feats):
     if spec.rule_source == "static":
-        return static_feats[spec.rule_feature]
+        return static_feats["NonZeros"]
     # latent per-family difficulty, exposed only through the logs
     return float(_stable_rng(spec.seed, "latent", family).random())
 
@@ -154,7 +153,7 @@ def _rule_value(spec, family, static_feats):
 def planted_optimum(spec, family, static_feats):
     """The configuration the planted rule makes optimal for this instance."""
     r = _rule_value(spec, family, static_feats)
-    return spec.rule_config if r > spec.rule_threshold else spec.else_config
+    return spec.rule_config if r > RULE_THRESHOLD else ConfigId.default()
 
 
 def oracle_times(family, perm_seed, static_feats, spec, instance_stats=None):
@@ -173,7 +172,7 @@ def oracle_solve_logs(family, perm_seed, static_feats, spec,
                       instance_stats=None):
     """oracle_times with each log as the SolveLog its text parses back to."""
     r = _rule_value(spec, family, static_feats)
-    favored = spec.rule_config if r > spec.rule_threshold else spec.else_config
+    favored = spec.rule_config if r > RULE_THRESHOLD else ConfigId.default()
 
     times = {}
     logs = {}
@@ -192,8 +191,8 @@ def oracle_solve_logs(family, perm_seed, static_feats, spec,
     c_d = c_l * (1.0 + 0.2 * inst_rng.random())
     c_p = c_d * (1.0 + 0.3 * inst_rng.random())
 
-    for cfg in spec.configs:
-        base = spec.base_multipliers[str(cfg)]
+    for cfg in DEFAULT_CONFIGS:
+        base = DEFAULT_BASE_MULTIPLIERS[str(cfg)]
         fam_z = float(_stable_rng(spec.seed, "family", family, cfg).standard_normal())
         run_z = float(_stable_rng(spec.seed, "run", family, perm_seed,
                                   cfg).standard_normal())
@@ -204,7 +203,7 @@ def oracle_solve_logs(family, perm_seed, static_feats, spec,
         t = min(t, spec.time_limit)
         times[cfg] = t
         status = "time_limit" if t >= spec.time_limit else "optimal"
-        root_time = spec.root_fraction * t
+        root_time = ROOT_FRACTION * t
         logs[cfg] = SolveLog(
             instance_id=f"{family}.perm{perm_seed}", config_id=str(cfg),
             stages={

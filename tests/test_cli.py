@@ -9,6 +9,8 @@ from click.testing import CliRunner
 
 from benloc.cli import main
 from benloc.dataset import build_oracle_dataset, load_dataset
+from benloc.forest import RandomForest
+from benloc.learners import TrainedSelector
 from benloc.logs import FeatureStage
 from benloc.report import evaluate_split, format_pct
 from benloc.splits import SplitAssignment
@@ -246,7 +248,7 @@ class TestCommands:
         "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
         "manifest_empty_family", "model_v2_predict", "model_layout",
         "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean",
-        "out_is_directory"])
+        "out_is_directory", "model_n_trees"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -407,6 +409,15 @@ class TestCommands:
             listed_payload = tmp_path / "payload.json"
             listed_payload.write_text(json.dumps(dict(json.load(fh),
                                                       payload=[])))
+        # a reg_forest file whose forest_2 has one tree fewer than forest_0
+        with open(ranker_models["reg_forest"]) as fh:
+            reg = TrainedSelector.from_json(fh.read())
+        reg_trees = reg.payload["forest_0"].n_trees
+        reg.payload["forest_2"] = RandomForest(
+            mode="regression", n_trees=reg_trees - 1, seed=0).fit(
+                np.zeros((2, len(reg.feature_names))), np.zeros(2))
+        unequal = tmp_path / "unequal.json"
+        unequal.write_text(reg.to_json())
         n_features = len(broken_model["model_knn_mean"][1]["feature_names"])
         n_configs = len(broken_model["model_pairs"][1]["configs"])
         empty_family = tmp_path / "empty_family.json"
@@ -554,6 +565,10 @@ class TestCommands:
                 "--manifest", str(inf_logs), "--stage", "root_end", "--seeds",
                 "0", "--n-trees", "3", "--out-dir", str(tmp_path / "rep")],
                 inf_log, "line 1: infinite value 'inf' for 'total_time'"),
+            "model_n_trees": ("predict", ["--model", str(unequal), "--mps",
+                                          mps], unequal,
+                              f"model field 'payload.forest_2' is not a "
+                              f"forest of {reg_trees} trees, as forest_0 is"),
             "out_is_directory": ("split", ["--manifest",
                                            str(ds / "manifest.json"), "--out",
                                            str(tmp_path)], None,

@@ -62,9 +62,6 @@ class TestParseMps:
         assert inst.rhs.tolist() == [1.0]
         assert inst.var_types == ["binary", "binary"]
 
-    def test_accepts_bytes(self):
-        assert parse_mps(MINIMAL.encode()) == parse_mps(MINIMAL)
-
     def test_generated_setcover_nnz(self):
         inst = gen_setcover(10, 20, 0.3, seed=0)
         reparsed = parse_mps(write_mps(inst))
@@ -817,8 +814,7 @@ _TOKEN_OPS = ("replace_token", "insert_token", "delete_token",
 _LINE_OPS = ("delete", "duplicate", "swap", "join", "stray",
              "comment") + _TOKEN_OPS
 _CHAR_OPS = ("flip", "truncate")
-# fixed _CHUNK sizes; one shorter than a line makes the rest of the text one
-# chunk
+# fixed _CHUNK sizes; one shorter than a line puts a seam after every line
 _CHUNKS = (1, 20, 40, 100, 300, 2000, 1 << 20)
 # token edits weighted up: they reach a section's arity and value checks
 _OPS = st.lists(st.sampled_from(_LINE_OPS + _CHAR_OPS + (
@@ -826,14 +822,6 @@ _OPS = st.lists(st.sampled_from(_LINE_OPS + _CHAR_OPS + (
                 max_size=4)
 _BOUND_LINE = st.tuples(st.sampled_from(_BOUND_TYPES),
                         st.sampled_from([-2.0, 0.0, 3.0, INF, -INF]))
-
-
-def _chunk_sizes(text):
-    """A _CHUNK size from the longest line of text, which puts a chunk seam
-    after every line or two, or one of _CHUNKS."""
-    longest = max(map(len, text.splitlines(True)), default=1)
-    return st.one_of(st.integers(longest, 2 * longest),
-                     st.sampled_from(_CHUNKS))
 
 
 @st.composite
@@ -862,7 +850,7 @@ def oracle_texts(draw):
     # of the other columns' lines, a negative UP line on each column, which
     # frees its lower bound unless a LO, MI or FX line set it, lines on the
     # second column, then the rest of the other columns' lines.  With a
-    # chunk size from the line lengths, the first column's LO line routinely
+    # chunk size shorter than a line, the first column's LO line routinely
     # lies in an earlier chunk than its UP line
     first_two = inst.col_names[:2]
 
@@ -968,13 +956,35 @@ class TestOracle:
         message and line number, and the same warnings, whatever the chunk
         size."""
         text = _mutated(data, data.draw(oracle_texts()))
-        chunk = data.draw(_chunk_sizes(text))
+        chunk = data.draw(st.sampled_from(_CHUNKS))
         saved, instance._CHUNK = instance._CHUNK, chunk
         try:
             got = _outcome(parse_mps, text)
         finally:
             instance._CHUNK = saved
         assert got == _outcome(mps_reference.parse_mps, text)
+
+
+class TestChunks:
+    def test_a_line_longer_than_a_chunk_ends_only_its_own_chunk(
+            self, monkeypatch):
+        """A chunk ends at the first line end that makes it _CHUNK
+        characters long: one comment line longer than _CHUNK lengthens its
+        own chunk, and the lines after it are still read _CHUNK characters
+        at a time."""
+        text = write_mps(gen_setcover(200, 300, 0.05, 1))
+        long = "* " + "x" * 2498 + "\n"
+        text = text.replace("ROWS\n", "ROWS\n" + long, 1)
+        chunks, data_lines = [], instance._data_lines
+
+        def spy(lines, star):
+            chunks.append(sum(len(line) + 1 for line in lines))
+            return data_lines(lines, star)
+        monkeypatch.setattr(instance, "_data_lines", spy)
+        monkeypatch.setattr(instance, "_CHUNK", 2000)
+        assert parse_mps(text) == gen_setcover(200, 300, 0.05, 1)
+        assert sum(chunks) == len(text)
+        assert max(chunks) < 2000 + len(long)
 
 
 class TestCalls:

@@ -13,7 +13,7 @@ from benloc.learners import (ExampleSet, FingerprintMismatchError,
                              TrainTestContaminationError, TrainedSelector,
                              UnsupportedModelError, build_examples,
                              feature_fingerprint, feature_importance,
-                             make_labels, predict_config, predict_configs,
+                             make_labels, predict_config, predict_indices,
                              random_search, train)
 from benloc.logs import FeatureStage
 from benloc.metrics import ConfigId, MissingEntryError, PerfTable
@@ -324,8 +324,28 @@ class TestRegForestDescent:
             each = np.column_stack([f.predict(rows) for f in forests])
             assert leaf_values(forests, rows).mean(axis=2).tobytes() == \
                 each.tobytes()
-            assert predict_configs(model, rows) == [
-                model.configs[i] for i in np.argmin(each, axis=1)]
+            assert predict_indices(model, rows).tolist() == \
+                np.argmin(each, axis=1).tolist()
+
+    @pytest.mark.parametrize("swapped", [0, 2])
+    def test_forests_of_unequal_tree_counts_are_refused(self, swapped):
+        """The descent reads every forest's tree count from forest_0, so a
+        model whose forests disagree on it does not load.  With forest_0
+        swapped, forest_1 is the first to disagree."""
+        data = build_oracle_dataset(10, 3, seed=5)
+        examples = build_examples(
+            data.perf, data.feature_map(FeatureStage.UP_TO_ROOT_END))
+        model = train("reg_forest", examples, hyperparams={"n_trees": 5},
+                      seed=1)
+        nine = train("reg_forest", examples, hyperparams={"n_trees": 9},
+                     seed=1)
+        model.payload[f"forest_{swapped}"] = nine.payload[f"forest_{swapped}"]
+        named, n_trees = (1, 9) if swapped == 0 else (swapped, 5)
+        with pytest.raises(ValueError) as e:
+            TrainedSelector.from_json(model.to_json())
+        assert e.value.args == (
+            f"model field 'payload.forest_{named}' is not a forest of "
+            f"{n_trees} trees, as forest_0 is",)
 
     def test_one_row_calls_do_not_grow_with_configs(self):
         """A one-row reg_forest selection makes as many Python-level calls
@@ -374,10 +394,11 @@ class TestImportance:
         model = train(kind, examples.take(examples.keys[:24]),
                       hyperparams={"n_trees": 10}, seed=2)
         names, X = examples.feature_names, examples.X
-        assert predict_configs(model, X, feature_names=names) == [
+        assert [model.configs[i] for i in predict_indices(
+            model, X, feature_names=names)] == [
             predict_config(model, x, feature_names=names) for x in X]
         with pytest.raises(FingerprintMismatchError):
-            predict_configs(model, X[:, :-1])
+            predict_indices(model, X[:, :-1])
         for bad in (X[0, :-1], X[:1], X[0, 0]):  # one vector of the layout
             with pytest.raises(FingerprintMismatchError):
                 predict_config(model, bad)
@@ -391,7 +412,7 @@ class TestImportance:
             small_oracle.perf, small_oracle.feature_map(FeatureStage.UP_TO_ROOT_END))
         model = train("pair_ranker", examples, hyperparams={"n_trees": 10},
                       seed=0)
-        chosen = predict_configs(model, examples.X)
+        chosen = [model.configs[i] for i in predict_indices(model, examples.X)]
         best, _ = pi_best(small_oracle.perf)
         assert ConfigId.parse("RootCutLevel=3") in chosen
         hits = sum(c == best[key] for key, c in zip(examples.keys, chosen))

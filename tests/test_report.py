@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from benloc.dataset import build_oracle_dataset
-from benloc.learners import ExampleSet, build_examples, predict_configs
+from benloc.learners import ExampleSet, build_examples, predict_indices
 from benloc.logs import FeatureStage, MissingStageError
 from benloc.metrics import MissingEntryError
 from benloc.report import evaluate_split, fit_split, score_split
@@ -44,7 +44,8 @@ def test_predicted_config_without_times_is_refused(small_oracle):
     examples = build_examples(small_oracle.perf,
                               small_oracle.feature_map(stage))
     model = fit_split(examples, split, "knn")
-    chosen = predict_configs(model, examples.take(split.test).X)
+    chosen = [model.configs[i]
+              for i in predict_indices(model, examples.take(split.test).X)]
     lost = next(c for c in chosen if not c.is_default)
     keep = [j for j, c in enumerate(examples.configs) if c != lost]
     lacking = ExampleSet(examples.keys, examples.feature_names,

@@ -6,9 +6,9 @@ import pytest
 from benloc.logs import parse_log
 from benloc.metrics import ConfigId, pd_best_geomean, pi_best
 from benloc.static_features import extract_static
-from benloc.synth import (DEFAULT_BASE_MULTIPLIERS, OracleSpec, gen_indset,
-                          gen_setcover, oracle_solve_logs, oracle_times,
-                          planted_optimum)
+from benloc.synth import (DEFAULT_BASE_MULTIPLIERS, RULE_THRESHOLD, OracleSpec,
+                          gen_indset, gen_setcover, oracle_solve_logs,
+                          oracle_times, planted_optimum)
 
 
 class TestGenerators:
@@ -123,7 +123,7 @@ class TestOracle:
         nodes = log.stages["root_end"]["nodes"]
         r = (nodes - 1) / 999.0
         favored = planted_optimum(spec, "famZ", feats)
-        want = spec.rule_config if r > spec.rule_threshold else spec.else_config
+        want = spec.rule_config if r > RULE_THRESHOLD else ConfigId.default()
         assert favored == want
 
     def test_dataset_has_positive_headroom(self, small_oracle):
@@ -134,8 +134,6 @@ class TestOracle:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             OracleSpec(noise_sigma=-1.0)
-        with pytest.raises(ValueError):
-            OracleSpec(base_multipliers={"Default": 0.0})
 
 
 class TestDatasetRoundTrip:
