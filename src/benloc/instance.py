@@ -2,19 +2,19 @@
 
 The MPS reader accepts both fixed- and free-format files (section headers in
 column 1, data lines indented, names without embedded blanks).  It splits the
-text into lines about _CHUNK characters at a time and works on each section's
-data lines in a chunk as one flat token array: names map to ids with one dict
-lookup per token, values with one float() per token, and every check is an
-array mask.  The first failure is raised in (line, pair, check) order, with
-the message and line number a reader taking one line at a time would give,
-and BOUNDS lines take effect in file order, each as its type's entry in the
-_BOUNDS table says.  A negative UP bound also sets the lower bound to -inf
-unless the column already has a LO, MI or FX bound (the classic MPS
-convention).  RANGES rows are expanded into two plain inequality rows so that
-every stored row carries a single sense.  The writer always emits free format
-and is deterministic; it formats each distinct value once and writes a LO line
-for a lower bound of 0 under a negative upper bound, which the convention
-would otherwise free.
+text into lines about _CHUNK characters at a time.  COLUMNS, RHS and RANGES,
+which carry the nonzeros, are read as one flat token array per chunk: names
+map to ids with one dict lookup per token, values with one float() per token,
+and every check is an array mask.  ROWS and BOUNDS apply one line at a time
+with no Python-level call per line, a BOUNDS line as its type's entry in the
+_BOUNDS table says.  The first failure is raised with the message and line
+number a reader taking one line at a time would give.  A negative UP bound
+also sets the lower bound to -inf unless the column already has a LO, MI or
+FX bound (the classic MPS convention).  RANGES rows are expanded into two
+plain inequality rows so that every stored row carries a single sense.  The
+writer always emits free format and is deterministic; it writes a LO line for
+a lower bound of 0 under a negative upper bound, which the convention would
+otherwise free, and refuses a name it could not read back as written.
 
 Permutations are drawn from numpy's PCG64 generator so the same seed produces
 the same row/column swap on every platform.  Seed 0 is reserved for the
@@ -59,26 +59,10 @@ _BOUNDS = {
     "UI": (None, _VALUE, True),
     "LI": (_VALUE, None, True),
 }
-_BOUND_CODE = {t: k for k, t in enumerate(_BOUNDS)}
-# _BOUNDS by code, then a last row for an unknown type, as arrays: each
-# side's constant (NaN leaves it unchanged) and whether it takes the line's
-# value, the integer flag, whether it sets the lower bound (LO, MI, FX), and
-# the arguments after the type and set name (column [, value])
-_BOUND_TABLE = tuple(np.array(a) for a in zip(*(
-    [(np.nan if lower in (None, _VALUE) else lower, lower is _VALUE,
-      np.nan if upper in (None, _VALUE) else upper, upper is _VALUE, integer,
-      t in ("LO", "MI", "FX"), 1 + (_VALUE in (lower, upper)))
-     for t, (lower, upper, integer) in _BOUNDS.items()]
-    + [(np.nan, False, np.nan, False, False, False, 1)])))
 _MARKERS = {"INTORG": 1, "INTEND": 0}
 _HEADER = re.compile(r"\S")  # the first character of a header line
 _COMMENT = methodcaller("startswith", "*")  # a comment line's first token
 _CHUNK = 1 << 20  # characters split into lines at once, bounding the tokens
-# the writer's bound lines by code, 5 standing for no line, and which of
-# them carry a value
-_BOUND_NAMES = ("BV", "FX", "FR", "MI", "LO", None, "UP")
-_BOUND_VALUED = np.array([t is not None and _VALUE in _BOUNDS[t]
-                          for t in _BOUND_NAMES])
 # a pair's row name that is not a declared row; below _UNDECLARED, a free row
 _UNDECLARED, _OBJ, _FREE = -1, -2, -3
 # the sections of (row, value) pairs by kind; _HEAD marks a header among them
@@ -179,6 +163,13 @@ class MipInstance:
         if not (len(self.obj_coeffs) == len(self.var_lb) == len(self.var_ub)
                 == len(self.var_types) == len(self.col_names) == n):
             raise InvalidInstanceError("column arrays disagree on n")
+        # the objective is a row too, so no other row may take its name
+        for what, names in (("row", [self.obj_name, *self.row_names]),
+                            ("column", self.col_names)):
+            if len(set(names)) < len(names):
+                seen = set()
+                name = next(x for x in names if x in seen or seen.add(x))
+                raise InvalidInstanceError(f"duplicate {what} name {name!r}")
         for what, values in (("objective coefficient", self.obj_coeffs),
                              ("matrix coefficient", self.mat_vals),
                              ("rhs", self.rhs)):
@@ -399,9 +390,10 @@ class _MpsReader:
     """What parse_mps has read so far.  The text is split into lines a
     chunk at a time.  Each section method takes the data lines of one
     section in one chunk (pairs: of successive COLUMNS, RHS and RANGES
-    sections), finds every failure as an array mask, raises the first in
-    (line, pair, check) order, which is the one a reader applying a line at
-    a time would meet, and otherwise applies them."""
+    sections).  rows and bounds apply them a line at a time; pairs finds
+    every failure as an array mask, raises the first in (line, pair, check)
+    order, which is the one a reader applying a line at a time would meet,
+    and otherwise applies them."""
 
     def __init__(self):
         self.name = ""
@@ -615,51 +607,39 @@ class _MpsReader:
                            np.int64, len(names))
 
     def bounds(self, toks, starts, counts, line_nos):
-        # each distinct type token is upper-cased and looked up once
-        types = toks[starts].tolist()
-        codes = {t: _BOUND_CODE.get(t.upper(), len(_BOUNDS))
-                 for t in set(types)}
-        code = np.fromiter(map(codes.__getitem__, types), np.int64, len(types))
-        (lower, lower_valued, upper, upper_valued, integer, sets_lower,
-         n_args) = (a[code] for a in _BOUND_TABLE)
-        # type [, bound-set name], column [, value]
-        last = starts + counts - 1
-        col = np.fromiter(map(self.col_index.get, toks[last + 1 - n_args]
-                              .tolist(), repeat(-1)), np.int64, len(types))
-        valued = (n_args == 2).nonzero()[0]
-        vals = np.zeros(len(types))
-        vals[valued] = _floats(toks[last[valued]])
-        extra = counts - n_args  # a bound-set name makes it 2, else 1
-        j, check = _first(counts < 2, code == len(_BOUNDS),
-                          (extra < 1) | (extra > 2), col < 0, np.isnan(vals))
-        if j is not None:
-            line_no = int(line_nos[j])
-            if check == 4:
-                _number(toks[last[j]], "bound value", line_no, infinite=True)
-            if check == 3:
-                raise MpsSemanticError(
-                    f"undeclared column {toks[last[j] + 1 - n_args[j]]!r}",
-                    line_no)
-            raise MpsParseError(("short BOUNDS line",
-                                 f"unknown bound type {types[j].upper()!r}",
-                                 "malformed BOUNDS line")[check], line_no)
-
-        # each side takes the last value a line gives it; a negative UP
-        # also frees the lower bound unless a LO, MI or FX line came before
-        frees = (code == _BOUND_CODE["UP"]) & (vals < 0)
-        if frees.any():
-            first_lower = np.full(len(self.col_index), len(col))
-            np.minimum.at(first_lower, col[sets_lower],
-                          sets_lower.nonzero()[0])
-            frees &= (first_lower[col] > np.arange(len(col))) & ~np.fromiter(
-                map(self.has_lower.__contains__, col.tolist()), bool, len(col))
-        lower = np.where(frees, -INF, np.where(lower_valued, vals, lower))
-        upper = np.where(upper_valued, vals, upper)
-        for side, values in ((self.lb, lower), (self.ub, upper)):
-            sets = values == values  # NaN leaves the side unchanged
-            side.update(zip(col[sets].tolist(), values[sets].tolist()))
-        self.col_integer[col[integer]] = True
-        self.has_lower.update(col[sets_lower].tolist())
+        for s, e, line_no in zip(starts.tolist(), (starts + counts).tolist(),
+                                 line_nos.tolist()):
+            if e - s < 2:
+                raise MpsParseError("short BOUNDS line", line_no)
+            btype = toks[s].upper()
+            if btype not in _BOUNDS:
+                raise MpsParseError(f"unknown bound type {btype!r}", line_no)
+            lower, upper, integer = _BOUNDS[btype]
+            n_args = 2 if _VALUE in (lower, upper) else 1  # column [, value]
+            if not 1 <= e - s - n_args <= 2:  # type [, bound-set name]
+                raise MpsParseError("malformed BOUNDS line", line_no)
+            cname = toks[e - n_args]
+            j = self.col_index.get(cname)
+            if j is None:
+                raise MpsSemanticError(f"undeclared column {cname!r}", line_no)
+            val = None
+            if n_args == 2:
+                try:
+                    val = float(toks[e - 1])
+                except ValueError:
+                    val = math.nan
+                if math.isnan(val):  # not a number, or NaN: _number raises
+                    _number(toks[e - 1], "bound value", line_no, infinite=True)
+            if lower is not None:
+                self.lb[j] = val if lower is _VALUE else lower
+            if upper is not None:
+                self.ub[j] = val if upper is _VALUE else upper
+            if integer:
+                self.col_integer[j] = True
+            if btype in ("LO", "MI", "FX"):
+                self.has_lower.add(j)
+            elif btype == "UP" and val < 0 and j not in self.has_lower:
+                self.lb[j] = -INF  # classic MPS convention for negative UP
 
     def instance(self):
         if not self.saw_rows:
@@ -722,12 +702,12 @@ def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,
 # MPS writing
 
 
-def _formatted(values, form="%r"):
-    """form % value for each value, formatting each distinct float64 once;
-    its bits key it, so -0.0 keeps its sign."""
+def _formatted(values):
+    """repr of each value, formatting each distinct float64 once; its bits
+    key it, so -0.0 keeps its sign."""
     bits = np.asarray(values, dtype=float).view(np.int64).tolist()
     distinct = list(dict.fromkeys(bits))
-    text = dict(zip(distinct, map(form.__mod__, np.array(
+    text = dict(zip(distinct, map(repr, np.array(
         distinct, dtype=np.int64).view(float).tolist())))
     return list(map(text.__getitem__, bits))
 
@@ -742,6 +722,15 @@ def _lines(*fields):
 
 def write_mps(inst):
     """Serialize to free-format MPS. Deterministic: equal instances, equal bytes."""
+    # each name must read back as the one token it is, and no COLUMNS line
+    # as a comment; an empty instance name reads back as it is
+    names = [inst.obj_name, *inst.row_names, *inst.col_names]
+    names += [inst.name] if inst.name else []
+    if " ".join(names).split() != names:
+        name = next(x for x in names if x.split() != [x])
+        raise InvalidInstanceError(f"name {name!r} is empty or holds a blank")
+    for name in filter(_COMMENT, inst.col_names):
+        raise InvalidInstanceError(f"column name {name!r} starts with '*'")
     m, n = inst.num_rows, inst.num_cols
     col_names = inst.col_names.__getitem__
     integer = np.fromiter(map("continuous".__ne__, inst.var_types), bool, n)
@@ -772,29 +761,26 @@ def write_mps(inst):
     rhs = _lines("    RHS  ", map(inst.row_names.__getitem__, rhs.tolist()),
                  "  ", _formatted(inst.rhs[rhs]))
 
-    # per column a BV, FX, FR, MI or LO line, the first that applies, then
-    # an UP line after a MI or LO line or none; a negative UP line alone
-    # would also free the lower bound
-    lo, hi = inst.var_lb, inst.var_ub
-    binary = np.fromiter(map("binary".__eq__, inst.var_types), bool, n)
-    kind = np.full(2 * n, 5)
-    first = kind[0::2]  # set last to first, so the first that applies wins
-    first[(lo != 0.0) | integer | (hi < 0)] = 4
-    first[lo == -INF] = 3
-    first[(lo == -INF) & (hi == INF)] = 2
-    first[lo == hi] = 1
-    first[binary & (lo == 0.0) & (hi == 1.0)] = 0
-    kind[1::2][(hi != INF) & (first >= 3)] = 6
-    value = np.empty(2 * n)
-    value[0::2], value[1::2] = lo, hi
-    has = kind != 5
-    kind, value = kind[has], value[has]
-    suffix = np.full(len(kind), "", dtype=object)
-    valued = _BOUND_VALUED[kind]
-    suffix[valued] = _formatted(value[valued], "  %r")
-    bounds = _lines(" ", map(_BOUND_NAMES.__getitem__, kind.tolist()),
-                    " BND  ", map(col_names, (has.nonzero()[0] // 2).tolist()),
-                    suffix.tolist())
+    # per column a BV, FX or FR line, the first that applies, or else a MI
+    # or LO line or none, then an UP line when the upper bound is finite; a
+    # LO line is also written for an integer column and for 0 under a
+    # negative UP, which the convention would otherwise free
+    bounds = []
+    for name, vtype, lo, hi in zip(inst.col_names, inst.var_types,
+                                   inst.var_lb.tolist(), inst.var_ub.tolist()):
+        if vtype == "binary" and lo == 0.0 and hi == 1.0:
+            bounds.append(f" BV BND  {name}\n")
+        elif lo == hi:
+            bounds.append(f" FX BND  {name}  {lo!r}\n")
+        elif lo == -INF and hi == INF:
+            bounds.append(f" FR BND  {name}\n")
+        else:
+            if lo == -INF:
+                bounds.append(f" MI BND  {name}\n")
+            elif lo != 0.0 or vtype != "continuous" or hi < 0:
+                bounds.append(f" LO BND  {name}  {lo!r}\n")
+            if hi != INF:
+                bounds.append(f" UP BND  {name}  {hi!r}\n")
 
     return "".join([
         f"NAME          {inst.name}\n",
@@ -802,7 +788,7 @@ def write_mps(inst):
         f"ROWS\n N  {inst.obj_name}\n",
         _lines(" ", map(_SENSE_MPS.__getitem__, inst.row_senses), "  ",
                inst.row_names),
-        "COLUMNS\n", columns, "RHS\n", rhs, "BOUNDS\n", bounds, "ENDATA\n"])
+        "COLUMNS\n", columns, "RHS\n", rhs, "BOUNDS\n", *bounds, "ENDATA\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forest import RandomForest, leaf_values
-from .metrics import DEFAULT_SHIFT, ConfigId, shifted_geomean
+from .metrics import DEFAULT_SHIFT, ConfigId, check_shift, shifted_geomean
 from .splits import pick_test_units, require_families
 
 MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
@@ -121,6 +121,7 @@ class ExampleSet:
 
 def _times_and_labels(perf, shift):
     """configs, instances, the (instance x config) times and their labels."""
+    check_shift(shift)
     instances = perf.instances()
     times = perf.time_matrix(instances)  # a table without Default fails here
     configs = tuple(perf.configs())

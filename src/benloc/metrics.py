@@ -101,7 +101,7 @@ class PerfTable:
     """(family, permutation seed, configuration) -> capped solve time."""
 
     def __init__(self, time_limit=DEFAULT_TIME_LIMIT):
-        self.time_limit = float(time_limit)
+        self.time_limit = _time_limit(time_limit)
         self._times = {}
         self._status = {}
 
@@ -163,7 +163,7 @@ class PerfTable:
             try:
                 if None in row.values():
                     raise ValueError("short row")
-                limit = float(row.get("time_limit") or DEFAULT_TIME_LIMIT)
+                limit = _time_limit(row.get("time_limit") or DEFAULT_TIME_LIMIT)
                 if table is None:
                     table = cls(limit)
                 if limit != table.time_limit:
@@ -178,6 +178,19 @@ class PerfTable:
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
         return cls() if table is None else table
+
+
+def _time_limit(value):
+    """float(value), refused unless it is > 0 (NaN is not); inf is no limit."""
+    if (limit := float(value)) > 0:
+        return limit
+    raise ValueError(f"time limit {limit!r} is not positive")
+
+
+def check_shift(shift):
+    """Refuse a shift that is not a finite number >= 0."""
+    if not 0 <= shift < math.inf:  # NaN fails too
+        raise ValueError(f"shift must be a finite number >= 0, not {shift!r}")
 
 
 def _field(row, key, parse):
@@ -195,8 +208,7 @@ def shifted_geomean(times, shift=DEFAULT_SHIFT):
         raise ValueError("shifted_geomean of an empty list")
     if np.any(times <= 0):
         raise ValueError("times must be positive")
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
+    check_shift(shift)
     return float(math.exp(np.mean(np.log(times + shift))) - shift)
 
 

@@ -248,7 +248,9 @@ class TestCommands:
         "model_knn_k", "model_knn_mean", "model_pairs", "model_payload",
         "manifest_empty_family", "model_v2_predict", "model_layout",
         "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean",
-        "out_is_directory", "model_n_trees"])
+        "out_is_directory", "model_n_trees", "train_shift_negative",
+        "train_shift_nan", "pipeline_shift_nan", "suitability_shift_nan",
+        "perf_time_limit"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -302,6 +304,10 @@ class TestCommands:
         perf.write_text("".join((ds / "perf.csv").read_text()
                                 .splitlines(keepends=True)[:2])
                         + "fam000,0,Default\n")
+        # the dataset's perf.csv with a negative time limit
+        limited = tmp_path / "limited.csv"
+        limited.write_text((ds / "perf.csv").read_text()
+                           .replace(",7200.0\n", ",-5.0\n"))
         # the dataset with one Default log that has a non-numeric value
         (tmp_path / "logs").mkdir()
         log = tmp_path / "logs" / "fam000.perm0.Default.log"
@@ -569,6 +575,28 @@ class TestCommands:
                                           mps], unequal,
                               f"model field 'payload.forest_2' is not a "
                               f"forest of {reg_trees} trees, as forest_0 is"),
+            "train_shift_negative": (
+                "train", ["--manifest", str(ds / "manifest.json"), "--split",
+                          split, "--shift", "-5", "--out",
+                          str(tmp_path / "m.json")], None,
+                "shift must be a finite number >= 0, not -5.0"),
+            "train_shift_nan": (
+                "train", ["--manifest", str(ds / "manifest.json"), "--split",
+                          split, "--shift", "nan", "--out",
+                          str(tmp_path / "m.json")], None,
+                "shift must be a finite number >= 0, not nan"),
+            "pipeline_shift_nan": (
+                "pipeline", ["--manifest", str(ds / "manifest.json"),
+                             "--seeds", "0", "--n-trees", "3", "--shift",
+                             "nan", "--out-dir", str(tmp_path / "rep")], None,
+                "shift must be a finite number >= 0, not nan"),
+            "suitability_shift_nan": (
+                "suitability", ["--perf", str(ds / "perf.csv"), "--shift",
+                                "nan"], None,
+                "shift must be a finite number >= 0, not nan"),
+            "perf_time_limit": ("suitability", ["--perf", str(limited)],
+                                limited, "line 2: time limit -5.0 is not "
+                                "positive"),
             "out_is_directory": ("split", ["--manifest",
                                            str(ds / "manifest.json"), "--out",
                                            str(tmp_path)], None,

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -439,6 +439,57 @@ class TestWriteMps:
         text = write_mps(inst)
         assert "1e308" not in text and "inf" not in text
         assert parse_mps(text) == inst
+
+    def test_bound_lines_are_pinned(self):
+        """Each column's bound lines: BV, FX or FR alone, else MI or LO as
+        needed and then UP for a finite upper bound; LO 0 is written for an
+        integer column and under a negative UP, and -0.0 keeps its sign."""
+        bounds = [("binary", 0.0, 1.0), ("continuous", 2.5, 2.5),
+                  ("continuous", -INF, INF), ("continuous", -INF, 4.0),
+                  ("continuous", 1.5, 3.0), ("continuous", 0.0, 7.0),
+                  ("continuous", 0.0, -2.0), ("integer", 0.0, INF),
+                  ("continuous", -3.0, -0.0), ("continuous", 0.0, INF)]
+        types, lb, ub = zip(*bounds)
+        names = "abcdefghij"
+        inst = MipInstance(
+            name="b", sense="minimize", obj_coeffs=np.ones(len(bounds)),
+            mat_rows=[], mat_cols=[], mat_vals=[], row_senses=[], rhs=[],
+            var_lb=lb, var_ub=ub, var_types=types, row_names=[],
+            col_names=list(names))
+        assert write_mps(inst).split("BOUNDS\n")[1] == (
+            " BV BND  a\n"
+            " FX BND  b  2.5\n"
+            " FR BND  c\n"
+            " MI BND  d\n UP BND  d  4.0\n"
+            " LO BND  e  1.5\n UP BND  e  3.0\n"
+            " UP BND  f  7.0\n"
+            " LO BND  g  0.0\n UP BND  g  -2.0\n"
+            " LO BND  h  0.0\n"
+            " LO BND  i  -3.0\n UP BND  i  -0.0\n"
+            "ENDATA\n")
+
+    @pytest.mark.parametrize("source, message", [
+        ({"col_names": ["a", "a", "c"]}, "duplicate column name 'a'"),
+        ({"row_names": ["r1", "r1"]}, "duplicate row name 'r1'"),
+        ({"row_names": ["r1", "OBJ"]}, "duplicate row name 'OBJ'"),
+        ({"col_names": ["a b", "b", "c"]},
+         "name 'a b' is empty or holds a blank"),
+        ({"col_names": ["", "b", "c"]}, "name '' is empty or holds a blank"),
+        ({"col_names": ["*a", "b", "c"]}, "column name '*a' starts with '*'"),
+        ({"name": "my inst"}, "name 'my inst' is empty or holds a blank"),
+        ("ROWS\n N  OBJ\n L  r\n L  r__rng\nCOLUMNS\n    x  r  1.0  r__rng  "
+         "1.0\nRANGES\n    RNG  r  3.0\nENDATA\n",
+         "duplicate row name 'r__rng'"),
+        ("ROWS\n N  OBJ\n L  OBJ\nCOLUMNS\n    x  OBJ  1.0\nENDATA\n",
+         "duplicate row name 'OBJ'"),
+    ])
+    def test_name_that_cannot_round_trip_refused(self, source, message):
+        """An instance whose names write_mps could not read back as written
+        is refused naming the name, built directly or parsed."""
+        with pytest.raises(InvalidInstanceError) as info:
+            write_mps(parse_mps(source) if isinstance(source, str)
+                      else replace(small_instance(), **source))
+        assert str(info.value) == message
 
     def test_permuted_name_order(self):
         inst = small_instance()

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from benloc.dataset import build_oracle_dataset
 from benloc.metrics import (ConfigId, MissingEntryError, PerfTable,
                             baselines, improvement, improvement_upper_bound,
                             pd_best, pd_best_geomean, pi_best, shifted_geomean)
 from benloc.report import suitability_rows
 from benloc.splits import DatasetManifest, stratified_split
+from benloc.synth import OracleSpec
 
 
 def simple_table(entries, limit=7200.0):
@@ -262,6 +264,9 @@ class TestPerfTable:
         ("g,0,Foo=1,5.0,optimal,7200.0", "bad config 'Foo=1'"),
         ("g,x,Default,5.0,optimal,7200.0", "bad seed 'x'"),
         ("f,0,Default,6.0,optimal,7200.0", "repeated row for (f, 0, Default)"),
+        ("g,0,Default,5.0,optimal,-5.0", "time limit -5.0 is not positive"),
+        ("g,0,Default,5.0,optimal,0", "time limit 0.0 is not positive"),
+        ("g,0,Default,5.0,optimal,nan", "time limit nan is not positive"),
     ])
     def test_csv_bad_row_names_its_line(self, row, message):
         text = ("family,seed,config,time,status,time_limit\n"
@@ -269,6 +274,18 @@ class TestPerfTable:
         with pytest.raises(ValueError) as info:
             PerfTable.from_csv(text)
         assert str(info.value) == f"line 4: {message}"
+
+    def test_time_limit_must_be_positive(self):
+        """A limit that is not > 0 is refused, in a table or an oracle spec;
+        an infinite one means no limit."""
+        for limit in (0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="is not positive"):
+                PerfTable(limit)
+        with pytest.raises(ValueError, match="time limit 0.0 is not positive"):
+            build_oracle_dataset(2, 1, spec=OracleSpec(time_limit=0))
+        t = PerfTable(math.inf)
+        t.add("f", 0, ConfigId.default(), 1e9)
+        assert PerfTable.from_csv(t.to_csv()).time("f", 0, ConfigId()) == 1e9
 
     def test_csv_mixed_time_limits_rejected(self):
         text = ("family,seed,config,time,status,time_limit\n"

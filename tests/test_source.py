@@ -1,0 +1,81 @@
+"""Static checks of the package source: a deletion leaves no import or
+private module-level name behind that nothing reads."""
+
+import ast
+import os
+
+import benloc
+
+PACKAGE = os.path.dirname(benloc.__file__)
+
+
+def _modules():
+    """(file name, syntax tree) of each module of the package."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def _loaded(tree):
+    """The names the tree reads: names loaded, attributes taken, and the
+    strings of an __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_no_unused_import():
+    """Every name a module imports is read in that module; __init__.py
+    imports to re-export."""
+    found = []
+    for name, tree in _modules():
+        if name == "__init__.py":
+            continue
+        loaded = _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} imports {b!r}, never read"
+                      for b in bound if b not in loaded]
+    assert found == []
+
+
+def test_no_unread_private_name():
+    """Every _private name a module defines at module level is read by some
+    module of the package, directly, as an attribute or by import."""
+    modules = list(_modules())
+    read = set()
+    for _, tree in modules:
+        read |= _loaded(tree)
+        read.update(a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for a in node.names)
+    found = []
+    for name, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} defines {d!r}, never read"
+                      for d in defined if d.startswith("_")
+                      and not d.startswith("__") and d not in read]
+    assert found == []
