@@ -16,8 +16,7 @@ from .metrics import (ConfigId, PerfTable, improvement,
 from .splits import (DatasetManifest, SplitAssignment, split_by_instance,
                      split_by_permutation, stratified_split)
 from .learners import (ExampleSet, TrainedSelector, build_examples,
-                       feature_importance, make_labels, predict_config,
-                       random_search, train)
+                       make_labels, predict_config, train)
 from .synth import OracleSpec, gen_indset, gen_setcover, oracle_times
 from .dataset import BenchmarkData, build_oracle_dataset, load_dataset, write_dataset
 from .report import evaluate_split, run_experiment, summarize

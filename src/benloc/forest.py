@@ -326,12 +326,6 @@ class RandomForest:
                                               self.value)))
                 for t in range(self.n_trees)]
 
-    @property
-    def feature_importances_(self):
-        total = self.importances
-        s = total.sum()
-        return total / s if s > 0 else total
-
     def to_dict(self):
         """Hyperparameters, every node's feature, the internal nodes'
         thresholds, the leaves' values and the summed importances."""

@@ -8,7 +8,9 @@ map to ids with one dict lookup per token, values with one float() per token,
 and every check is an array mask.  ROWS and BOUNDS apply one line at a time
 with no Python-level call per line, a BOUNDS line as its type's entry in the
 _BOUNDS table says.  The first failure is raised with the message and line
-number a reader taking one line at a time would give.  A negative UP bound
+number a reader taking one line at a time would give.  A row name declared
+again, whatever either sense, and a row named MARKER, which a COLUMNS pair
+would read as a marker, are refused at their line.  A negative UP bound
 also sets the lower bound to -inf unless the column already has a LO, MI or
 FX bound (the classic MPS convention).  RANGES rows are expanded into two
 plain inequality rows so that every stored row carries a single sense.  The
@@ -245,21 +247,12 @@ class PermutationRecord:
             if not np.array_equal(np.sort(p), np.arange(len(p))):
                 raise InvalidInstanceError("not a permutation")
 
-    def is_identity(self):
-        return (np.array_equal(self.row_perm, np.arange(len(self.row_perm)))
-                and np.array_equal(self.col_perm, np.arange(len(self.col_perm))))
-
     def to_json(self):
         return json.dumps({
             "seed": int(self.seed),
             "row_perm": [int(i) for i in self.row_perm],
             "col_perm": [int(j) for j in self.col_perm],
         })
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(np.array(d["row_perm"]), np.array(d["col_perm"]), d["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +393,9 @@ class _MpsReader:
         self.sense = "minimize"
         self.saw_rows = False
         self.obj_name = None
-        self.free_rows = set()  # extra N rows, dropped with a warning
-        self.row_index = {}  # name -> row, in declaration order
+        # every name ROWS declares -> its row, in declaration order, or _OBJ
+        # for the objective or _FREE for an extra N row, which is dropped
+        self.row_code = {}
         self.row_senses = []
         self.col_index = {}  # name -> column, in declaration order
         self.integral = False  # between INTORG and INTEND markers
@@ -485,19 +479,22 @@ class _MpsReader:
             if count != 2:
                 raise MpsParseError("ROWS line needs a sense and a name", line_no)
             rtype, rname = toks[s].upper(), toks[s + 1]
-            if rtype == "N":
-                if self.obj_name is None:
-                    self.obj_name = rname
-                else:
-                    warnings.warn(f"dropping extra free row {rname!r}")
-                    self.free_rows.add(rname)
-            elif rtype in _MPS_SENSE:
-                if rname in self.row_index:
-                    raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
-                self.row_index[rname] = len(self.row_senses)
-                self.row_senses.append(_MPS_SENSE[rtype])
-            else:
+            if rtype != "N" and rtype not in _MPS_SENSE:
                 raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
+            # a pair naming the row MARKER would read as a marker line
+            if rname.strip("'\"").upper() == "MARKER":
+                raise MpsSemanticError(f"row name {rname!r} reads as a marker",
+                                       line_no)
+            if rname in self.row_code:
+                raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
+            if rtype != "N":
+                self.row_code[rname] = len(self.row_senses)
+                self.row_senses.append(_MPS_SENSE[rtype])
+            elif self.obj_name is None:
+                self.obj_name, self.row_code[rname] = rname, _OBJ
+            else:
+                warnings.warn(f"dropping extra free row {rname!r}")
+                self.row_code[rname] = _FREE
 
     def pairs(self, toks, starts, counts, line_nos, kind):
         """COLUMNS, RHS and RANGES lines by kind, and headers between them,
@@ -542,7 +539,8 @@ class _MpsReader:
 
         at, pair_line = _pairs(starts + offset, n_pairs)
         vals = _floats(toks[at + 1])
-        rows = self._row_codes(toks[at])
+        rows = np.fromiter(map(self.row_code.get, toks[at].tolist(),
+                               repeat(_UNDECLARED)), np.int64, len(at))
         pair_kind, cols = kind[pair_line], col[pair_line]
         declared, zero, entry = rows >= 0, vals == 0.0, pair_kind == 0
         stored = entry & declared & ~zero
@@ -598,14 +596,6 @@ class _MpsReader:
             target.update(zip((rows if k else cols)[sets].tolist(),
                               vals[sets].tolist()))
 
-    def _row_codes(self, names):
-        """Each name's row, or _OBJ, _FREE or _UNDECLARED."""
-        codes = dict(self.row_index)
-        codes.update(dict.fromkeys(self.free_rows, _FREE))
-        codes[self.obj_name] = _OBJ
-        return np.fromiter(map(codes.get, names.tolist(), repeat(_UNDECLARED)),
-                           np.int64, len(names))
-
     def bounds(self, toks, starts, counts, line_nos):
         for s, e, line_no in zip(starts.tolist(), (starts + counts).tolist(),
                                  line_nos.tolist()):
@@ -654,7 +644,8 @@ class _MpsReader:
             array[np.fromiter(values, np.int64, len(values))] = np.fromiter(
                 values.values(), float, len(values))
         row_fields = dict(
-            row_names=list(self.row_index), row_senses=self.row_senses,
+            row_names=[name for name, code in self.row_code.items()
+                       if code >= 0], row_senses=self.row_senses,
             rhs=rhs, mat_rows=self.keys >> 32, mat_cols=self.keys & 0xFFFFFFFF,
             mat_vals=self.vals)
         if self.vectors["RANGES"]:
@@ -731,6 +722,12 @@ def write_mps(inst):
         raise InvalidInstanceError(f"name {name!r} is empty or holds a blank")
     for name in filter(_COMMENT, inst.col_names):
         raise InvalidInstanceError(f"column name {name!r} starts with '*'")
+    # a pair naming a row MARKER would read as a marker line
+    row_names = [inst.obj_name, *inst.row_names]
+    words = list(_unquoted(row_names))
+    if "MARKER" in words:
+        name = row_names[words.index("MARKER")]
+        raise InvalidInstanceError(f"row name {name!r} reads as a marker")
     m, n = inst.num_rows, inst.num_cols
     col_names = inst.col_names.__getitem__
     integer = np.fromiter(map("continuous".__ne__, inst.var_types), bool, n)

@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forest import RandomForest, leaf_values
-from .metrics import DEFAULT_SHIFT, ConfigId, check_shift, shifted_geomean
-from .splits import pick_test_units, require_families
+from .metrics import DEFAULT_SHIFT, ConfigId, check_shift
 
 MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
 
@@ -447,65 +446,3 @@ def predict_config(model, features, feature_names=None):
     predict_indices, which checks the vector's length."""
     X = np.asarray(features, dtype=float)[None, ...]
     return model.configs[predict_indices(model, X, feature_names)[0]]
-
-
-def feature_importance(model):
-    """Mean-decrease-in-impurity ranking; tree-based models only."""
-    if model.kind == "reg_forest":
-        per_config = [model.payload[f"forest_{k}"].feature_importances_
-                      for k in range(len(model.configs))]
-        total = np.mean(per_config, axis=0)
-    elif model.kind == "clf_forest":
-        total = model.payload["forest"].feature_importances_
-    elif model.kind == "pair_ranker":
-        # drop the pair-indicator block appended after the real features
-        total = model.payload["forest"].feature_importances_[
-            : len(model.feature_names)]
-    else:
-        raise UnsupportedModelError(
-            f"{model.kind} has no impurity-based importances")
-    s = total.sum()
-    if s > 0:
-        total = total / s
-    ranked = sorted(zip(model.feature_names, total), key=lambda p: -p[1])
-    return [(name, float(v)) for name, v in ranked]
-
-
-DEFAULT_SEARCH_SPACE = {
-    "n_trees": [50, 100, 200, 400],
-    "max_depth": [4, 8, 12, 16],
-    "min_samples_leaf": [1, 2, 4],
-}
-
-
-def random_search(kind, examples, search_space=None, budget=20, seed=0,
-                  shift=DEFAULT_SHIFT, val_fraction=0.2):
-    """Random hyperparameter search with an inner by-instance validation split.
-
-    Scores each draw by the shifted geomean of the solve times of the
-    configurations it selects on held-out families; returns
-    (best_hyperparams, best_score).
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    space = search_space or DEFAULT_SEARCH_SPACE
-    rng = np.random.default_rng(seed)
-
-    families = require_families(sorted({f for f, _ in examples.keys}))
-    val_fams = set(pick_test_units({0: families}, val_fraction, rng))
-    fit = examples.take([k for k in examples.keys if k[0] not in val_fams])
-    val = examples.take([k for k in examples.keys if k[0] in val_fams])
-
-    best_params, best_score = None, None
-    for trial in range(budget):
-        params = {key: space[key][int(rng.integers(len(space[key])))]
-                  for key in sorted(space)}
-        model = train(kind, fit, hyperparams=params,
-                      seed=seed * 100003 + trial,
-                      test_registry=val_fams)
-        # the model's configs are fit's, which are val's columns
-        cols = predict_indices(model, val.X)
-        score = shifted_geomean(val.times[np.arange(len(val)), cols], shift)
-        if best_score is None or score < best_score:
-            best_params, best_score = params, score
-    return best_params, best_score

@@ -174,10 +174,19 @@ class SplitAssignment:
         for side in ("train", "test"):
             if not (isinstance(d[side], list) and all(
                     isinstance(p, list) and len(p) == 2
-                    and isinstance(p[0], str) and isinstance(p[1], int)
+                    and isinstance(p[0], str) and type(p[1]) is int
                     for p in d[side])):
                 raise ValueError(f"split {side!r} is not a list of "
                                  f"[family, seed] pairs")
+        # a bool is no seed, and NaN is in no interval
+        for key, ok, what in (
+                ("strategy", STRATEGIES.__contains__,
+                 f"one of {', '.join(STRATEGIES)}"),
+                ("seed", lambda v: type(v) is int, "an int"),
+                ("test_fraction", lambda v: type(v) in (int, float)
+                 and 0 < v < 1, "a number in (0, 1)")):
+            if not ok(d[key]):
+                raise ValueError(f"split {key!r} is not {what}")
         return cls(train=[tuple(p) for p in d["train"]],
                    test=[tuple(p) for p in d["test"]],
                    strategy=d["strategy"], seed=d["seed"],

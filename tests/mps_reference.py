@@ -89,19 +89,21 @@ def parse_mps(text):
                 raise MpsParseError("ROWS line needs a sense and a name",
                                     line_no)
             rtype, rname = toks[0].upper(), toks[1]
-            if rtype == "N":
-                if obj_name is None:
-                    obj_name = rname
-                else:
-                    warnings.warn(f"dropping extra free row {rname!r}")
-                    free_rows.add(rname)
-            elif rtype in _MPS_SENSE:
-                if rname in row_index:
-                    raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
+            if rtype != "N" and rtype not in _MPS_SENSE:
+                raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
+            if rname.strip("'\"").upper() == "MARKER":
+                raise MpsSemanticError(
+                    f"row name {rname!r} reads as a marker", line_no)
+            if rname == obj_name or rname in free_rows or rname in row_index:
+                raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
+            if rtype != "N":
                 row_index[rname] = len(row_senses)
                 row_senses.append(_MPS_SENSE[rtype])
+            elif obj_name is None:
+                obj_name = rname
             else:
-                raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
+                warnings.warn(f"dropping extra free row {rname!r}")
+                free_rows.add(rname)
         elif section == "COLUMNS":
             if len(toks) >= 3 and toks[1].strip("'\"").upper() == "MARKER":
                 marker = toks[2].strip("'\"").upper()

@@ -2,6 +2,8 @@ import base64
 import errno
 import json
 import os
+import random
+import shutil
 
 import numpy as np
 import pytest
@@ -250,7 +252,7 @@ class TestCommands:
         "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean",
         "out_is_directory", "model_n_trees", "train_shift_negative",
         "train_shift_nan", "pipeline_shift_nan", "suitability_shift_nan",
-        "perf_time_limit"])
+        "perf_time_limit", "split_seed"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -276,6 +278,8 @@ class TestCommands:
         with open(workdir / "knn_split.json") as fh:
             good_split = json.load(fh)
         unpaired.write_text(json.dumps(dict(good_split, train=[1])))
+        seedless = tmp_path / "seedless.json"
+        seedless.write_text(json.dumps(dict(good_split, seed="x")))
         unknown = {}  # splits naming an instance the dataset lacks
         for side in ("train", "test"):
             unknown[side] = tmp_path / f"unknown_{side}.json"
@@ -488,6 +492,8 @@ class TestCommands:
             "split_pairs": (*evaluate(model_path, unpaired), unpaired,
                             "split 'train' is not a list of [family, seed] "
                             "pairs"),
+            "split_seed": (*evaluate(model_path, seedless), seedless,
+                           "split 'seed' is not an int"),
             "manifest_perf_path": (*split_with(odd["perf_path"]),
                                    odd["perf_path"],
                                    "manifest 'perf_path' is not a string or "
@@ -666,6 +672,26 @@ class TestCommands:
             assert r.exit_code == 1
             assert r.output.strip() == f"error in features: {path}: {message}"
 
+    @pytest.mark.parametrize("rows, reason", [
+        (" N  OBJ\n L  r\n N  r\n", "line 5: duplicate row 'r'"),
+        (" N  OBJ\n N  r\n L  r\n", "line 5: duplicate row 'r'"),
+        (" N  OBJ\n N  f\n N  f\n", "line 5: duplicate row 'f'"),
+        (" N  OBJ\n L  OBJ\n", "line 4: duplicate row 'OBJ'"),
+        (" N  OBJ\n L  MARKER\n",
+         "line 4: row name 'MARKER' reads as a marker"),
+        (" N  'marker'\n", "line 3: row name \"'marker'\" reads as a marker")])
+    def test_row_declared_again_or_named_marker_is_one_error_line(
+            self, runner, tmp_path, rows, reason):
+        """Without the refusal, r's coefficient 5.0 would vanish with only a
+        warning, or the instance would not read back as written."""
+        path = tmp_path / "rows.mps"
+        path.write_text(f"NAME t\nROWS\n{rows}COLUMNS\n"
+                        "    x  OBJ  1.0  r  5.0\nENDATA\n")
+        r = runner.invoke(main, ["features", "--mps", str(path), "--out",
+                                 str(tmp_path / "f.csv")])
+        assert r.exit_code == 1
+        assert r.output.splitlines() == [f"error in features: {path}: {reason}"]
+
     def test_smaller_dataset_over_a_larger_one(self, runner, tmp_path):
         """A second synth --oracle into the same directory overwrites each
         file in place: its shorter instance files keep no tail of the first
@@ -684,6 +710,43 @@ class TestCommands:
         assert loaded.static == built.static
         assert loaded.logs == built.logs
         assert loaded.perf.to_csv() == built.perf.to_csv()
+
+
+def test_reports_do_not_depend_on_input_order(runner, tmp_path):
+    """Shuffling perf.csv's rows, the manifest's families and each family's
+    seeds leaves every pipeline report byte-identical."""
+    r = runner.invoke(main, ["synth", "--oracle", "--count", "12", "--perms",
+                             "3", "--seed", "0", "--out-dir",
+                             str(tmp_path / "ds")])
+    assert r.exit_code == 0, r.output
+    shutil.copytree(tmp_path / "ds", tmp_path / "shuffled")
+    rng = random.Random(0)
+    perf = tmp_path / "shuffled" / "perf.csv"
+    header, *rows = perf.read_text().splitlines(True)
+    rng.shuffle(rows)
+    perf.write_text(header + "".join(rows))
+    path = tmp_path / "shuffled" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    families = list(manifest["families"].items())
+    rng.shuffle(families)
+    manifest["families"] = {f: dict(rng.sample(list(seeds.items()), len(seeds)))
+                            for f, seeds in families}
+    assert list(manifest["families"]) != sorted(manifest["families"])
+    path.write_text(json.dumps(manifest))
+    for kind in ("reg_forest", "clf_forest", "knn", "pair_ranker"):
+        for strategy in ("by_instance", "stratified"):
+            reports = []
+            for ds in ("ds", "shuffled"):
+                out = tmp_path / f"{ds}_{kind}_{strategy}"
+                r = runner.invoke(main, [
+                    "pipeline", "--manifest", str(tmp_path / ds /
+                                                  "manifest.json"),
+                    "--stage", "root_end", "--kind", kind, "--strategy",
+                    strategy, "--seeds", "0..2", "--n-trees", "5",
+                    "--out-dir", str(out)])
+                assert r.exit_code == 0, r.output
+                reports.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert reports[0] == reports[1], (kind, strategy)
 
 
 class TestManifestPaths:

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
-                             MipInstance, MpsParseError, MpsSemanticError,
-                             PermutationRecord, apply_permutation, parse_mps,
-                             permute_instance, read_file, read_mps, write_file,
-                             write_mps)
+                             MipInstance, MpsError, MpsParseError,
+                             MpsSemanticError, PermutationRecord,
+                             apply_permutation, parse_mps, permute_instance,
+                             read_file, read_mps, write_file, write_mps)
 from benloc import instance
 from benloc.graph import build_graph, canonical_signature
 from benloc.synth import gen_indset, gen_setcover
@@ -198,6 +199,20 @@ ENDATA
          "line 4: ROWS line needs a sense and a name"),
         (" G  c1\n", " G  c1\n L  c1\n", MpsSemanticError,
          "line 5: duplicate row 'c1'"),
+        # a name declared again is refused whatever either sense, the
+        # objective's too; so is a row named MARKER
+        (" G  c1\n", " G  c1\n N  c1\n", MpsSemanticError,
+         "line 5: duplicate row 'c1'"),
+        (" N  OBJ\n", " N  OBJ\n N  c1\n", MpsSemanticError,
+         "line 5: duplicate row 'c1'"),
+        (" N  OBJ\n", " N  OBJ\n N  f\n N  f\n", MpsSemanticError,
+         "line 5: duplicate row 'f'"),
+        (" G  c1\n", " L  OBJ\n", MpsSemanticError,
+         "line 4: duplicate row 'OBJ'"),
+        (" G  c1\n", " L  MARKER\n", MpsSemanticError,
+         "line 4: row name 'MARKER' reads as a marker"),
+        (" N  OBJ\n", " N  'marker'\n", MpsSemanticError,
+         "line 3: row name \"'marker'\" reads as a marker"),
         (" G  c1", " X  c1", MpsParseError, "line 4: unknown row sense 'X'"),
         ("'INTEND'", "'INTMID'", MpsParseError,
          "line 9: unknown marker \"'INTMID'\""),
@@ -480,8 +495,8 @@ class TestWriteMps:
         ("ROWS\n N  OBJ\n L  r\n L  r__rng\nCOLUMNS\n    x  r  1.0  r__rng  "
          "1.0\nRANGES\n    RNG  r  3.0\nENDATA\n",
          "duplicate row name 'r__rng'"),
-        ("ROWS\n N  OBJ\n L  OBJ\nCOLUMNS\n    x  OBJ  1.0\nENDATA\n",
-         "duplicate row name 'OBJ'"),
+        ({"row_names": ["r1", "MARKER"]}, "row name 'MARKER' reads as a marker"),
+        ({"obj_name": "'Marker'"}, "row name \"'Marker'\" reads as a marker"),
     ])
     def test_name_that_cannot_round_trip_refused(self, source, message):
         """An instance whose names write_mps could not read back as written
@@ -515,7 +530,8 @@ class TestPermutation:
         inst = small_instance()
         permuted, rec = permute_instance(inst, 0)
         assert permuted == inst
-        assert rec.is_identity()
+        assert rec.row_perm.tolist() == list(range(inst.num_rows))
+        assert rec.col_perm.tolist() == list(range(inst.num_cols))
         assert rec.seed == 0
 
     def test_counts_preserved(self):
@@ -559,10 +575,9 @@ class TestPermutation:
 
     def test_record_json_round_trip(self):
         _, rec = permute_instance(small_instance(), 9)
-        back = PermutationRecord.from_json(rec.to_json())
-        assert np.array_equal(back.row_perm, rec.row_perm)
-        assert np.array_equal(back.col_perm, rec.col_perm)
-        assert back.seed == 9
+        assert json.loads(rec.to_json()) == {
+            "seed": 9, "row_perm": rec.row_perm.tolist(),
+            "col_perm": rec.col_perm.tolist()}
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(InvalidInstanceError):
@@ -1014,6 +1029,50 @@ class TestOracle:
         finally:
             instance._CHUNK = saved
         assert got == _outcome(mps_reference.parse_mps, text)
+
+
+# names a row or column may be renamed to: MARKER in any case and quoted,
+# section and set names, the objective's name, and a comment's first token
+_ODD_NAMES = ("MARKER", "marker", "'MARKER'", '"Marker"', "RHS", "RANGES",
+              "BOUNDS", "OBJ", "*x")
+
+
+class TestClosure:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_write_then_parse_gives_every_accepted_instance(self, data):
+        """parse_mps(write_mps(x)) == x for every x parse_mps accepts.  The
+        texts are the oracle's, with up to three row or column names renamed
+        to odd ones or to "<row>__rng", which a ranged row also makes, and
+        then mutated or not."""
+        text = data.draw(oracle_texts())
+        rows, cols, section = [], {}, None
+        for line in text.splitlines():
+            toks = line.split()
+            if not toks or toks[0].startswith("*"):
+                continue
+            if not line[:1].isspace():
+                section = toks[0]
+            elif section == "ROWS":
+                rows.append(toks[1])
+            elif section == "COLUMNS":
+                cols[toks[0]] = None
+        renamed = data.draw(st.dictionaries(st.sampled_from(rows + list(cols)), (
+            st.sampled_from(_ODD_NAMES + tuple(f"{row}__rng" for row in rows))),
+            max_size=3))
+        text = "".join(
+            line if not line[:1].isspace() else "    " + "  ".join(
+                renamed.get(tok, tok) for tok in line.split()) + "\n"
+            for line in text.splitlines(True))
+        if data.draw(st.booleans()):
+            text = _mutated(data, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                inst = parse_mps(text)
+            except (MpsError, InvalidInstanceError):
+                return  # refused: nothing to write
+        assert parse_mps(write_mps(inst)) == inst
 
 
 class TestChunks:

@@ -11,10 +11,9 @@ from benloc.dataset import build_oracle_dataset
 from benloc.forest import RandomForest, leaf_values
 from benloc.learners import (ExampleSet, FingerprintMismatchError,
                              TrainTestContaminationError, TrainedSelector,
-                             UnsupportedModelError, build_examples,
-                             feature_fingerprint, feature_importance,
+                             build_examples, feature_fingerprint,
                              make_labels, predict_config, predict_indices,
-                             random_search, train)
+                             train)
 from benloc.logs import FeatureStage
 from benloc.metrics import ConfigId, MissingEntryError, PerfTable
 from benloc.synth import OracleSpec
@@ -381,9 +380,10 @@ class TestImportance:
     def test_planted_feature_ranks_first(self):
         model = train("reg_forest", planted_examples(60),
                       hyperparams={"n_trees": 20}, seed=0)
-        ranked = feature_importance(model)
-        assert ranked[0][0] == "f0"
-        assert abs(sum(v for _, v in ranked) - 1.0) < 1e-9
+        # the MDI importances summed over every config's forest
+        total = sum(model.payload[f"forest_{k}"].importances
+                    for k in range(len(model.configs)))
+        assert model.feature_names[np.argmax(total)] == "f0"
 
     @pytest.mark.parametrize("kind", ["reg_forest", "clf_forest", "knn",
                                       "pair_ranker"])
@@ -417,32 +417,3 @@ class TestImportance:
         assert ConfigId.parse("RootCutLevel=3") in chosen
         hits = sum(c == best[key] for key, c in zip(examples.keys, chosen))
         assert hits > len(examples) / 2
-
-    def test_knn_unsupported(self):
-        model = train("knn", planted_examples(10), seed=0)
-        with pytest.raises(UnsupportedModelError):
-            feature_importance(model)
-
-
-class TestRandomSearch:
-    def test_budget_one_single_point(self):
-        params, score = random_search("knn", planted_examples(20),
-                                      search_space={"k": [1, 3, 5]},
-                                      budget=1, seed=0)
-        assert params["k"] in (1, 3, 5)
-        assert score > 0
-
-    def test_deterministic(self):
-        a = random_search("knn", planted_examples(20), budget=3, seed=4,
-                          search_space={"k": [1, 3, 5]})
-        b = random_search("knn", planted_examples(20), budget=3, seed=4,
-                          search_space={"k": [1, 3, 5]})
-        assert a == b
-
-    def test_running_minimum(self):
-        space = {"k": [1, 3, 5, 7]}
-        _, s1 = random_search("knn", planted_examples(20),
-                              search_space=space, budget=1, seed=2)
-        _, s20 = random_search("knn", planted_examples(20),
-                               search_space=space, budget=8, seed=2)
-        assert s20 <= s1 + 1e-12

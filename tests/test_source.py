@@ -3,6 +3,7 @@ private module-level name behind that nothing reads."""
 
 import ast
 import os
+import re
 
 import benloc
 
@@ -79,3 +80,29 @@ def test_no_unread_private_name():
                       for d in defined if d.startswith("_")
                       and not d.startswith("__") and d not in read]
     assert found == []
+
+
+def test_every_export_has_a_caller():
+    """Every name __init__.py exports is read by another module of the
+    package, by the benchmark or by the acceptance gates, so no export is
+    kept for its own tests alone.  The benchmark wraps functions it names in
+    strings, so a word of a string there counts as a read."""
+    modules = dict(_modules())
+    exported = [a.asname or a.name for node in ast.walk(modules.pop(
+        "__init__.py")) if isinstance(node, ast.ImportFrom) for a in node.names]
+    read = set().union(*map(_loaded, modules.values()))
+    root = os.path.dirname(os.path.dirname(PACKAGE))
+    bench = os.path.join(root, "perfbench")
+    paths = [os.path.join(root, "tests", "test_acceptance.py")] + [
+        os.path.join(bench, name) for name in sorted(os.listdir(bench))
+        if name.endswith(".py")]
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        read |= _loaded(tree)
+        if path.startswith(bench):
+            read.update(word for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        for word in re.findall(r"\w+", node.value))
+    assert [name for name in exported if name not in read] == []

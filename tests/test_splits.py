@@ -290,13 +290,31 @@ class TestAssignment:
 
     @pytest.mark.parametrize("side", ["train", "test"])
     @pytest.mark.parametrize("pairs", [
-        {}, [1], [["fam00"]], [["fam00", 0, 1]], [[0, 0]], [["fam00", "0"]]],
-        ids=["object", "int", "single", "triple", "int_family", "str_seed"])
+        {}, [1], [["fam00"]], [["fam00", 0, 1]], [[0, 0]], [["fam00", "0"]],
+        [["fam00", True]]],
+        ids=["object", "int", "single", "triple", "int_family", "str_seed",
+             "bool_seed"])
     def test_from_json_refuses_sides_that_are_not_pairs(self, side, pairs):
         d = json.loads(split_by_instance(make_manifest(5, 3)).to_json())
         d[side] = pairs
         with pytest.raises(ValueError, match=rf"^split '{side}' is not a list "
                                              rf"of \[family, seed\] pairs$"):
+            SplitAssignment.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("strategy", 5, "one of by_instance, by_permutation, stratified"),
+        ("strategy", "by_coin", "one of by_instance, by_permutation, "
+         "stratified"),
+        ("seed", "x", "an int"), ("seed", True, "an int"),
+        ("seed", 1.0, "an int"),
+        ("test_fraction", "a", r"a number in \(0, 1\)"),
+        ("test_fraction", float("nan"), r"a number in \(0, 1\)"),
+        ("test_fraction", 1, r"a number in \(0, 1\)"),
+        ("test_fraction", True, r"a number in \(0, 1\)")])
+    def test_from_json_refuses_a_bad_scalar(self, key, value, what):
+        d = json.loads(split_by_instance(make_manifest(5, 3)).to_json())
+        d[key] = value
+        with pytest.raises(ValueError, match=rf"^split '{key}' is not {what}$"):
             SplitAssignment.from_json(json.dumps(d))
 
     def test_json_round_trip(self):
