@@ -5,8 +5,7 @@ from .instance import (MipInstance, MpsError, PermutationRecord,
                        apply_permutation, parse_mps, permute_instance,
                        read_mps, write_mps)
 from .static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
-                              StaticFeatureVector, classify_constraint,
-                              extract_static)
+                              StaticFeatureVector, extract_static)
 from .logs import (FeatureStage, SolveLog, assemble_features,
                    dynamic_features, extra_cost, gap_features, parse_log)
 from .graph import BipartiteGraph, build_graph, canonical_signature

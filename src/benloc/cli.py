@@ -2,6 +2,8 @@
 
 Bad input (a ValueError, KeyError or OSError from any command) prints one
 ``error in <command>: <message>`` line on stderr and exits with status 1.
+A library warning shown during a command is one ``warning in <command>:
+<message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import warnings
 
 import click
 
@@ -47,15 +50,21 @@ def _parse_seeds(text):
 
 
 class _Main(click.Group):
-    """Reports bad input from any command as one line and exit status 1."""
+    """Reports each warning as one line, and bad input from any command as
+    one line and exit status 1."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, KeyError, OSError) as exc:
-            msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            click.echo(f"error in {ctx.invoked_subcommand}: {msg}", err=True)
-            ctx.exit(1)
+        def say(what, message):
+            click.echo(f"{what} in {ctx.invoked_subcommand}: {message}",
+                       err=True)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: say("warning", message)
+            try:
+                return super().invoke(ctx)
+            except (ValueError, KeyError, OSError) as exc:
+                say("error", exc.args[0] if isinstance(exc, KeyError)
+                    and exc.args else exc)
+                ctx.exit(1)
 
 
 @click.group(cls=_Main)

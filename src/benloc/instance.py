@@ -2,21 +2,24 @@
 
 The MPS reader accepts both fixed- and free-format files (section headers in
 column 1, data lines indented, names without embedded blanks).  It splits the
-text into lines about _CHUNK characters at a time.  COLUMNS, RHS and RANGES,
-which carry the nonzeros, are read as one flat token array per chunk: names
-map to ids with one dict lookup per token, values with one float() per token,
-and every check is an array mask.  ROWS and BOUNDS apply one line at a time
-with no Python-level call per line, a BOUNDS line as its type's entry in the
-_BOUNDS table says.  The first failure is raised with the message and line
-number a reader taking one line at a time would give.  A row name declared
-again, whatever either sense, and a row named MARKER, which a COLUMNS pair
-would read as a marker, are refused at their line.  A negative UP bound
-also sets the lower bound to -inf unless the column already has a LO, MI or
-FX bound (the classic MPS convention).  RANGES rows are expanded into two
-plain inequality rows so that every stored row carries a single sense.  The
-writer always emits free format and is deterministic; it writes a LO line for
-a lower bound of 0 under a negative upper bound, which the convention would
-otherwise free, and refuses a name it could not read back as written.
+text into lines about _CHUNK characters at a time.  ROWS, COLUMNS, RHS and
+RANGES are read as one flat token array per chunk: names map to codes with
+one dict lookup per token, values with one float() per token, and the checks
+are array masks (for ROWS, list tests that locate the failing line only when
+one fails).  BOUNDS applies one line at a time with no Python-level call per
+line, as its type's entry in the _BOUNDS table says.  The first failure is
+raised with the message, line number and earlier warnings a reader taking one
+line at a time would give.  A row name declared again, whatever either sense,
+and a row named MARKER, which a COLUMNS pair would read as a marker, are
+refused at their line.  A negative UP bound also sets the lower bound to -inf
+unless the column already has a LO, MI or FX bound (the classic MPS
+convention).  RANGES rows are expanded into two plain inequality rows so that
+every stored row carries a single sense.  Matrix entries are ordered by one
+sort of an int64 key: row << 32 | col as stored, col << 32 | 1 + row with the
+objective as row 0 when written.  The writer always emits free format and is
+deterministic; it writes a LO line for a lower bound of 0 under a negative
+upper bound, which the convention would otherwise free, and refuses a name it
+could not read back as written.
 
 Permutations are drawn from numpy's PCG64 generator so the same seed produces
 the same row/column swap on every platform.  Seed 0 is reserved for the
@@ -30,10 +33,10 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from itertools import chain, count, filterfalse, repeat
-from operator import itemgetter, methodcaller
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import itemgetter, methodcaller, not_
 
 import numpy as np
 
@@ -44,6 +47,9 @@ VAR_TYPES = ("continuous", "binary", "integer")
 
 _MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
 _SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
+# a ROWS line's type, in either case -> its code, 0 for N; each code's sense
+_ROW_TYPE = {t: k % 4 for k, t in enumerate("NLGEnlge")}
+_ROW_SENSE = (None, *map(_MPS_SENSE.get, "LGE"))
 _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
              "ENDATA")
 # bound type -> (lower, upper, integer): each side is a constant, _VALUE for
@@ -142,11 +148,12 @@ class MipInstance:
 
     def _canonicalize(self):
         # keep coordinate entries sorted by (row, col) so equality is structural
-        # and row i's entries are row_ptr[i]:row_ptr[i + 1] (an index out of
-        # range may misorder the key, but validate refuses it)
+        # and row i's entries are row_ptr[i]:row_ptr[i + 1]; one sort of the
+        # key does it (an index out of range may misorder the key, and the
+        # sort may swap repeated entries, but validate refuses both)
         key = self.mat_rows << 32 | self.mat_cols
         if (key[1:] < key[:-1]).any():
-            order = np.lexsort((self.mat_cols, self.mat_rows))
+            order = key.argsort()
             self.mat_rows = self.mat_rows[order]
             self.mat_cols = self.mat_cols[order]
             self.mat_vals = self.mat_vals[order]
@@ -383,10 +390,10 @@ class _MpsReader:
     """What parse_mps has read so far.  The text is split into lines a
     chunk at a time.  Each section method takes the data lines of one
     section in one chunk (pairs: of successive COLUMNS, RHS and RANGES
-    sections).  rows and bounds apply them a line at a time; pairs finds
-    every failure as an array mask, raises the first in (line, pair, check)
-    order, which is the one a reader applying a line at a time would meet,
-    and otherwise applies them."""
+    sections).  bounds applies them a line at a time; rows and pairs find
+    every failure at once, raise the first in (line, pair, check) order,
+    which is the one a reader applying a line at a time would meet, and
+    otherwise apply them."""
 
     def __init__(self):
         self.name = ""
@@ -474,27 +481,39 @@ class _MpsReader:
         self.sense = "maximize" if token.upper().startswith("MAX") else "minimize"
 
     def rows(self, toks, starts, counts, line_nos):
-        for s, count, line_no in zip(starts.tolist(), counts.tolist(),
-                                     line_nos.tolist()):
-            if count != 2:
-                raise MpsParseError("ROWS line needs a sense and a name", line_no)
-            rtype, rname = toks[s].upper(), toks[s + 1]
-            if rtype != "N" and rtype not in _MPS_SENSE:
-                raise MpsParseError(f"unknown row sense {rtype!r}", line_no)
+        types = toks[starts].tolist()
+        # a one-token line's name is another line's token, but it fails first
+        names = toks.take(starts + 1, mode="clip").tolist()
+        code = list(map(_ROW_TYPE.get, types, repeat(-1)))
+        # each name takes a placeholder code below every other; a name
+        # declared before, on an earlier line or chunk, keeps the code it has
+        held = list(range(_FREE - 1, _FREE - 1 - len(names), -1))
+        kept = list(map(self.row_code.setdefault, names, held))
+        i = None
+        if ((counts != 2).any() or -1 in code or kept != held
+                or "MARKER" in " ".join(names).upper()):
             # a pair naming the row MARKER would read as a marker line
-            if rname.strip("'\"").upper() == "MARKER":
-                raise MpsSemanticError(f"row name {rname!r} reads as a marker",
-                                       line_no)
-            if rname in self.row_code:
-                raise MpsSemanticError(f"duplicate row {rname!r}", line_no)
-            if rtype != "N":
-                self.row_code[rname] = len(self.row_senses)
-                self.row_senses.append(_MPS_SENSE[rtype])
-            elif self.obj_name is None:
-                self.obj_name, self.row_code[rname] = rname, _OBJ
-            else:
-                warnings.warn(f"dropping extra free row {rname!r}")
-                self.row_code[rname] = _FREE
+            marker = list(map("MARKER".__eq__, _unquoted(names)))
+            i, check = _first(counts != 2, np.array(code) < 0,
+                              np.array(marker), np.array(kept) != held)
+        # the first N row is the objective; each later one is dropped
+        free = list(compress(range(len(code) if i is None else i),
+                             map(not_, code)))
+        if free and self.obj_name is None:
+            self.obj_name = names[free.pop(0)]
+            self.row_code[self.obj_name] = _OBJ
+        for f in free:
+            warnings.warn(f"dropping extra free row {names[f]!r}")
+        if i is not None:
+            raise (MpsParseError if check < 2 else MpsSemanticError)((
+                "ROWS line needs a sense and a name",
+                f"unknown row sense {types[i].upper()!r}",
+                f"row name {names[i]!r} reads as a marker",
+                f"duplicate row {names[i]!r}")[check], int(line_nos[i]))
+        self.row_code.update(zip(compress(names, code),
+                                 count(len(self.row_senses))))
+        self.row_code.update(zip(map(names.__getitem__, free), repeat(_FREE)))
+        self.row_senses += map(_ROW_SENSE.__getitem__, filter(None, code))
 
     def pairs(self, toks, starts, counts, line_nos, kind):
         """COLUMNS, RHS and RANGES lines by kind, and headers between them,
@@ -544,14 +563,17 @@ class _MpsReader:
         pair_kind, cols = kind[pair_line], col[pair_line]
         declared, zero, entry = rows >= 0, vals == 0.0, pair_kind == 0
         stored = entry & declared & ~zero
-        keys = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
-        # a stable sort merges the sorted keys stored before with the new
-        # ones; of two equal keys the later, a repeated pair, comes second
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
+        # one sort merges the sorted keys stored before with the new ones
+        merged = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
+        order = merged.argsort()
+        keys = merged[order]
         dup = np.zeros(len(at), dtype=bool)
-        again = (keys[1:] == keys[:-1]).nonzero()[0]
-        if len(again):
+        if (keys[1:] == keys[:-1]).any():
+            # a repeated pair: sorted stably, of two equal keys the later,
+            # the repeat, comes second
+            order = merged.argsort(kind="stable")
+            keys = merged[order]
+            again = (keys[1:] == keys[:-1]).nonzero()[0]
             dup[stored.nonzero()[0][order[again + 1] - len(self.keys)]] = True
         i, check = _first(~np.isfinite(vals), rows == _UNDECLARED, dup)
         j, _ = _first(bad)
@@ -728,29 +750,33 @@ def write_mps(inst):
     if "MARKER" in words:
         name = row_names[words.index("MARKER")]
         raise InvalidInstanceError(f"row name {name!r} reads as a marker")
-    m, n = inst.num_rows, inst.num_cols
-    col_names = inst.col_names.__getitem__
+    n = inst.num_cols
     integer = np.fromiter(map("continuous".__ne__, inst.var_types), bool, n)
 
-    # each column's objective entry, then its matrix entries by row; a
-    # column with no matrix entry is declared by its objective entry
+    # each column's objective entry, then its matrix entries by row, in the
+    # order of one sort of col << 32 | 1 + row, the objective's row being 0;
+    # a column with no matrix entry is declared by its objective entry
     obj = np.flatnonzero((inst.obj_coeffs != 0.0)
                          | (np.bincount(inst.mat_cols, minlength=n) == 0))
-    order = np.argsort(np.concatenate([obj, inst.mat_cols]), kind="stable")
-    cols = np.concatenate([obj, inst.mat_cols])[order]
-    rows = np.concatenate([np.full(len(obj), m), inst.mat_rows])[order]
+    key = np.concatenate([obj << 32, inst.mat_cols << 32 | (inst.mat_rows + 1)])
+    order = key.argsort()
+    key = key[order]
+    cols, rows = key >> 32, key & 0xFFFFFFFF
     vals = np.concatenate([inst.obj_coeffs[obj], inst.mat_vals])[order]
-    # a MARKER line opens or closes an integer block before each column
-    # whose integrality differs from the column before
+    # a line is its column's piece, its row's piece and its value; a MARKER
+    # line opens or closes an integer block before each column whose
+    # integrality differs from the column before
+    col_text = np.array(list(map("    %s  ".__mod__, inst.col_names)), object)
+    pieces = col_text[cols]
     switch = np.flatnonzero(integer != np.concatenate([[False], integer[:-1]]))
-    prefix = np.full(len(cols), "    ", dtype=object)
-    prefix[cols.searchsorted(switch)] = list(map(
-        "    MARKER%d  'MARKER'  '%s'\n    ".__mod__,
-        zip(range(len(switch)), np.where(integer[switch], "INTORG",
-                                         "INTEND").tolist())))
-    columns = _lines(prefix.tolist(), map(col_names, cols.tolist()), "  ",
-                     map((inst.row_names + [inst.obj_name]).__getitem__,
-                         rows.tolist()), "  ", _formatted(vals))
+    pieces[cols.searchsorted(switch)] = list(map(
+        "    MARKER%d  'MARKER'  '%s'\n%s".__mod__, zip(
+            count(), np.where(integer[switch], "INTORG", "INTEND").tolist(),
+            col_text[switch].tolist())))
+    row_text = np.array(list(map("%s  ".__mod__, [inst.obj_name,
+                                                   *inst.row_names])), object)
+    columns = _lines(pieces.tolist(), row_text[rows].tolist(),
+                     _formatted(vals))
     if n and integer[-1]:
         columns += f"    MARKER{len(switch)}  'MARKER'  'INTEND'\n"
 
@@ -799,33 +825,20 @@ def apply_permutation(inst, row_perm, col_perm, seed=0):
 
     # new row k is old row inv_r[k]; new column k is old column inv_c[k]
     inv_r, inv_c = np.argsort(rp).tolist(), np.argsort(cp).tolist()
-    permuted = MipInstance(
-        name=inst.name,
-        sense=inst.sense,
-        obj_coeffs=inst.obj_coeffs[inv_c],
-        mat_rows=rp[inst.mat_rows],
-        mat_cols=cp[inst.mat_cols],
-        mat_vals=inst.mat_vals.copy(),
-        row_senses=[inst.row_senses[i] for i in inv_r],
-        rhs=inst.rhs[inv_r],
-        var_lb=inst.var_lb[inv_c],
-        var_ub=inst.var_ub[inv_c],
+    permuted = replace(
+        inst, obj_coeffs=inst.obj_coeffs[inv_c], mat_rows=rp[inst.mat_rows],
+        mat_cols=cp[inst.mat_cols], mat_vals=inst.mat_vals.copy(),
+        row_senses=[inst.row_senses[i] for i in inv_r], rhs=inst.rhs[inv_r],
+        var_lb=inst.var_lb[inv_c], var_ub=inst.var_ub[inv_c],
         var_types=[inst.var_types[j] for j in inv_c],
         row_names=[inst.row_names[i] for i in inv_r],
-        col_names=[inst.col_names[j] for j in inv_c],
-        obj_name=inst.obj_name,
-    )
+        col_names=[inst.col_names[j] for j in inv_c])
     return permuted, record
 
 
 def permute_instance(inst, seed):
     """Random row/column permutation; seed 0 is the identity."""
-    m, n = inst.num_rows, inst.num_cols
-    if seed == 0:
-        row_perm = np.arange(m)
-        col_perm = np.arange(n)
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        row_perm = rng.permutation(m)
-        col_perm = rng.permutation(n)
-    return apply_permutation(inst, row_perm, col_perm, seed)
+    perm = np.arange if seed == 0 else np.random.Generator(
+        np.random.PCG64(seed)).permutation  # rows drawn first, then columns
+    return apply_permutation(inst, perm(inst.num_rows), perm(inst.num_cols),
+                             seed)

@@ -107,17 +107,6 @@ def _class_index(starts, coefs, is_bin, is_cont, senses, rhs):
     return np.select(rules, range(len(rules)), len(rules))
 
 
-def classify_constraint(coefs, var_types, sense, rhs):
-    """Map one row to its structural class. First matching rule wins."""
-    coefs = np.asarray(coefs, dtype=float)
-    if len(coefs) == 0:
-        raise ValueError("constraint row has no nonzeros")
-    types = np.asarray(var_types)
-    k = _class_index([0], coefs, types == "binary", types == "continuous",
-                     np.asarray([sense]), np.asarray([rhs], dtype=float))
-    return CONSTRAINT_CLASSES[k[0]]
-
-
 def _oom(values):
     """ln(max|v| / min|v|) over nonzero magnitudes; 0 when empty or max == min."""
     mags = np.abs(np.asarray(values, dtype=float))

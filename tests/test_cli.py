@@ -4,6 +4,8 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -690,7 +692,36 @@ class TestCommands:
         r = runner.invoke(main, ["features", "--mps", str(path), "--out",
                                  str(tmp_path / "f.csv")])
         assert r.exit_code == 1
-        assert r.output.splitlines() == [f"error in features: {path}: {reason}"]
+        # an extra N row before the refused line is dropped with a warning
+        dropped = [f"warning in features: dropping extra free row {name!r}"
+                   for sense, name in map(str.split, rows.splitlines()[1:-1])
+                   if sense == "N"]
+        assert r.output.splitlines() == dropped + [
+            f"error in features: {path}: {reason}"]
+
+    @pytest.mark.parametrize("rows, code, stderr", [
+        (" N  OBJ\n N  f\n L  r\n", 0,
+         ["warning in features: dropping extra free row 'f'"]),
+        (" N  OBJ\n N  r\n L  r\n", 1,
+         ["warning in features: dropping extra free row 'r'",
+          "error in features: {path}: line 5: duplicate row 'r'"])])
+    def test_each_warning_is_one_line_on_stderr(self, tmp_path, rows, code,
+                                                stderr):
+        """Run as a process, since CliRunner records warnings: a library
+        warning is one line on stderr, ahead of the error line, and nothing
+        else is printed there."""
+        path = tmp_path / "rows.mps"
+        path.write_text(f"NAME t\nROWS\n{rows}COLUMNS\n"
+                        "    x  OBJ  1.0  r  5.0\nENDATA\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "benloc.cli", "features", "--mps",
+             str(path), "--out", str(tmp_path / "f.csv")], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == code
+        assert done.stdout == ("" if code else f"{tmp_path / 'f.csv'}\n")
+        assert done.stderr.splitlines() == [
+            line.format(path=path) for line in stderr]
 
     def test_smaller_dataset_over_a_larger_one(self, runner, tmp_path):
         """A second synth --oracle into the same directory overwrites each

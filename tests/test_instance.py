@@ -640,6 +640,80 @@ class TestInvariants:
                 var_types=["binary"], row_names=["r"], col_names=["x"])
 
 
+def _coordinate_instance(m, n, rows, cols):
+    """An m x n instance holding entries (rows[k], cols[k]) of value k + 1,
+    in the order given."""
+    return MipInstance(
+        name="order", sense="minimize", obj_coeffs=np.zeros(n),
+        mat_rows=rows, mat_cols=cols, mat_vals=np.arange(1.0, len(rows) + 1),
+        row_senses=["<="] * m, rhs=np.zeros(m), var_lb=np.zeros(n),
+        var_ub=np.ones(n), var_types=["continuous"] * n,
+        row_names=[f"r{i}" for i in range(m)],
+        col_names=[f"c{j}" for j in range(n)])
+
+
+class TestOrder:
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.data())
+    def test_entries_stored_in_row_then_column_order(self, data):
+        """Entries given in any order are stored as np.lexsort((cols, rows))
+        orders them, values moving with their coordinates."""
+        m, n = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                             st.integers(0, n - 1)),
+                                   unique=True, max_size=60))
+        rows = np.array([i for i, _ in cells], dtype=np.int64)
+        cols = np.array([j for _, j in cells], dtype=np.int64)
+        inst = _coordinate_instance(m, n, rows, cols)
+        order = np.lexsort((cols, rows))
+        assert inst.mat_rows.tolist() == rows[order].tolist()
+        assert inst.mat_cols.tolist() == cols[order].tolist()
+        assert inst.mat_vals.tolist() == (order + 1.0).tolist()
+        assert inst.row_ptr.tolist() == np.searchsorted(
+            rows[order], np.arange(m + 1)).tolist()
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([2, 0, 2], [1, 0, 1], "duplicate (row, col) entries"),
+        ([1, 0, 1, 1], [3, 0, 0, 3], "duplicate (row, col) entries"),
+        ([1, 3, 0], [0, 0, 1], "matrix row index out of range"),
+        ([1, -1, 0], [0, 0, 1], "matrix row index out of range"),
+        ([1, 0, 0], [2, 0, 4], "matrix col index out of range"),
+        ([1, 0, 0], [0, -1, 2], "matrix col index out of range"),
+        # a row of 2**32 reads as column 1 of row 0 in the sort key
+        ([0, 1 << 32], [1, 0], "matrix row index out of range"),
+        ([2, 1], [-1, 3], "matrix col index out of range")])
+    def test_repeated_or_out_of_range_entries_refused(self, rows, cols,
+                                                      message):
+        with pytest.raises(InvalidInstanceError) as e:
+            _coordinate_instance(3, 4, np.array(rows), np.array(cols))
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("chunk", (1, 40, 300, 2000, 1 << 20))
+    @pytest.mark.parametrize("copied", (0, 7, 30))
+    def test_repeated_pair_reported_at_its_line_across_chunks(self, chunk,
+                                                             copied):
+        """A COLUMNS pair repeated far from its first copy, and ahead of
+        other pairs, is refused at the repeat's line with the line reader's
+        message, whether the copies fall in one chunk or, with a small
+        _CHUNK, in different ones."""
+        lines = write_mps(gen_setcover(30, 40, 0.2, 3)).splitlines(True)
+        first = copied + next(k for k, line in enumerate(lines)
+                              if line.startswith("    x_") and "cover_" in line)
+        at = (first + 3 * lines.index("RHS\n")) // 4
+        assert len("".join(lines[first:at])) > 2000  # apart in chunks
+        text = "".join(lines[:at] + [lines[first]] + lines[at:])
+        with pytest.raises(MpsSemanticError) as e:
+            mps_reference.parse_mps(text)
+        assert e.value.line_no == at + 1  # the inserted line
+        saved, instance._CHUNK = instance._CHUNK, chunk
+        try:
+            with pytest.raises(MpsSemanticError) as got:
+                parse_mps(text)
+        finally:
+            instance._CHUNK = saved
+        assert str(got.value) == str(e.value)
+
+
 # ---------------------------------------------------------------------------
 # Properties over random instances and MPS texts
 
@@ -1125,3 +1199,24 @@ class TestCalls:
         # parse_mps makes a fixed number of calls per chunk of text
         assert len(write_mps(large)) < instance._CHUNK
         assert calls(small) == calls(large)
+
+
+def test_permute_calls_do_not_grow_with_nnz():
+    """permute_instance makes as many Python-level calls at 20k nonzeros
+    as at 2k: the permuted instance is sorted and checked in numpy."""
+    def calls(inst):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+        sys.setprofile(profile)
+        try:
+            permute_instance(inst, 7)
+        finally:
+            sys.setprofile(None)
+        return count
+    small = gen_setcover(100, 200, 0.1, seed=0)
+    large = gen_setcover(400, 500, 0.1, seed=0)
+    assert 9 * small.nnz < large.nnz < 11 * small.nnz
+    assert calls(small) == calls(large)

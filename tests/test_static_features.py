@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from benloc.instance import (SENSES, VAR_TYPES, MipInstance, parse_mps,
                              permute_instance, write_mps)
 from benloc.static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
-                                    DegenerateInstanceError,
-                                    classify_constraint, extract_static,
+                                    DegenerateInstanceError, extract_static,
                                     static_features_csv)
 from benloc.synth import gen_indset, gen_setcover
 
@@ -24,65 +24,74 @@ def one_by_one():
         row_names=["r"], col_names=["x"])
 
 
+def one_row_class(coefs, var_types, sense, rhs):
+    """The class extract_static gives the one row of an instance holding
+    these entries: the one class whose ratio reads 1."""
+    n = len(coefs)
+    inst = MipInstance(
+        name="row", sense="minimize", obj_coeffs=np.ones(n),
+        mat_rows=np.zeros(n, dtype=int), mat_cols=np.arange(n),
+        mat_vals=coefs, row_senses=[sense], rhs=[rhs], var_lb=np.zeros(n),
+        var_ub=[1.0 if t == "binary" else 10.0 for t in var_types],
+        var_types=var_types, row_names=["r"],
+        col_names=[f"x{j}" for j in range(n)])
+    feats = extract_static(inst)
+    [found] = [c for c in CONSTRAINT_CLASSES if feats[c] == 1.0]
+    return found
+
+
 class TestClassify:
     def test_set_covering(self):
-        assert classify_constraint([1, 1, 1], ["binary"] * 3, ">=", 1) == \
+        assert one_row_class([1, 1, 1], ["binary"] * 3, ">=", 1) == \
             "SetCovering"
 
     def test_set_partitioning(self):
-        assert classify_constraint([1, 1], ["binary"] * 2, "=", 1) == \
+        assert one_row_class([1, 1], ["binary"] * 2, "=", 1) == \
             "SetPartitioning"
 
     def test_set_packing(self):
-        assert classify_constraint([1, 1], ["binary"] * 2, "<=", 1) == \
+        assert one_row_class([1, 1], ["binary"] * 2, "<=", 1) == \
             "SetPacking"
 
     def test_cardinality(self):
-        assert classify_constraint([1, 1, 1], ["binary"] * 3, "=", 2) == \
+        assert one_row_class([1, 1, 1], ["binary"] * 3, "=", 2) == \
             "Cardinality"
 
     def test_knapsack_family(self):
-        assert classify_constraint([2, 3], ["binary"] * 2, "=", 5) == \
+        assert one_row_class([2, 3], ["binary"] * 2, "=", 5) == \
             "KnapsackEquality"
-        assert classify_constraint([2, 3], ["binary"] * 2, "<=", 5) == \
+        assert one_row_class([2, 3], ["binary"] * 2, "<=", 5) == \
             "Knapsack"
-        assert classify_constraint([2, 3], ["integer", "binary"], "<=", 5) == \
+        assert one_row_class([2, 3], ["integer", "binary"], "<=", 5) == \
             "KnapsackInteger"
-        assert classify_constraint([0.5, 1.5], ["binary"] * 2, "<=", 2) == \
+        assert one_row_class([0.5, 1.5], ["binary"] * 2, "<=", 2) == \
             "BinaryPacking"
 
     def test_variable_bounds(self):
-        assert classify_constraint([1, -3], ["binary", "continuous"], ">=", 0) \
+        assert one_row_class([1, -3], ["binary", "continuous"], ">=", 0) \
             == "VariableLowerBound"
-        assert classify_constraint([1, -3], ["binary", "continuous"], "<=", 0) \
+        assert one_row_class([1, -3], ["binary", "continuous"], "<=", 0) \
             == "VariableUpperBound"
 
     def test_mixed_and_continuous(self):
-        assert classify_constraint([1, 2, 3], ["binary", "continuous",
-                                               "continuous"], "=", 1.5) == \
+        assert one_row_class([1, 2, 3], ["binary", "continuous",
+                                         "continuous"], "=", 1.5) == \
             "MixedBinary"
-        assert classify_constraint([1.5, 2], ["integer", "integer"], ">=", 1) \
+        assert one_row_class([1.5, 2], ["integer", "integer"], ">=", 1) \
             == "MixedInteger"
-        assert classify_constraint([1.5], ["continuous"], "<=", 1) == \
+        assert one_row_class([1.5], ["continuous"], "<=", 1) == \
             "Continuous"
 
     def test_empty_row_rejected(self):
-        with pytest.raises(ValueError):
-            classify_constraint([], [], "<=", 0)
+        inst = replace(one_by_one(), mat_rows=[], mat_cols=[], mat_vals=[])
+        with pytest.raises(DegenerateInstanceError,
+                           match="row 'r' \\(index 0\\) has no nonzeros"):
+            extract_static(inst)
 
     def test_generator_rows(self):
-        sc = gen_setcover(6, 12, 0.4, seed=2)
-        for i in range(sc.num_rows):
-            cols, vals = sc.row_entries(i)
-            types = [sc.var_types[j] for j in cols]
-            assert classify_constraint(vals, types, sc.row_senses[i],
-                                       sc.rhs[i]) == "SetCovering"
-        ins = gen_indset(8, 0.5, seed=2)
-        for i in range(ins.num_rows):
-            cols, vals = ins.row_entries(i)
-            types = [ins.var_types[j] for j in cols]
-            assert classify_constraint(vals, types, ins.row_senses[i],
-                                       ins.rhs[i]) == "SetPacking"
+        assert extract_static(gen_setcover(6, 12, 0.4, seed=2))[
+            "SetCovering"] == 1.0
+        assert extract_static(gen_indset(8, 0.5, seed=2))["SetPacking"] == 1.0
 
 
 def reference_class(coefs, var_types, sense, rhs):
@@ -170,7 +179,7 @@ class TestRuleTable:
         coefs = data.draw(st.lists(COEFS, min_size=len(types),
                                    max_size=len(types)))
         sense, rhs = data.draw(st.sampled_from(SENSES)), data.draw(RHS)
-        assert classify_constraint(coefs, types, sense, rhs) == \
+        assert one_row_class(coefs, types, sense, rhs) == \
             reference_class(coefs, types, sense, rhs)
 
     @settings(deadline=None, max_examples=150)
