@@ -1,25 +1,30 @@
 """Sparse MIP instance model, MPS reading/writing, and permutation augmentation.
 
 The MPS reader accepts both fixed- and free-format files (section headers in
-column 1, data lines indented, names without embedded blanks).  It splits the
-text into lines about _CHUNK characters at a time.  ROWS, COLUMNS, RHS and
-RANGES are read as one flat token array per chunk: names map to codes with
-one dict lookup per token, values with one float() per token, and the checks
-are array masks (for ROWS, list tests that locate the failing line only when
-one fails).  BOUNDS applies one line at a time with no Python-level call per
-line, as its type's entry in the _BOUNDS table says.  The first failure is
-raised with the message, line number and earlier warnings a reader taking one
-line at a time would give.  A row name declared again, whatever either sense,
-and a row named MARKER, which a COLUMNS pair would read as a marker, are
-refused at their line.  A negative UP bound also sets the lower bound to -inf
-unless the column already has a LO, MI or FX bound (the classic MPS
-convention).  RANGES rows are expanded into two plain inequality rows so that
-every stored row carries a single sense.  Matrix entries are ordered by one
-sort of an int64 key: row << 32 | col as stored, col << 32 | 1 + row with the
-objective as row 0 when written.  The writer always emits free format and is
-deterministic; it writes a LO line for a lower bound of 0 under a negative
-upper bound, which the convention would otherwise free, and refuses a name it
-could not read back as written.
+column 1, data lines indented, names without embedded blanks).  It reads the
+text about _CHUNK characters at a time, splitting each chunk into one flat
+token array with one str.split(); one array of the chunk's code points, each
+classed as blank, line end or other by a table, gives every token's line and
+each line's comment and header tests.  ROWS, COLUMNS, RHS and RANGES are read
+from that array: row names map to codes with one dict lookup per token, a
+COLUMNS line's column with one lookup per run of lines naming it, values with
+one float() per token, and the checks are array masks (for ROWS, list tests
+that locate the failing line only when one fails; for MARKER, a test of the
+second tokens whose first character is M, m or a quote).  BOUNDS applies one
+line at a time with no Python-level call per line, as its type's entry in the
+_BOUNDS table says.  The first failure is raised with the message, line number
+and earlier warnings a reader taking one line at a time would give.  A row
+name declared again, whatever either sense, and a row named MARKER, which a
+COLUMNS pair would read as a marker, are refused at their line.  A negative UP
+bound also sets the lower bound to -inf unless the column already has a LO, MI
+or FX bound (the classic MPS convention).  RANGES rows are expanded into two
+plain inequality rows so that every stored row carries a single sense.  Matrix
+entries are ordered by one sort of an int64 key: row << 32 | col as stored,
+col << 32 | 1 + row with the objective as row 0 when written.  The writer
+always emits free format and is deterministic; it formats each distinct value
+once, found by np.unique of its bits, and writes a LO line for a lower bound
+of 0 under a negative upper bound, which the convention would otherwise free,
+and refuses a name it could not read back as written.
 
 Permutations are drawn from numpy's PCG64 generator so the same seed produces
 the same row/column swap on every platform.  Seed 0 is reserved for the
@@ -31,12 +36,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain, compress, count, filterfalse, repeat
-from operator import itemgetter, methodcaller, not_
+from operator import methodcaller, not_
 
 import numpy as np
 
@@ -68,9 +72,17 @@ _BOUNDS = {
     "LI": (_VALUE, None, True),
 }
 _MARKERS = {"INTORG": 1, "INTEND": 0}
-_HEADER = re.compile(r"\S")  # the first character of a header line
+# the first characters a word can have that reads as MARKER once unquoted
+# and upper-cased (no other character upper-cases to a leading "M")
+_MARKER_LEAD = np.isin(np.arange(128), list(map(ord, "Mm'\"")))
 _COMMENT = methodcaller("startswith", "*")  # a comment line's first token
-_CHUNK = 1 << 20  # characters split into lines at once, bounding the tokens
+_CHUNK = 1 << 20  # characters tokenized at once, bounding the tokens
+# each code point's class, 1 for str.isspace() and 2 for a str.splitlines()
+# line end; every one of them is below _OTHER, at which the table ends
+_OTHER = 0x3001
+_CHAR = np.zeros(_OTHER + 1, dtype=np.uint8)
+_CHAR[[c for c in range(_OTHER) if chr(c).isspace()]] = 1
+_CHAR[list(map(ord, "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"))] = 2
 # a pair's row name that is not a declared row; below _UNDECLARED, a free row
 _UNDECLARED, _OBJ, _FREE = -1, -2, -3
 # the sections of (row, value) pairs by kind; _HEAD marks a header among them
@@ -270,13 +282,17 @@ def read_file(path, parse):
     """parse(text) of the UTF-8 file at path, the reader of every input file;
     CRLF and CR line ends read as LF, as in text mode.  A ValueError or
     KeyError from parse, or bytes that are not UTF-8, gets "<path>: " and
-    .path added."""
+    .path added.  The warnings parse raises are recorded, then raised again
+    in order as "<path>: <message>", also when parse fails."""
+    caught = []
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return parse(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return parse(text)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, UnicodeDecodeError):  # its str() ignores .args
             exc = ValueError(f"not UTF-8 text ({exc.reason} at byte "
@@ -285,6 +301,9 @@ def read_file(path, parse):
         exc.args = (f"{path}: {reason}",)
         exc.path = path
         raise exc
+    finally:
+        for w in caught:
+            warnings.warn(f"{path}: {w.message}", w.category, stacklevel=2)
 
 
 def write_file(path, text):
@@ -319,21 +338,35 @@ def parse_mps(text):
     return reader.instance()
 
 
-def _data_lines(lines, star):
-    """Every token of lines as an object array, and each data line's first
-    token, token count and index in lines; blank and comment lines are left
-    out.  Only lines holding a "*" (star) can be comments."""
-    toks = []
-    # toks += line.split() for each line, keeping len(toks) after each
-    ends = np.fromiter(map(len, map(toks.__iadd__, map(str.split, lines))),
-                       np.int64, len(lines))
+def _data_lines(chunk):
+    """Every token of chunk as an object array and the code point of each
+    token's first character; then each data line's first token, token count,
+    index among chunk.splitlines() and whether it is a header (its first
+    character is not blank); and the number of lines.  Blank and comment
+    lines are left out.  One str.split() gives the tokens, and one array of
+    code points, read through _CHAR, their lines."""
+    toks = chunk.split()
     toks = np.fromiter(toks, object, len(toks))
-    starts = np.concatenate([[0], ends[:-1]])
-    line = (ends > starts).nonzero()[0]
-    if star:
-        line = line[~np.fromiter(map(_COMMENT, toks[starts[line]].tolist()),
-                                 bool, len(line))]
-    return toks, starts[line], ends[line] - starts[line], line
+    # a line end before the chunk makes every token's start a blank to
+    # non-blank step and a header's a line end to non-blank one
+    code = np.frombuffer(("\n" + chunk).encode("utf-32-le", "surrogatepass"),
+                         np.uint32)
+    kind = _CHAR.take(code, mode="clip")
+    blank = kind != 0
+    at = (blank[:-1] > blank[1:]).nonzero()[0]  # each token's first character
+    ends = (kind[1:] == 2).nonzero()[0]  # each line end's character
+    cr = code[ends + 1] == 13
+    if cr.any():  # "\r\n" is one line end, at its "\n"
+        ends = ends[~(cr & (code.take(ends + 2, mode="clip") == 10))]
+    # line k's tokens are first[k]:first[k + 1]
+    first = np.concatenate([[0], at.searchsorted(ends), [len(at)]])
+    lead = code[at + 1]
+    line = (first[1:] > first[:-1]).nonzero()[0]
+    # not a comment line, whose first token starts with "*"
+    line = line[lead[first[line]] != 42]
+    starts = first[line]
+    return (toks, lead, starts, first[line + 1] - starts, line,
+            kind[at[starts]] == 2, len(ends) + int(kind[-1] != 2))
 
 
 def _unquoted(words):
@@ -424,23 +457,19 @@ class _MpsReader:
             # end the chunk after the first "\n" that makes it at least
             # _CHUNK characters long, so that no "\r\n" is cut in two
             end = text.find("\n", pos + _CHUNK - 1) + 1 or len(text)
-            chunk = text[pos:end]
-            lines = chunk.splitlines()
-            toks, starts, counts, data = _data_lines(lines, "*" in chunk)
+            toks, lead, starts, counts, data, header, n_lines = _data_lines(
+                text[pos:end])
             line_nos = data + (line_no + 1)
-            # a section header is a data line whose first character is not
-            # blank; heads index the data lines
-            heads = [m.start() for m in _HEADER.finditer("".join(map(
-                itemgetter(0), map(lines.__getitem__, data.tolist()))))]
+            heads = header.nonzero()[0].tolist()  # heads index the data lines
             # the _PAIR_KIND of COLUMNS, RHS and RANGES lines, read in one
             # pass from run, where their sections begin, to another header
             kind, run = np.full(len(data), _HEAD), None
             for a, b in zip([-1] + heads, heads + [len(data)]):
                 if a >= 0:
-                    head_toks = lines[data[a]].split()
+                    head_toks = toks[starts[a]:starts[a] + counts[a]].tolist()
                     head = head_toks[0].upper()
                     if run is not None and head not in _PAIR_KIND:
-                        self.pairs(toks, starts[run:a], counts[run:a],
+                        self.pairs(toks, lead, starts[run:a], counts[run:a],
                                    line_nos[run:a], kind[run:a])
                         run = None
                     if head not in _SECTIONS:
@@ -473,9 +502,9 @@ class _MpsReader:
                     self.set_sense(toks[starts[a + 1]])
                     pending_objsense = False
             if run is not None:
-                self.pairs(toks, starts[run:], counts[run:], line_nos[run:],
-                           kind[run:])
-            pos, line_no = end, line_no + len(lines)
+                self.pairs(toks, lead, starts[run:], counts[run:],
+                           line_nos[run:], kind[run:])
+            pos, line_no = end, line_no + n_lines
 
     def set_sense(self, token):
         self.sense = "maximize" if token.upper().startswith("MAX") else "minimize"
@@ -515,19 +544,18 @@ class _MpsReader:
         self.row_code.update(zip(map(names.__getitem__, free), repeat(_FREE)))
         self.row_senses += map(_ROW_SENSE.__getitem__, filter(None, code))
 
-    def pairs(self, toks, starts, counts, line_nos, kind):
+    def pairs(self, toks, lead, starts, counts, line_nos, kind):
         """COLUMNS, RHS and RANGES lines by kind, and headers between them,
         in one pass: a COLUMNS line names its column, then (row, value) pairs;
-        an RHS or RANGES line an optional set name (odd count), then pairs."""
+        an RHS or RANGES line an optional set name (odd count), then pairs.
+        lead is the code point of each token's first character."""
         columns = kind == 0
         # a COLUMNS line of three or more tokens whose second is MARKER (any
         # case, quotes stripped) opens or closes an integer block
         long = (columns & (counts >= 3)).nonzero()[0]
-        second, is_marker = toks[starts[long] + 1], np.zeros(len(long), bool)
-        for word in set(second.tolist()):
-            if word.strip("'\"").upper() == "MARKER":
-                is_marker |= second == word
-        marker = long[is_marker]
+        long = long[_MARKER_LEAD.take(lead[starts[long] + 1], mode="clip")]
+        marker = long[np.fromiter(map("MARKER".__eq__, _unquoted(
+            toks[starts[long] + 1].tolist())), bool, len(long))]
         flag = np.fromiter(map(_MARKERS.get, _unquoted(
             toks[starts[marker] + 2].tolist()), repeat(-1)), np.int64,
                            len(marker))
@@ -538,10 +566,14 @@ class _MpsReader:
         head = kind == _HEAD
         n_pairs[head] = bad[head] = 0
         n_pairs[marker], bad[marker] = 0, flag < 0
-        # each other COLUMNS line declares its column under the last marker
+        # each other COLUMNS line declares its column under the last marker;
+        # a column's name is looked up once per run of lines naming it
         columns[marker] = False
         decl = columns.nonzero()[0]
-        names = toks[starts[decl]].tolist()
+        names = toks[starts[decl]]
+        new = np.concatenate([[True], names[1:] != names[:-1]])[:len(names)]
+        first = decl[new]
+        names = names[new].tolist()
         n_old = len(self.col_index)
         self.col_index.update(zip(filterfalse(self.col_index.__contains__,
                                               dict.fromkeys(names)),
@@ -549,12 +581,12 @@ class _MpsReader:
         ids = np.fromiter(map(self.col_index.__getitem__, names), np.int64,
                           len(names))
         col = np.zeros(len(kind), dtype=np.int64)
-        col[decl] = ids
-        # a new column's first line is the first to pass every earlier id
+        col[decl] = ids[new.cumsum() - 1]
+        # a new column's first run is the first to pass every earlier id
         seen = np.maximum.accumulate(np.concatenate([[n_old - 1], ids[:-1]]))
         state = np.concatenate([[self.integral], flag > 0])
         self.col_integer = np.concatenate([self.col_integer, state[
-            marker.searchsorted(decl)][ids > seen]])
+            marker.searchsorted(first)][ids > seen]])
 
         at, pair_line = _pairs(starts + offset, n_pairs)
         vals = _floats(toks[at + 1])
@@ -718,11 +750,10 @@ def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,
 def _formatted(values):
     """repr of each value, formatting each distinct float64 once; its bits
     key it, so -0.0 keeps its sign."""
-    bits = np.asarray(values, dtype=float).view(np.int64).tolist()
-    distinct = list(dict.fromkeys(bits))
-    text = dict(zip(distinct, map(repr, np.array(
-        distinct, dtype=np.int64).view(float).tolist())))
-    return list(map(text.__getitem__, bits))
+    bits, at = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                         return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())),
+                    object)[at].tolist()
 
 
 def _lines(*fields):
@@ -775,14 +806,14 @@ def write_mps(inst):
             col_text[switch].tolist())))
     row_text = np.array(list(map("%s  ".__mod__, [inst.obj_name,
                                                    *inst.row_names])), object)
+    rhs = np.flatnonzero(inst.rhs != 0.0)
+    values = _formatted(np.concatenate([vals, inst.rhs[rhs]]))
     columns = _lines(pieces.tolist(), row_text[rows].tolist(),
-                     _formatted(vals))
+                     values[:len(vals)])
     if n and integer[-1]:
         columns += f"    MARKER{len(switch)}  'MARKER'  'INTEND'\n"
-
-    rhs = np.flatnonzero(inst.rhs != 0.0)
     rhs = _lines("    RHS  ", map(inst.row_names.__getitem__, rhs.tolist()),
-                 "  ", _formatted(inst.rhs[rhs]))
+                 "  ", values[len(vals):])
 
     # per column a BV, FX or FR line, the first that applies, or else a MI
     # or LO line or none, then an UP line when the upper bound is finite; a

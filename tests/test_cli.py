@@ -693,17 +693,17 @@ class TestCommands:
                                  str(tmp_path / "f.csv")])
         assert r.exit_code == 1
         # an extra N row before the refused line is dropped with a warning
-        dropped = [f"warning in features: dropping extra free row {name!r}"
-                   for sense, name in map(str.split, rows.splitlines()[1:-1])
-                   if sense == "N"]
+        dropped = [f"warning in features: {path}: dropping extra free row "
+                   f"{name!r}" for sense, name
+                   in map(str.split, rows.splitlines()[1:-1]) if sense == "N"]
         assert r.output.splitlines() == dropped + [
             f"error in features: {path}: {reason}"]
 
     @pytest.mark.parametrize("rows, code, stderr", [
         (" N  OBJ\n N  f\n L  r\n", 0,
-         ["warning in features: dropping extra free row 'f'"]),
+         ["warning in features: {path}: dropping extra free row 'f'"]),
         (" N  OBJ\n N  r\n L  r\n", 1,
-         ["warning in features: dropping extra free row 'r'",
+         ["warning in features: {path}: dropping extra free row 'r'",
           "error in features: {path}: line 5: duplicate row 'r'"])])
     def test_each_warning_is_one_line_on_stderr(self, tmp_path, rows, code,
                                                 stderr):
@@ -722,6 +722,24 @@ class TestCommands:
         assert done.stdout == ("" if code else f"{tmp_path / 'f.csv'}\n")
         assert done.stderr.splitlines() == [
             line.format(path=path) for line in stderr]
+
+    def test_each_file_shows_its_own_warnings(self, tmp_path):
+        """Two files raising the same warning print it once each, after
+        the name of its file."""
+        paths = [tmp_path / "u.mps", tmp_path / "v.mps"]
+        for path in paths:
+            path.write_text("ROWS\n N  OBJ\n N  f\n L  r\nCOLUMNS\n"
+                            "    x  r  1.0\nENDATA\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "benloc.cli", "features", "--mps",
+             str(paths[0]), "--mps", str(paths[1]), "--out",
+             str(tmp_path / "f.csv")], env=env, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stderr.splitlines() == [
+            f"warning in features: {path}: dropping extra free row 'f'"
+            for path in paths]
 
     def test_smaller_dataset_over_a_larger_one(self, runner, tmp_path):
         """A second synth --oracle into the same directory overwrites each

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -1161,14 +1162,96 @@ class TestChunks:
         text = text.replace("ROWS\n", "ROWS\n" + long, 1)
         chunks, data_lines = [], instance._data_lines
 
-        def spy(lines, star):
-            chunks.append(sum(len(line) + 1 for line in lines))
-            return data_lines(lines, star)
+        def spy(chunk):
+            chunks.append(len(chunk))
+            return data_lines(chunk)
         monkeypatch.setattr(instance, "_data_lines", spy)
         monkeypatch.setattr(instance, "_CHUNK", 2000)
         assert parse_mps(text) == gen_setcover(200, 300, 0.05, 1)
         assert sum(chunks) == len(text)
         assert max(chunks) < 2000 + len(long)
+
+
+# every character str.split() splits at (the splitlines() line ends among
+# them), "\r\n", NUL, a comment's "*", a name character, one outside the
+# Basic Multilingual Plane and a lone surrogate
+_BLANKS = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+_CHUNK_PIECES = _BLANKS + ("\r\n", "\0", "*", "x", "\U0001d400", "\ud800")
+
+
+def _split_lines(chunk):
+    """What _data_lines(chunk) gives, from chunk.splitlines() and a
+    str.split() of each line, without the first code points."""
+    toks, starts, counts, data, head = [], [], [], [], []
+    lines = chunk.splitlines()
+    for k, line in enumerate(lines):
+        words = line.split()
+        if words and not words[0].startswith("*"):
+            starts.append(len(toks))
+            counts.append(len(words))
+            data.append(k)
+            head.append(not line[0].isspace())
+        toks += words
+    return toks, starts, counts, data, head, len(lines)
+
+
+class TestTokens:
+    def test_code_point_table_classes_every_blank_and_line_end(self):
+        """_CHAR gives 1 for each str.isspace() character, 2 for each that
+        str.splitlines() ends a line at, and 0 for every other character
+        (the code points past it read its last entry)."""
+        want = np.zeros(len(instance._CHAR), dtype=np.uint8)
+        for c in _BLANKS:
+            want[ord(c)] = 1 + (len(("a" + c + "b").splitlines()) == 2)
+        assert instance._CHAR.tolist() == want.tolist()
+
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(st.lists(st.sampled_from(_CHUNK_PIECES), max_size=40).map("".join))
+    def test_data_lines_match_splitlines_and_split(self, chunk):
+        """One split of the chunk and its code-point line map give the
+        tokens, data lines, token counts, header flags and line count that
+        splitlines() and a split() per line give."""
+        toks, lead, *rest = instance._data_lines(chunk)
+        want = _split_lines(chunk)
+        assert toks.tolist() == want[0]
+        assert lead.tolist() == [ord(tok[0]) for tok in want[0]]
+        assert [np.asarray(x).tolist() for x in rest] == list(want[1:])
+
+    def test_marker_lines_among_names_that_start_like_one(self):
+        """Only a second token starting with M, m or a quote is tested for
+        MARKER: row names that all do read as rows, and marker words in
+        four spellings as markers, as the line reader reads them."""
+        text = """\
+NAME m
+ROWS
+ N  Mobj
+ L  M1
+ G  m2
+ E  'q3
+ L  "Q4
+ L  MARKERS
+COLUMNS
+    x  Mobj  1  M1  2
+    M0  MARKER  INTORG
+    y  m2  3  'q3  4
+    y  "Q4  5  MARKERS  6
+    M1  'marker'  'INTEND'
+    z  M1  7  "Q4  -1
+    M2  ''Marker''  INTORG
+    w  MARKERS  8
+    M3  Marker  INTEND
+RHS
+    RHS  M1  1  'q3  2
+ENDATA
+"""
+        got = _outcome(parse_mps, text)
+        assert got == _outcome(mps_reference.parse_mps, text)
+        inst = parse_mps(text)
+        assert inst.col_names == ["x", "y", "z", "w"]
+        assert inst.var_types == ["continuous", "integer", "continuous",
+                                  "integer"]
+        assert inst.row_names == ["M1", "m2", "'q3", '"Q4', "MARKERS"]
+        assert inst.nnz == 8
 
 
 class TestCalls:
@@ -1210,11 +1293,15 @@ def test_permute_calls_do_not_grow_with_nnz():
         def profile(frame, event, arg):
             nonlocal count
             count += event == "call"
+        # with the collector off, so that the callbacks of a collection
+        # (hypothesis installs one) are not counted as permute's calls
+        gc.disable()
         sys.setprofile(profile)
         try:
             permute_instance(inst, 7)
         finally:
             sys.setprofile(None)
+            gc.enable()
         return count
     small = gen_setcover(100, 200, 0.1, seed=0)
     large = gen_setcover(400, 500, 0.1, seed=0)
