@@ -212,11 +212,10 @@ def predict(model_path, mps_path, log_path, stage):
     """Predict the configuration for a single instance."""
     model = read_file(model_path, TrainedSelector.from_json)
     static = read_instance(mps_path)[1]
-    dyn = None
-    if log_path:
-        dyn = dynamic_features(read_file(log_path, parse_log))
-    names, values = assemble_features(static, dyn, STAGES[stage])
-    click.echo(str(predict_config(model, values, feature_names=names)))
+    dyn = (dynamic_features([read_file(log_path, parse_log)]) if log_path
+           else None)
+    names, X = assemble_features([static], dyn, STAGES[stage])
+    click.echo(str(predict_config(model, X[0], feature_names=names)))
 
 
 @main.command()

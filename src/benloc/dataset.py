@@ -56,14 +56,22 @@ class BenchmarkData:
         return self.log(family, seed, config).root_time
 
     def feature_map(self, stage):
-        """(names, values) per instance at the given feature stage."""
-        out = {}
-        for key, static in self.static.items():
-            dyn = None
-            if stage != FeatureStage.STATIC_ONLY:
-                dyn = dynamic_features(self.log(*key, ConfigId.default()))
-            out[key] = assemble_features(static, dyn, stage)
-        return out
+        """(names, values) per instance at the given feature stage: the rows
+        of one assemble_features call.  STATIC_ONLY reads no log."""
+        statics, logs, dyn = list(self.static.values()), [], None
+        if stage != FeatureStage.STATIC_ONLY:
+            default = ConfigId.default()
+            try:
+                for key in self.static:
+                    logs.append(self.log(*key, default))
+            except MissingStageError:
+                # an earlier instance's missing group is the first error
+                assemble_features(statics[:len(logs)],
+                                  dynamic_features(logs), stage)
+                raise
+            dyn = dynamic_features(logs)
+        names, X = assemble_features(statics, dyn, stage)
+        return {key: (names, row) for key, row in zip(self.static, X)}
 
 
 def _family_rng(seed, idx):

@@ -13,8 +13,10 @@ when any split exists.
 
 All trees grow together, one depth at a time (the level-wise growth of
 XGBoost's hist method, applied to exact CART): one sort per depth orders every
-open node's (row, candidate feature) pairs by value, and one array pass scores
-every boundary.  Only live (node, feature) groups, where the feature takes
+open node's (row, candidate feature) pairs by rank, and one array pass scores
+every boundary.  The rank table, ranks(X), is built once per training matrix:
+by a caller that fits several forests on one matrix, else by fit when a node
+first grows.  Only live (node, feature) groups, where the feature takes
 more than one value on the node's rows, are sorted, and their keys (group,
 rank, row position) are unique, so the order, and with it every float sum,
 is the same under every sort algorithm and CPU.
@@ -109,10 +111,12 @@ class RandomForest:
     _left: np.ndarray = _fitted()
     _depth: int = _fitted()
 
-    def fit(self, X, y, n_classes=None):
+    def fit(self, X, y, n_classes=None, rank=None):
         """Fit the trees; classification votes over n_classes classes
-        (default: the largest label + 1).  A growth hyperparameter out of
-        range is refused with a ValueError naming it."""
+        (default: the largest label + 1); rank is ranks(X), or None to rank
+        here.  A growth hyperparameter out of range, or a rank table of the
+        wrong shape or dtype or with an entry outside 0..n-1, is refused
+        with a ValueError naming it."""
         for key, low in (("n_trees", 1), ("min_samples_leaf", 1),
                          ("max_depth", 0)):
             if getattr(self, key) < low:
@@ -136,9 +140,14 @@ class RandomForest:
         else:
             y = y.astype(float)
         (n, d), C = X.shape, self.n_classes
+        if rank is not None:
+            rank = np.asarray(rank)
+            if (rank.shape != (d, n) or rank.dtype.kind != "i"
+                    or rank.min() < 0 or rank.max() >= n):
+                raise ValueError(f"rank must be ranks(X): a ({d}, {n}) "
+                                 f"table of signed ints in 0..{n - 1}")
         k = self._n_candidate_features(d)
         rng = np.random.default_rng(self.seed)
-        rank = None  # ranked when a node first grows
         # the rows of every tree in one pool, grouped by node, tree by tree
         rows = (rng.integers(0, n, size=(self.n_trees, n)) if self.bootstrap
                 else np.tile(np.arange(n), (self.n_trees, 1))).ravel()
@@ -163,9 +172,7 @@ class RandomForest:
                     & (counts >= 2 * self.min_samples_leaf))
             sub, on = np.flatnonzero(grow), grow[node]
             if rank is None and len(sub):
-                # each value's rank among its column's distinct values
-                rank = np.array([np.unique(c, return_inverse=True)[1]
-                                 for c in X.T])
+                rank = ranks(X)
             rows, node, counts = rows[on], node[on], counts[sub]
             # each growing node's k features, then the others
             perm = np.argsort(rng.random((len(sub), d)), axis=1)
@@ -384,6 +391,11 @@ class RandomForest:
         forest._set_nodes(feature, threshold, value,
                           np.asarray(d["importances"], dtype=float))
         return forest
+
+
+def ranks(X):
+    """Each column's dense ranks: per column of X, np.unique's inverse."""
+    return np.array([np.unique(c, return_inverse=True)[1] for c in X.T])
 
 
 def leaf_values(forests, X):

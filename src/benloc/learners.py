@@ -4,12 +4,12 @@ Four model kinds cover the regressor / classifier / ranker taxonomy:
 
 * ``reg_forest``   one regression forest per configuration, trained on
                    log-scaled relative times; selection is the argmin of the
-                   predicted labels.
+                   predicted labels; the forests share one rank table.
 * ``clf_forest``   a classification forest on the best-config label.
 * ``knn``          nearest neighbours on standardized features.
 * ``pair_ranker``  one classification forest over (features, pair indicator)
                    predicting which configuration of the pair is faster;
-                   selection is the Copeland winner.
+                   selection is the Copeland winner; X is ranked once.
 
 Labels are log-scaled relative to Default: label(x, c) =
 ln((t(x, c) + shift) / (t(x, Default) + shift)), so Default is the zero point
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forest import RandomForest, leaf_values
+from .forest import RandomForest, leaf_values, ranks
 from .metrics import DEFAULT_SHIFT, ConfigId, check_shift
 
 MODEL_KINDS = ("reg_forest", "clf_forest", "knn", "pair_ranker")
@@ -310,11 +310,8 @@ def _forest_params(hyperparams):
 
 
 def _pair_features(X, n_pairs, pair_idx):
-    """X with a one-hot pair indicator appended: row r marks pair_idx[r],
-    or every row marks pair_idx when it is one index."""
-    ind = np.zeros((X.shape[0], n_pairs))
-    ind[np.arange(X.shape[0]), pair_idx] = 1.0
-    return np.hstack([X, ind])
+    """X with a one-hot pair indicator appended: row r marks pair_idx[r]."""
+    return np.hstack([X, np.eye(n_pairs)[pair_idx]])
 
 
 def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
@@ -345,20 +342,17 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
     payload = {}
 
     if kind == "reg_forest":
-        params = _forest_params(hp)
         seeds = np.random.SeedSequence(seed).spawn(len(configs))
-        for k, cfg in enumerate(configs):
-            forest = RandomForest(mode="regression",
-                                  seed=int(seeds[k].generate_state(1)[0]),
-                                  **params)
-            forest.fit(X, labels[:, k])
-            payload[f"forest_{k}"] = forest
+        rank = ranks(X)  # one rank table for every config's forest
+        for k, config_seed in enumerate(seeds):
+            payload[f"forest_{k}"] = RandomForest(
+                mode="regression", seed=int(config_seed.generate_state(1)[0]),
+                **_forest_params(hp)).fit(X, labels[:, k], rank=rank)
     elif kind == "clf_forest":
-        params = _forest_params(hp)
-        forest = RandomForest(mode="classification", seed=seed, **params)
         # the vote spans every config, seen as a best label or not
-        forest.fit(X, classes, n_classes=len(configs))
-        payload["forest"] = forest
+        payload["forest"] = RandomForest(
+            mode="classification", seed=seed, **_forest_params(hp)).fit(
+                X, classes, n_classes=len(configs))
     elif kind == "knn":
         k = int(hp.get("k", KNN_DEFAULTS["k"]))
         if k < 1:
@@ -372,19 +366,19 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
         payload["X"] = (X - mean) / std
         payload["classes"] = classes
     elif kind == "pair_ranker":
-        pairs = [(i, j) for i in range(len(configs))
-                 for j in range(i + 1, len(configs))]
-        n_pairs = len(pairs)
-        blocks, targets = [], []
-        for p, (i, j) in enumerate(pairs):
-            blocks.append(_pair_features(X, n_pairs, p))
-            # class 1: config j strictly faster than config i
-            targets.append((labels[:, j] < labels[:, i]).astype(int))
-        params = _forest_params(hp)
-        forest = RandomForest(mode="classification", seed=seed, **params)
-        forest.fit(np.vstack(blocks), np.concatenate(targets), n_classes=2)
-        payload["forest"] = forest
-        payload["pairs"] = [[i, j] for i, j in pairs]
+        i, j = np.triu_indices(len(configs), 1)  # each pair i < j, in order
+        n_pairs = len(i)
+        # X once per pair, pair by pair; class 1: config j strictly faster
+        X_pair = _pair_features(np.tile(X, (n_pairs, 1)), n_pairs,
+                                np.arange(n_pairs).repeat(len(X)))
+        y = (labels[:, j] < labels[:, i]).T.ravel().astype(int)
+        # the stack repeats X per pair and its pair's one-hot row per example
+        rank = np.vstack([np.tile(ranks(X), n_pairs),
+                          ranks(np.eye(n_pairs)).repeat(len(X), axis=1)])
+        payload["forest"] = RandomForest(
+            mode="classification", seed=seed, **_forest_params(hp)).fit(
+                X_pair, y, n_classes=2, rank=rank)
+        payload["pairs"] = np.column_stack([i, j]).tolist()
 
     return TrainedSelector(kind=kind, configs=configs, feature_names=names,
                            fingerprint=feature_fingerprint(names), seed=seed,

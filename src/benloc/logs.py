@@ -13,6 +13,9 @@ line-oriented schema (UTF-8):
 Stages must appear in the order above; the STATUS line is mandatory and
 unknown lines are counted but otherwise ignored, which leaves a seam for
 adapters that rewrite other solvers' logs into this schema.
+
+Dynamic features are computed group by group as columns over many logs, one
+log being the one-row case, and laid after the static features.
 """
 
 from __future__ import annotations
@@ -193,67 +196,71 @@ def render_log(log):
 
 
 def gap_features(c_d, c_p, c_l):
-    """Gap quadruple from dual bound c_d, primal bound c_p, initial LP bound c_l.
+    """Gap quadruple from dual bound c_d, primal bound c_p, initial LP bound
+    c_l, element-wise over scalars or arrays.
 
     Each gap is |a - b| / max(|a|, |b|, |a - b|), which lies in [0, 1]; the
     degenerate all-zero case is defined as 0.  GapClosed = 1 - PrimalDualGap.
     """
     def gap(a, b):
-        denom = max(abs(a), abs(b), abs(a - b))
-        return abs(a - b) / denom if denom > 0 else 0.0
+        diff = np.abs(np.subtract(a, b))
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), diff)
+        return np.where(denom > 0, diff / denom, 0.0)
 
-    dual_initial = gap(c_d, c_l)
-    primal_dual = gap(c_p, c_d)
-    primal_initial = gap(c_p, c_l)
-    return dual_initial, primal_dual, primal_initial, 1.0 - primal_dual
+    with np.errstate(all="ignore"):  # 0 / 0 and overflow are picked around
+        primal_dual = gap(c_p, c_d)
+        return gap(c_d, c_l), primal_dual, gap(c_p, c_l), 1.0 - primal_dual
 
 
-def dynamic_features(log):
-    """{stage: {feature: value}} of a parsed log; a group whose stage the log
-    lacks is absent, never zero."""
+# group -> (the log keys its formula reads, its formula: columns to columns)
+_GROUP_INPUTS = {
+    "presolve": (("rows", "cols", "integers"), lambda rows, cols, ints: (
+        np.where(rows > 0, np.log(rows), 0.0),
+        np.where(cols > 0, np.log(cols), 0.0),
+        np.where(cols > 0, ints / cols, 0.0))),
+    "global_cut": (("c_d", "c_p", "c_l"), gap_features),
+    **{stage: (tuple(keys), lambda *columns: columns)
+       for stage, keys in COPIED_KEYS.items()},
+}
+
+
+def dynamic_features(logs):
+    """Each dynamic group of many parsed logs as columns over the logs:
+    {group: (has, values)}, has[i] telling whether log i reached the group's
+    stage and values the (logs x features) matrix of the group's formula."""
     groups = {}
-    stages = log.stages
-    if "presolve" in stages:
-        kv = stages["presolve"]
-        rows, cols = kv.get("rows", 0.0), kv.get("cols", 0.0)
-        ints = kv.get("integers", 0.0)
-        groups["presolve"] = dict(zip(DYNAMIC_GROUPS["presolve"], (
-            float(np.log(rows)) if rows > 0 else 0.0,
-            float(np.log(cols)) if cols > 0 else 0.0,
-            ints / cols if cols > 0 else 0.0)))
-    if "global_cut" in stages:
-        kv = stages["global_cut"]
-        gaps = gap_features(kv.get("c_d", 0.0), kv.get("c_p", 0.0),
-                            kv.get("c_l", 0.0))
-        groups["global_cut"] = dict(zip(DYNAMIC_GROUPS["global_cut"], gaps))
-    for stage, keys in COPIED_KEYS.items():
-        if stage in stages:
-            groups[stage] = {feat: stages[stage].get(key, 0.0)
-                             for key, feat in keys.items()}
+    for stage, (keys, formula) in _GROUP_INPUTS.items():
+        kvs = [log.stages.get(stage) for log in logs]
+        raw = np.array([[(kv or {}).get(key, 0.0) for key in keys]
+                        for kv in kvs], dtype=float).reshape(-1, len(keys))
+        with np.errstate(all="ignore"):  # as in gap_features
+            values = np.stack(formula(*raw.T), axis=1)
+        groups[stage] = np.array([kv is not None for kv in kvs], bool), values
     return groups
 
 
-def assemble_features(static, dyn, stage):
-    """Fixed-order concatenation of static plus stage-allowed dynamic groups.
-
-    Returns (names, values).  StaticOnly never touches the log; later stages
-    require the corresponding groups to be populated.
-    """
-    names = list(static.names)
-    values = list(static.values)
+def assemble_features(statics, dyn, stage):
+    """(names, X): per static vector, a row of its values then the dynamic
+    groups the stage allows, from dyn, the dynamic_features of one log per
+    instance.  StaticOnly never touches dyn; a later stage refuses the first
+    instance whose log lacks a group it needs."""
+    names = list(statics[0].names) if statics else []
+    if any(s.names != statics[0].names for s in statics):
+        raise ValueError("instances disagree on static features")
+    blocks = [np.array([s.values for s in statics],
+                       dtype=float).reshape(len(statics), len(names))]
     needed = STAGE_GROUPS[stage]
-    if needed:
-        if dyn is None:
-            raise MissingStageError(f"stage {stage.value} needs a log")
-        missing = [g for g in needed if g not in dyn]
-        if missing:
-            raise MissingStageError(
-                f"stage {stage.value} needs groups {missing}, log has "
-                f"{sorted(dyn)}")
-        for g in needed:
-            names.extend(DYNAMIC_GROUPS[g])
-            values.extend(dyn[g][feat] for feat in DYNAMIC_GROUPS[g])
-    return names, np.asarray(values, dtype=float)
+    if needed and dyn is None:
+        raise MissingStageError(f"stage {stage.value} needs a log")
+    lacking = ~np.logical_and.reduce([dyn[g][0] for g in needed])
+    if lacking.any():
+        i = int(np.argmax(lacking))
+        raise MissingStageError(
+            f"stage {stage.value} needs groups "
+            f"{[g for g in needed if not dyn[g][0][i]]}, log has "
+            f"{sorted(g for g in dyn if dyn[g][0][i])}")
+    names += [name for g in needed for name in DYNAMIC_GROUPS[g]]
+    return names, np.hstack(blocks + [dyn[g][1] for g in needed])
 
 
 def extra_cost(total_time, root_time, stage, config_affects_root):

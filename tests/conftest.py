@@ -1,4 +1,6 @@
+import gc
 import os
+import sys
 
 import pytest
 
@@ -6,6 +8,35 @@ from benloc.instance import write_mps
 from benloc.synth import gen_indset, gen_setcover
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def called_names(fn, *args, **kwargs):
+    """The code name of every Python-level call that fn(*args, **kwargs)
+    makes, fn's own first, in order.  It profiles with the garbage collector
+    off: a collection runs the gc.callbacks entries (hypothesis installs one
+    once a property test has run), and their calls would land in the count
+    wherever a collection happened to fall."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return names
+
+
+def count_calls(fn, *args, **kwargs):
+    """How many Python-level calls fn(*args, **kwargs) makes, counted as
+    called_names counts them."""
+    return len(called_names(fn, *args, **kwargs))
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from benloc.cli import main
+from benloc.cli import STAGES, main
 from benloc.dataset import build_oracle_dataset, load_dataset
 from benloc.forest import RandomForest
-from benloc.learners import TrainedSelector
+from benloc.learners import (TrainedSelector, build_examples, predict_config,
+                             train)
 from benloc.logs import FeatureStage
 from benloc.report import evaluate_split, format_pct
 from benloc.splits import SplitAssignment
@@ -158,6 +159,32 @@ class TestCommands:
                                  "--stage", "root_end"])
         assert r.exit_code == 0, r.output
         assert "imp_default=" in r.output
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_predict_is_the_feature_map_row_choice(self, runner, tmp_path,
+                                                   stage):
+        """predict on one instance's MPS and Default log prints the config
+        predict_config picks for that instance's feature_map row: the CLI's
+        one-row features are the dataset's, through the same functions."""
+        ds = tmp_path / "ds"
+        r = runner.invoke(main, ["synth", "--oracle", "--count", "6",
+                                 "--perms", "2", "--seed", "3", "--out-dir",
+                                 str(ds)])
+        assert r.exit_code == 0, r.output
+        data = load_dataset(str(ds / "manifest.json"))
+        fmap = data.feature_map(STAGES[stage])
+        model = train("reg_forest", build_examples(data.perf, fmap),
+                      hyperparams={"n_trees": 5}, seed=0)
+        (tmp_path / "model.json").write_text(model.to_json())
+        for (f, s), (names, values) in fmap.items():
+            r = runner.invoke(main, [
+                "predict", "--model", str(tmp_path / "model.json"), "--mps",
+                str(ds / "instances" / f"{f}.perm{s}.mps"), "--log",
+                str(ds / "logs" / f"{f}.perm{s}.Default.log"), "--stage",
+                stage])
+            assert r.exit_code == 0, r.output
+            assert r.output == f"{predict_config(model, values, names)}\n"
+        assert len(fmap) == 12
 
     def test_predict_without_log_fails_at_dynamic_stage(self, runner, workdir):
         manifest = str(workdir / "ds" / "manifest.json")

@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 from collections import deque
 
@@ -8,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benloc import forest as forest_module
-from benloc.forest import RandomForest, _widths, leaf_values
+from benloc.forest import RandomForest, _widths, leaf_values, ranks
+from conftest import called_names
 
 
 def brute_force_best_sse_split(x, y):
@@ -218,19 +218,56 @@ def test_constant_target_fit_ranks_no_column():
     X = np.random.default_rng(0).random((30, 4))
 
     def called(y):
-        names = set()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                names.add(frame.f_code.co_name)
-        sys.setprofile(profile)
-        try:
-            RandomForest(mode="regression", n_trees=3, seed=0).fit(X, y)
-        finally:
-            sys.setprofile(None)
-        return names
+        return set(called_names(
+            RandomForest(mode="regression", n_trees=3, seed=0).fit, X, y))
     assert "unique" not in called(np.zeros(30))
     assert "unique" in called(X[:, 0])
+
+
+def test_ranks_are_each_columns_unique_inverse():
+    """Ties share a rank, -0.0 ranks as 0.0, a constant column ranks all
+    zero; the table has one row per column of X."""
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.integers(0, 4, 50).astype(float),
+                         rng.choice([-0.0, 0.0, 1.5, -2.0], 50),
+                         np.full(50, 3.25), rng.random(50)])
+    table = ranks(X)
+    assert table.shape == (4, 50) and table.dtype == np.int64
+    for j, c in enumerate(X.T):
+        assert np.array_equal(table[j], np.unique(c, return_inverse=True)[1])
+    assert not table[2].any()
+    assert np.array_equal(table[1] == 1, X[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("mode", ["regression", "classification"])
+def test_fit_on_a_given_rank_table_is_the_same_forest(mode):
+    rng = np.random.default_rng(6)
+    X = np.column_stack([rng.integers(0, 5, 80).astype(float),
+                         rng.random((80, 3)), np.zeros(80)])
+    y = (X[:, 0] + rng.random(80) > 2.5).astype(int)
+    a = RandomForest(mode=mode, n_trees=6, seed=1).fit(X, y)
+    b = RandomForest(mode=mode, n_trees=6, seed=1).fit(X, y, rank=ranks(X))
+    assert _frozen(a) == _frozen(b)
+
+
+def _frozen(forest):
+    """to_dict with each array as its dtype and bytes."""
+    return {key: (v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray)
+            else v for key, v in forest.to_dict().items()}
+
+
+@pytest.mark.parametrize("bad", [
+    lambda t: t.T, lambda t: t[:, :-1], lambda t: t.astype(float),
+    lambda t: t.astype(bool), lambda t: t.astype(np.uint64),
+    lambda t: t - 1, lambda t: t + 30 - t.max()])
+def test_fit_refuses_a_rank_table_that_is_not_ranks_of_x(bad):
+    """Wrong shape, a dtype other than signed int (a uint64 rank cannot
+    join the int64 split-search key), or an entry outside 0..n-1."""
+    X = np.random.default_rng(7).random((30, 3))
+    with pytest.raises(ValueError, match=r"^rank must be ranks\(X\): a "
+                                         r"\(3, 30\) table of signed ints "
+                                         r"in 0\.\.29$"):
+        RandomForest(mode="regression").fit(X, X[:, 0], rank=bad(ranks(X)))
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -1,5 +1,4 @@
 import ast
-import gc
 import json
 import os
 import subprocess
@@ -21,6 +20,7 @@ from benloc import instance
 from benloc.graph import build_graph, canonical_signature
 from benloc.synth import gen_indset, gen_setcover
 import mps_reference
+from conftest import count_calls
 
 MINIMAL = """\
 NAME test
@@ -1265,17 +1265,7 @@ class TestCalls:
                    "signature": build_graph(inst)}[layer]
             fn = {"parse": parse_mps, "write": write_mps,
                   "signature": canonical_signature}[layer]
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                count += event == "call"
-            sys.setprofile(profile)
-            try:
-                fn(arg)
-            finally:
-                sys.setprofile(None)
-            return count
+            return count_calls(fn, arg)
         small = gen_setcover(100, 200, 0.1, seed=0)
         large = gen_setcover(400, 500, 0.1, seed=0)
         assert 9 * small.nnz < large.nnz < 11 * small.nnz
@@ -1288,21 +1278,7 @@ def test_permute_calls_do_not_grow_with_nnz():
     """permute_instance makes as many Python-level calls at 20k nonzeros
     as at 2k: the permuted instance is sorted and checked in numpy."""
     def calls(inst):
-        count = 0
-
-        def profile(frame, event, arg):
-            nonlocal count
-            count += event == "call"
-        # with the collector off, so that the callbacks of a collection
-        # (hypothesis installs one) are not counted as permute's calls
-        gc.disable()
-        sys.setprofile(profile)
-        try:
-            permute_instance(inst, 7)
-        finally:
-            sys.setprofile(None)
-            gc.enable()
-        return count
+        return count_calls(permute_instance, inst, 7)
     small = gen_setcover(100, 200, 0.1, seed=0)
     large = gen_setcover(400, 500, 0.1, seed=0)
     assert 9 * small.nnz < large.nnz < 11 * small.nnz

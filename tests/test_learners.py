@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benloc.dataset import build_oracle_dataset
-from benloc.forest import RandomForest, leaf_values
+from benloc.forest import RandomForest, leaf_values, ranks
 from benloc.learners import (ExampleSet, FingerprintMismatchError,
                              TrainTestContaminationError, TrainedSelector,
                              build_examples, feature_fingerprint,
@@ -17,6 +16,7 @@ from benloc.learners import (ExampleSet, FingerprintMismatchError,
 from benloc.logs import FeatureStage
 from benloc.metrics import ConfigId, MissingEntryError, PerfTable
 from benloc.synth import OracleSpec
+from conftest import called_names, count_calls
 
 CONFIGS = (ConfigId.default(), ConfigId.parse("RootCutLevel=3"))
 FEATURES = ("f0", "f1")
@@ -137,17 +137,7 @@ class TestExampleSet:
             examples = build_examples(
                 data.perf, data.feature_map(FeatureStage.STATIC_ONLY))
             assert len(examples) == 3 * n_families
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                count += event == "call"
-            sys.setprofile(profile)
-            try:
-                train("knn", examples, seed=0)
-            finally:
-                sys.setprofile(None)
-            return count
+            return count_calls(train, "knn", examples, seed=0)
         assert calls(10) == calls(40)
 
 
@@ -158,6 +148,47 @@ class TestTrain:
                               np.zeros((10, 2)), np.full((10, 2), 5.0))
         model = train("reg_forest", examples, seed=0)
         assert predict_config(model, np.array([0.3, 0.8])).is_default
+
+    @staticmethod
+    def tied_examples(n_configs, n=30):
+        """Examples over n_configs configs whose features hold ties."""
+        rng = np.random.default_rng(n_configs)
+        configs = (ConfigId.default(),) + tuple(
+            ConfigId.parse(f"RootCutLevel={k}") for k in range(n_configs - 1))
+        times = rng.random((n, n_configs)) + 1.0
+        return ExampleSet([(f"fam{i}", 0) for i in range(n)],
+                          ("f0", "f1", "f2"), configs,
+                          rng.integers(0, 4, (n, 3)).astype(float),
+                          np.log(times / times[:, :1]), times)
+
+    @pytest.mark.parametrize("n_configs", [2, 5])
+    def test_pair_ranker_rank_table_is_ranks_of_its_stack(self, n_configs,
+                                                          monkeypatch):
+        """The table pair_ranker builds from ranks(X) and its indicator
+        block is ranks of the stacked matrix it fits.  With 2 configs the
+        one indicator column is all ones, so it ranks 0, not 1."""
+        fitted, fit = [], RandomForest.fit
+
+        def spy(forest, X, y, n_classes=None, rank=None):
+            fitted.append((X, rank))
+            return fit(forest, X, y, n_classes, rank)
+        monkeypatch.setattr(RandomForest, "fit", spy)
+        train("pair_ranker", self.tied_examples(n_configs),
+              hyperparams={"n_trees": 2}, seed=0)
+        (X_pair, rank), = fitted
+        n_pairs = n_configs * (n_configs - 1) // 2
+        assert X_pair.shape == (30 * n_pairs, 3 + n_pairs)
+        assert rank.dtype == np.int64
+        assert np.array_equal(rank, ranks(X_pair))
+        if n_configs == 2:
+            assert X_pair[:, -1].all() and not rank[-1].any()
+
+    def test_reg_forest_ranks_x_once(self):
+        """Five configs' forests share one rank table: one np.unique per
+        feature column."""
+        names = called_names(train, "reg_forest", self.tied_examples(5),
+                             hyperparams={"n_trees": 2}, seed=0)
+        assert names.count("unique") == 3
 
     @pytest.mark.parametrize("kind", ["reg_forest", "clf_forest", "knn",
                                       "pair_ranker"])
@@ -362,17 +393,7 @@ class TestRegForestDescent:
             model = train("reg_forest", examples, hyperparams={"n_trees": 4},
                           seed=0)
             x = rng.random(2)
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                count += event == "call"
-            sys.setprofile(profile)
-            try:
-                predict_config(model, x)
-            finally:
-                sys.setprofile(None)
-            return count
+            return count_calls(predict_config, model, x)
         assert calls(2) == calls(5)
 
 

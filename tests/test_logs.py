@@ -1,13 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from benloc.logs import (DYNAMIC_GROUPS, STAGE_LINES, STATUSES, FeatureStage,
-                         IncompleteLogError, LogSchemaError, MissingStageError,
-                         SolveLog, assemble_features, dynamic_features,
-                         extra_cost, gap_features, parse_log, render_log)
+import logs_reference
+from benloc.dataset import build_oracle_dataset, load_dataset, write_dataset
+from benloc.logs import (COPIED_KEYS, DYNAMIC_GROUPS, STAGE_LINES, STATUSES,
+                         FeatureStage, IncompleteLogError, LogSchemaError,
+                         MissingStageError, SolveLog, assemble_features,
+                         dynamic_features, extra_cost, gap_features,
+                         parse_log, render_log)
+from benloc.metrics import ConfigId
 from benloc.static_features import extract_static
 from benloc.synth import OracleSpec, gen_setcover, oracle_times
 
@@ -183,27 +188,30 @@ class TestAssemble:
     def test_static_only_ignores_log(self):
         inst = gen_setcover(5, 9, 0.5, seed=1)
         static = extract_static(inst)
-        names, values = assemble_features(static, None,
-                                          FeatureStage.STATIC_ONLY)
+        names, X = assemble_features([static], None,
+                                     FeatureStage.STATIC_ONLY)
+        values = X[0]
         assert len(names) == len(static) == len(values)
 
     def test_first_root_lp_without_root_end(self):
         text = FULL_LOG.replace(
             "ROOT_END nodes=301 lpit_per_node=11.0 glbfix=0 cuts=3 mcp=0 "
             "sepa=1 conf=0 time=1.0\n", "")
-        dyn = dynamic_features(parse_log(text))
+        dyn = dynamic_features([parse_log(text)])
         static = extract_static(gen_setcover(5, 9, 0.5, seed=1))
-        names, values = assemble_features(static, dyn,
-                                          FeatureStage.UP_TO_FIRST_ROOT_LP)
+        names, X = assemble_features([static], dyn,
+                                     FeatureStage.UP_TO_FIRST_ROOT_LP)
         expected = len(static) + sum(
             len(DYNAMIC_GROUPS[g])
             for g in ("presolve", "global_cut", "first_root_lp"))
         assert len(names) == expected
         with pytest.raises(MissingStageError):
-            assemble_features(static, dyn, FeatureStage.UP_TO_ROOT_END)
+            assemble_features([static], dyn, FeatureStage.UP_TO_ROOT_END)
 
     def test_dynamic_values(self):
-        dyn = dynamic_features(parse_log(FULL_LOG))
+        dyn = {g: dict(zip(DYNAMIC_GROUPS[g], values[0]))
+               for g, (_, values) in dynamic_features(
+                   [parse_log(FULL_LOG)]).items()}
         assert dyn["presolve"]["PresolRows"] == np.log(10)
         assert dyn["presolve"]["PresolIntegers"] == 1.0
         assert (dyn["global_cut"]["GapClosed"]
@@ -214,10 +222,163 @@ class TestAssemble:
     def test_unpopulated_groups_absent(self):
         log = parse_log("PRESOLVE rows=5 cols=9 integers=9\n"
                         "STATUS status=optimal total_time=3.0 root_time=1.0\n")
-        dyn = dynamic_features(log)
-        assert set(dyn) == {"presolve"}
-        with pytest.raises(KeyError):
-            dyn["root_end"]
+        dyn = dynamic_features([log])
+        assert {g for g, (has, _) in dyn.items() if has[0]} == {"presolve"}
+        static = extract_static(gen_setcover(5, 9, 0.5, seed=1))
+        with pytest.raises(MissingStageError, match=r"log has \['presolve'\]"):
+            assemble_features([static], dyn, FeatureStage.UP_TO_ROOT_END)
+
+
+# the log keys each dynamic group reads
+_GROUP_KEYS = {"presolve": ("rows", "cols", "integers"),
+               "global_cut": ("c_d", "c_p", "c_l"),
+               **{stage: tuple(keys) for stage, keys in COPIED_KEYS.items()}}
+# the edges of the formulas: zero of either sign, the smallest and largest
+# magnitudes, and small values of both signs
+_EDGES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0,
+                          -1.0, 2.5, -7.0])
+_VALUES = _EDGES | st.floats(allow_nan=False, allow_infinity=False)
+_STATIC = extract_static(gen_setcover(5, 9, 0.5, seed=1))
+
+
+@st.composite
+def feature_logs(draw):
+    """A SolveLog whose stages are each absent, partial or complete, with
+    values at the formulas' edges: rows or cols zero or negative, bounds all
+    zero or of mixed sign, -0.0, 1e-300 and 1e300."""
+    stages = {}
+    for stage, keys in _GROUP_KEYS.items():
+        kv = draw(st.none() | st.dictionaries(st.sampled_from(keys), _VALUES)
+                  | st.fixed_dictionaries({key: _VALUES for key in keys}))
+        if kv is not None:
+            stages[stage] = kv
+    return SolveLog(stages=stages)
+
+
+def _reference_rows(logs, stage):
+    """Per log: the reference's (names, values), or the message of the
+    MissingStageError it raises."""
+    rows = []
+    for log in logs:
+        dyn = (None if stage == FeatureStage.STATIC_ONLY
+               else logs_reference.dynamic_features(log))
+        try:
+            rows.append(logs_reference.assemble_features(_STATIC, dyn, stage))
+        except MissingStageError as exc:
+            rows.append(str(exc))
+    return rows
+
+
+def _batched(logs, stage):
+    """assemble_features over dynamic_features of the logs, or the message of
+    the MissingStageError it raises."""
+    try:
+        return assemble_features([_STATIC] * len(logs),
+                                 dynamic_features(logs), stage)
+    except MissingStageError as exc:
+        return str(exc)
+
+
+class TestFeatureOracle:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.lists(feature_logs(), min_size=1, max_size=6))
+    @example([SolveLog(stages={
+        "presolve": {"rows": 0.0, "cols": -0.0, "integers": 3.0},
+        "global_cut": {"c_d": 0.0, "c_p": -0.0, "c_l": 0.0},
+        "first_root_lp": {}, "root_end": {"nodes": -0.0}})])
+    @example([SolveLog(stages={
+        "presolve": {"rows": -4.0, "cols": 1e-300, "integers": 1e300},
+        "global_cut": {"c_d": -1e300, "c_p": 1e300, "c_l": 1e-300},
+        "first_root_lp": {"gap": 1e300}, "root_end": {}}),
+        SolveLog(stages={"presolve": {"rows": 1e300, "cols": 2.0}})])
+    def test_batch_matches_the_per_log_reference(self, logs):
+        """At every stage the batched matrix equals the per-log reference
+        row by row, byte for byte, or raises the first row's error; and a
+        batch of n logs equals n batches of one."""
+        for stage in FeatureStage:
+            want = _reference_rows(logs, stage)
+            got = _batched(logs, stage)
+            errors = [row for row in want if isinstance(row, str)]
+            if errors:
+                assert got == errors[0]
+            else:
+                names, X = got
+                assert len(X) == len(logs)
+                for (ref_names, ref_values), row in zip(want, X):
+                    assert names == ref_names
+                    assert row.tobytes() == ref_values.tobytes()
+            singles = [_batched([log], stage) for log in logs]
+            for one, ref in zip(singles, want):
+                if isinstance(ref, str):
+                    assert one == ref
+                else:
+                    assert one[0] == ref[0]
+            if not errors:
+                assert X.tobytes() == b"".join(
+                    one[1].tobytes() for one in singles)
+
+
+class TestFeatureMap:
+    @pytest.mark.parametrize("stage", list(FeatureStage))
+    def test_equals_the_per_instance_loop(self, small_oracle, stage):
+        got = small_oracle.feature_map(stage)
+        want = logs_reference.feature_map(small_oracle, stage)
+        assert list(got) == list(want)
+        for key, (names, values) in want.items():
+            assert got[key][0] == names
+            assert got[key][1].tobytes() == values.tobytes()
+
+    def test_first_error_is_the_per_instance_loops_first(self):
+        """The 2nd instance lacks global_cut and the 5th its Default log:
+        the 2nd instance's error is raised, as the per-instance loop raises
+        it; without the 2nd's fault, the 5th's."""
+        data = build_oracle_dataset(n_families=3, n_perms=2, seed=4)
+        keys = list(data.static)
+        default = ConfigId.default()
+        second = data.logs[keys[1]][default].stages
+        cut = second.pop("global_cut")
+        fifth = data.logs[keys[4]].pop(default)
+        stage = FeatureStage.UP_TO_ROOT_END
+
+        def message(feature_map):
+            with pytest.raises(MissingStageError) as info:
+                feature_map(stage)
+            return str(info.value)
+        assert message(data.feature_map) == (
+            "stage root_end needs groups ['global_cut'], log has "
+            "['first_root_lp', 'presolve', 'root_end']")
+        assert message(data.feature_map) == message(
+            lambda st: logs_reference.feature_map(data, st))
+        second["global_cut"] = cut
+        assert message(data.feature_map) == message(
+            lambda st: logs_reference.feature_map(data, st)) == (
+            f"no Default log for ({keys[4][0]}, {keys[4][1]})")
+        data.logs[keys[4]][default] = fifth
+        assert len(data.feature_map(stage)) == 6
+
+    def test_static_only_reads_no_log(self, small_oracle, tmp_path,
+                                      monkeypatch):
+        """A manifest with log_dir null loads with no logs, and its static
+        stage matches the full dataset's; a later stage names the first
+        instance's missing log."""
+        path = write_dataset(small_oracle, str(tmp_path))
+        with open(path) as fh:
+            manifest = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(dict(manifest, log_dir=None), fh)
+        data = load_dataset(path)
+        assert all(logs == {} for logs in data.logs.values())
+        monkeypatch.setattr(type(data), "log", None)  # any log read fails
+        static = data.feature_map(FeatureStage.STATIC_ONLY)
+        want = small_oracle.feature_map(FeatureStage.STATIC_ONLY)
+        assert {key: values.tobytes() for key, (_, values) in static.items()} \
+            == {key: values.tobytes() for key, (_, values) in want.items()}
+        monkeypatch.undo()
+        first = list(data.static)[0]
+        with pytest.raises(MissingStageError,
+                           match=rf"^no Default log for \({first[0]}, "
+                                 rf"{first[1]}\)$"):
+            data.feature_map(FeatureStage.UP_TO_FIRST_ROOT_LP)
 
 
 class TestExtraCost:

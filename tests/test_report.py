@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 
 import pytest
@@ -9,6 +8,7 @@ from benloc.logs import FeatureStage, MissingStageError
 from benloc.metrics import MissingEntryError
 from benloc.report import evaluate_split, fit_split, score_split
 from benloc.splits import split_by_instance
+from conftest import count_calls
 
 
 def keep_logs(data, keep):
@@ -68,15 +68,5 @@ def test_score_split_calls_do_not_grow_with_rows():
         examples = build_examples(data.perf, data.feature_map(stage))
         model = fit_split(examples, split, "reg_forest",
                           {"n_trees": 5, "max_depth": 4})
-        count = 0
-
-        def profile(frame, event, arg):
-            nonlocal count
-            count += event == "call"
-        sys.setprofile(profile)
-        try:
-            score_split(data, split, model, examples, stage)
-        finally:
-            sys.setprofile(None)
-        return count
+        return count_calls(score_split, data, split, model, examples, stage)
     assert calls(30) == calls(120)

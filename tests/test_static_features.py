@@ -1,5 +1,4 @@
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +12,7 @@ from benloc.static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
                                     DegenerateInstanceError, extract_static,
                                     static_features_csv)
 from benloc.synth import gen_indset, gen_setcover
+from conftest import count_calls
 
 
 def one_by_one():
@@ -196,17 +196,7 @@ class TestRuleTable:
         """Python-level calls in extract_static are the same at m and 4m
         rows: no work is done per row in Python."""
         def calls(inst):
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                count += event == "call"
-            sys.setprofile(profile)
-            try:
-                extract_static(inst)
-            finally:
-                sys.setprofile(None)
-            return count
+            return count_calls(extract_static, inst)
         small, large = (gen_setcover(m, 60, 0.1, seed=0) for m in (50, 200))
         assert large.num_rows == 4 * small.num_rows
         assert calls(small) == calls(large)
