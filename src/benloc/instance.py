@@ -23,8 +23,8 @@ entries are ordered by one sort of an int64 key: row << 32 | col as stored,
 col << 32 | 1 + row with the objective as row 0 when written.  The writer
 always emits free format and is deterministic; it formats each distinct value
 once, found by np.unique of its bits, and writes a LO line for a lower bound
-of 0 under a negative upper bound, which the convention would otherwise free,
-and refuses a name it could not read back as written.
+of 0 under a negative upper bound, which the convention would otherwise free.
+It writes any MipInstance: MipInstance refuses the names it cannot read back.
 
 Permutations are drawn from numpy's PCG64 generator so the same seed produces
 the same row/column swap on every platform.  Seed 0 is reserved for the
@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain, compress, count, filterfalse, repeat
-from operator import methodcaller, not_
+from operator import not_
 
 import numpy as np
 
@@ -49,11 +49,8 @@ INF = math.inf
 SENSES = ("<=", ">=", "=")
 VAR_TYPES = ("continuous", "binary", "integer")
 
-_MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
-_SENSE_MPS = {v: k for k, v in _MPS_SENSE.items()}
-# a ROWS line's type, in either case -> its code, 0 for N; each code's sense
+# a ROWS line's type, in any case -> 0 for N, k for the sense SENSES[k - 1]
 _ROW_TYPE = {t: k % 4 for k, t in enumerate("NLGEnlge")}
-_ROW_SENSE = (None, *map(_MPS_SENSE.get, "LGE"))
 _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
              "ENDATA")
 # bound type -> (lower, upper, integer): each side is a constant, _VALUE for
@@ -75,7 +72,6 @@ _MARKERS = {"INTORG": 1, "INTEND": 0}
 # the first characters a word can have that reads as MARKER once unquoted
 # and upper-cased (no other character upper-cases to a leading "M")
 _MARKER_LEAD = np.isin(np.arange(128), list(map(ord, "Mm'\"")))
-_COMMENT = methodcaller("startswith", "*")  # a comment line's first token
 _CHUNK = 1 << 20  # characters tokenized at once, bounding the tokens
 # each code point's class, 1 for str.isspace() and 2 for a str.splitlines()
 # line end; every one of them is below _OTHER, at which the table ends
@@ -94,7 +90,6 @@ class MpsError(ValueError):
     """Base class for MPS reading problems; names the line when known."""
 
     def __init__(self, message, line_no=None):
-        self.reason = message
         self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
@@ -185,12 +180,25 @@ class MipInstance:
                 == len(self.var_types) == len(self.col_names) == n):
             raise InvalidInstanceError("column arrays disagree on n")
         # the objective is a row too, so no other row may take its name
-        for what, names in (("row", [self.obj_name, *self.row_names]),
-                            ("column", self.col_names)):
+        rows = [self.obj_name, *self.row_names]
+        for what, names in (("row", rows), ("column", self.col_names)):
             if len(set(names)) < len(names):
                 seen = set()
                 name = next(x for x in names if x in seen or seen.add(x))
                 raise InvalidInstanceError(f"duplicate {what} name {name!r}")
+        # each name must read back as the one token it is, and no COLUMNS
+        # line as a comment; an empty instance name reads back as it is
+        names = rows + self.col_names + ([self.name] if self.name else [])
+        if " ".join(names).split() != names:
+            name = next(x for x in names if x.split() != [x])
+            raise InvalidInstanceError(f"name {name!r} is empty or holds a blank")
+        if " *" in " " + " ".join(self.col_names):  # names hold no blank
+            name = next(x for x in self.col_names if x[:1] == "*")
+            raise InvalidInstanceError(f"column name {name!r} starts with '*'")
+        # a pair naming a row MARKER would read as a marker line
+        if "MARKER" in " ".join(rows).upper():
+            for name in compress(rows, map("MARKER".__eq__, _unquoted(rows))):
+                raise InvalidInstanceError(f"row name {name!r} reads as a marker")
         for what, values in (("objective coefficient", self.obj_coeffs),
                              ("matrix coefficient", self.mat_vals),
                              ("rhs", self.rhs)):
@@ -542,7 +550,7 @@ class _MpsReader:
         self.row_code.update(zip(compress(names, code),
                                  count(len(self.row_senses))))
         self.row_code.update(zip(map(names.__getitem__, free), repeat(_FREE)))
-        self.row_senses += map(_ROW_SENSE.__getitem__, filter(None, code))
+        self.row_senses += [SENSES[k - 1] for k in code if k]
 
     def pairs(self, toks, lead, starts, counts, line_nos, kind):
         """COLUMNS, RHS and RANGES lines by kind, and headers between them,
@@ -766,21 +774,6 @@ def _lines(*fields):
 
 def write_mps(inst):
     """Serialize to free-format MPS. Deterministic: equal instances, equal bytes."""
-    # each name must read back as the one token it is, and no COLUMNS line
-    # as a comment; an empty instance name reads back as it is
-    names = [inst.obj_name, *inst.row_names, *inst.col_names]
-    names += [inst.name] if inst.name else []
-    if " ".join(names).split() != names:
-        name = next(x for x in names if x.split() != [x])
-        raise InvalidInstanceError(f"name {name!r} is empty or holds a blank")
-    for name in filter(_COMMENT, inst.col_names):
-        raise InvalidInstanceError(f"column name {name!r} starts with '*'")
-    # a pair naming a row MARKER would read as a marker line
-    row_names = [inst.obj_name, *inst.row_names]
-    words = list(_unquoted(row_names))
-    if "MARKER" in words:
-        name = row_names[words.index("MARKER")]
-        raise InvalidInstanceError(f"row name {name!r} reads as a marker")
     n = inst.num_cols
     integer = np.fromiter(map("continuous".__ne__, inst.var_types), bool, n)
 
@@ -840,8 +833,8 @@ def write_mps(inst):
         f"NAME          {inst.name}\n",
         "OBJSENSE\n    MAX\n" if inst.sense == "maximize" else "",
         f"ROWS\n N  {inst.obj_name}\n",
-        _lines(" ", map(_SENSE_MPS.__getitem__, inst.row_senses), "  ",
-               inst.row_names),
+        _lines(" ", map(dict(zip(SENSES, "LGE")).__getitem__, inst.row_senses),
+               "  ", inst.row_names),
         "COLUMNS\n", columns, "RHS\n", rhs, "BOUNDS\n", *bounds, "ENDATA\n"])
 
 

@@ -46,13 +46,9 @@ _MODEL_FIELDS = {"configs": (list, "a list of strings"),
                  "hyperparams": (dict, "an object"),
                  "payload": (dict, "an object")}
 
-FOREST_DEFAULTS = {
-    "n_trees": 200,
-    "max_depth": 12,
-    "max_features": "sqrt",
-    "min_samples_leaf": 1,
-    "bootstrap": True,
-}
+# the hyperparameters passed on to RandomForest, which gives their defaults
+_FOREST_KEYS = ("n_trees", "max_depth", "max_features", "min_samples_leaf",
+                "bootstrap")
 
 KNN_DEFAULTS = {"k": 5}
 
@@ -303,10 +299,7 @@ class TrainedSelector:
 
 
 def _forest_params(hyperparams):
-    params = dict(FOREST_DEFAULTS)
-    params.update({k: v for k, v in (hyperparams or {}).items()
-                   if k in FOREST_DEFAULTS})
-    return params
+    return {k: v for k, v in hyperparams.items() if k in _FOREST_KEYS}
 
 
 def _pair_features(X, n_pairs, pair_idx):
@@ -366,6 +359,9 @@ def train(kind, examples, hyperparams=None, seed=0, test_registry=None):
         payload["X"] = (X - mean) / std
         payload["classes"] = classes
     elif kind == "pair_ranker":
+        if len(configs) < 2:
+            raise ValueError(
+                f"pair_ranker needs at least 2 configs, got {len(configs)}")
         i, j = np.triu_indices(len(configs), 1)  # each pair i < j, in order
         n_pairs = len(i)
         # X once per pair, pair by pair; class 1: config j strictly faster

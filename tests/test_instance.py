@@ -631,6 +631,22 @@ class TestInvariants:
             MipInstance(**dict(kwargs, **{field: np.array(value)}))
         assert str(e.value) == reason
 
+    @pytest.mark.parametrize("source, message", [
+        ({"col_names": ["a b", "c", "c"]}, "duplicate column name 'c'"),
+        ({"col_names": ["*a", "b c", "c"]},
+         "name 'b c' is empty or holds a blank"),
+        ({"row_names": ["MARKER", ""]}, "name '' is empty or holds a blank"),
+        ({"row_names": ["MARKER", "r2"], "col_names": ["*a", "b", "c"]},
+         "column name '*a' starts with '*'"),
+    ])
+    def test_name_checks_refuse_in_order(self, source, message):
+        """Of two names that different checks refuse, the earlier check's is
+        named: duplicates, then an empty name or one holding a blank, then
+        a column starting with '*', then a row that reads as MARKER."""
+        with pytest.raises(InvalidInstanceError) as info:
+            replace(small_instance(), **source)
+        assert str(info.value) == message
+
     def test_binary_bounds_enforced(self):
         with pytest.raises(InvalidInstanceError):
             MipInstance(
@@ -1110,6 +1126,15 @@ class TestOracle:
 # section and set names, the objective's name, and a comment's first token
 _ODD_NAMES = ("MARKER", "marker", "'MARKER'", '"Marker"', "RHS", "RANGES",
               "BOUNDS", "OBJ", "*x")
+# a name built directly: an odd name, a section or marker word, or one to
+# four characters among quotes, a star and a non-ASCII letter; a name that
+# may also hold blanks and a line end, or be empty
+_NAME_CHARS = "xXmM'\"*RN_-.0é"
+_DIRECT_NAMES = st.one_of(
+    st.sampled_from(_ODD_NAMES + ("NAME", "ENDATA", "MARKERS", "INTORG",
+                                  "INTEND", "'x'", "N", "RHS__rng")),
+    st.text(_NAME_CHARS, min_size=1, max_size=4))
+_SPOILED_NAMES = st.text(_NAME_CHARS + " \t\x1c", max_size=4)
 
 
 class TestClosure:
@@ -1147,6 +1172,47 @@ class TestClosure:
                 inst = parse_mps(text)
             except (MpsError, InvalidInstanceError):
                 return  # refused: nothing to write
+        assert parse_mps(write_mps(inst)) == inst
+
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(st.data())
+    def test_write_then_parse_gives_every_valid_instance(self, data):
+        """parse_mps(write_mps(x)) == x for every x MipInstance accepts,
+        built directly: names of quotes, stars, blanks, a line end and a
+        non-ASCII letter, or words a reader gives a meaning; every sense and
+        type, signed zeros, and infinite bounds."""
+        m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+
+        def drawn(values, size):
+            return data.draw(st.lists(st.sampled_from(values), min_size=size,
+                                      max_size=size))
+
+        # the instance's, the rows' and the columns' names, of which one or
+        # none is spoiled
+        names = [data.draw(st.lists(_DIRECT_NAMES, min_size=size,
+                                    max_size=size, unique=True))
+                 for size in (1, m + 1, n)]
+        spoiled = names[data.draw(st.integers(0, 2))]
+        if spoiled and data.draw(st.booleans()):
+            spoiled[data.draw(st.integers(0, len(spoiled) - 1))] = data.draw(
+                _SPOILED_NAMES)
+        (name,), (obj_name, *row_names), col_names = names
+        cells = drawn((0.0, 0.0, 1.0, -2.5, 1e300, 5e-324), m * n)
+        rows, cols = np.divmod(np.flatnonzero(cells), max(n, 1))
+        try:
+            inst = MipInstance(
+                name=name,
+                sense=data.draw(st.sampled_from(["minimize", "maximize"])),
+                obj_coeffs=drawn((0.0, -0.0, 1.0, -1e-300), n),
+                mat_rows=rows, mat_cols=cols,
+                mat_vals=np.array(cells)[np.flatnonzero(cells)],
+                row_senses=drawn(SENSES, m), rhs=drawn((0.0, -0.0, 4.5), m),
+                var_lb=drawn((-INF, -3.0, -0.0, 0.0, 0.5, 1.0), n),
+                var_ub=drawn((-0.5, -0.0, 0.0, 1.0, 2.0, INF), n),
+                var_types=drawn(VAR_TYPES, n), row_names=row_names,
+                col_names=col_names, obj_name=obj_name)
+        except InvalidInstanceError:
+            return  # refused: not an instance
         assert parse_mps(write_mps(inst)) == inst
 
 

@@ -183,6 +183,13 @@ class TestTrain:
         if n_configs == 2:
             assert X_pair[:, -1].all() and not rank[-1].any()
 
+    def test_pair_ranker_refuses_one_config(self):
+        """With Default as the only config there is no pair to rank; the
+        refusal names the config count."""
+        with pytest.raises(ValueError) as info:
+            train("pair_ranker", self.tied_examples(1), seed=0)
+        assert str(info.value) == "pair_ranker needs at least 2 configs, got 1"
+
     def test_reg_forest_ranks_x_once(self):
         """Five configs' forests share one rank table: one np.unique per
         feature column."""
