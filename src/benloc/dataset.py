@@ -107,8 +107,8 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
 
-        n_int = sum(t != "continuous" for t in base.var_types)
-        stats = (base.num_rows, base.num_cols, n_int)
+        # the number of integer and binary columns: CONTINUOUS is code 0
+        stats = (base.num_rows, base.num_cols, np.count_nonzero(base.var_types))
         for s in range(n_perms):
             inst, _ = permute_instance(base, s)
             feats = extract_static(inst)

@@ -4,9 +4,9 @@ signature.
 Constraint nodes carry interval bounds derived from the row sense
 (ax <= b -> (-inf, b], ax >= b -> [b, +inf), ax = b -> [b, b]) plus 0/1
 indicators hlb/hub marking which side is finite.  Variable nodes carry bound
-indicators, the objective coefficient, the bounds themselves and a type tag
-(binary folds into "integer").  Edges are the nonzero matrix coefficients.
-No embeddings or message passing happen here.
+indicators, the objective coefficient, the bounds themselves and a type flag,
+1 for an integer or binary variable and 0 for a continuous one.  Edges are the
+nonzero matrix coefficients.  No embeddings or message passing happen here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import fields_equal
+from .instance import CONTINUOUS, GE, LE, fields_equal
 
 INF = math.inf
 
@@ -33,7 +33,7 @@ class BipartiteGraph:
     var_obj: np.ndarray
     var_lb: np.ndarray
     var_ub: np.ndarray
-    var_types: list  # "integer" | "continuous"
+    var_types: np.ndarray  # int8: 1 integer (or binary), 0 continuous
     edge_con: np.ndarray
     edge_var: np.ndarray
     edge_weight: np.ndarray
@@ -55,24 +55,18 @@ class BipartiteGraph:
 
 def build_graph(inst):
     """Build the bipartite graph of a MipInstance."""
-    senses = np.array(inst.row_senses, dtype="U2")
-    has_lb, has_ub = senses != "<=", senses != ">="
-    var_hlb = (inst.var_lb > -INF).astype(np.int64)
-    var_hub = (inst.var_ub < INF).astype(np.int64)
-    var_types = ["continuous" if t == "continuous" else "integer"
-                 for t in inst.var_types]
-
+    has_lb, has_ub = inst.row_senses != LE, inst.row_senses != GE
     return BipartiteGraph(
         con_lb=np.where(has_lb, inst.rhs, -INF),
         con_ub=np.where(has_ub, inst.rhs, INF),
         con_hlb=has_lb.astype(np.int64),
         con_hub=has_ub.astype(np.int64),
-        var_hlb=var_hlb,
-        var_hub=var_hub,
+        var_hlb=(inst.var_lb > -INF).astype(np.int64),
+        var_hub=(inst.var_ub < INF).astype(np.int64),
         var_obj=inst.obj_coeffs.copy(),
         var_lb=inst.var_lb.copy(),
         var_ub=inst.var_ub.copy(),
-        var_types=var_types,
+        var_types=(inst.var_types != CONTINUOUS).astype(np.int8),
         edge_con=inst.mat_rows.copy(),
         edge_var=inst.mat_cols.copy(),
         edge_weight=inst.mat_vals.copy(),
@@ -84,14 +78,15 @@ def canonical_signature(g):
     and one of the variable nodes.  The digests are equal for graphs that
     differ only by a relabeling of constraint and variable indices, or by
     -0.0 in place of 0.0."""
-    types = sorted(set(g.var_types))
-    var_type = np.fromiter(map({t: k for k, t in enumerate(types)}.__getitem__,
-                               g.var_types), float, g.num_variables)
+    # the variable head names the types present, and a node's type value is
+    # the rank of its type among them
+    present = np.flatnonzero(np.bincount(g.var_types, minlength=2))
+    types = map(("continuous", "integer").__getitem__, present.tolist())
     return (_nodes_digest((g.con_lb, g.con_ub, g.con_hlb, g.con_hub),
                           g.edge_con, g.edge_weight, b""),
             _nodes_digest((g.var_hlb, g.var_hub, g.var_obj, g.var_lb, g.var_ub,
-                           var_type), g.edge_var, g.edge_weight,
-                          "\0".join(types).encode()))
+                           present.searchsorted(g.var_types)), g.edge_var,
+                          g.edge_weight, "\0".join(types).encode()))
 
 
 def _nodes_digest(fields, node, weight, head):

@@ -1,5 +1,9 @@
 """Sparse MIP instance model, MPS reading/writing, and permutation augmentation.
 
+A MipInstance holds each row's sense and each column's type as an int8 code,
+an index into SENSES and VAR_TYPES; every layer reads the codes, and no
+module compares them with the names.
+
 The MPS reader accepts both fixed- and free-format files (section headers in
 column 1, data lines indented, names without embedded blanks).  It reads the
 text about _CHUNK characters at a time, splitting each chunk into one flat
@@ -12,7 +16,8 @@ one float() per token, and the checks are array masks (for ROWS, list tests
 that locate the failing line only when one fails; for MARKER, a test of the
 second tokens whose first character is M, m or a quote).  BOUNDS applies one
 line at a time with no Python-level call per line, as its type's entry in the
-_BOUNDS table says.  The first failure is raised with the message, line number
+_BOUNDS table says.  A NAME line of several words keeps the first, with a
+warning.  The first failure is raised with the message, line number
 and earlier warnings a reader taking one line at a time would give.  A row
 name declared again, whatever either sense, and a row named MARKER, which a
 COLUMNS pair would read as a marker, are refused at their line.  A negative UP
@@ -48,8 +53,9 @@ INF = math.inf
 
 SENSES = ("<=", ">=", "=")
 VAR_TYPES = ("continuous", "binary", "integer")
+LE, GE, EQ = CONTINUOUS, BINARY, INTEGER = range(3)
 
-# a ROWS line's type, in any case -> 0 for N, k for the sense SENSES[k - 1]
+# a ROWS line's type, in any case -> 0 for N, 1 + the code of its sense
 _ROW_TYPE = {t: k % 4 for k, t in enumerate("NLGEnlge")}
 _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
              "ENDATA")
@@ -128,11 +134,11 @@ class MipInstance:
     mat_rows: np.ndarray  # (nnz,) int
     mat_cols: np.ndarray  # (nnz,) int
     mat_vals: np.ndarray  # (nnz,) float
-    row_senses: list  # length m over SENSES
+    row_senses: np.ndarray  # (m,) int8 codes into SENSES
     rhs: np.ndarray  # (m,)
     var_lb: np.ndarray  # (n,)
     var_ub: np.ndarray  # (n,)
-    var_types: list  # length n over VAR_TYPES
+    var_types: np.ndarray  # (n,) int8 codes into VAR_TYPES
     row_names: list
     col_names: list
     obj_name: str = "OBJ"
@@ -146,12 +152,18 @@ class MipInstance:
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.var_lb = np.asarray(self.var_lb, dtype=float)
         self.var_ub = np.asarray(self.var_ub, dtype=float)
-        self.row_senses = list(self.row_senses)
-        self.var_types = list(self.var_types)
+        # copies, as the binary rule writes var_types in place
+        self.row_senses = np.array(self.row_senses, dtype=np.int8)
+        self.var_types = np.array(self.var_types, dtype=np.int8)
         self.row_names = list(self.row_names)
         self.col_names = list(self.col_names)
         self._canonicalize()
         self.validate()
+        # an integer variable with bounds inside [0, 1] is binary; this runs
+        # after validate, which has checked the lengths and refuses only a
+        # binary outside [0, 1]
+        unit = (self.var_lb >= 0) & (self.var_ub <= 1)
+        self.var_types[(self.var_types == INTEGER) & unit] = BINARY
 
     def _canonicalize(self):
         # keep coordinate entries sorted by (row, col) so equality is structural
@@ -165,12 +177,6 @@ class MipInstance:
             self.mat_cols = self.mat_cols[order]
             self.mat_vals = self.mat_vals[order]
         self.row_ptr = self.mat_rows.searchsorted(np.arange(self.num_rows + 1))
-        # an integer variable with bounds inside [0, 1] is binary (when the
-        # column arrays disagree, validate refuses the instance)
-        if len(self.var_types) == len(self.var_lb) == len(self.var_ub):
-            unit = (self.var_lb >= 0) & (self.var_ub <= 1)
-            self.var_types = list(map({("integer", True): "binary"}.get, zip(
-                self.var_types, unit.tolist()), self.var_types))
 
     def validate(self):
         m, n = self.num_rows, self.num_cols
@@ -216,10 +222,10 @@ class MipInstance:
                         f"column {name!r} has {side} bound {bad:+}")
         if self.sense not in ("minimize", "maximize"):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
-        for s in filterfalse(SENSES.__contains__, self.row_senses):
-            raise InvalidInstanceError(f"bad row sense {s!r}")
-        for t in filterfalse(VAR_TYPES.__contains__, self.var_types):
-            raise InvalidInstanceError(f"bad var type {t!r}")
+        for what, codes, names in (("row sense", self.row_senses, SENSES),
+                                   ("var type", self.var_types, VAR_TYPES)):
+            for code in codes[(codes < 0) | (codes >= len(names))][:1]:
+                raise InvalidInstanceError(f"bad {what} code {code}")
         if self.nnz:
             rows, cols = self.mat_rows, self.mat_cols
             if rows.min() < 0 or rows.max() >= m:
@@ -232,8 +238,7 @@ class MipInstance:
                 raise InvalidInstanceError("duplicate (row, col) entries")
             if (self.mat_vals == 0.0).any():
                 raise InvalidInstanceError("stored zero coefficient")
-        binary = np.fromiter(map("binary".__eq__, self.var_types), bool, n)
-        outside = binary & ((lb < 0) | (ub > 1))
+        outside = (self.var_types == BINARY) & ((lb < 0) | (ub > 1))
         if outside.any():
             raise InvalidInstanceError(
                 f"binary variable {self.col_names[np.argmax(outside)]} has "
@@ -487,7 +492,10 @@ class _MpsReader:
                     if head == "ENDATA":
                         return
                     if head == "NAME":
-                        self.name = head_toks[1] if len(head_toks) > 1 else ""
+                        self.name, *extra = head_toks[1:] or [""]
+                        if extra:
+                            warnings.warn(f"line {line_nos[a]}: NAME of several"
+                                          f" words read as {self.name!r}")
                     elif head == "OBJSENSE" and len(head_toks) > 1:
                         self.set_sense(head_toks[1])
                     # NAME takes no data lines
@@ -550,7 +558,7 @@ class _MpsReader:
         self.row_code.update(zip(compress(names, code),
                                  count(len(self.row_senses))))
         self.row_code.update(zip(map(names.__getitem__, free), repeat(_FREE)))
-        self.row_senses += [SENSES[k - 1] for k in code if k]
+        self.row_senses += [k - 1 for k in code if k]
 
     def pairs(self, toks, lead, starts, counts, line_nos, kind):
         """COLUMNS, RHS and RANGES lines by kind, and headers between them,
@@ -715,8 +723,7 @@ class _MpsReader:
         return MipInstance(
             name=self.name, sense=self.sense, obj_coeffs=obj, var_lb=lb,
             var_ub=ub, col_names=list(self.col_index), obj_name=self.obj_name,
-            var_types=list(map(("continuous", "integer").__getitem__,
-                               self.col_integer.tolist())), **row_fields)
+            var_types=self.col_integer * INTEGER, **row_fields)
 
 
 def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,
@@ -725,26 +732,25 @@ def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,
     inequality row "<name>__rng" after every original row, with a copy of
     the row's entries, and R = 0 pins any row to its rhs, an equality."""
     m = len(row_names)
-    senses = np.array(row_senses, dtype=object)
+    senses = np.array(row_senses, dtype=np.int8)
     ranged = np.array(sorted(ranges), dtype=np.int64)
     r = np.array([ranges[i] for i in ranged.tolist()], dtype=float)
-    senses[ranged[r == 0]] = "="
+    senses[ranged[r == 0]] = EQ
     ranged, r = ranged[r != 0], r[r != 0]
     s, b = senses[ranged], rhs[ranged]
-    le, ge = s == "<=", s == ">="
-    eq = ~(le | ge)
+    le, ge, eq = s == LE, s == GE, s == EQ
     # L gives [b - |R|, b], G [b, b + |R|] and E the interval from b to
     # b + R: the original row keeps one side, the new row the other
     new_rhs = np.where(le, b - abs(r), np.where(ge, b + abs(r),
                                                 np.where(r > 0, b + r, b)))
     rhs[ranged[eq]] = np.where(r > 0, b, b + r)[eq]
-    senses[ranged[eq]] = ">="
+    senses[ranged[eq]] = GE
     copy_to = np.full(m, -1)
     copy_to[ranged] = np.arange(m, m + len(ranged))
     copied = (copy_to[mat_rows] >= 0).nonzero()[0]
     return dict(
         row_names=row_names + [row_names[i] + "__rng" for i in ranged.tolist()],
-        row_senses=senses.tolist() + np.where(le, ">=", "<=").tolist(),
+        row_senses=np.concatenate([senses, np.where(le, GE, LE)]),
         rhs=np.concatenate([rhs, new_rhs]),
         mat_rows=np.concatenate([mat_rows, copy_to[mat_rows[copied]]]),
         mat_cols=np.concatenate([mat_cols, mat_cols[copied]]),
@@ -775,7 +781,7 @@ def _lines(*fields):
 def write_mps(inst):
     """Serialize to free-format MPS. Deterministic: equal instances, equal bytes."""
     n = inst.num_cols
-    integer = np.fromiter(map("continuous".__ne__, inst.var_types), bool, n)
+    integer = inst.var_types != CONTINUOUS
 
     # each column's objective entry, then its matrix entries by row, in the
     # order of one sort of col << 32 | 1 + row, the objective's row being 0;
@@ -813,9 +819,9 @@ def write_mps(inst):
     # LO line is also written for an integer column and for 0 under a
     # negative UP, which the convention would otherwise free
     bounds = []
-    for name, vtype, lo, hi in zip(inst.col_names, inst.var_types,
+    for name, vtype, lo, hi in zip(inst.col_names, inst.var_types.tolist(),
                                    inst.var_lb.tolist(), inst.var_ub.tolist()):
-        if vtype == "binary" and lo == 0.0 and hi == 1.0:
+        if vtype == BINARY and lo == 0.0 and hi == 1.0:
             bounds.append(f" BV BND  {name}\n")
         elif lo == hi:
             bounds.append(f" FX BND  {name}  {lo!r}\n")
@@ -824,7 +830,7 @@ def write_mps(inst):
         else:
             if lo == -INF:
                 bounds.append(f" MI BND  {name}\n")
-            elif lo != 0.0 or vtype != "continuous" or hi < 0:
+            elif lo != 0.0 or vtype != CONTINUOUS or hi < 0:
                 bounds.append(f" LO BND  {name}  {lo!r}\n")
             if hi != INF:
                 bounds.append(f" UP BND  {name}  {hi!r}\n")
@@ -833,8 +839,8 @@ def write_mps(inst):
         f"NAME          {inst.name}\n",
         "OBJSENSE\n    MAX\n" if inst.sense == "maximize" else "",
         f"ROWS\n N  {inst.obj_name}\n",
-        _lines(" ", map(dict(zip(SENSES, "LGE")).__getitem__, inst.row_senses),
-               "  ", inst.row_names),
+        _lines(" ", map("LGE".__getitem__, inst.row_senses.tolist()), "  ",
+               inst.row_names),
         "COLUMNS\n", columns, "RHS\n", rhs, "BOUNDS\n", *bounds, "ENDATA\n"])
 
 
@@ -848,15 +854,15 @@ def apply_permutation(inst, row_perm, col_perm, seed=0):
     rp, cp = record.row_perm, record.col_perm
 
     # new row k is old row inv_r[k]; new column k is old column inv_c[k]
-    inv_r, inv_c = np.argsort(rp).tolist(), np.argsort(cp).tolist()
+    inv_r, inv_c = np.argsort(rp), np.argsort(cp)
     permuted = replace(
         inst, obj_coeffs=inst.obj_coeffs[inv_c], mat_rows=rp[inst.mat_rows],
         mat_cols=cp[inst.mat_cols], mat_vals=inst.mat_vals.copy(),
-        row_senses=[inst.row_senses[i] for i in inv_r], rhs=inst.rhs[inv_r],
+        row_senses=inst.row_senses[inv_r], rhs=inst.rhs[inv_r],
         var_lb=inst.var_lb[inv_c], var_ub=inst.var_ub[inv_c],
-        var_types=[inst.var_types[j] for j in inv_c],
-        row_names=[inst.row_names[i] for i in inv_r],
-        col_names=[inst.col_names[j] for j in inv_c])
+        var_types=inst.var_types[inv_c],
+        row_names=[inst.row_names[i] for i in inv_r.tolist()],
+        col_names=[inst.col_names[j] for j in inv_c.tolist()])
     return permuted, record
 
 

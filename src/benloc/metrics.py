@@ -2,7 +2,9 @@
 arithmetic.
 
 The ground truth is a table (family, permutation seed, configuration) ->
-solve time, capped at the time limit (no PAR-style penalty).  Per-Dataset
+solve time, capped at the time limit (no PAR-style penalty).  Each run has a
+status from logs.STATUSES; a run that did not finish (time_limit or error)
+is charged the time limit, whatever time it records.  Per-Dataset
 best minimizes the shifted geometric mean over all instances; Per-Instance
 best takes the argmin per instance.  Ties break toward Default, then
 lexicographically, so results are deterministic across runs.
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .logs import STATUSES
 
 DEFAULT_SHIFT = 10.0
 DEFAULT_TIME_LIMIT = 7200.0
@@ -106,8 +110,17 @@ class PerfTable:
         self._status = {}
 
     def add(self, family, seed, config, time, status="optimal"):
+        """Record a run; an unfinished one is charged the time limit, so it
+        needs a finite one."""
         if not time > 0:
             raise ValueError(f"nonpositive time {time} for {family}.{seed}")
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r} for {family}.{seed}")
+        if status in ("time_limit", "error"):
+            if self.time_limit == math.inf:
+                raise ValueError(f"status {status!r} for {family}.{seed} "
+                                 "needs a finite time limit")
+            time = self.time_limit
         key = (family, int(seed), config)
         self._times[key] = min(float(time), self.time_limit)
         self._status[key] = status

@@ -4,7 +4,8 @@ sense ratios, and order-of-magnitude scaling features.
 Feature order is fixed and exported as STATIC_FEATURE_NAMES; the CSV emitter
 uses these names verbatim as the header.  All ratio features live in [0, 1],
 and every feature is exactly invariant under row/column permutation (counts,
-ratios and extrema only, no order-dependent float sums).
+ratios and extrema only, no order-dependent float sums).  Row senses and
+variable types are read as MipInstance's int8 codes.
 
 The Symmetries column is emitted as a constant 0: detecting symmetry orbits
 needs a solver-internal detector, which is out of scope here.
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .instance import BINARY, CONTINUOUS, EQ, GE, INTEGER, LE, SENSES
 
 CONSTRAINT_CLASSES = [
     "SetPartitioning",
@@ -77,7 +80,8 @@ def _integral(x):
 
 def _class_index(starts, coefs, is_bin, is_cont, senses, rhs):
     """Index into CONSTRAINT_CLASSES of every row, the first of its rules
-    that holds; row i holds entries starts[i]:starts[i + 1] (none empty)."""
+    that holds; row i holds entries starts[i]:starts[i + 1] (none empty)
+    and has the sense code senses[i]."""
     # per row, whether some and whether all of its entries are of a kind;
     # bool throughout, so temporaries stay near one byte per entry and kind
     some_bin, some_cont = np.logical_or.reduceat(
@@ -87,7 +91,7 @@ def _class_index(starts, coefs, is_bin, is_cont, senses, rhs):
                   _integral(coefs), coefs > 0], axis=1), starts).T
     unit = all_binary & ones  # binaries, every coefficient 1
     rhs_one = np.abs(rhs - 1.0) <= _INT_TOL
-    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
     size = np.diff(np.append(starts, len(coefs)))
     pair = (size == 2) & some_bin & ~all_binary  # one binary, one other
     rules = [  # in CONSTRAINT_CLASSES order; Continuous when none holds
@@ -130,18 +134,16 @@ def extract_static(inst):
         raise DegenerateInstanceError(
             f"row {inst.row_names[i]!r} (index {i}) has no nonzeros")
 
-    types = np.asarray(inst.var_types)
-    is_bin, is_cont = types == "binary", types == "continuous"
-    senses = np.asarray(inst.row_senses)
+    is_bin, is_cont = inst.var_types == BINARY, inst.var_types == CONTINUOUS
     classes = _class_index(inst.row_ptr[:-1], inst.mat_vals,
                            is_bin[inst.mat_cols], is_cont[inst.mat_cols],
-                           senses, inst.rhs)
+                           inst.row_senses, inst.rhs)
     values = np.concatenate([  # in STATIC_FEATURE_NAMES order
         [math.log(m), math.log(n), inst.nnz / (m * n),
          0.0,  # Symmetries: no symmetry detector wired in
          np.count_nonzero(is_bin) / n,
-         np.count_nonzero(types == "integer") / n],
-        [np.count_nonzero(senses == s) / m for s in ("<=", ">=", "=")],
+         np.count_nonzero(inst.var_types == INTEGER) / n],
+        np.bincount(inst.row_senses, minlength=len(SENSES)) / m,
         np.bincount(classes, minlength=len(CONSTRAINT_CLASSES)) / m,
         [_oom(inst.mat_vals), _oom(inst.rhs), _oom(inst.obj_coeffs)]])
     return StaticFeatureVector(STATIC_FEATURE_NAMES, values)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MipInstance
+from .instance import BINARY, GE, LE, MipInstance
 from .logs import SolveLog, render_log
 from .metrics import DEFAULT_TIME_LIMIT, ConfigId
 
@@ -76,11 +76,11 @@ def gen_setcover(rows, cols, density, seed):
         mat_rows=mat_rows,
         mat_cols=mat_cols,
         mat_vals=np.ones(len(mat_rows)),
-        row_senses=[">="] * rows,
+        row_senses=np.full(rows, GE),
         rhs=np.ones(rows),
         var_lb=np.zeros(cols),
         var_ub=np.ones(cols),
-        var_types=["binary"] * cols,
+        var_types=np.full(cols, BINARY),
         row_names=[f"cover_{i}" for i in range(rows)],
         col_names=[f"x_{j}" for j in range(cols)],
     )
@@ -105,11 +105,11 @@ def gen_indset(nodes, edge_prob, seed):
         mat_rows=np.repeat(np.arange(m), 2),
         mat_cols=np.column_stack([u[edge], v[edge]]).ravel(),
         mat_vals=np.ones(2 * m),
-        row_senses=["<="] * m,
+        row_senses=np.full(m, LE),
         rhs=np.ones(m),
         var_lb=np.zeros(nodes),
         var_ub=np.ones(nodes),
-        var_types=["binary"] * nodes,
+        var_types=np.full(nodes, BINARY),
         row_names=[f"edge_{i}" for i in range(m)],
         col_names=[f"x_{v}" for v in range(nodes)],
     )

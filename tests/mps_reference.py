@@ -4,9 +4,10 @@ This is the reader benloc shipped before parse_mps worked on token arrays
 (it applies each data line as it reads it).  parse_mps promises the same
 instance, the same exception class, message and line number, and the same
 warnings in the same order; tests/test_instance.py checks that promise on
-mutated texts.  It shares only the error classes and MipInstance with
-benloc.instance, so a change to the vectorized reader's tables or helpers
-does not change the oracle.
+mutated texts.  It shares only the error classes, MipInstance and the SENSES
+and VAR_TYPES tuples with benloc.instance, so a change to the vectorized
+reader's tables or helpers does not change the oracle.  Senses and types are
+strings up to the final MipInstance call, which turns them into codes.
 """
 
 import math
@@ -14,7 +15,8 @@ import warnings
 
 import numpy as np
 
-from benloc.instance import MipInstance, MpsParseError, MpsSemanticError
+from benloc.instance import (SENSES, VAR_TYPES, MipInstance, MpsParseError,
+                             MpsSemanticError)
 
 INF = math.inf
 
@@ -75,6 +77,9 @@ def parse_mps(text):
                 break
             if head == "NAME":
                 name = toks[1] if len(toks) > 1 else ""
+                if len(toks) > 2:
+                    warnings.warn(f"line {line_no}: NAME of several words "
+                                  f"read as {name!r}")
             elif head == "OBJSENSE" and len(toks) > 1:
                 sense = ("maximize" if toks[1].upper().startswith("MAX")
                          else "minimize")
@@ -237,11 +242,12 @@ def parse_mps(text):
         mat_rows=np.concatenate([rows, copy_to[rows[copied]]]),
         mat_cols=np.concatenate([cols, cols[copied]]),
         mat_vals=np.concatenate([vals, vals[copied]]),
-        row_senses=row_senses,
+        row_senses=list(map(SENSES.index, row_senses)),
         rhs=rhs,
         var_lb=lb,
         var_ub=ub,
-        var_types=["integer" if t else "continuous" for t in col_integer],
+        var_types=[VAR_TYPES.index("integer" if t else "continuous")
+                   for t in col_integer],
         row_names=row_names,
         col_names=list(col_index),
         obj_name=obj_name,

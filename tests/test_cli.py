@@ -281,7 +281,7 @@ class TestCommands:
         "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean",
         "out_is_directory", "model_n_trees", "train_shift_negative",
         "train_shift_nan", "pipeline_shift_nan", "suitability_shift_nan",
-        "perf_time_limit", "split_seed"])
+        "perf_time_limit", "perf_status", "split_seed"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -341,6 +341,10 @@ class TestCommands:
         limited = tmp_path / "limited.csv"
         limited.write_text((ds / "perf.csv").read_text()
                            .replace(",7200.0\n", ",-5.0\n"))
+        # the dataset's perf.csv with a status no run can have
+        statused = tmp_path / "statused.csv"
+        statused.write_text((ds / "perf.csv").read_text()
+                           .replace(",optimal,", ",bogus,", 1))
         # the dataset with one Default log that has a non-numeric value
         (tmp_path / "logs").mkdir()
         log = tmp_path / "logs" / "fam000.perm0.Default.log"
@@ -632,6 +636,9 @@ class TestCommands:
             "perf_time_limit": ("suitability", ["--perf", str(limited)],
                                 limited, "line 2: time limit -5.0 is not "
                                 "positive"),
+            "perf_status": ("suitability", ["--perf", str(statused)],
+                            statused,
+                            "line 2: unknown status 'bogus' for fam000.0"),
             "out_is_directory": ("split", ["--manifest",
                                            str(ds / "manifest.json"), "--out",
                                            str(tmp_path)], None,

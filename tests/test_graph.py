@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from benloc.graph import build_graph, canonical_signature
-from benloc.instance import MipInstance, permute_instance
+from benloc.instance import (BINARY, CONTINUOUS, EQ, GE, LE, MipInstance,
+                             permute_instance)
 from benloc.synth import gen_setcover
 
 
@@ -15,9 +16,9 @@ def tiny_instance():
         obj_coeffs=np.array([1.0, 0.0]),
         mat_rows=np.array([0, 0]), mat_cols=np.array([0, 1]),
         mat_vals=np.array([2.0, -1.0]),
-        row_senses=["<="], rhs=np.array([4.0]),
+        row_senses=[LE], rhs=np.array([4.0]),
         var_lb=np.array([0.0, 0.0]), var_ub=np.array([1.0, 3.0]),
-        var_types=["binary", "continuous"],
+        var_types=[BINARY, CONTINUOUS],
         row_names=["c1"], col_names=["x", "y"])
 
 
@@ -33,8 +34,8 @@ class TestBuild:
             name="senses", sense="minimize", obj_coeffs=np.ones(1),
             mat_rows=np.array([0, 1, 2]), mat_cols=np.zeros(3, dtype=int),
             mat_vals=np.array([1.0, 2.0, 3.0]),
-            row_senses=["<=", ">=", "="], rhs=np.array([4.0, 2.0, 5.0]),
-            var_lb=np.zeros(1), var_ub=np.ones(1), var_types=["continuous"],
+            row_senses=[LE, GE, EQ], rhs=np.array([4.0, 2.0, 5.0]),
+            var_lb=np.zeros(1), var_ub=np.ones(1), var_types=[CONTINUOUS],
             row_names=["a", "b", "c"], col_names=["x"])
         g = build_graph(inst)
         assert g.con_lb[0] == -math.inf and g.con_ub[0] == 4.0
@@ -46,7 +47,8 @@ class TestBuild:
 
     def test_binary_folds_into_integer(self):
         g = build_graph(tiny_instance())
-        assert g.var_types == ["integer", "continuous"]
+        assert g.var_types.dtype == np.int8
+        assert g.var_types.tolist() == [1, 0]
 
     def test_degree_sums_equal_nnz(self):
         inst = gen_setcover(7, 13, 0.4, seed=3)
@@ -80,7 +82,8 @@ class TestSignature:
 
     @pytest.mark.parametrize("key, index, value", [
         ("edge_weight", 3, 2.5), ("var_ub", 4, 7.0), ("con_lb", 2, -9.0),
-        ("var_types", 0, "continuous")])
+        pytest.param("var_types", 0, CONTINUOUS,
+                     id="var_types-0-continuous")])
     def test_one_changed_field_changes_the_signature(self, key, index, value):
         g = build_graph(gen_setcover(6, 9, 0.5, seed=2))
         changed = getattr(g, key).copy()

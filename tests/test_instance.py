@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benloc.instance import (INF, SENSES, VAR_TYPES, InvalidInstanceError,
+from benloc.instance import (BINARY, CONTINUOUS, EQ, GE, INF, INTEGER, LE,
+                             SENSES, InvalidInstanceError,
                              MipInstance, MpsError, MpsParseError,
                              MpsSemanticError, PermutationRecord,
                              apply_permutation, parse_mps, permute_instance,
@@ -48,9 +49,9 @@ def small_instance():
         mat_rows=np.array([0, 0, 1, 1]),
         mat_cols=np.array([0, 1, 1, 2]),
         mat_vals=np.array([1.0, -2.0, 3.0, 1.0]),
-        row_senses=["<=", ">="], rhs=np.array([4.0, 1.0]),
+        row_senses=[LE, GE], rhs=np.array([4.0, 1.0]),
         var_lb=np.zeros(3), var_ub=np.array([1.0, 10.0, np.inf]),
-        var_types=["binary", "integer", "continuous"],
+        var_types=[BINARY, INTEGER, CONTINUOUS],
         row_names=["r1", "r2"], col_names=["a", "b", "c"])
 
 
@@ -60,9 +61,9 @@ class TestParseMps:
         assert inst.num_rows == 1
         assert inst.num_cols == 2
         assert inst.nnz == 2
-        assert inst.row_senses == [">="]
+        assert inst.row_senses.tolist() == [GE]
         assert inst.rhs.tolist() == [1.0]
-        assert inst.var_types == ["binary", "binary"]
+        assert inst.var_types.tolist() == [BINARY, BINARY]
 
     def test_generated_setcover_nnz(self):
         inst = gen_setcover(10, 20, 0.3, seed=0)
@@ -141,6 +142,18 @@ ENDATA
         assert inst.num_rows == 1
         assert inst.nnz == 1
 
+    def test_multi_word_name_keeps_its_first_word_with_warning(self):
+        text = MINIMAL.replace("NAME test",
+                               "* a comment\nNAME          my model v2")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            inst = parse_mps(text)
+        assert inst.name == "my"
+        assert [str(w.message) for w in caught] == [
+            "line 2: NAME of several words read as 'my'"]
+        assert _outcome(parse_mps, text) == _outcome(
+            mps_reference.parse_mps, text)
+
     def test_negative_up_without_lo_frees_lower_bound(self):
         text = """\
 NAME n
@@ -164,9 +177,9 @@ ENDATA
             inst = parse_mps(fh.read())
         # L row rhs 10 range 4 becomes 6 <= ax <= 10
         assert inst.num_rows == 2
-        assert set(inst.row_senses) == {"<=", ">="}
-        i_le = inst.row_senses.index("<=")
-        i_ge = inst.row_senses.index(">=")
+        assert set(inst.row_senses.tolist()) == {LE, GE}
+        i_le = inst.row_senses.tolist().index(LE)
+        i_ge = inst.row_senses.tolist().index(GE)
         assert inst.rhs[i_le] == 10.0
         assert inst.rhs[i_ge] == 6.0
 
@@ -267,8 +280,8 @@ ENDATA
         with open(os.path.join(fixtures_dir, "mps", "ranges_e_neg.mps")) as fh:
             inst = parse_mps(fh.read())
         # E row rhs 5 range -3 becomes 2 <= ax <= 5
-        lo = inst.rhs[inst.row_senses.index(">=")]
-        hi = inst.rhs[inst.row_senses.index("<=")]
+        lo = inst.rhs[inst.row_senses.tolist().index(GE)]
+        hi = inst.rhs[inst.row_senses.tolist().index(LE)]
         assert (lo, hi) == (2.0, 5.0)
 
 
@@ -394,7 +407,7 @@ class TestWriteMps:
             mat_rows=np.array([], dtype=int), mat_cols=np.array([], dtype=int),
             mat_vals=np.array([]), row_senses=[], rhs=np.array([]),
             var_lb=np.zeros(1), var_ub=np.array([np.inf]),
-            var_types=["continuous"], row_names=[], col_names=["x"])
+            var_types=[CONTINUOUS], row_names=[], col_names=["x"])
         text = write_mps(inst)
         rows_section = text.split("ROWS\n")[1].split("COLUMNS\n")[0]
         assert rows_section.strip() == "N  OBJ"
@@ -405,7 +418,7 @@ class TestWriteMps:
         assert write_mps(inst) == write_mps(inst)
 
     def test_empty_column_is_declared(self):
-        for lb, ub, t in ((0.0, 1.0, "binary"), (0.0, INF, "continuous")):
+        for lb, ub, t in ((0.0, 1.0, BINARY), (0.0, INF, CONTINUOUS)):
             inst = MipInstance(
                 name="e", sense="minimize", obj_coeffs=np.zeros(1),
                 mat_rows=[], mat_cols=[], mat_vals=[], row_senses=[], rhs=[],
@@ -417,10 +430,10 @@ class TestWriteMps:
         inst = MipInstance(
             name="b", sense="minimize", obj_coeffs=np.ones(2),
             mat_rows=[0, 0], mat_cols=[0, 1], mat_vals=[1.0, 1.0],
-            row_senses=["<="], rhs=[1.0], var_lb=[0.0, 0.0],
-            var_ub=[0.5, 2.0], var_types=["integer", "integer"],
+            row_senses=[LE], rhs=[1.0], var_lb=[0.0, 0.0],
+            var_ub=[0.5, 2.0], var_types=[INTEGER, INTEGER],
             row_names=["r"], col_names=["x", "y"])
-        assert inst.var_types == ["binary", "integer"]
+        assert inst.var_types.tolist() == [BINARY, INTEGER]
         assert parse_mps(write_mps(inst)) == inst
 
     def test_round_trip_small(self):
@@ -442,10 +455,10 @@ class TestWriteMps:
         """Each finite or infinite lower and upper bound, crossed ones too,
         of every variable type is written without a stand-in for infinity
         and reads back."""
-        combos = [(lo, hi, t) for t in VAR_TYPES
+        combos = [(lo, hi, t) for t in (CONTINUOUS, BINARY, INTEGER)
                   for lo in (-INF, -2.0, 0.0, 0.5, 1.0)
                   for hi in (-2.0, 0.0, 0.5, 1.0, 3.0, INF)
-                  if t != "binary" or 0.0 <= lo and hi <= 1.0]
+                  if t != BINARY or 0.0 <= lo and hi <= 1.0]
         lb, ub, types = zip(*combos)
         inst = MipInstance(
             name="b", sense="minimize", obj_coeffs=np.ones(len(combos)),
@@ -460,11 +473,11 @@ class TestWriteMps:
         """Each column's bound lines: BV, FX or FR alone, else MI or LO as
         needed and then UP for a finite upper bound; LO 0 is written for an
         integer column and under a negative UP, and -0.0 keeps its sign."""
-        bounds = [("binary", 0.0, 1.0), ("continuous", 2.5, 2.5),
-                  ("continuous", -INF, INF), ("continuous", -INF, 4.0),
-                  ("continuous", 1.5, 3.0), ("continuous", 0.0, 7.0),
-                  ("continuous", 0.0, -2.0), ("integer", 0.0, INF),
-                  ("continuous", -3.0, -0.0), ("continuous", 0.0, INF)]
+        bounds = [(BINARY, 0.0, 1.0), (CONTINUOUS, 2.5, 2.5),
+                  (CONTINUOUS, -INF, INF), (CONTINUOUS, -INF, 4.0),
+                  (CONTINUOUS, 1.5, 3.0), (CONTINUOUS, 0.0, 7.0),
+                  (CONTINUOUS, 0.0, -2.0), (INTEGER, 0.0, INF),
+                  (CONTINUOUS, -3.0, -0.0), (CONTINUOUS, 0.0, INF)]
         types, lb, ub = zip(*bounds)
         names = "abcdefghij"
         inst = MipInstance(
@@ -591,18 +604,18 @@ class TestInvariants:
             MipInstance(
                 name="bad", sense="minimize", obj_coeffs=np.array([1.0]),
                 mat_rows=np.array([0, 0]), mat_cols=np.array([0, 0]),
-                mat_vals=np.array([1.0, 2.0]), row_senses=["<="],
+                mat_vals=np.array([1.0, 2.0]), row_senses=[LE],
                 rhs=np.array([1.0]), var_lb=np.zeros(1), var_ub=np.ones(1),
-                var_types=["continuous"], row_names=["r"], col_names=["x"])
+                var_types=[CONTINUOUS], row_names=["r"], col_names=["x"])
 
     def test_stored_zero_rejected(self):
         with pytest.raises(InvalidInstanceError):
             MipInstance(
                 name="bad", sense="minimize", obj_coeffs=np.array([1.0]),
                 mat_rows=np.array([0]), mat_cols=np.array([0]),
-                mat_vals=np.array([0.0]), row_senses=["<="],
+                mat_vals=np.array([0.0]), row_senses=[LE],
                 rhs=np.array([1.0]), var_lb=np.zeros(1), var_ub=np.ones(1),
-                var_types=["continuous"], row_names=["r"], col_names=["x"])
+                var_types=[CONTINUOUS], row_names=["r"], col_names=["x"])
 
     @pytest.mark.parametrize("field, value", [
         ("obj_coeffs", [1.0, INF, 0.0]), ("mat_vals", [1.0, -2.0, np.nan, 1.0]),
@@ -652,9 +665,30 @@ class TestInvariants:
             MipInstance(
                 name="bad", sense="minimize", obj_coeffs=np.array([1.0]),
                 mat_rows=np.array([0]), mat_cols=np.array([0]),
-                mat_vals=np.array([1.0]), row_senses=["<="],
+                mat_vals=np.array([1.0]), row_senses=[LE],
                 rhs=np.array([1.0]), var_lb=np.zeros(1), var_ub=np.array([2.0]),
-                var_types=["binary"], row_names=["r"], col_names=["x"])
+                var_types=[BINARY], row_names=["r"], col_names=["x"])
+
+    @pytest.mark.parametrize("field, codes, message", [
+        ("row_senses", [LE, 3], "bad row sense code 3"),
+        ("var_types", [BINARY, -1, CONTINUOUS], "bad var type code -1")])
+    def test_out_of_range_code_rejected(self, field, codes, message):
+        with pytest.raises(InvalidInstanceError) as info:
+            replace(small_instance(), **{field: codes})
+        assert str(info.value) == message
+
+    def test_sense_and_type_strings_rejected(self):
+        """The fields hold codes; a string is refused, never compared."""
+        for field in ({"row_senses": ["<=", ">="]},
+                      {"var_types": ["binary", "integer", "continuous"]}):
+            with pytest.raises(ValueError):
+                replace(small_instance(), **field)
+
+    def test_binary_rule_leaves_the_callers_types_unchanged(self):
+        types = np.array([INTEGER, INTEGER, CONTINUOUS], dtype=np.int8)
+        inst = replace(small_instance(), var_types=types)
+        assert inst.var_types.tolist() == [BINARY, INTEGER, CONTINUOUS]
+        assert types.tolist() == [INTEGER, INTEGER, CONTINUOUS]
 
 
 def _coordinate_instance(m, n, rows, cols):
@@ -663,8 +697,8 @@ def _coordinate_instance(m, n, rows, cols):
     return MipInstance(
         name="order", sense="minimize", obj_coeffs=np.zeros(n),
         mat_rows=rows, mat_cols=cols, mat_vals=np.arange(1.0, len(rows) + 1),
-        row_senses=["<="] * m, rhs=np.zeros(m), var_lb=np.zeros(n),
-        var_ub=np.ones(n), var_types=["continuous"] * n,
+        row_senses=[LE] * m, rhs=np.zeros(m), var_lb=np.zeros(n),
+        var_ub=np.ones(n), var_types=[CONTINUOUS] * n,
         row_names=[f"r{i}" for i in range(m)],
         col_names=[f"c{j}" for j in range(n)])
 
@@ -743,8 +777,8 @@ def instances(draw):
     m, n = draw(st.integers(0, 5)), draw(st.integers(1, 5))
     var_types, lb, ub = [], [], []
     for _ in range(n):
-        t = draw(st.sampled_from(VAR_TYPES))
-        if t == "binary":
+        t = draw(st.sampled_from((CONTINUOUS, BINARY, INTEGER)))
+        if t == BINARY:
             lo = draw(st.sampled_from([0.0, 0.5, 1.0]))
             hi = draw(st.sampled_from([v for v in (0.0, 0.5, 1.0) if v >= lo]))
         else:
@@ -762,7 +796,8 @@ def instances(draw):
                                  min_size=n, max_size=n)),
         mat_rows=[e[0] for e in entries], mat_cols=[e[1] for e in entries],
         mat_vals=[e[2] for e in entries],
-        row_senses=draw(st.lists(st.sampled_from(SENSES), min_size=m, max_size=m)),
+        row_senses=draw(st.lists(st.sampled_from((LE, GE, EQ)), min_size=m,
+                                 max_size=m)),
         rhs=draw(st.lists(st.sampled_from([0.0, 1.0, -4.5]), min_size=m,
                           max_size=m)),
         var_lb=lb, var_ub=ub, var_types=var_types,
@@ -820,8 +855,8 @@ class TestProperties:
             expected = MipInstance(
                 name="b", sense="minimize", obj_coeffs=[1.0, 0.0],
                 mat_rows=[0, 0], mat_cols=[0, 1], mat_vals=[1.0, 2.0],
-                row_senses=["<="], rhs=[0.0], var_lb=lb, var_ub=ub,
-                var_types=["integer" if t else "continuous" for t in integer],
+                row_senses=[LE], rhs=[0.0], var_lb=lb, var_ub=ub,
+                var_types=[INTEGER if t else CONTINUOUS for t in integer],
                 row_names=["r0"], col_names=["c0", "c1"])
         except InvalidInstanceError as exc:  # a wrong-side infinite bound
             with pytest.raises(InvalidInstanceError) as e:
@@ -907,9 +942,10 @@ class TestProperties:
                     vals.append(v)
         expected = MipInstance(
             name="rng", sense="minimize", obj_coeffs=np.ones(n),
-            mat_rows=rows, mat_cols=cols, mat_vals=vals, row_senses=row_senses,
-            rhs=row_rhs, var_lb=np.zeros(n), var_ub=np.full(n, INF),
-            var_types=["continuous"] * n, row_names=names,
+            mat_rows=rows, mat_cols=cols, mat_vals=vals,
+            row_senses=list(map(SENSES.index, row_senses)), rhs=row_rhs,
+            var_lb=np.zeros(n), var_ub=np.full(n, INF),
+            var_types=[CONTINUOUS] * n, row_names=names,
             col_names=[f"c{j}" for j in range(n)])
         assert parse_mps("\n".join(lines) + "\n") == expected
 
@@ -922,7 +958,7 @@ class TestProperties:
         row leaves it as it is."""
         inst = data.draw(instances())
         zero_ranges = "".join(f"    RNG  {name}  0.0\n" for name, s in zip(
-            inst.row_names, inst.row_senses) if s == "=")
+            inst.row_names, inst.row_senses) if s == EQ)
         text = write_mps(inst).replace("BOUNDS\n",
                                        f"RANGES\n{zero_ranges}BOUNDS\n")
         lines, group, section = [], None, None
@@ -1206,10 +1242,12 @@ class TestClosure:
                 obj_coeffs=drawn((0.0, -0.0, 1.0, -1e-300), n),
                 mat_rows=rows, mat_cols=cols,
                 mat_vals=np.array(cells)[np.flatnonzero(cells)],
-                row_senses=drawn(SENSES, m), rhs=drawn((0.0, -0.0, 4.5), m),
+                row_senses=drawn((LE, GE, EQ), m),
+                rhs=drawn((0.0, -0.0, 4.5), m),
                 var_lb=drawn((-INF, -3.0, -0.0, 0.0, 0.5, 1.0), n),
                 var_ub=drawn((-0.5, -0.0, 0.0, 1.0, 2.0, INF), n),
-                var_types=drawn(VAR_TYPES, n), row_names=row_names,
+                var_types=drawn((CONTINUOUS, BINARY, INTEGER), n),
+                row_names=row_names,
                 col_names=col_names, obj_name=obj_name)
         except InvalidInstanceError:
             return  # refused: not an instance
@@ -1314,8 +1352,8 @@ ENDATA
         assert got == _outcome(mps_reference.parse_mps, text)
         inst = parse_mps(text)
         assert inst.col_names == ["x", "y", "z", "w"]
-        assert inst.var_types == ["continuous", "integer", "continuous",
-                                  "integer"]
+        assert inst.var_types.tolist() == [CONTINUOUS, INTEGER, CONTINUOUS,
+                                           INTEGER]
         assert inst.row_names == ["M1", "m2", "'q3", '"Q4', "MARKERS"]
         assert inst.nnz == 8
 

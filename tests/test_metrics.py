@@ -267,6 +267,8 @@ class TestPerfTable:
         ("g,0,Default,5.0,optimal,-5.0", "time limit -5.0 is not positive"),
         ("g,0,Default,5.0,optimal,0", "time limit 0.0 is not positive"),
         ("g,0,Default,5.0,optimal,nan", "time limit nan is not positive"),
+        ("g,0,Default,5.0,bogus,7200.0", "unknown status 'bogus' for g.0"),
+        ("g,0,Default,5.0,,7200.0", "unknown status '' for g.0"),
     ])
     def test_csv_bad_row_names_its_line(self, row, message):
         text = ("family,seed,config,time,status,time_limit\n"
@@ -286,6 +288,42 @@ class TestPerfTable:
         t = PerfTable(math.inf)
         t.add("f", 0, ConfigId.default(), 1e9)
         assert PerfTable.from_csv(t.to_csv()).time("f", 0, ConfigId()) == 1e9
+
+    def test_unfinished_run_is_charged_the_time_limit(self):
+        """A time_limit or error cell costs the limit, whatever time it
+        records; optimal and infeasible runs finished and keep theirs."""
+        t = PerfTable(100.0)
+        for seed, status in enumerate(("time_limit", "error", "optimal",
+                                       "infeasible")):
+            t.add("f", seed, ConfigId.default(), 30.0, status)
+        assert t.times_for_config(ConfigId.default()).tolist() == [
+            100.0, 100.0, 30.0, 30.0]
+        assert PerfTable.from_csv(t.to_csv()).to_csv() == t.to_csv()
+
+    def test_unfinished_run_needs_a_finite_limit(self):
+        for status in ("time_limit", "error"):
+            with pytest.raises(ValueError) as info:
+                PerfTable.from_csv("family,seed,config,time,status,time_limit\n"
+                                   f"f,0,Default,5.0,{status},inf\n")
+            assert str(info.value) == (f"line 2: status {status!r} for f.0 "
+                                       "needs a finite time limit")
+
+    def test_erroring_config_is_never_best(self):
+        """Every DivingHeurLevel=2 run of an oracle dataset recorded as an
+        error after 0.5 s: charged the time limit, the config is neither
+        PD-best nor any instance's PI-best, and the headroom is unchanged."""
+        perf = build_oracle_dataset(12, 3, seed=0).perf
+        diving = ConfigId.parse("DivingHeurLevel=2")
+        lines = perf.to_csv().splitlines(keepends=True)
+        crashed = PerfTable.from_csv("".join(
+            line.replace(",optimal,", ",error,").replace(
+                line.split(",")[3], "0.5") if f",{diving}," in line else line
+            for line in lines))
+        assert crashed.times_for_config(diving).tolist() == [7200.0] * 36
+        assert pd_best_geomean(crashed)[0] != diving
+        assert diving not in pi_best(crashed)[0].values()
+        assert improvement_upper_bound(crashed) == \
+            improvement_upper_bound(perf)
 
     def test_csv_mixed_time_limits_rejected(self):
         text = ("family,seed,config,time,status,time_limit\n"

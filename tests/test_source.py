@@ -1,11 +1,13 @@
 """Static checks of the package source: a deletion leaves no import or
-private module-level name behind that nothing reads."""
+private module-level name behind that nothing reads, and no module compares
+a row sense or variable type with its name."""
 
 import ast
 import os
 import re
 
 import benloc
+from benloc.instance import SENSES, VAR_TYPES
 
 PACKAGE = os.path.dirname(benloc.__file__)
 
@@ -106,3 +108,25 @@ def test_every_export_has_a_caller():
                         and isinstance(node.value, str)
                         for word in re.findall(r"\w+", node.value))
     assert [name for name in exported if name not in read] == []
+
+
+def test_no_sense_or_type_string_compared():
+    """No module compares a string of SENSES or VAR_TYPES with == or !=, or
+    calls its __eq__ or __ne__.  Senses and types are int8 codes, and numpy
+    compares an int8 array with a string as all False, with no warning."""
+    def named(node):
+        return isinstance(node, ast.Constant) and node.value in names
+    names = set(SENSES) | set(VAR_TYPES)
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                compared = [sides[k:k + 2] for k, op in enumerate(node.ops)
+                            if isinstance(op, (ast.Eq, ast.NotEq))]
+                if any(map(named, sum(compared, []))):
+                    found.append(f"{name}:{node.lineno} compares with a name")
+            elif (isinstance(node, ast.Attribute) and named(node.value)
+                  and node.attr in ("__eq__", "__ne__")):
+                found.append(f"{name}:{node.lineno} calls {node.attr}")
+    assert found == []

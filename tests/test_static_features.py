@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benloc.instance import (SENSES, VAR_TYPES, MipInstance, parse_mps,
-                             permute_instance, write_mps)
+from benloc.instance import (BINARY, CONTINUOUS, LE, SENSES, VAR_TYPES,
+                             MipInstance, parse_mps, permute_instance,
+                             write_mps)
 from benloc.static_features import (CONSTRAINT_CLASSES, STATIC_FEATURE_NAMES,
                                     DegenerateInstanceError, extract_static,
                                     static_features_csv)
@@ -19,21 +20,23 @@ def one_by_one():
     return MipInstance(
         name="unit", sense="minimize", obj_coeffs=np.array([1.0]),
         mat_rows=np.array([0]), mat_cols=np.array([0]),
-        mat_vals=np.array([1.0]), row_senses=["<="], rhs=np.array([1.0]),
-        var_lb=np.zeros(1), var_ub=np.ones(1), var_types=["continuous"],
+        mat_vals=np.array([1.0]), row_senses=[LE], rhs=np.array([1.0]),
+        var_lb=np.zeros(1), var_ub=np.ones(1), var_types=[CONTINUOUS],
         row_names=["r"], col_names=["x"])
 
 
 def one_row_class(coefs, var_types, sense, rhs):
     """The class extract_static gives the one row of an instance holding
-    these entries: the one class whose ratio reads 1."""
+    these entries, the sense and types named as in SENSES and VAR_TYPES:
+    the one class whose ratio reads 1."""
     n = len(coefs)
     inst = MipInstance(
         name="row", sense="minimize", obj_coeffs=np.ones(n),
         mat_rows=np.zeros(n, dtype=int), mat_cols=np.arange(n),
-        mat_vals=coefs, row_senses=[sense], rhs=[rhs], var_lb=np.zeros(n),
+        mat_vals=coefs, row_senses=[SENSES.index(sense)], rhs=[rhs],
+        var_lb=np.zeros(n),
         var_ub=[1.0 if t == "binary" else 10.0 for t in var_types],
-        var_types=var_types, row_names=["r"],
+        var_types=list(map(VAR_TYPES.index, var_types)), row_names=["r"],
         col_names=[f"x{j}" for j in range(n)])
     feats = extract_static(inst)
     [found] = [c for c in CONSTRAINT_CLASSES if feats[c] == 1.0]
@@ -164,9 +167,11 @@ def mixed_instances(draw):
         mat_rows=[i for i, (cols, *_) in enumerate(drawn) for _ in cols],
         mat_cols=[j for cols, *_ in drawn for j in cols],
         mat_vals=[v for _, coefs, *_ in drawn for v in coefs],
-        row_senses=[r[2] for r in drawn], rhs=[r[3] for r in drawn],
-        var_lb=np.zeros(n), var_ub=[1.0 if t == "binary" else 10.0 for t in types],
-        var_types=types, row_names=[f"r{i}" for i in range(len(drawn))],
+        row_senses=[SENSES.index(r[2]) for r in drawn],
+        rhs=[r[3] for r in drawn], var_lb=np.zeros(n),
+        var_ub=[1.0 if t == "binary" else 10.0 for t in types],
+        var_types=list(map(VAR_TYPES.index, types)),
+        row_names=[f"r{i}" for i in range(len(drawn))],
         col_names=[f"x{j}" for j in range(n)])
     return inst, types, drawn
 
@@ -215,9 +220,9 @@ class TestExtract:
         inst = MipInstance(
             name="ratio", sense="minimize", obj_coeffs=np.ones(n),
             mat_rows=np.zeros(n, dtype=int), mat_cols=np.arange(n),
-            mat_vals=np.ones(n), row_senses=["<="], rhs=np.array([4.0]),
+            mat_vals=np.ones(n), row_senses=[LE], rhs=np.array([4.0]),
             var_lb=np.zeros(n), var_ub=np.ones(n),
-            var_types=["binary"] * 4 + ["continuous"] * 4,
+            var_types=[BINARY] * 4 + [CONTINUOUS] * 4,
             row_names=["r"], col_names=[f"x{j}" for j in range(n)])
         feats = extract_static(inst)
         assert feats["Binaries"] == 0.5
@@ -258,9 +263,9 @@ class TestExtract:
         inst = MipInstance(
             name="oom", sense="minimize", obj_coeffs=np.array([2.0, -20.0]),
             mat_rows=np.array([0, 0]), mat_cols=np.array([0, 1]),
-            mat_vals=np.array([0.5, -50.0]), row_senses=["<="],
+            mat_vals=np.array([0.5, -50.0]), row_senses=[LE],
             rhs=np.array([4.0]), var_lb=np.zeros(2), var_ub=np.ones(2) * 9,
-            var_types=["continuous"] * 2, row_names=["r"],
+            var_types=[CONTINUOUS] * 2, row_names=["r"],
             col_names=["x", "y"])
         feats = extract_static(inst)
         assert abs(feats["Coefficient_oom"] - math.log(100.0)) < 1e-12
@@ -285,16 +290,16 @@ class TestExtract:
             name="deg", sense="minimize", obj_coeffs=np.array([1.0]),
             mat_rows=np.array([], dtype=int), mat_cols=np.array([], dtype=int),
             mat_vals=np.array([]), row_senses=[], rhs=np.array([]),
-            var_lb=np.zeros(1), var_ub=np.ones(1), var_types=["continuous"],
+            var_lb=np.zeros(1), var_ub=np.ones(1), var_types=[CONTINUOUS],
             row_names=[], col_names=["x"])
         with pytest.raises(DegenerateInstanceError):
             extract_static(inst)
         empty_row = MipInstance(
             name="deg", sense="minimize", obj_coeffs=np.array([1.0]),
             mat_rows=np.array([0]), mat_cols=np.array([0]),
-            mat_vals=np.array([1.0]), row_senses=["<=", "<="],
+            mat_vals=np.array([1.0]), row_senses=[LE, LE],
             rhs=np.array([1.0, 1.0]), var_lb=np.zeros(1), var_ub=np.ones(1),
-            var_types=["continuous"], row_names=["r0", "r1"], col_names=["x"])
+            var_types=[CONTINUOUS], row_names=["r0", "r1"], col_names=["x"])
         with pytest.raises(DegenerateInstanceError,
                            match=r"row 'r1' \(index 1\) has no nonzeros"):
             extract_static(empty_row)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from benloc.instance import BINARY, GE, LE
 from benloc.logs import parse_log
 from benloc.metrics import ConfigId, pd_best_geomean, pi_best
 from benloc.static_features import extract_static
@@ -21,9 +22,9 @@ class TestGenerators:
     def test_setcover_structure(self):
         inst = gen_setcover(6, 11, 0.3, seed=1)
         assert inst.sense == "minimize"
-        assert all(s == ">=" for s in inst.row_senses)
+        assert (inst.row_senses == GE).all()
         assert np.all(inst.rhs == 1.0)
-        assert all(t == "binary" for t in inst.var_types)
+        assert (inst.var_types == BINARY).all()
         for i in range(inst.num_rows):
             cols, vals = inst.row_entries(i)
             assert len(cols) >= 1  # empty supports are resampled
@@ -54,7 +55,7 @@ class TestGenerators:
             assert len(cols) == 2
             assert np.all(vals == 1.0)
             assert inst.rhs[i] == 1.0
-            assert inst.row_senses[i] == "<="
+            assert inst.row_senses[i] == LE
 
     def test_indset_deterministic(self):
         assert gen_indset(9, 0.4, seed=3) == gen_indset(9, 0.4, seed=3)

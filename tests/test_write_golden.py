@@ -25,7 +25,8 @@ import warnings
 
 import pytest
 
-from benloc.instance import parse_mps, permute_instance, read_mps, write_mps
+from benloc.instance import (CONTINUOUS, INTEGER, parse_mps, permute_instance,
+                             read_mps, write_mps)
 from benloc.synth import gen_indset, gen_setcover
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -93,8 +94,8 @@ def test_write_mps_matches_golden(golden):
 
 def test_mixed_case_covers_its_parts():
     inst = parse_mps(MIXED)
-    assert inst.var_types == ["continuous", "integer", "integer",
-                              "continuous", "continuous"]
+    assert inst.var_types.tolist() == [CONTINUOUS, INTEGER, INTEGER,
+                                       CONTINUOUS, CONTINUOUS]
     assert inst.obj_coeffs.tolist() == [2.0, -1.5, 7.0, 0.0, 0.0]
     assert sorted(set(inst.mat_cols.tolist())) == [0, 1, 3]
     assert inst.row_names == ["cap", "dem", "bal", "cap__rng", "bal__rng"]
