@@ -16,10 +16,14 @@ XGBoost's hist method, applied to exact CART): one sort per depth orders every
 open node's (row, candidate feature) pairs by rank, and one array pass scores
 every boundary.  The rank table, ranks(X), is built once per training matrix:
 by a caller that fits several forests on one matrix, else by fit when a node
-first grows.  Only live (node, feature) groups, where the feature takes
-more than one value on the node's rows, are sorted, and their keys (group,
-rank, row position) are unique, so the order, and with it every float sum,
-is the same under every sort algorithm and CPU.
+first grows.  The search works on (node, varying feature) groups: a drawn
+feature that takes one value on all of X can never split, so it forms no
+group.  Only live groups, where the feature takes more than one value on
+the node's rows, are sorted, and their keys (group, rank, row position) are
+unique, so the order, and with it every float sum, is the same under every
+sort algorithm and CPU.  Each depth is searched in runs of whole nodes,
+sized by every drawn feature, varying or not, so that a run's prefix sums,
+and with them the trees, do not depend on which features vary.
 
 A fitted forest is one set of node arrays in the order the builder grows
 them: every tree's root, then depth 1 of every tree, and so on.  In that
@@ -114,9 +118,11 @@ class RandomForest:
     def fit(self, X, y, n_classes=None, rank=None):
         """Fit the trees; classification votes over n_classes classes
         (default: the largest label + 1); rank is ranks(X), or None to rank
-        here.  A growth hyperparameter out of range, or a rank table of the
-        wrong shape or dtype or with an entry outside 0..n-1, is refused
-        with a ValueError naming it."""
+        here.  A growth hyperparameter out of range, an X that is not 2-D
+        with a row and a column, a y that is not one value per row of X, a
+        class label that is not an int >= 0, a regression target that is
+        NaN or infinite, or a rank table of the wrong shape or dtype or with
+        an entry outside 0..n-1, is refused with a ValueError naming it."""
         for key, low in (("n_trees", 1), ("min_samples_leaf", 1),
                          ("max_depth", 0)):
             if getattr(self, key) < low:
@@ -130,16 +136,31 @@ class RandomForest:
                              f"int >= 1 or a float in (0, 1], got {k!r}")
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
+        if X.ndim != 2 or 0 in X.shape:
+            raise ValueError("X must be a 2-D array of at least one row and "
+                             f"one column, got shape {X.shape}")
+        n, d = X.shape
+        if y.shape != (n,):
+            raise ValueError(f"y must hold one value per row of X ({n}), got "
+                             f"shape {y.shape}")
         if self.mode == "classification":
-            seen = int(y.max()) + 1 if len(y) else 1
+            with np.errstate(invalid="ignore"):  # a NaN label casts badly
+                labels = y.astype(np.int64)
+            bad = (labels != y) | (labels < 0)
+            if bad.any():
+                raise ValueError(f"y holds class label {y[bad][0]}, not an "
+                                 f"int >= 0")
+            seen = int(labels.max()) + 1
             if n_classes is not None and n_classes < seen:
                 raise ValueError(f"n_classes={n_classes} but labels reach "
                                  f"{seen - 1}")
             self.n_classes = seen if n_classes is None else int(n_classes)
-            y = y.astype(np.int64)
+            y = labels
         else:
             y = y.astype(float)
-        (n, d), C = X.shape, self.n_classes
+            if not np.isfinite(y).all():
+                raise ValueError("y holds a NaN or infinite value")
+        C = self.n_classes
         if rank is not None:
             rank = np.asarray(rank)
             if (rank.shape != (d, n) or rank.dtype.kind != "i"
@@ -152,6 +173,7 @@ class RandomForest:
         rows = (rng.integers(0, n, size=(self.n_trees, n)) if self.bootstrap
                 else np.tile(np.arange(n), (self.n_trees, 1))).ravel()
         counts, importances = np.full(self.n_trees, n), np.zeros(d)
+        varies = None  # the features not constant on X, once ranked
         levels = []  # per depth, by node: feature, threshold, value
         while len(counts):
             m, ys = len(counts), y[rows]
@@ -171,19 +193,21 @@ class RandomForest:
             grow = ((imp > 0.0) & (len(levels) < self.max_depth)
                     & (counts >= 2 * self.min_samples_leaf))
             sub, on = np.flatnonzero(grow), grow[node]
-            if rank is None and len(sub):
-                rank = ranks(X)
+            if varies is None and len(sub):
+                rank = ranks(X) if rank is None else rank
+                varies = rank.max(axis=1) > 0
             rows, node, counts = rows[on], node[on], counts[sub]
             # each growing node's k features, then the others
             perm = np.argsort(rng.random((len(sub), d)), axis=1)
             child, f, thr = best = self._search(
-                X, rank, y, rows, counts, np.sort(perm[:, :k]), stats[sub])
+                X, rank, varies, y, rows, counts, np.sort(perm[:, :k]),
+                stats[sub])
             stuck = np.isinf(child) & (k < d)
             if stuck.any():
                 # the sampled features are constant on these nodes: search
                 # the others rather than settle for a leaf
                 for part, more in zip(best, self._search(
-                        X, rank, y, rows[np.repeat(stuck, counts)],
+                        X, rank, varies, y, rows[np.repeat(stuck, counts)],
                         counts[stuck], np.sort(perm[stuck, k:]),
                         stats[sub[stuck]])):
                     part[stuck] = more
@@ -228,51 +252,59 @@ class RandomForest:
             return max(1, int(self.max_features * d))
         return max(1, min(int(self.max_features), d))
 
-    def _search(self, X, rank, y, rows, counts, feats, stats):
+    def _search(self, X, rank, varies, y, rows, counts, feats, stats):
         """(child impurity sum, feature, threshold) of each node's best split,
         the impurity inf where there is none.  Node i owns the next counts[i]
-        entries of rows and searches the features feats[i].
+        entries of rows and searches the features feats[i], sorted; varies
+        marks the features that take more than one value on X.
 
-        Nodes go in runs of at most _RUN (row, feature) elements, a larger
-        node alone.  A (node, feature slot) group is live when its feature
-        takes more than one value on the node's rows; only a live group has
-        a boundary, so only its elements are keyed.  The key (group, rank,
-        row position) is unique, so one sort lays the run out the same way
-        under every sort algorithm: the nodes, each node's features one
-        after another in value order, and tied values in row order.  A
-        node's first minimum over its boundaries takes the lowest impurity,
-        then the lowest feature, then the lowest threshold.
+        Nodes go in runs of at most _RUN (row, drawn feature) elements, a
+        larger node alone.  A run holds one group per (node, varying
+        feature), node by node, each node's features in ascending order, and
+        a group holds its node's rows.  Runs keep that nominal size, counted
+        over every drawn feature, because the regression prefix sums run
+        along a whole run: runs sized by the varying features alone would
+        group the nodes otherwise and change the sums in their last bits.
+        A group is live when its feature takes more than one value on the
+        node's rows; only a live group has a boundary, so only its elements
+        are keyed.  The key (group, rank, row position) is unique, so one
+        sort lays the run out the same way under every sort algorithm: the
+        groups one after another, each in value order, tied values in row
+        order.  A node's first minimum over its boundaries takes the lowest
+        impurity, then the lowest feature, then the lowest threshold.
         """
         m, k = feats.shape
         best = np.full(m, np.inf), np.zeros(m, dtype=np.int64), np.zeros(m)
         leaf = self.min_samples_leaf
         end, first = np.cumsum(counts * k), np.cumsum(counts) - counts
-        column = feats * len(X)  # where each candidate's ranks start in rank
         a = 0
         while a < m:
             b = max(a + 1, int(np.searchsorted(end, end[a] - counts[a] * k
                                                + _RUN, "right")))
             r = rows[first[a]:first[b - 1] + counts[b - 1]]
-            local = np.repeat(np.arange(b - a), counts[a:b])
-            # element e = p * k + s is row r[p] under its node's slot s
-            rk = rank.ravel()[column[a:b][local] + r[:, None]]
-            head = first[a:b] - first[a]  # each node's first row in r
-            live = (np.minimum.reduceat(rk, head)
-                    != np.maximum.reduceat(rk, head))
-            size = (counts[a:b, None] * live).ravel()  # of group local * k + s
+            gnode, slot = varies[feats[a:b]].nonzero()
+            gfeat, size = feats[a + gnode, slot], counts[a + gnode]
+            start = np.cumsum(size) - size
+            # element j of group g is row r[p[j]] of the group's node
+            p = np.arange(size.sum())
+            p -= np.repeat(start - (first[a + gnode] - first[a]), size)
+            at = np.repeat(gfeat * len(X), size)
+            at += r[p]
+            rk = rank.ravel()[at]
+            del at
+            live = (np.minimum.reduceat(rk, start)
+                    != np.maximum.reduceat(rk, start))
+            e = np.flatnonzero(np.repeat(live, size))
+            size *= live
             start = np.cumsum(size) - size
             rb, pb = _widths(len(size), len(X), len(r))
             # each live element's key (group, rank, row position p)
-            e = np.flatnonzero(live[local])
-            p = e // k
-            key = local[p]
-            key *= k
-            key += e % k
+            key = np.repeat(np.arange(len(size)), size)
             key <<= rb
-            key |= rk.ravel()[e]
+            key |= rk[e]
             key <<= pb
-            key |= p
-            del rk, e  # the run's largest arrays: free them before the sort
+            key |= p[e]
+            del p, rk, e  # the run's largest arrays: free them before the sort
             key.sort()
             # a split after sorted position i: the rank changes, the group not
             gr = key >> pb
@@ -281,7 +313,8 @@ class RandomForest:
             p, g = key & ((1 << pb) - 1), g[i]
             nl, n = i + 1 - start[g], size[g]
             ok = (nl >= leaf) & (n - nl >= leaf)
-            i, g, n, nl, node = i[ok], g[ok], n[ok], nl[ok], g[ok] // k
+            i, g, n, nl = i[ok], g[ok], n[ok], nl[ok]
+            node = gnode[g]
             ys, stat = y[r[p]], stats[a + node]
             # prefix sums of y, or of class counts, with a leading zero
             if self.mode == "regression":
@@ -302,7 +335,7 @@ class RandomForest:
             low = np.minimum.reduceat(c, np.flatnonzero(new))
             hit = np.flatnonzero(c == low[np.cumsum(new) - 1])
             hit = hit[_changes(node[hit])]
-            at, f, i = a + node[hit], feats[a + node[hit], g[hit] % k], i[hit]
+            at, f, i = a + node[hit], gfeat[g[hit]], i[hit]
             best[0][at], best[1][at] = low, f
             # the midpoint, or lo where it rounds up to hi (adjacent floats)
             lo, hi = (X[r[p[j]], f] for j in (i, i + 1))

@@ -124,6 +124,22 @@ def fields_equal(a, b):
                for x, y in pairs)
 
 
+def _exact(field, values, dtype):
+    """values as an array of dtype.  A value that the cast would change, an
+    integer out of the dtype's range or a fraction, is refused with an
+    InvalidInstanceError naming field; an array of dtype is taken as is."""
+    a = np.asarray(values)
+    if a.dtype == dtype:
+        return a
+    with np.errstate(invalid="ignore"):  # NaN and infinity cast to garbage
+        cast = a.astype(dtype)
+    changed = cast != a
+    if changed.any():
+        raise InvalidInstanceError(f"{field} holds {a[changed][0]}, not an "
+                                   f"{np.dtype(dtype).name} value")
+    return cast
+
+
 @dataclass(eq=False)
 class MipInstance:
     """A sparse MIP model: min/max c'x s.t. Ax {<=,>=,=} b, lb <= x <= ub."""
@@ -146,15 +162,15 @@ class MipInstance:
 
     def __post_init__(self):
         self.obj_coeffs = np.asarray(self.obj_coeffs, dtype=float)
-        self.mat_rows = np.asarray(self.mat_rows, dtype=np.int64)
-        self.mat_cols = np.asarray(self.mat_cols, dtype=np.int64)
+        self.mat_rows = _exact("mat_rows", self.mat_rows, np.int64)
+        self.mat_cols = _exact("mat_cols", self.mat_cols, np.int64)
         self.mat_vals = np.asarray(self.mat_vals, dtype=float)
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.var_lb = np.asarray(self.var_lb, dtype=float)
         self.var_ub = np.asarray(self.var_ub, dtype=float)
         # copies, as the binary rule writes var_types in place
-        self.row_senses = np.array(self.row_senses, dtype=np.int8)
-        self.var_types = np.array(self.var_types, dtype=np.int8)
+        self.row_senses = _exact("row_senses", self.row_senses, np.int8).copy()
+        self.var_types = _exact("var_types", self.var_types, np.int8).copy()
         self.row_names = list(self.row_names)
         self.col_names = list(self.col_names)
         self._canonicalize()
@@ -715,7 +731,8 @@ class _MpsReader:
                 values.values(), float, len(values))
         row_fields = dict(
             row_names=[name for name, code in self.row_code.items()
-                       if code >= 0], row_senses=self.row_senses,
+                       if code >= 0],
+            row_senses=np.array(self.row_senses, dtype=np.int8),
             rhs=rhs, mat_rows=self.keys >> 32, mat_cols=self.keys & 0xFFFFFFFF,
             mat_vals=self.vals)
         if self.vectors["RANGES"]:
@@ -723,7 +740,7 @@ class _MpsReader:
         return MipInstance(
             name=self.name, sense=self.sense, obj_coeffs=obj, var_lb=lb,
             var_ub=ub, col_names=list(self.col_index), obj_name=self.obj_name,
-            var_types=self.col_integer * INTEGER, **row_fields)
+            var_types=self.col_integer * np.int8(INTEGER), **row_fields)
 
 
 def _expand_ranges(ranges, row_names, row_senses, rhs, mat_rows, mat_cols,

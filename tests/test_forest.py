@@ -289,6 +289,31 @@ def test_fit_refuses_max_features_outside_its_forms(value):
         RandomForest(mode="regression", max_features=value).fit(X, X[:, 0])
 
 
+@pytest.mark.parametrize("mode, X, y, message", [
+    ("regression", np.zeros((0, 3)), np.zeros(0), "X must be a 2-D array of "
+     "at least one row and one column, got shape (0, 3)"),
+    ("regression", np.zeros((4, 0)), np.arange(4.0), "X must be a 2-D array "
+     "of at least one row and one column, got shape (4, 0)"),
+    ("regression", np.eye(4), np.arange(3.0),
+     "y must hold one value per row of X (4), got shape (3,)"),
+    ("classification", np.eye(4), [0, 1, -1, 0],
+     "y holds class label -1, not an int >= 0"),
+    ("classification", np.eye(4), [0.5, 1.7, 0.5, 1.7],
+     "y holds class label 0.5, not an int >= 0"),
+    ("regression", np.eye(4), [0.0, np.nan, 1.0, 2.0],
+     "y holds a NaN or infinite value"),
+    ("regression", np.eye(4), [0.0, 1.0, -np.inf, 2.0],
+     "y holds a NaN or infinite value")],
+    ids=["no_rows", "no_columns", "y_length", "negative_label",
+         "fractional_label", "nan_target", "infinite_target"])
+def test_fit_refuses_bad_training_data(mode, X, y, message):
+    """Data a forest cannot learn from is refused before any tree grows,
+    rather than fitting NaN leaves or truncated labels."""
+    with pytest.raises(ValueError) as e:
+        RandomForest(mode=mode, n_trees=2).fit(X, y)
+    assert str(e.value) == message
+
+
 def test_classification_vote_spans_n_classes():
     X = np.arange(12.0)[:, None]
     y = (X[:, 0] > 5).astype(int)  # labels 0 and 1 only
@@ -390,27 +415,39 @@ def test_constant_sampled_features_fall_back_to_the_others(mode, seed):
     assert np.any(forest.feature == 3)
 
 
-def repeated_data(mode, seed, constant, n=12, block=4):
-    """exact_data's rows repeated in blocks, after `constant` constant
-    columns.  The rows of a block share a feature vector, as the
-    permutations of one family share their static features, but each row
-    draws its own target, so a node holding one block's rows cannot split."""
+def repeated_data(mode, seed, layout, n=12, block=4):
+    """exact_data's rows repeated in blocks, its columns in turn where
+    layout holds a "v" and a constant column where it holds a "c".  The rows
+    of a block share a feature vector, as the permutations of one family
+    share their static features, but each row draws its own target, so a
+    node holding one block's rows cannot split."""
     X, _ = exact_data(mode, seed, n=n)
     _, y = exact_data(mode, seed + 1, n=n * block)
-    fixed = np.tile(np.arange(constant, dtype=float) + 2.0, (n * block, 1))
-    return np.hstack([fixed, np.repeat(X, block, axis=0)]), y
+    varying = iter(np.repeat(X, block, axis=0).T)
+    return np.column_stack([next(varying) if c == "v" else
+                            np.full(n * block, j + 2.0)
+                            for j, c in enumerate(layout)]), y
 
 
 @pytest.mark.parametrize("mode", ["regression", "classification"])
-@pytest.mark.parametrize("constant", range(4))
+@pytest.mark.parametrize("layout", [
+    # 0 to 3 constant columns before the varying ones
+    "vvvv", "cvvvv", "ccvvvv", "cccvvvv",
+    # more constant columns than varying ones, between them
+    "cvccvcvccvc",
+    # one varying column, so that a tree sampling one feature per node
+    # grows the reference tree through the fallback to the other features
+    "ccvcccc"], ids=["0", "1", "2", "3", "interleaved", "sampled"])
 @pytest.mark.parametrize("min_leaf", [1, 2, 3])
 def test_level_builder_grows_the_reference_tree_on_repeated_rows(
-        mode, constant, min_leaf):
-    # most (node, feature) groups take one value here and are never keyed
-    X, y = repeated_data(mode, seed=10 * constant + min_leaf,
-                         constant=constant)
+        mode, layout, min_leaf):
+    # most (node, feature) groups take one value here and are never keyed,
+    # and a column constant on X forms no group at all
+    X, y = repeated_data(mode, seed=10 * layout.count("c") + min_leaf,
+                         layout=layout)
+    max_features = 1 if layout.count("v") == 1 else "all"
     forest = one_tree(mode, min_samples_leaf=min_leaf,
-                      max_features="all").fit(X, y)
+                      max_features=max_features).fit(X, y)
     assert_same_tree(forest, reference_tree(mode, X, y, 12, min_leaf))
 
 
@@ -418,8 +455,7 @@ def test_level_builder_grows_the_reference_tree_on_repeated_rows(
 def test_repeated_rows_fall_back_to_the_others(mode):
     # test_constant_sampled_features_fall_back_to_the_others on rows repeated
     # in blocks: a block's nodes hold no live feature at all
-    X, y = repeated_data(mode, seed=5, constant=3)
-    X = np.hstack([X[:, :4], np.full((len(y), 2), 7.0)])
+    X, y = repeated_data(mode, seed=5, layout="cccvcc")
     forest = RandomForest(mode=mode, n_trees=1, bootstrap=False,
                           max_features=1, seed=5).fit(X, y)
     assert_same_tree(forest, reference_tree(mode, X, y, 12, 1))
@@ -486,7 +522,7 @@ def test_fit_memory_stays_bounded():
 
     The depth-first grower this builder replaced peaked at 4.4 MB on the
     benchmark's pair_ranker fit and at 4.1 MB here.  The level builder peaks
-    at 2.8 MB here because it searches each depth in runs of at most _RUN
+    at 2.72 MB here because it searches each depth in runs of at most _RUN
     elements; searching a whole depth at once peaks at 6.3 MB."""
     rng = np.random.default_rng(0)
     X = np.hstack([np.tile(rng.random((240, 46)), (10, 1)),

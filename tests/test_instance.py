@@ -677,6 +677,29 @@ class TestInvariants:
             replace(small_instance(), **{field: codes})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("row_senses", np.array([258, GE]),
+         "row_senses holds 258, not an int8 value"),
+        ("row_senses", [300, GE], "row_senses holds 300, not an int8 value"),
+        ("var_types", [1.7, INTEGER, CONTINUOUS],
+         "var_types holds 1.7, not an int8 value"),
+        ("mat_rows", np.array([0, 0, 1, 1]) + 0.5,
+         "mat_rows holds 0.5, not an int64 value"),
+        ("mat_cols", [0.0, 1.0, 1.0, 2.5],
+         "mat_cols holds 2.5, not an int64 value")])
+    def test_cast_that_changes_a_value_rejected(self, field, value, message):
+        """An integer field never wraps a code out of range or truncates a
+        fraction into a valid value."""
+        with pytest.raises(InvalidInstanceError) as info:
+            replace(small_instance(), **{field: value})
+        assert str(info.value) == message
+
+    def test_exact_values_of_another_dtype_accepted(self):
+        inst = small_instance()
+        assert replace(inst, mat_rows=inst.mat_rows.astype(float),
+                       row_senses=np.array([LE, GE], dtype=np.int64),
+                       var_types=[float(BINARY), INTEGER, CONTINUOUS]) == inst
+
     def test_sense_and_type_strings_rejected(self):
         """The fields hold codes; a string is refused, never compared."""
         for field in ({"row_senses": ["<=", ">="]},
