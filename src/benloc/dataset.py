@@ -183,7 +183,9 @@ def load_dataset(manifest_path):
             for cfg in configs:
                 log_path = os.path.join(manifest.log_dir,
                                         f"{fam}.perm{s}.{cfg}.log")
-                if os.path.exists(log_path):
+                try:
                     logs[(fam, s)][cfg] = read_file(log_path, parse_log)
+                except FileNotFoundError:  # a run without a log
+                    pass
     return BenchmarkData(name=manifest.name, perf=perf, static=static,
                          logs=logs, instances=instances)

@@ -14,7 +14,12 @@ from that array: row names map to codes with one dict lookup per token, a
 COLUMNS line's column with one lookup per run of lines naming it, values with
 one float() per token, and the checks are array masks (for ROWS, list tests
 that locate the failing line only when one fails; for MARKER, a test of the
-second tokens whose first character is M, m or a quote).  BOUNDS applies one
+second tokens whose first character is M, m or a quote).  The matrix entries
+read so far are kept as sorted runs of col << 32 | row keys, and a chunk's
+entries merge, in one stable sort, only with the stored keys from their
+smallest on: COLUMNS gives a column's lines together, so parsing stays linear
+in the text, and every earlier key is smaller, so a repeated pair is found
+however far back its first copy is.  BOUNDS applies one
 line at a time with no Python-level call per line, as its type's entry in the
 _BOUNDS table says.  A NAME line of several words keeps the first, with a
 warning.  The first failure is raised with the message, line number
@@ -78,7 +83,8 @@ _MARKERS = {"INTORG": 1, "INTEND": 0}
 # the first characters a word can have that reads as MARKER once unquoted
 # and upper-cased (no other character upper-cases to a leading "M")
 _MARKER_LEAD = np.isin(np.arange(128), list(map(ord, "Mm'\"")))
-_CHUNK = 1 << 20  # characters tokenized at once, bounding the tokens
+_CHUNK = 1 << 17  # characters tokenized at once, bounding the tokens
+_NO_KEY = np.iinfo(np.int64).max  # above every entry's key
 # each code point's class, 1 for str.isspace() and 2 for a str.splitlines()
 # line end; every one of them is below _OTHER, at which the table ends
 _OTHER = 0x3001
@@ -131,11 +137,16 @@ def _exact(field, values, dtype):
     a = np.asarray(values)
     if a.dtype == dtype:
         return a
-    with np.errstate(invalid="ignore"):  # NaN and infinity cast to garbage
-        cast = a.astype(dtype)
-    changed = cast != a
-    if changed.any():
-        raise InvalidInstanceError(f"{field} holds {a[changed][0]}, not an "
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and infinity cast to garbage
+            cast = a.astype(dtype)
+    except OverflowError:  # a Python int beyond 64 bits, in an object array
+        limits = np.iinfo(dtype)
+        changed = [v for v in a.tolist() if not limits.min <= v <= limits.max]
+    else:
+        changed = a[cast != a]
+    if len(changed):
+        raise InvalidInstanceError(f"{field} holds {changed[0]}, not an "
                                    f"{np.dtype(dtype).name} value")
     return cast
 
@@ -289,8 +300,8 @@ class PermutationRecord:
     seed: int
 
     def __post_init__(self):
-        self.row_perm = np.asarray(self.row_perm, dtype=np.int64)
-        self.col_perm = np.asarray(self.col_perm, dtype=np.int64)
+        self.row_perm = _exact("row_perm", self.row_perm, np.int64)
+        self.col_perm = _exact("col_perm", self.col_perm, np.int64)
         for p in (self.row_perm, self.col_perm):
             if not np.array_equal(np.sort(p), np.arange(len(p))):
                 raise InvalidInstanceError("not a permutation")
@@ -472,9 +483,10 @@ class _MpsReader:
         # column -> objective coefficient, lower and upper bound, as set
         self.obj, self.lb, self.ub = {}, {}, {}
         self.has_lower = set()  # columns with a LO, MI or FX bound so far
-        # the matrix entries sorted by row << 32 | col, their key
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.vals = np.zeros(0)
+        # the matrix entries as sorted runs of col << 32 | row keys, each
+        # run's below the next one's, and their values; the first run holds
+        # one key below every entry's, so every entry has a run before it
+        self.keys, self.vals = [np.array([-1])], [np.zeros(1)]
         self.vectors = {"RHS": {}, "RANGES": {}}  # section -> {row: value}
 
     def read(self, text):
@@ -627,18 +639,22 @@ class _MpsReader:
         pair_kind, cols = kind[pair_line], col[pair_line]
         declared, zero, entry = rows >= 0, vals == 0.0, pair_kind == 0
         stored = entry & declared & ~zero
-        # one sort merges the sorted keys stored before with the new ones
-        merged = np.concatenate([self.keys, rows[stored] << 32 | cols[stored]])
-        order = merged.argsort()
+        # one stable sort merges the new keys with the stored keys from
+        # their smallest, low, on; no earlier key can repeat a new one, and
+        # as COLUMNS gives each column's lines together, the stored keys
+        # reached are mostly those of the column that the chunk's start cuts
+        block = cols[stored] << 32 | rows[stored]
+        low, run = block.min(initial=_NO_KEY), len(self.keys) - 1
+        while self.keys[run][0] >= low:  # to the run holding keys below low
+            run -= 1
+        head = self.keys[run].searchsorted(low)
+        merged = np.concatenate([*self.keys[run:], block])[head:]
+        order = merged.argsort(kind="stable")
         keys = merged[order]
+        # of two equal keys the later, the repeat, comes second
+        again = (keys[1:] == keys[:-1]).nonzero()[0] + 1
         dup = np.zeros(len(at), dtype=bool)
-        if (keys[1:] == keys[:-1]).any():
-            # a repeated pair: sorted stably, of two equal keys the later,
-            # the repeat, comes second
-            order = merged.argsort(kind="stable")
-            keys = merged[order]
-            again = (keys[1:] == keys[:-1]).nonzero()[0]
-            dup[stored.nonzero()[0][order[again + 1] - len(self.keys)]] = True
+        dup[stored.nonzero()[0][order[again] - len(merged) + len(block)]] = True
         i, check = _first(~np.isfinite(vals), rows == _UNDECLARED, dup)
         j, _ = _first(bad)
         # pairs before the first failing pair, or before the first failing
@@ -673,8 +689,10 @@ class _MpsReader:
                 int(line_nos[j]))
 
         self.integral = bool(state[-1])
-        self.keys = keys
-        self.vals = np.concatenate([self.vals, vals[stored]])[order]
+        if len(block):
+            self.vals[run:] = [self.vals[run][:head], np.concatenate(
+                [*self.vals[run:], vals[stored]])[head:][order]]
+            self.keys[run:] = [self.keys[run][:head], keys]
         # the objective coefficients by column, RHS and RANGES by row
         for k, target in enumerate((self.obj, self.vectors["RHS"],
                                     self.vectors["RANGES"])):
@@ -725,6 +743,7 @@ class _MpsReader:
         n = len(self.col_index)
         obj, lb, ub = np.zeros(n), np.zeros(n), np.full(n, INF)
         rhs = np.zeros(len(self.row_senses))
+        keys = np.concatenate(self.keys)[1:]  # by column, as MipInstance sorts
         for array, values in ((obj, self.obj), (lb, self.lb), (ub, self.ub),
                               (rhs, self.vectors["RHS"])):
             array[np.fromiter(values, np.int64, len(values))] = np.fromiter(
@@ -733,8 +752,8 @@ class _MpsReader:
             row_names=[name for name, code in self.row_code.items()
                        if code >= 0],
             row_senses=np.array(self.row_senses, dtype=np.int8),
-            rhs=rhs, mat_rows=self.keys >> 32, mat_cols=self.keys & 0xFFFFFFFF,
-            mat_vals=self.vals)
+            rhs=rhs, mat_rows=keys & 0xFFFFFFFF, mat_cols=keys >> 32,
+            mat_vals=np.concatenate(self.vals)[1:])
         if self.vectors["RANGES"]:
             row_fields = _expand_ranges(self.vectors["RANGES"], **row_fields)
         return MipInstance(

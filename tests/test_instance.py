@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -597,6 +599,20 @@ class TestPermutation:
         with pytest.raises(InvalidInstanceError):
             PermutationRecord(np.array([0, 0]), np.array([0]), 1)
 
+    @pytest.mark.parametrize("row_perm, col_perm, message", [
+        ([0.0, 1.9, 2], [0, 1, 2, 3], "row_perm holds 1.9, not an int64 value"),
+        ([0.5, 1, 2], [0, 1, 2, 3], "row_perm holds 0.5, not an int64 value"),
+        ([1, 0], [2, 0, 2 ** 70],
+         "col_perm holds 1180591620717411303424, not an int64 value")])
+    def test_lossy_permutation_rejected(self, row_perm, col_perm, message):
+        """A permutation is never truncated into a valid one, whether the
+        record is built directly or by apply_permutation."""
+        for build in (PermutationRecord, partial(apply_permutation,
+                                                 small_instance())):
+            with pytest.raises(InvalidInstanceError) as info:
+                build(row_perm, col_perm, 0)
+            assert str(info.value) == message
+
 
 class TestInvariants:
     def test_duplicate_matrix_entry_rejected(self):
@@ -686,7 +702,9 @@ class TestInvariants:
         ("mat_rows", np.array([0, 0, 1, 1]) + 0.5,
          "mat_rows holds 0.5, not an int64 value"),
         ("mat_cols", [0.0, 1.0, 1.0, 2.5],
-         "mat_cols holds 2.5, not an int64 value")])
+         "mat_cols holds 2.5, not an int64 value"),
+        ("mat_rows", [2 ** 70, 0, 1, 1],
+         "mat_rows holds 1180591620717411303424, not an int64 value")])
     def test_cast_that_changes_a_value_rejected(self, field, value, message):
         """An integer field never wraps a code out of range or truncates a
         fraction into a valid value."""
@@ -1383,7 +1401,7 @@ ENDATA
 
 class TestCalls:
     @pytest.mark.parametrize("layer", ["parse", "write", "signature"])
-    def test_calls_do_not_grow_with_nnz(self, layer):
+    def test_calls_do_not_grow_with_nnz(self, layer, monkeypatch):
         """parse_mps, write_mps and canonical_signature make as many
         Python-level calls at 20k nonzeros as at 2k: none of their work is
         done per line, nonzero or node in Python."""
@@ -1392,12 +1410,15 @@ class TestCalls:
                    "signature": build_graph(inst)}[layer]
             fn = {"parse": parse_mps, "write": write_mps,
                   "signature": canonical_signature}[layer]
+            fn(arg)  # a first call may import, say, a codec
             return count_calls(fn, arg)
         small = gen_setcover(100, 200, 0.1, seed=0)
         large = gen_setcover(400, 500, 0.1, seed=0)
         assert 9 * small.nnz < large.nnz < 11 * small.nnz
-        # parse_mps makes a fixed number of calls per chunk of text
-        assert len(write_mps(large)) < instance._CHUNK
+        if layer == "parse":
+            # parse_mps makes a fixed number of calls per chunk of text
+            monkeypatch.setattr(instance, "_CHUNK", 1 << 20)
+            assert len(write_mps(large)) < instance._CHUNK
         assert calls(small) == calls(large)
 
 
@@ -1410,3 +1431,20 @@ def test_permute_calls_do_not_grow_with_nnz():
     large = gen_setcover(400, 500, 0.1, seed=0)
     assert 9 * small.nnz < large.nnz < 11 * small.nnz
     assert calls(small) == calls(large)
+
+
+def test_parse_memory_stays_bounded():
+    """Parsing gen_setcover(3000, 4000, 0.008, 1), 96k nonzeros in 2.9 MB of
+    text, stays within 16 MB under tracemalloc.
+
+    Tokenizing 2^20 characters at a time peaked at 32.4 MB here; with
+    _CHUNK at 2^17 the peak, 10.6 MB, is the instance's own arrays being
+    built and sorted."""
+    text = write_mps(gen_setcover(3000, 4000, 0.008, 1))
+    tracemalloc.start()
+    try:
+        parse_mps(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -166,6 +166,23 @@ class TestDatasetRoundTrip:
         assert np.array_equal(loaded.perf.time_matrix(),
                               data.perf.time_matrix())
 
+    def test_missing_log_skipped_other_errors_raised(self, small_oracle,
+                                                     tmp_path):
+        """A run without a log file loads without that log; any other error
+        opening a log, here a directory in its place, is raised."""
+        from benloc.dataset import load_dataset, write_dataset
+
+        manifest_path = write_dataset(small_oracle, str(tmp_path / "ds"))
+        key = small_oracle.pairs()[0]
+        cfg = next(iter(small_oracle.logs[key]))
+        log = tmp_path / "ds" / "logs" / f"{key[0]}.perm{key[1]}.{cfg}.log"
+        log.unlink()
+        loaded = load_dataset(manifest_path)
+        assert set(loaded.logs[key]) == set(small_oracle.logs[key]) - {cfg}
+        log.mkdir()
+        with pytest.raises(IsADirectoryError):
+            load_dataset(manifest_path)
+
     def test_load_names_a_corrupted_instance_file(self, small_oracle,
                                                   tmp_path):
         from benloc.dataset import load_dataset, write_dataset
