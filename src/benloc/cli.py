@@ -90,7 +90,6 @@ def main():
               help="Permutations per family (oracle mode).")
 def synth(kind, rows, cols, density, nodes, count, seed, out_dir, oracle, perms):
     """Generate synthetic instances, optionally with planted oracle labels."""
-    os.makedirs(out_dir, exist_ok=True)
     if oracle:
         data = build_oracle_dataset(n_families=count, n_perms=perms,
                                     spec=OracleSpec(seed=seed), kind=kind,
@@ -98,6 +97,7 @@ def synth(kind, rows, cols, density, nodes, count, seed, out_dir, oracle, perms)
         manifest_path = write_dataset(data, out_dir)
         click.echo(f"wrote oracle dataset: {manifest_path}")
         return
+    os.makedirs(out_dir, exist_ok=True)
     for k in range(count):
         if kind == "setcover":
             inst = gen_setcover(rows, cols, density, seed + k)

@@ -5,6 +5,11 @@ table, per-instance static features, and parsed solver logs (one per
 configuration; the Default log supplies prediction-time dynamic features).
 It can be built from the planted oracle for desk-scale experiments, written
 out to a directory, or loaded back from a manifest.
+
+The oracle build does each family's work once: static features are
+permutation-invariant, so they are extracted from the family's base
+instance, and the oracle's family draws are made once for all its
+permutations.  Instances are permuted only when they are kept.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from .logs import (FeatureStage, MissingStageError, assemble_features,
 from .metrics import ConfigId, PerfTable
 from .splits import DatasetManifest
 from .static_features import extract_static
-from .synth import (OracleSpec, gen_indset, gen_setcover, oracle_solve_logs,
-                    planted_optimum)
+from .synth import OracleSpec, gen_indset, gen_setcover, oracle_family
 
 
 @dataclass
@@ -83,8 +87,13 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
     """Generate families, permute each, and label everything with the oracle.
 
     Instance sizes and densities vary per family; densities avoid a margin
-    around the planted threshold so the rule stays crisp.
+    around the planted threshold so the rule stays crisp.  Every
+    permutation of a family shares the base instance's static features;
+    its instance is permuted only under keep_instances.
     """
+    for name, value in (("n_families", n_families), ("n_perms", n_perms)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, not {value}")
     spec = spec or OracleSpec(seed=seed)
     perf = PerfTable(spec.time_limit)
     static = {}
@@ -107,20 +116,20 @@ def build_oracle_dataset(n_families=60, n_perms=10, spec=None, kind="setcover",
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
 
+        feats = extract_static(base)
         # the number of integer and binary columns: CONTINUOUS is code 0
         stats = (base.num_rows, base.num_cols, np.count_nonzero(base.var_types))
-        for s in range(n_perms):
-            inst, _ = permute_instance(base, s)
-            feats = extract_static(inst)
+        favored, runs = oracle_family(family, feats, spec, stats,
+                                      range(n_perms))
+        for s, (times, solve_logs) in enumerate(runs):
             key = (family, s)
             static[key] = feats
             if keep_instances:
-                instances[key] = inst
-            times, logs[key] = oracle_solve_logs(family, s, feats, spec,
-                                                 instance_stats=stats)
+                instances[key], _ = permute_instance(base, s)
+            logs[key] = solve_logs
             for cfg, t in times.items():
-                perf.add(family, s, cfg, t, logs[key][cfg].status)
-            planted[key] = planted_optimum(spec, family, feats)
+                perf.add(family, s, cfg, t, solve_logs[cfg].status)
+            planted[key] = favored
 
     return BenchmarkData(name="oracle", perf=perf, static=static, logs=logs,
                          instances=instances, planted_pi=planted)

@@ -135,6 +135,13 @@ class OracleSpec:
     def __post_init__(self):
         if self.noise_sigma < 0 or self.family_sigma < 0:
             raise ValueError("noise levels must be nonnegative")
+        if self.rule_source not in ("static", "latent"):
+            raise ValueError(f"rule_source must be 'static' or 'latent', "
+                             f"not {self.rule_source!r}")
+        if self.rule_config not in DEFAULT_CONFIGS:
+            raise ValueError(
+                f"rule_config {self.rule_config} is not one of the oracle's "
+                f"configs ({', '.join(map(str, DEFAULT_CONFIGS))})")
 
 
 def _stable_rng(*parts):
@@ -150,10 +157,14 @@ def _rule_value(spec, family, static_feats):
     return float(_stable_rng(spec.seed, "latent", family).random())
 
 
+def _favored(spec, r):
+    """The config the planted rule makes fastest at rule value r."""
+    return spec.rule_config if r > RULE_THRESHOLD else ConfigId.default()
+
+
 def planted_optimum(spec, family, static_feats):
     """The configuration the planted rule makes optimal for this instance."""
-    r = _rule_value(spec, family, static_feats)
-    return spec.rule_config if r > RULE_THRESHOLD else ConfigId.default()
+    return _favored(spec, _rule_value(spec, family, static_feats))
 
 
 def oracle_times(family, perm_seed, static_feats, spec, instance_stats=None):
@@ -171,52 +182,71 @@ def oracle_times(family, perm_seed, static_feats, spec, instance_stats=None):
 def oracle_solve_logs(family, perm_seed, static_feats, spec,
                       instance_stats=None):
     """oracle_times with each log as the SolveLog its text parses back to."""
-    r = _rule_value(spec, family, static_feats)
-    favored = spec.rule_config if r > RULE_THRESHOLD else ConfigId.default()
-
-    times = {}
-    logs = {}
     if instance_stats is None:
         rows = max(1, round(math.exp(static_feats["Rows"])))
         cols = max(1, round(math.exp(static_feats["Columns"])))
         ints = round((static_feats["Binaries"] + static_feats["Integers"]) * cols)
         instance_stats = (rows, cols, ints)
-    rows, cols, ints = map(float, instance_stats)  # log values are floats
+    _, [run] = oracle_family(family, static_feats, spec, instance_stats,
+                             [perm_seed])
+    return run
 
-    # instance-level log quantities, shared across configurations
-    inst_rng = _stable_rng(spec.seed, "inst", family, perm_seed)
-    lp_gap = min(1.0, max(0.0, r + spec.lp_gap_noise * inst_rng.standard_normal()))
-    nodes = float(1 + round(999 * r))
-    c_l = 100.0 * (1.0 + inst_rng.random())
-    c_d = c_l * (1.0 + 0.2 * inst_rng.random())
-    c_p = c_d * (1.0 + 0.3 * inst_rng.random())
 
+def oracle_family(family, static_feats, spec, instance_stats, perm_seeds):
+    """The planted optimum of one family and, per permutation seed, the
+    (times, logs) that oracle_solve_logs gives for it.
+
+    Static features and instance_stats are the same for every permutation
+    of an instance, and so are the family's draws: the rule value and each
+    config's family-level effect.  They are made once here; each
+    permutation makes only its own instance and run draws.
+    """
+    r = _rule_value(spec, family, static_feats)
+    favored = _favored(spec, r)
+    family_times = {}  # per config, its time before the run's noise
     for cfg in DEFAULT_CONFIGS:
-        base = DEFAULT_BASE_MULTIPLIERS[str(cfg)]
-        fam_z = float(_stable_rng(spec.seed, "family", family, cfg).standard_normal())
-        run_z = float(_stable_rng(spec.seed, "run", family, perm_seed,
+        fam_z = float(_stable_rng(spec.seed, "family", family,
                                   cfg).standard_normal())
-        t = (spec.base_time * base
-             * (spec.rule_factor if cfg == favored else 1.0)
-             * math.exp(spec.family_sigma * fam_z)
-             * math.exp(spec.noise_sigma * run_z))
-        t = min(t, spec.time_limit)
-        times[cfg] = t
-        status = "time_limit" if t >= spec.time_limit else "optimal"
-        root_time = ROOT_FRACTION * t
-        logs[cfg] = SolveLog(
-            instance_id=f"{family}.perm{perm_seed}", config_id=str(cfg),
-            stages={
-                "presolve": {"rows": rows, "cols": cols, "integers": ints},
-                "global_cut": {"c_d": c_d, "c_p": c_p, "c_l": c_l},
-                "first_root_lp": {"active": rows, "intinf": ints,
-                                  "glbred": 0.0, "gap": lp_gap,
-                                  "time": 0.2 * root_time,
-                                  "obj_density": 1.0, "symmetries": 0.0},
-                "root_end": {"nodes": nodes, "lpit_per_node": 5.0 + 20.0 * r,
-                             "glbfix": 0.0, "cuts": float(round(10 * r)),
-                             "mcp": 0.0, "sepa": float(round(5 * r)),
-                             "conf": 0.0, "time": root_time},
-            },
-            total_time=t, root_time=root_time, status=status)
-    return times, logs
+        family_times[cfg] = (spec.base_time
+                             * DEFAULT_BASE_MULTIPLIERS[str(cfg)]
+                             * (spec.rule_factor if cfg == favored else 1.0)
+                             * math.exp(spec.family_sigma * fam_z))
+    rows, cols, ints = map(float, instance_stats)  # log values are floats
+    nodes = float(1 + round(999 * r))
+    runs = []
+    for perm_seed in perm_seeds:
+        # instance-level log quantities, shared across configurations
+        inst_rng = _stable_rng(spec.seed, "inst", family, perm_seed)
+        lp_gap = min(1.0, max(0.0, r + spec.lp_gap_noise
+                              * inst_rng.standard_normal()))
+        c_l = 100.0 * (1.0 + inst_rng.random())
+        c_d = c_l * (1.0 + 0.2 * inst_rng.random())
+        c_p = c_d * (1.0 + 0.3 * inst_rng.random())
+        times = {}
+        logs = {}
+        for cfg, family_time in family_times.items():
+            run_z = float(_stable_rng(spec.seed, "run", family, perm_seed,
+                                      cfg).standard_normal())
+            t = min(family_time * math.exp(spec.noise_sigma * run_z),
+                    spec.time_limit)
+            times[cfg] = t
+            status = "time_limit" if t >= spec.time_limit else "optimal"
+            root_time = ROOT_FRACTION * t
+            logs[cfg] = SolveLog(
+                instance_id=f"{family}.perm{perm_seed}", config_id=str(cfg),
+                stages={
+                    "presolve": {"rows": rows, "cols": cols, "integers": ints},
+                    "global_cut": {"c_d": c_d, "c_p": c_p, "c_l": c_l},
+                    "first_root_lp": {"active": rows, "intinf": ints,
+                                      "glbred": 0.0, "gap": lp_gap,
+                                      "time": 0.2 * root_time,
+                                      "obj_density": 1.0, "symmetries": 0.0},
+                    "root_end": {"nodes": nodes,
+                                 "lpit_per_node": 5.0 + 20.0 * r,
+                                 "glbfix": 0.0, "cuts": float(round(10 * r)),
+                                 "mcp": 0.0, "sepa": float(round(5 * r)),
+                                 "conf": 0.0, "time": root_time},
+                },
+                total_time=t, root_time=root_time, status=status)
+        runs.append((times, logs))
+    return favored, runs

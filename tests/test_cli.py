@@ -281,7 +281,8 @@ class TestCommands:
         "dataset_log_inf", "model_forest_nan", "model_knn_inf_mean",
         "out_is_directory", "model_n_trees", "train_shift_negative",
         "train_shift_nan", "pipeline_shift_nan", "suitability_shift_nan",
-        "perf_time_limit", "perf_status", "split_seed"])
+        "perf_time_limit", "perf_status", "split_seed", "synth_count_zero",
+        "synth_count_negative", "synth_perms_zero", "synth_perms_negative"])
     def test_bad_input_is_one_error_line(self, runner, workdir, model_path,
                                          forest_model_path, ranker_models,
                                          tmp_path, case):
@@ -484,6 +485,12 @@ class TestCommands:
         def evaluate(model, split):
             return ("evaluate", ["--manifest", str(ds / "manifest.json"),
                                  "--model", str(model), "--split", str(split)])
+
+        def oracle(count, perms, field):
+            value = {"n_families": count, "n_perms": perms}[field]
+            return ("synth", ["--oracle", "--count", count, "--perms", perms,
+                              "--out-dir", str(tmp_path / "oracle")], None,
+                    f"{field} must be >= 1, not {value}")
         # command, arguments, the file the error names and the reason given
         sub, args, path, reason = {
             "permute": ("permute", ["--in", mps, "--seeds", "0..x",
@@ -639,6 +646,10 @@ class TestCommands:
             "perf_status": ("suitability", ["--perf", str(statused)],
                             statused,
                             "line 2: unknown status 'bogus' for fam000.0"),
+            "synth_count_zero": oracle("0", "3", "n_families"),
+            "synth_count_negative": oracle("-1", "3", "n_families"),
+            "synth_perms_zero": oracle("2", "0", "n_perms"),
+            "synth_perms_negative": oracle("2", "-2", "n_perms"),
             "out_is_directory": ("split", ["--manifest",
                                            str(ds / "manifest.json"), "--out",
                                            str(tmp_path)], None,

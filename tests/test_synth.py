@@ -10,6 +10,7 @@ from benloc.static_features import extract_static
 from benloc.synth import (DEFAULT_BASE_MULTIPLIERS, RULE_THRESHOLD, OracleSpec,
                           gen_indset, gen_setcover, oracle_solve_logs,
                           oracle_times, planted_optimum)
+from conftest import called_names
 
 
 class TestGenerators:
@@ -133,8 +134,64 @@ class TestOracle:
         assert pi_g < pd_g
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(ValueError):
-            OracleSpec(noise_sigma=-1.0)
+        """A spec whose rule the oracle cannot plant is refused, naming the
+        field: a rule_config outside DEFAULT_CONFIGS has no times at all."""
+        for field, kwargs in (
+                ("noise", {"noise_sigma": -1.0}),
+                ("rule_source", {"rule_source": "bogus"}),
+                ("rule_config", {"rule_config": ConfigId("RootCutLevel", 1)}),
+                ("rule_config", {"rule_config": "RootCutLevel=3"})):
+            with pytest.raises(ValueError, match=field):
+                OracleSpec(**kwargs)
+
+
+class TestOracleBuild:
+    """build_oracle_dataset featurizes each family once and draws the
+    oracle's family effects once; these pin what it relies on."""
+
+    @pytest.mark.parametrize("rule_source", ["static", "latent"])
+    @pytest.mark.parametrize("kind", ["setcover", "indset"])
+    def test_stored_features_and_logs_are_the_instances_own(self, kind,
+                                                            rule_source):
+        from benloc.dataset import build_oracle_dataset
+
+        spec = OracleSpec(seed=6, rule_source=rule_source)
+        data = build_oracle_dataset(5, 3, spec=spec, kind=kind, seed=6,
+                                    keep_instances=True)
+        assert sorted(data.instances) == data.pairs()
+        for key, inst in data.instances.items():
+            assert data.static[key] == extract_static(inst)
+        for family, seed in data.pairs()[::4]:
+            inst = data.instances[(family, seed)]
+            stats = (inst.num_rows, inst.num_cols,
+                     np.count_nonzero(inst.var_types))
+            times, logs = oracle_solve_logs(family, seed,
+                                            data.static[(family, seed)], spec,
+                                            instance_stats=stats)
+            assert logs == data.logs[(family, seed)]
+            assert times == {cfg: data.perf.time(family, seed, cfg)
+                             for cfg in times}
+            assert data.planted_pi[(family, seed)] == planted_optimum(
+                spec, family, data.static[(family, seed)])
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_family_work_done_once(self, keep):
+        """F families of P permutations featurize F instances, permute F*P
+        only when the instances are kept, and seed 6 generators per family
+        (the latent value and one per config) plus 6 per permutation (its
+        instance draws and one run per config), on every build alike."""
+        from benloc.dataset import build_oracle_dataset
+
+        n_families, n_perms = 4, 3
+        spec = OracleSpec(seed=2, rule_source="latent")
+        for _ in range(2):  # a second build in one process draws as many
+            names = called_names(build_oracle_dataset, n_families, n_perms,
+                                 spec=spec, seed=2, keep_instances=keep)
+            assert names.count("extract_static") == n_families
+            assert names.count("permute_instance") == (
+                n_families * n_perms if keep else 0)
+            assert names.count("_stable_rng") == (
+                6 * n_families + 6 * n_families * n_perms)
 
 
 class TestDatasetRoundTrip:
